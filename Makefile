@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-go bench-parallel bench-fleet benchdiff fleet-quick soak-quick soak-resume-quick serve-quick lint lint-json lint-fixtures
+.PHONY: all build vet test race check bench bench-test bench-go soak-quick soak-resume-quick serve-quick lint lint-json lint-fixtures
 
 all: check
 
@@ -45,13 +45,6 @@ soak-resume-quick:
 	cmp $(RESUME_DIR)/ref.json $(RESUME_DIR)/resumed.json
 	@echo "soak-resume-quick: resumed report byte-identical to uninterrupted run"
 
-# fleet-quick is the lazy-execution byte-identity gate: sweep one small
-# population through the legacy, sharded, and dense executors at 1 and
-# default workers and require every JSON report byte-identical
-# (DESIGN.md section 10). Exits non-zero on any divergence.
-fleet-quick:
-	$(GO) run ./cmd/benchfleet -parity
-
 # serve-quick is the profiling-service smoke test: cmd/reaperd -selftest
 # starts the daemon on a loopback port, submits a small test program twice
 # through the Go client, and requires both result documents byte-identical
@@ -78,38 +71,22 @@ lint-json:
 lint-fixtures:
 	$(GO) test -race -short ./internal/lint
 
-check: build vet lint race fleet-quick soak-quick soak-resume-quick serve-quick
+check: build vet lint race bench-test soak-quick soak-resume-quick serve-quick
 
-# bench regenerates BENCH_device.json: the device read-path microbenchmarks
-# (ReadCompareAll / RestoreAll) at three weak-cell densities, with the
-# pre-sparse-index seed numbers pinned alongside for comparison.
+# bench runs the layered benchmark (cmd/bench) on all four workloads for
+# 15 s each and prints every end-to-end metric by name with its unit; the
+# metrics and their regression bounds are declared in BENCHMARK.json. Each
+# workload checks its outputs against the digests pinned in
+# cmd/bench/testdata/golden.json.
 bench:
-	$(GO) run ./cmd/benchdevice -out BENCH_device.json
+	bash cmd/bench/run.sh --workload all --seed 1 --seconds 15 --trace 0
+
+# bench-test runs cmd/bench's own tests, including the golden-digest checks.
+# cmd/bench is a separate module, so the root `go test ./...` never reaches it.
+bench-test:
+	cd cmd/bench && $(GO) test ./...
 
 # bench-go runs every go-test benchmark once (compile/behavior smoke, not a
 # measurement).
 bench-go:
 	$(GO) test -bench . -benchtime 1x ./...
-
-# bench-parallel regenerates BENCH_parallel.json: sequential vs parallel
-# wall-clock for the population, tradeoff and banked-device sweeps plus
-# device read-path microbenchmarks.
-bench-parallel:
-	$(GO) run ./cmd/benchparallel -out BENCH_parallel.json
-
-# bench-fleet regenerates BENCH_fleet.json: dense bytes-per-chip resident
-# plus lazy shard-sweep peak heap and chips/sec at 1k/100k/1M chips. The 1M
-# row takes minutes; CI smokes the same path with -quick instead.
-bench-fleet:
-	$(GO) run ./cmd/benchfleet -out BENCH_fleet.json
-
-# benchdiff measures fresh device and fleet baselines and compares them
-# against the committed BENCH_device.json / BENCH_fleet.json, failing on
-# >25% ns/op regressions in named micros — and, for the fleet rows, >25%
-# bytes/op growth (peak heap or resident bytes per chip: the lazy-execution
-# budget). Timing-sensitive: advisory on shared/loaded machines.
-benchdiff:
-	$(GO) run ./cmd/benchdevice -out /tmp/reaper-bench-fresh.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_device.json -fresh /tmp/reaper-bench-fresh.json -max-regress 0.25
-	$(GO) run ./cmd/benchfleet -quick -out /tmp/reaper-bench-fleet-fresh.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_fleet.json -fresh /tmp/reaper-bench-fleet-fresh.json -max-regress 0.25 -max-bytes-regress 0.25

@@ -40,8 +40,8 @@ type FileEntry struct {
 
 // Manifest is the checkpoint directory's table of contents: which state
 // files constitute one consistent snapshot, with checksums. It is the only
-// JSON artifact in the format (state blobs are binary so that ±Inf and bit
-//-exact floats survive).
+// JSON artifact in the format (state blobs are binary so that ±Inf and
+// bit-exact floats survive).
 type Manifest struct {
 	// Version is the manifest schema version (FormatVersion at write time).
 	Version int `json:"version"`

@@ -6,11 +6,12 @@ import (
 	"errors"
 	"testing"
 
+	"reaper/internal/dram"
 	"reaper/internal/telemetry"
 )
 
 // fleetTestPopConfig is the reduced fleet the parity tests sweep: 2 chips
-// per vendor on small chips, so the dense arm stays cheap.
+// per vendor on small chips, so the sequential reference stays cheap.
 func fleetTestPopConfig(workers int) PopulationConfig {
 	cfg := DefaultPopulationConfig()
 	cfg.ChipsPerVendor = 2
@@ -28,27 +29,33 @@ func popJSON(t *testing.T, results []PopulationResult) string {
 	return string(b)
 }
 
-// TestPopulationSweepLazyDenseParity is the dense-vs-lazy acceptance
-// property: the historical single-batch path, shard-evicting execution (at
-// several shard sizes, including one that doesn't divide the fleet), and
-// the dense materialize-everything-up-front mode all produce byte-identical
-// results, at workers 1 and 8.
-func TestPopulationSweepLazyDenseParity(t *testing.T) {
-	ctx := context.Background()
-	var ref string
-	for _, workers := range []int{1, 8} {
-		legacy, err := PopulationSweep(ctx, fleetTestPopConfig(workers))
+// sequentialPopulation is the parity reference: a plain loop that builds,
+// evaluates and aggregates every chip in job order on the caller's
+// goroutine, sharing no code with the fleet shard executor.
+func sequentialPopulation(t *testing.T, cfg PopulationConfig) []PopulationResult {
+	t.Helper()
+	vendors := dram.Vendors()
+	chips := make([]ChipResult, len(vendors)*cfg.ChipsPerVendor)
+	for job := range chips {
+		cr, err := populationChip(cfg, vendors, job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacyJSON := popJSON(t, legacy)
-		if ref == "" {
-			ref = legacyJSON
-		}
-		if legacyJSON != ref {
-			t.Fatalf("workers=%d: legacy sweep differs across worker counts", workers)
-		}
-		for _, shard := range []int{1, 4, 100} {
+		chips[job] = cr
+	}
+	return aggregatePopulation(cfg, vendors, chips, nil)
+}
+
+// TestPopulationSweepLazyDenseParity is the lazy-execution acceptance
+// property: the shard executor, at several shard sizes (0 = one fleet-wide
+// shard, and one size that doesn't divide the fleet), produces results
+// byte-identical to a sequential materialize-evaluate loop, at workers 1
+// and 8.
+func TestPopulationSweepLazyDenseParity(t *testing.T) {
+	ctx := context.Background()
+	ref := popJSON(t, sequentialPopulation(t, fleetTestPopConfig(1)))
+	for _, workers := range []int{1, 8} {
+		for _, shard := range []int{0, 1, 4, 100} {
 			cfg := fleetTestPopConfig(workers)
 			cfg.ShardSize = shard
 			lazy, err := PopulationSweep(ctx, cfg)
@@ -56,44 +63,38 @@ func TestPopulationSweepLazyDenseParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := popJSON(t, lazy); got != ref {
-				t.Fatalf("workers=%d shard=%d: lazy sweep not byte-identical to legacy", workers, shard)
+				t.Fatalf("workers=%d shard=%d: sharded sweep not byte-identical to the sequential loop", workers, shard)
 			}
-		}
-		dcfg := fleetTestPopConfig(workers)
-		dcfg.Dense = true
-		dense, err := PopulationSweep(ctx, dcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := popJSON(t, dense); got != ref {
-			t.Fatalf("workers=%d: dense sweep not byte-identical to legacy", workers)
 		}
 	}
 }
 
 // TestPopulationFleetCounters pins the fleet lifecycle metrics: over a full
-// sharded sweep every chip is materialized exactly once and evicted exactly
-// once, and no shard is left active — at any worker count, since the shard
-// walk (not the scheduler) drives the counters.
+// sweep every chip is materialized exactly once and evicted exactly once,
+// and no shard is left active — at any worker count, since the shard walk
+// (not the scheduler) drives the counters. ShardSize 0 is one fleet-wide
+// shard and must count the same way.
 func TestPopulationFleetCounters(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		reg := telemetry.New()
-		ctx := telemetry.WithRegistry(context.Background(), reg)
-		cfg := fleetTestPopConfig(workers)
-		cfg.ShardSize = 4
-		if _, err := PopulationSweep(ctx, cfg); err != nil {
-			t.Fatal(err)
-		}
-		snap := reg.Snapshot()
-		n := int64(cfg.ChipsPerVendor * 3)
-		if got := snap.Counter("fleet_chips_materialized"); got != n {
-			t.Errorf("workers=%d: fleet_chips_materialized = %d, want %d", workers, got, n)
-		}
-		if got := snap.Counter("fleet_evictions"); got != n {
-			t.Errorf("workers=%d: fleet_evictions = %d, want %d", workers, got, n)
-		}
-		if got := reg.Gauge("fleet_shards_active").Value(); got != 0 {
-			t.Errorf("workers=%d: fleet_shards_active = %v after sweep, want 0", workers, got)
+	for _, shard := range []int{4, 0} {
+		for _, workers := range []int{1, 8} {
+			reg := telemetry.New()
+			ctx := telemetry.WithRegistry(context.Background(), reg)
+			cfg := fleetTestPopConfig(workers)
+			cfg.ShardSize = shard
+			if _, err := PopulationSweep(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			n := int64(cfg.ChipsPerVendor * 3)
+			if got := snap.Counter("fleet_chips_materialized"); got != n {
+				t.Errorf("shard=%d workers=%d: fleet_chips_materialized = %d, want %d", shard, workers, got, n)
+			}
+			if got := snap.Counter("fleet_evictions"); got != n {
+				t.Errorf("shard=%d workers=%d: fleet_evictions = %d, want %d", shard, workers, got, n)
+			}
+			if got := reg.Gauge("fleet_shards_active").Value(); got != 0 {
+				t.Errorf("shard=%d workers=%d: fleet_shards_active = %v after sweep, want 0", shard, workers, got)
+			}
 		}
 	}
 }
@@ -126,12 +127,6 @@ func TestPopulationConfigShardValidation(t *testing.T) {
 	cfg.ShardSize = -1
 	if _, err := PopulationSweep(context.Background(), cfg); err == nil {
 		t.Error("negative shard size not rejected")
-	}
-	cfg = DefaultPopulationConfig()
-	cfg.ShardSize = 2
-	cfg.Dense = true
-	if _, err := PopulationSweep(context.Background(), cfg); err == nil {
-		t.Error("dense + shard size not rejected as mutually exclusive")
 	}
 	cfg = DefaultPopulationConfig()
 	cfg.ChipsPerVendor = -3

@@ -6,10 +6,8 @@ import (
 
 	"reaper/internal/core"
 	"reaper/internal/dram"
-	"reaper/internal/memctrl"
 	"reaper/internal/parallel"
 	"reaper/internal/stats"
-	"reaper/internal/telemetry"
 )
 
 // The paper's evidence is population-level: 368 chips across three vendors,
@@ -41,14 +39,9 @@ type PopulationConfig struct {
 	// the fleet is swept in consecutive shards of at most ShardSize chips,
 	// each materialized from its seed on spin-up and evicted after its
 	// summary is folded, so peak memory is O(ShardSize), not O(fleet).
-	// <= 0 (with Dense false) keeps the historical single-batch execution.
-	// Results are byte-identical at every shard size and worker count.
+	// <= 0 sweeps the whole fleet as one shard. Results are byte-identical
+	// at every shard size and worker count.
 	ShardSize int
-	// Dense pre-materializes every chip's station before any evaluation
-	// starts — the pre-ShardSize behavior, kept as an explicit mode so
-	// benchmarks can measure exactly what lazy execution saves. O(fleet)
-	// memory; mutually exclusive with ShardSize > 0.
-	Dense bool
 }
 
 // DefaultPopulationConfig is a bench-scale fleet.
@@ -95,29 +88,37 @@ func (c PopulationConfig) validate() error {
 	if c.ShardSize < 0 {
 		return fmt.Errorf("experiments: shard size must be non-negative (got %d)", c.ShardSize)
 	}
-	if c.Dense && c.ShardSize > 0 {
-		return fmt.Errorf("experiments: dense materialization and shard size %d are mutually exclusive", c.ShardSize)
-	}
 	return nil
 }
 
 // populationSpec is the compact, seed-derived description of one flattened
 // (vendor, chip) job — the only per-chip state a fleet sweep holds for chips
 // outside the active shard.
+//
+// Seeds are laid out in blocks of 1000 chips: block b of vendor vi starts at
+// cfg.Seed + (b*len(vendors) + vi)*1000, so no two chips in a fleet share a
+// seed at any ChipsPerVendor. Chips below index 1000 get cfg.Seed + vi*1000 +
+// c, the seeds cmd/bench's pinned population digests depend on.
 func populationSpec(cfg PopulationConfig, vendors []dram.VendorParams, job int) ChipSpec {
 	vi, c := job/cfg.ChipsPerVendor, job%cfg.ChipsPerVendor
+	block := uint64(c/1000)*uint64(len(vendors)) + uint64(vi)
 	return ChipSpec{
 		Bits:      cfg.ChipBits,
 		WeakScale: cfg.WeakScale,
 		Vendor:    vendors[vi],
-		Seed:      cfg.Seed + uint64(vi)*1000 + uint64(c),
+		Seed:      cfg.Seed + block*1000 + uint64(c%1000),
 	}
 }
 
-// evalPopulationChip folds one materialized chip into its compact summary.
-// Every profiling draw comes from streams derived from the chip's own seed,
-// so evaluation order across chips cannot affect any result.
-func evalPopulationChip(cfg PopulationConfig, spec ChipSpec, st *memctrl.Station) (ChipResult, error) {
+// populationChip materializes, evaluates and releases one job's chip. Every
+// profiling draw comes from streams derived from the chip's own seed, so
+// evaluation order across chips cannot affect any result.
+func populationChip(cfg PopulationConfig, vendors []dram.VendorParams, job int) (ChipResult, error) {
+	spec := populationSpec(cfg, vendors, job)
+	st, err := spec.NewStation()
+	if err != nil {
+		return ChipResult{}, err
+	}
 	truth := core.Truth(st, cfg.TargetInterval, 45)
 	prof, err := core.Reach(st, cfg.TargetInterval, cfg.Reach, core.Options{
 		Iterations:              cfg.Iterations,
@@ -134,44 +135,6 @@ func evalPopulationChip(cfg PopulationConfig, spec ChipSpec, st *memctrl.Station
 		Coverage: core.Coverage(prof.Failures, truth),
 		FPR:      core.FalsePositiveRate(prof.Failures, truth),
 	}, nil
-}
-
-// populationChip materializes, evaluates and releases one job's chip.
-func populationChip(cfg PopulationConfig, vendors []dram.VendorParams, job int) (ChipResult, error) {
-	spec := populationSpec(cfg, vendors, job)
-	st, err := spec.NewStation()
-	if err != nil {
-		return ChipResult{}, err
-	}
-	return evalPopulationChip(cfg, spec, st)
-}
-
-// populationDense is the pre-change execution shape: every station in the
-// fleet is materialized before the first evaluation starts and stays
-// resident until the sweep finishes. It exists so cmd/benchfleet can put a
-// number on the memory the lazy path avoids; it fails fast like
-// PopulationSweep. The fleet lifecycle metrics see one fleet-wide shard.
-func populationDense(ctx context.Context, cfg PopulationConfig, vendors []dram.VendorParams, n int) ([]ChipResult, error) {
-	reg := telemetry.FromContext(ctx)
-	reg.Gauge("fleet_shards_active").Set(1)
-	reg.Counter("fleet_chips_materialized").Add(int64(n))
-	stations, err := parallel.Map(ctx, n, cfg.Workers,
-		func(_ context.Context, job int) (*memctrl.Station, error) {
-			return populationSpec(cfg, vendors, job).NewStation()
-		})
-	if err != nil {
-		return nil, err
-	}
-	chips, err := parallel.Map(ctx, n, cfg.Workers,
-		func(_ context.Context, job int) (ChipResult, error) {
-			return evalPopulationChip(cfg, populationSpec(cfg, vendors, job), stations[job])
-		})
-	if err != nil {
-		return nil, err
-	}
-	reg.Counter("fleet_evictions").Add(int64(n))
-	reg.Gauge("fleet_shards_active").Set(0)
-	return chips, nil
 }
 
 // aggregatePopulation folds the flattened chip results into per-vendor
@@ -216,44 +179,20 @@ func aggregatePopulation(cfg PopulationConfig, vendors []dram.VendorParams, chip
 }
 
 // PopulationSweep evaluates a fleet of chips per vendor and aggregates.
-// Chips are evaluated on the parallel fleet engine; every chip owns a
+// Chips are evaluated on the fleet shard executor; every chip owns a
 // disjoint simulated device and RNG seed, so results are byte-identical to
-// a sequential sweep regardless of cfg.Workers. The first chip error aborts
-// the sweep; use PopulationSweepPartial for fault-tolerant execution.
+// a sequential sweep regardless of cfg.Workers and cfg.ShardSize. Any chip
+// failure fails the sweep with the lowest-index chip's error; use
+// PopulationSweepPartial for fault-tolerant execution.
 func PopulationSweep(ctx context.Context, cfg PopulationConfig) ([]PopulationResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	vendors := dram.Vendors()
-	// Flatten the vendor x chip fleet into one job list so a small fleet of
-	// large chips still saturates the pool.
-	n := len(vendors) * cfg.ChipsPerVendor
-	var chips []ChipResult
-	var err error
-	switch {
-	case cfg.Dense:
-		chips, err = populationDense(ctx, cfg, vendors, n)
-	case cfg.ShardSize > 0:
-		var failures []parallel.JobFailure
-		chips, failures, err = runFleetShards(ctx, n, cfg.ShardSize, cfg.Workers, parallel.RetryPolicy{},
-			func(_ context.Context, job int) (ChipResult, error) {
-				return populationChip(cfg, vendors, job)
-			})
-		// PopulationSweep's contract is fail-fast: surface the lowest-index
-		// chip failure as the sweep error, as the flat parallel.Map path does.
-		if err == nil && len(failures) > 0 {
-			err = failures[0].Err
-		}
-	default:
-		chips, err = parallel.Map(ctx, n, cfg.Workers,
-			func(_ context.Context, job int) (ChipResult, error) {
-				return populationChip(cfg, vendors, job)
-			})
-	}
+	results, failures, err := PopulationSweepPartial(ctx, cfg, parallel.RetryPolicy{})
 	if err != nil {
 		return nil, err
 	}
-	return aggregatePopulation(cfg, vendors, chips, nil), nil
+	if len(failures) > 0 {
+		return nil, failures[0].Err
+	}
+	return results, nil
 }
 
 // PopulationSweepPartial is the fault-tolerant sweep: a chip shard that
@@ -266,18 +205,13 @@ func PopulationSweepPartial(ctx context.Context, cfg PopulationConfig, policy pa
 		return nil, nil, err
 	}
 	vendors := dram.Vendors()
+	// Flatten the vendor x chip fleet into one job list so a small fleet of
+	// large chips still saturates the pool.
 	n := len(vendors) * cfg.ChipsPerVendor
-	eval := func(_ context.Context, job int) (ChipResult, error) {
-		return populationChip(cfg, vendors, job)
-	}
-	var chips []ChipResult
-	var failures []parallel.JobFailure
-	var err error
-	if cfg.ShardSize > 0 {
-		chips, failures, err = runFleetShards(ctx, n, cfg.ShardSize, cfg.Workers, policy, eval)
-	} else {
-		chips, failures, err = parallel.MapPartial(ctx, n, cfg.Workers, policy, eval)
-	}
+	chips, failures, err := runFleetShards(ctx, n, cfg.ShardSize, cfg.Workers, policy,
+		func(_ context.Context, job int) (ChipResult, error) {
+			return populationChip(cfg, vendors, job)
+		})
 	if err != nil {
 		return nil, nil, err
 	}

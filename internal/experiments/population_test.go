@@ -71,3 +71,24 @@ func TestPopulationSweepValidation(t *testing.T) {
 		t.Error("zero fleet not rejected")
 	}
 }
+
+// TestPopulationSeedsDistinct guards the per-chip seed layout past 1000
+// chips per vendor: no two (vendor, chip) jobs may share a seed, or they
+// would draw from the same streams. Only specs are derived; no chip is built.
+func TestPopulationSeedsDistinct(t *testing.T) {
+	cfg := DefaultPopulationConfig()
+	cfg.ChipsPerVendor = 1001
+	vendors := dram.Vendors()
+	seen := make(map[uint64]int)
+	for job := 0; job < len(vendors)*cfg.ChipsPerVendor; job++ {
+		seed := populationSpec(cfg, vendors, job).Seed
+		if prev, ok := seen[seed]; ok {
+			t.Fatalf("jobs %d and %d share seed %d", prev, job, seed)
+		}
+		seen[seed] = job
+	}
+	// Chips below index 1000 keep the seeds cmd/bench's digests pin.
+	if got, want := populationSpec(cfg, vendors, cfg.ChipsPerVendor+999).Seed, cfg.Seed+1*1000+999; got != want {
+		t.Errorf("vendor 1 chip 999 seed = %d, want %d", got, want)
+	}
+}

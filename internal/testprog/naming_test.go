@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"reaper/internal/benchfmt"
 	"reaper/internal/core"
 	"reaper/internal/experiments"
 )
@@ -16,10 +15,10 @@ import (
 var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // TestJSONFieldNamingConvention walks every struct reachable from the
-// program/result schema — plus the benchfmt schema and the experiment
-// result types the program schema embeds — and asserts every JSON field
-// name is lower_snake_case. This is the guard against the benchfmt and
-// testprog schemas forking conventions (ISSUE 9 satellite).
+// program/result schema — plus the experiment result types the program
+// schema embeds — and asserts every JSON field name is lower_snake_case.
+// This is the guard against the testprog and experiment schemas forking
+// conventions.
 func TestJSONFieldNamingConvention(t *testing.T) {
 	roots := []any{
 		Program{}, Fleet{}, Output{}, Result{}, ChipRun{}, StageResult{},
@@ -29,7 +28,6 @@ func TestJSONFieldNamingConvention(t *testing.T) {
 		EnableRefreshStage{}, WaitStage{}, ReadCompareStage{},
 		ClassifyStage{}, InjectFaultStage{}, ProfileStage{},
 		TradeoffGridStage{}, SoakStage{}, PopulationSweepStage{},
-		benchfmt.Baseline{}, benchfmt.SweepResult{}, benchfmt.MicroResult{},
 		core.TradeoffPoint{}, core.ReachConditions{},
 		experiments.PopulationResult{}, experiments.ChipResult{},
 		experiments.SoakConfig{}, experiments.SoakReport{},
