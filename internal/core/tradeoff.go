@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"reaper/internal/memctrl"
 	"reaper/internal/parallel"
@@ -49,9 +50,10 @@ type TradeoffConfig struct {
 	Reference ReferenceMode
 
 	// Workers bounds the worker pool evaluating grid points concurrently;
-	// <= 0 means one worker per CPU. Every grid point profiles its own
-	// freshly constructed station (mkStation), so results are identical at
-	// any worker count.
+	// <= 0 means one worker per CPU. Every grid point starts from a station
+	// in the state mkStation built it in — at most one station per
+	// concurrent point, rolled back to its construction savepoint between
+	// points — so results are identical at any worker count.
 	Workers int
 }
 
@@ -83,8 +85,25 @@ func (c *TradeoffConfig) fill() error {
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 4 * c.Iterations
 	}
+	// Coverage and FPR are sampled at Iterations, which the runtime search
+	// must therefore reach.
+	if c.Iterations < 0 || c.MaxIterations < c.Iterations {
+		return fmt.Errorf("core: iterations %d out of [0, max iterations %d]", c.Iterations, c.MaxIterations)
+	}
 	if len(c.DeltaIntervals) == 0 || len(c.DeltaTemps) == 0 {
 		return fmt.Errorf("core: empty reach grid")
+	}
+	// A point is reported with its deltas; profiling applies only raised
+	// conditions, so a negative delta would be mislabeled.
+	for _, d := range c.DeltaIntervals {
+		if d < 0 {
+			return fmt.Errorf("core: negative delta interval %v", d)
+		}
+	}
+	for _, d := range c.DeltaTemps {
+		if d < 0 {
+			return fmt.Errorf("core: negative delta temperature %v", d)
+		}
 	}
 	return nil
 }
@@ -129,52 +148,77 @@ func (p TradeoffPoint) Speedup() float64 {
 // ExploreTradeoffs measures every point of the reach grid. mkStation must
 // return a freshly constructed station over an *identically seeded* device
 // each call, so that every grid point profiles the same chip from the same
-// initial state. Points are returned in row-major order: for each delta
-// temperature, each delta interval. Cancelling ctx aborts the grid.
+// initial state. It is called at most once per concurrently evaluated point
+// (the reference run counts as one): each station is saved right after
+// construction and rolled back to that savepoint between points. A station
+// whose savepoint or rollback is refused (memctrl.Station.Savepoint) is
+// dropped after its point, so mkStation then runs once per point. Points are
+// returned in row-major order: for each delta temperature, each delta
+// interval. Cancelling ctx aborts the grid.
 func ExploreTradeoffs(ctx context.Context, mkStation func() (*memctrl.Station, error), cfg TradeoffConfig) ([]TradeoffPoint, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
+	pool := &stationPool{mk: mkStation}
 
 	// Build the scoring reference first: every grid point scores against the
 	// same brute-force profile at target conditions.
 	var reference *FailureSet
 	if cfg.Reference == ReferenceEmpirical {
-		st, err := mkStation()
-		if err != nil {
-			return nil, fmt.Errorf("core: mkStation: %w", err)
-		}
-		if st.Ambient() != cfg.TargetTempC {
-			st.SetAmbient(cfg.TargetTempC)
-		}
-		refOpt := cfg.Options
-		refOpt.fill()
-		refOpt.Iterations = cfg.Iterations
-		refOpt.OnIteration = nil
-		refRes, err := BruteForce(st, cfg.TargetInterval, refOpt)
+		ps, err := pool.get()
 		if err != nil {
 			return nil, err
 		}
-		reference = refRes.Failures
+		if reference, err = profileReference(ps.st, cfg); err != nil {
+			return nil, err
+		}
+		pool.put(ps)
 	}
 
-	// Grid points are independent — each profiles a fresh identically-seeded
-	// station and only reads the shared reference — so fan them out on the
-	// pool in row-major submission order.
+	// Grid points are independent — each profiles a station in its
+	// just-constructed state and only reads the shared reference — so fan
+	// them out on the pool in row-major submission order.
 	nI := len(cfg.DeltaIntervals)
 	points, err := parallel.Map(ctx, len(cfg.DeltaTemps)*nI, cfg.Workers,
 		func(_ context.Context, job int) (TradeoffPoint, error) {
 			dT := cfg.DeltaTemps[job/nI]
 			dI := cfg.DeltaIntervals[job%nI]
-			st, err := mkStation()
+			ps, err := pool.get()
 			if err != nil {
-				return TradeoffPoint{}, fmt.Errorf("core: mkStation: %w", err)
+				return TradeoffPoint{}, err
 			}
-			return measurePoint(st, cfg, reference, ReachConditions{DeltaInterval: dI, DeltaTempC: dT})
+			pt, err := measurePoint(ps.st, cfg, reference, ReachConditions{DeltaInterval: dI, DeltaTempC: dT})
+			pool.put(ps)
+			return pt, err
 		})
 	if err != nil {
 		return nil, err
 	}
+	summarizeGrid(ctx, points)
+	return points, nil
+}
+
+// profileReference runs the empirical scoring reference: brute-force
+// profiling at the target conditions for cfg.Iterations rounds.
+func profileReference(st *memctrl.Station, cfg TradeoffConfig) (*FailureSet, error) {
+	if st.Ambient() != cfg.TargetTempC {
+		st.SetAmbient(cfg.TargetTempC)
+	}
+	opt := cfg.Options
+	opt.fill()
+	opt.Iterations = cfg.Iterations
+	opt.OnIteration = nil
+	res, err := BruteForce(st, cfg.TargetInterval, opt)
+	if err != nil {
+		return nil, err
+	}
+	return res.Failures, nil
+}
+
+// summarizeGrid normalizes every point's runtime to the brute-force point
+// and records the grid-level telemetry. It runs sequentially over the
+// ordered points, so the snapshot is identical at any worker count.
+func summarizeGrid(ctx context.Context, points []TradeoffPoint) {
 	var bruteRuntime float64
 	for _, pt := range points {
 		if pt.Reach.DeltaInterval == 0 && pt.Reach.DeltaTempC == 0 {
@@ -186,9 +230,6 @@ func ExploreTradeoffs(ctx context.Context, mkStation func() (*memctrl.Station, e
 			points[i].RuntimeRelative = points[i].RuntimeSeconds / bruteRuntime
 		}
 	}
-
-	// Grid-level telemetry is recorded here, sequentially over the ordered
-	// result slice, so the snapshot is identical at any worker count.
 	if reg := telemetry.FromContext(ctx); reg != nil {
 		covHist := reg.Histogram("core_tradeoff_coverage", unitFractionBounds)
 		fprHist := reg.Histogram("core_tradeoff_false_positive_rate", unitFractionBounds)
@@ -201,11 +242,60 @@ func ExploreTradeoffs(ctx context.Context, mkStation func() (*memctrl.Station, e
 			fprHist.Observe(pt.FalsePositiveRate)
 		}
 	}
-	return points, nil
 }
 
 // unitFractionBounds buckets coverage and false-positive-rate observations.
 var unitFractionBounds = []float64{0.5, 0.8, 0.9, 0.95, 0.99, 1}
+
+// stationPool recycles the stations of one tradeoff grid: a free list of
+// stations, each paired with the savepoint taken right after mkStation built
+// it. A point takes a free station or builds one, and returns it rolled back
+// to its savepoint, so every point starts from a state identical to a fresh
+// mkStation result. The free list never holds more stations than points ran
+// concurrently.
+type stationPool struct {
+	mk   func() (*memctrl.Station, error)
+	mu   sync.Mutex
+	free []pooledStation
+}
+
+// pooledStation is a station and its construction savepoint; sp is nil when
+// the station refused a savepoint and cannot be recycled.
+type pooledStation struct {
+	st *memctrl.Station
+	sp *memctrl.StationSavepoint
+}
+
+// get returns a free station, or builds and saves a new one.
+func (p *stationPool) get() (pooledStation, error) {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		ps := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return ps, nil
+	}
+	p.mu.Unlock()
+	st, err := p.mk()
+	if err != nil {
+		return pooledStation{}, fmt.Errorf("core: mkStation: %w", err)
+	}
+	// A refused savepoint is not an error: the station serves this one point
+	// and is dropped.
+	sp, _ := st.Savepoint()
+	return pooledStation{st: st, sp: sp}, nil
+}
+
+// put rolls a used station back to its savepoint and frees it. A station
+// without a savepoint, or whose rollback is refused, is dropped instead.
+func (p *stationPool) put(ps pooledStation) {
+	if ps.sp == nil || ps.st.Rollback(ps.sp) != nil {
+		return
+	}
+	p.mu.Lock()
+	p.free = append(p.free, ps)
+	p.mu.Unlock()
+}
 
 func measurePoint(st *memctrl.Station, cfg TradeoffConfig, reference *FailureSet, reach ReachConditions) (TradeoffPoint, error) {
 	if st.Ambient() != cfg.TargetTempC {
@@ -257,12 +347,6 @@ func measurePoint(st *memctrl.Station, cfg TradeoffConfig, reference *FailureSet
 	}
 	if err != nil {
 		return pt, err
-	}
-	if !sampled {
-		// Run ended before the sampling iteration (should not happen since
-		// MaxIterations >= Iterations, but stay safe).
-		pt.Coverage = Coverage(res.Failures, truth)
-		pt.FalsePositiveRate = FalsePositiveRate(res.Failures, truth)
 	}
 	if !pt.ReachedGoal {
 		pt.IterationsToGoal = res.Iterations

@@ -14,6 +14,10 @@ func exp(x float64) float64    { return math.Exp(x) }
 // cell whose retention mean lies inside the modelled interval domain and
 // which can therefore produce retention failures during experiments.
 type weakCell struct {
+	// The seven 8-byte fields come first and the 1-byte fields after them, so
+	// the struct packs into 64 bytes (one cache line) with no interior
+	// padding; a 64 Mbit scale-model chip carries hundreds of thousands.
+
 	// bit is the cell's global linear bit index.
 	bit uint64
 
@@ -25,17 +29,24 @@ type weakCell struct {
 	// of the cell's normal failure CDF (Section 5.5).
 	sigma float64
 
-	// chargedVal is the logical value (0 or 1) stored as charge in this
-	// cell. Retention loss can only corrupt a cell storing its charged
-	// value ("true-cells" lose 1s, "anti-cells" lose 0s), which is why the
-	// paper tests patterns together with their inverses.
-	chargedVal uint8
-
 	// dpdSens in [0,1) scales how strongly the stored neighbourhood data
 	// shifts this cell's retention; dpdSeed makes the per-neighbourhood
 	// shift a stable function of the data.
 	dpdSens float64
 	dpdSeed uint64
+
+	// nbrEpoch is the write epoch nbrCode was computed in; the cached code is
+	// valid only while nbrEpoch == Device.contentEpoch.
+	nbrEpoch uint64 //lint:serialized-elsewhere per-epoch memo; stale by construction until it matches the restored contentEpoch
+
+	// vrt is non-nil for cells with variable retention time.
+	vrt *vrtState
+
+	// chargedVal is the logical value (0 or 1) stored as charge in this
+	// cell. Retention loss can only corrupt a cell storing its charged
+	// value ("true-cells" lose 1s, "anti-cells" lose 0s), which is why the
+	// paper tests patterns together with their inverses.
+	chargedVal uint8
 
 	// stuck holds the value the cell currently reads as if a past failure
 	// was restored into it by a read/refresh (the paper's Figure 1c
@@ -57,13 +68,9 @@ type weakCell struct {
 	dpdTracked bool
 	vrtTracked bool
 
-	// nbrCode caches the cell's neighbourhood code for the write epoch
-	// nbrEpoch; valid only while nbrEpoch == Device.contentEpoch.
-	nbrCode  uint64 //lint:serialized-elsewhere per-epoch memo; recomputed on the first sample after restore
-	nbrEpoch uint64 //lint:serialized-elsewhere per-epoch memo; stale by construction until it matches the restored contentEpoch
-
-	// vrt is non-nil for cells with variable retention time.
-	vrt *vrtState
+	// nbrCode caches the cell's 4-bit neighbourhood code for the write epoch
+	// nbrEpoch.
+	nbrCode uint8 //lint:serialized-elsewhere per-epoch memo; recomputed on the first sample after restore
 }
 
 // vrtState models the memoryless two-state VRT process (Section 2.3.1): the

@@ -465,11 +465,12 @@ func (d *Device) neighborhoodCode(bit uint64) uint64 {
 // content, so within one write epoch the code is a constant of the cell.
 func (d *Device) neighborhoodCodeOf(c *weakCell) uint64 {
 	if c.nbrEpoch == d.contentEpoch {
-		return c.nbrCode
+		return uint64(c.nbrCode)
 	}
-	c.nbrCode = d.neighborhoodCode(c.bit)
+	code := d.neighborhoodCode(c.bit)
+	c.nbrCode = uint8(code)
 	c.nbrEpoch = d.contentEpoch
-	return c.nbrCode
+	return code
 }
 
 // sampleRead determines the value read from a weak cell at simulated time

@@ -197,3 +197,29 @@ func BenchmarkReadRow(b *testing.B) {
 		now += 0.001
 	}
 }
+
+// BenchmarkRollback measures returning a profiled 64 Mbit scale-model chip
+// (the Fig 9/10 grid chip) to its construction savepoint — the per-point
+// cost the tradeoff grid pays instead of constructing a new device.
+func BenchmarkRollback(b *testing.B) {
+	d := testDevice(b, 9, func(c *Config) {
+		c.Geometry = GeometryForBits(64 << 20)
+		c.WeakScale = 20
+	})
+	sp, err := d.Savepoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d.WriteAll(patterns.Random(uint64(i)), 0)
+		_ = d.ReadCompareAll(2.048)
+		b.StartTimer()
+		if err := d.Rollback(sp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(d.WeakCellCount()), "cells")
+}

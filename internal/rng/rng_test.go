@@ -279,8 +279,9 @@ func TestSplitSiblingsUncorrelated(t *testing.T) {
 
 // TestResplitStability checks that the split family is stable: a parent
 // reconstructed from the same seed and advanced identically yields
-// bit-identical children for the same key. Device reconstruction (e.g. a
-// fresh mkStation per tradeoff grid point) depends on this.
+// bit-identical children for the same key. Device reconstruction (e.g.
+// ChipRef.Materialize rebuilding an evicted fleet chip, or a tradeoff grid
+// building one station per worker) depends on this.
 func TestResplitStability(t *testing.T) {
 	mk := func() *Source {
 		p := New(7)

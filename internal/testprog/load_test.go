@@ -80,6 +80,7 @@ func TestLoadRejects(t *testing.T) {
 		{"inject stray mu", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"dpd_rescramble","cells":3,"max_mu_s":1}]}`, "does not take max_mu_s"},
 		{"unknown soak scenario", `{"version":1,"seed":1,"stages":[{"type":"soak","hours":1,"target_interval_s":1,"controller":true,"scenario":"apocalyptic"}]}`, "unknown scenario"},
 		{"empty grid", `{"version":1,"seed":1,"stages":[{"type":"tradeoff_grid","target_interval_s":1,"target_temp_c":45,"delta_intervals_s":[],"delta_temps_c":[0]}]}`, "empty reach grid"},
+		{"defaulted iterations past max", `{"version":1,"seed":1,"stages":[{"type":"tradeoff_grid","target_interval_s":1,"target_temp_c":45,"delta_intervals_s":[0],"delta_temps_c":[0],"max_iterations":8}]}`, "iterations 16 exceeds max_iterations 8"},
 		{"trace on campaign", `{"version":1,"seed":1,"output":{"include_trace":true},"stages":[{"type":"soak","hours":1,"target_interval_s":1,"controller":true}]}`, "include_trace"},
 	}
 	for _, tc := range cases {

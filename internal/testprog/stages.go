@@ -389,9 +389,18 @@ func (s *TradeoffGridStage) validate(_ *Program, i int) error {
 	if s.Iterations < 0 || s.MaxIterations < 0 {
 		return fmt.Errorf("stage %d (%s): negative iteration bound", i, s.StageType())
 	}
-	if s.MaxIterations > 0 && s.Iterations > s.MaxIterations {
+	// Compare the values the grid will run with, defaults filled as
+	// documented on the fields.
+	iters, maxIters := s.Iterations, s.MaxIterations
+	if iters == 0 {
+		iters = 16
+	}
+	if maxIters == 0 {
+		maxIters = 4 * iters
+	}
+	if iters > maxIters {
 		return fmt.Errorf("stage %d (%s): iterations %d exceeds max_iterations %d",
-			i, s.StageType(), s.Iterations, s.MaxIterations)
+			i, s.StageType(), iters, maxIters)
 	}
 	return nil
 }

@@ -265,7 +265,11 @@ func FalsePositiveRate(found, truth *FailureSet) float64 {
 
 // ExploreTradeoffs sweeps a grid of reach conditions and measures coverage,
 // false positive rate, and runtime at each (the paper's Figures 9 and 10).
-// Cancelling ctx aborts the grid.
+// mkStation must build an identically seeded station each call; it is called
+// at most once per concurrently evaluated point, because stations are rolled
+// back to their construction savepoint between points (a station that
+// refuses a savepoint, such as one with a thermal chamber, is rebuilt per
+// point instead). Cancelling ctx aborts the grid.
 func ExploreTradeoffs(ctx context.Context, mkStation func() (*Station, error), cfg TradeoffConfig) ([]TradeoffPoint, error) {
 	return core.ExploreTradeoffs(ctx, mkStation, cfg)
 }
