@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-test bench-go soak-quick soak-resume-quick serve-quick lint lint-json lint-fixtures
+.PHONY: all build vet fmt-check test race check bench bench-test bench-go soak-quick soak-resume-quick serve-quick lint lint-json lint-fixtures
 
 all: check
 
@@ -9,6 +9,16 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails if any tracked .go file needs gofmt. testdata/ is exempt:
+# it holds deliberately malformed lint fixtures. CI runs this same target.
+fmt-check:
+	@unformatted=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -71,7 +81,7 @@ lint-json:
 lint-fixtures:
 	$(GO) test -race -short ./internal/lint
 
-check: build vet lint race bench-test soak-quick soak-resume-quick serve-quick
+check: build vet fmt-check lint race bench-test soak-quick soak-resume-quick serve-quick
 
 # bench runs the layered benchmark (cmd/bench) on all four workloads for
 # 15 s each and prints every end-to-end metric by name with its unit; the

@@ -27,7 +27,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.Byte(0xAB)
 	e.Bytes([]byte{1, 2, 3})
 	e.Str("hello")
-	e.Len(12)
+	e.Len(3)
+	for i := uint8(0); i < 3; i++ {
+		e.Byte(i)
+	}
 
 	d := NewDecoder(e.Data())
 	d.Section("hdr")
@@ -70,8 +73,13 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got := d.Str(); got != "hello" {
 		t.Errorf("Str = %q", got)
 	}
-	if got := d.Len(100); got != 12 {
+	if got := d.Len(100); got != 3 {
 		t.Errorf("Len = %d", got)
+	}
+	for i := uint8(0); i < 3; i++ {
+		if got := d.Byte(); got != i {
+			t.Errorf("element %d = %d", i, got)
+		}
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
@@ -119,6 +127,30 @@ func TestDecoderLenBound(t *testing.T) {
 	d := NewDecoder(e.Data())
 	if got := d.Len(1000); got != 0 || d.Err() == nil {
 		t.Fatalf("Len past bound: got %d, err %v", got, d.Err())
+	}
+
+	// A count within the ceiling but past the bytes left is corrupt too:
+	// every element takes at least one byte.
+	for _, tc := range []struct {
+		name string
+		put  func(*Encoder, int)
+		get  func(*Decoder, int) int
+	}{
+		{"Len", (*Encoder).Len, (*Decoder).Len},
+		{"VarLen", (*Encoder).VarLen, (*Decoder).VarLen},
+	} {
+		for _, left := range []int{3, 4} {
+			e := NewEncoder()
+			tc.put(e, 4)
+			for i := 0; i < left; i++ {
+				e.Byte(0)
+			}
+			d := NewDecoder(e.Data())
+			got := tc.get(d, 1<<28)
+			if fits := left >= 4; (d.Err() == nil) != fits || (fits && got != 4) || (!fits && got != 0) {
+				t.Errorf("%s(4) with %d bytes left: got %d, err %v", tc.name, left, got, d.Err())
+			}
+		}
 	}
 }
 

@@ -176,14 +176,22 @@ func (d *Decoder) Bytes() []byte {
 func (d *Decoder) Str() string { return string(d.Bytes()) }
 
 // Len reads a collection length and validates it against max (a sanity
-// ceiling chosen by the caller; lengths beyond it indicate corruption).
-func (d *Decoder) Len(max int) int {
-	n := d.U64()
+// ceiling chosen by the caller) and against the bytes left.
+func (d *Decoder) Len(max int) int { return d.checkLen(d.U64(), max) }
+
+// checkLen fails the decoder on a length past max or past the bytes left:
+// every encoded element takes at least one byte, so a longer count is
+// corrupt and must not size an allocation.
+func (d *Decoder) checkLen(n uint64, max int) int {
 	if d.err != nil {
 		return 0
 	}
 	if n > uint64(max) {
 		d.fail("length %d exceeds sanity bound %d", n, max)
+		return 0
+	}
+	if n > uint64(d.Remaining()) {
+		d.fail("length %d exceeds the %d bytes left", n, d.Remaining())
 		return 0
 	}
 	return int(n)
@@ -217,18 +225,8 @@ func (d *Decoder) SVar() int64 {
 	return v
 }
 
-// VarLen reads a varint collection length and validates it against max.
-func (d *Decoder) VarLen(max int) int {
-	n := d.UVar()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(max) {
-		d.fail("length %d exceeds sanity bound %d", n, max)
-		return 0
-	}
-	return int(n)
-}
+// VarLen reads a varint collection length and validates it like Len.
+func (d *Decoder) VarLen(max int) int { return d.checkLen(d.UVar(), max) }
 
 // Section reads a tag and verifies it matches want, anchoring decode errors
 // to the sub-structure where the stream first went wrong.

@@ -77,12 +77,14 @@ type weakCell struct {
 // cell alternates between a low-retention state (mean muLow) and a
 // high-retention state (muHigh), with exponentially distributed dwell times.
 type vrtState struct {
-	muLow, muHigh float64
-	dwellLow      float64 // mean dwell in low state, seconds
-	dwellHigh     float64 // mean dwell in high state, seconds
-	inLow         bool
-	nextSwitch    float64 // simulated time (seconds) of the next transition
-	src           *rng.Source
+	// The schedule parameters: the two retention means and the mean dwell
+	// (seconds) in each state. Construction draws them from the chip seed and
+	// nothing changes them afterwards.
+	muLow, muHigh       float64 //lint:serialized-elsewhere construction-derived: redrawn from the chip seed by ChipRef.Materialize
+	dwellLow, dwellHigh float64 //lint:serialized-elsewhere construction-derived: redrawn from the chip seed by ChipRef.Materialize
+	inLow               bool
+	nextSwitch          float64 // simulated time (seconds) of the next transition
+	src                 *rng.Source
 }
 
 // advance rolls the VRT process forward to simulated time now.

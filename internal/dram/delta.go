@@ -7,14 +7,14 @@ import (
 	"reaper/internal/checkpoint"
 )
 
-// The delta codec is the compact checkpoint surface for seed-reconstructible
-// devices: instead of serializing the whole weak-cell population (the dense
-// EncodeState, O(weak cells) — megabytes at fleet scale), EncodeDelta
-// records only how the device has *diverged* from what Materialize-ing its
-// ChipRef would rebuild, plus the shared tail (content, clocks, row
-// deviations, stream positions, counters, round cache) that both codecs
-// carry. RestoreDelta replays the divergence onto a freshly constructed
-// device of the same Config.
+// The delta codec is the device's checkpoint surface. A device is
+// seed-reconstructible, so instead of serializing the whole weak-cell
+// population (O(weak cells), megabytes at fleet scale) EncodeDelta records
+// only how the device has *diverged* from what Materialize-ing its ChipRef
+// would rebuild, followed by the mutable tail (content, clocks, row
+// deviations, stream positions, counters, round cache; see serialize.go).
+// RestoreDelta replays the divergence onto a freshly constructed device of
+// the same Config.
 //
 // Why this is sound, invariant by invariant:
 //
@@ -42,9 +42,13 @@ import (
 //     order matters because sweeps walk the overlay in append order, and
 //     stale entries (stuck == -1 but still listed) must survive until a
 //     collecting sweep compacts them.
+//   - Construction-derived state: a VRT cell's schedule parameters (muLow,
+//     muHigh, dwellLow, dwellHigh) and the per-row cell lists (byRow) never
+//     travel; construction redraws the former from the seed, and
+//     construction plus insertWeakCell rebuild the latter.
 //
-// The codec's section tag differs from the dense codec's, so a blob of one
-// kind fed to the other's restore fails immediately at the tag check.
+// The blob opens with its own section tag, so any other blob fed to
+// RestoreDelta fails immediately at the tag check.
 
 // EncodeDelta serializes the device's divergence from a fresh construction
 // of the same Config, plus the standard mutable tail. The blob is
@@ -104,7 +108,8 @@ func (d *Device) EncodeDelta(e *checkpoint.Encoder) error {
 // materialization provides. Pre-restore read/write activity on d is
 // tolerated (the tail overwrites content, clocks and stream positions), but
 // a device that has already been injected into cannot be a delta target.
-// resolve reconstructs named pattern content, as in RestoreState.
+// resolve reconstructs named pattern content (pass patterns.Parse adapted
+// to RowData).
 func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (RowData, error)) error {
 	if len(d.injected) != 0 || len(d.dpdReseeded) != 0 || len(d.vrtForced) != 0 {
 		return fmt.Errorf("dram: delta restore target has prior divergence (%d injected, %d dpd, %d vrt)",

@@ -107,7 +107,8 @@ type Device struct {
 	geom Geometry
 	vend VendorParams //lint:serialized-elsewhere pure function of cfg; rebuilt by construction, guarded by the in-band cfg.Seed check
 
-	weak  []*weakCell // all weak cells, sorted by bit index
+	weak []*weakCell // all weak cells, sorted by bit index
+	//lint:serialized-elsewhere construction-derived: per-row view of weak; construction and insertWeakCell (delta replay) rebuild it
 	byRow map[uint32][]*weakCell
 
 	// cellArena backs weakCell storage in pointer-stable chunks: full

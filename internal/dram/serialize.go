@@ -8,14 +8,13 @@ import (
 	"reaper/internal/rng"
 )
 
-// This file is the device's checkpoint surface: EncodeState captures every
-// piece of mutable device state — the weak population (including injected
-// cells and per-cell VRT stream positions), the stuck overlay in its live
-// list order, row deviations, the sampling stream positions, the sparse-
-// index/round-cache/bank counters, and the incremental round cache itself —
-// so that RestoreState into a freshly constructed device of the same Config
-// yields a device whose future behavior (reads, draws, counters, cache
-// hits) is bit-identical to the original's.
+// This file holds the device codec's shared helpers and the mutable tail
+// that EncodeDelta (delta.go) writes after its divergence records: content
+// and clocks, row deviations, the sampling stream positions, the sparse-
+// index/round-cache/bank counters, and the incremental round cache itself.
+// With the divergence replayed and the tail restored, a freshly constructed
+// device of the same Config behaves (reads, draws, counters, cache hits)
+// bit-identically to the original.
 //
 // The round cache is serialized in full rather than dropped because its
 // state is observable: dram_incr_* telemetry counters distinguish fast from
@@ -128,75 +127,11 @@ func (d *Device) cellIndexOf(c *weakCell) int {
 	return sort.Search(len(d.weak), func(i int) bool { return d.weak[i].bit >= c.bit })
 }
 
-// EncodeState serializes the device's mutable state.
-func (d *Device) EncodeState(e *checkpoint.Encoder) error {
-	e.Section("dram.device")
-	// Config guard: a blob restored into a device built from a different
-	// config would be garbage; the campaign identity hash is the real
-	// defense, this is the cheap in-band tripwire.
-	e.U64(d.cfg.Seed)
-	e.U64(uint64(d.geom.TotalBits()))
-
-	// Weak population, bit order, every cell in full (construction-sampled
-	// and injected cells are not distinguished: restore rebuilds the
-	// population from these records verbatim).
-	e.Len(len(d.weak))
-	for _, c := range d.weak {
-		e.U64(c.bit)
-		e.F64(c.mu)
-		e.F64(c.sigma)
-		e.Byte(c.chargedVal)
-		e.F64(c.dpdSens)
-		e.U64(c.dpdSeed)
-		e.I64(int64(c.stuck))
-		if c.vrt == nil {
-			e.Bool(false)
-			continue
-		}
-		e.Bool(true)
-		e.F64(c.vrt.muLow)
-		e.F64(c.vrt.muHigh)
-		e.F64(c.vrt.dwellLow)
-		e.F64(c.vrt.dwellHigh)
-		e.Bool(c.vrt.inLow)
-		e.F64(c.vrt.nextSwitch)
-		encodeSrcState(e, c.vrt.src)
-	}
-
-	// Stuck overlay, in live list order (append order, which a resumed sweep
-	// must walk identically; membership can be stale after partial writes,
-	// so it cannot be derived from per-cell stuck values).
-	e.Len(len(d.stuckList))
-	for _, c := range d.stuckList {
-		e.Int(d.cellIndexOf(c))
-	}
-
-	// Divergence journals (delta.go), as indices into the bit-sorted weak
-	// slice. The per-cell values already travel in the population records
-	// above; the journals carry membership and order, so a dense-restored
-	// device can still emit a faithful EncodeDelta later.
-	e.Len(len(d.injected))
-	for _, c := range d.injected {
-		e.Int(d.cellIndexOf(c))
-	}
-	e.Len(len(d.dpdReseeded))
-	for _, c := range d.dpdReseeded {
-		e.Int(d.cellIndexOf(c))
-	}
-	e.Len(len(d.vrtForced))
-	for _, c := range d.vrtForced {
-		e.Int(d.cellIndexOf(c))
-	}
-
-	return d.encodeDeviceTail(e)
-}
-
 // encodeDeviceTail serializes the population-independent remainder of the
 // device state — content and clocks, row deviations, stream positions,
-// counters, and the incremental round cache. It is shared verbatim between
-// the dense codec (EncodeState) and the delta codec (EncodeDelta): both
-// reference cells by index into the bit-sorted weak slice, which the two
-// codecs' restore paths reconstruct identically.
+// counters, and the incremental round cache. Cells are referenced by index
+// into the bit-sorted weak slice, which RestoreDelta reconstructs before it
+// decodes the tail.
 func (d *Device) encodeDeviceTail(e *checkpoint.Encoder) error {
 	// Content and clocks.
 	if err := encodeRowData(e, d.bulkData); err != nil {
@@ -319,108 +254,6 @@ func (d *Device) encodeDeviceTail(e *checkpoint.Encoder) error {
 	return nil
 }
 
-// RestoreState loads a blob produced by EncodeState into d, which must have
-// been constructed with the same Config. The constructed population is
-// discarded and rebuilt verbatim from the blob (this is what lets injected
-// cells, VRT stream positions and DPD reseeds round-trip without diffing
-// against the construction-sampled population). resolve reconstructs named
-// pattern content (pass patterns.Parse adapted to RowData).
-func (d *Device) RestoreState(dec *checkpoint.Decoder, resolve func(string) (RowData, error)) error {
-	dec.Section("dram.device")
-	if seed := dec.U64(); dec.Err() == nil && seed != d.cfg.Seed {
-		return fmt.Errorf("dram: restore: blob seed %#x, device seed %#x", seed, d.cfg.Seed)
-	}
-	if bits := dec.U64(); dec.Err() == nil && bits != uint64(d.geom.TotalBits()) {
-		return fmt.Errorf("dram: restore: blob geometry %d bits, device %d", bits, d.geom.TotalBits())
-	}
-
-	n := dec.Len(maxRestoreCells)
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	d.weak = make([]*weakCell, 0, n)
-	d.byRow = make(map[uint32][]*weakCell, n)
-	var prevBit uint64
-	for i := 0; i < n; i++ {
-		c := d.allocCell()
-		c.bit = dec.U64()
-		c.mu = dec.F64()
-		c.sigma = dec.F64()
-		c.chargedVal = dec.Byte()
-		c.dpdSens = dec.F64()
-		c.dpdSeed = dec.U64()
-		c.stuck = int8(dec.I64())
-		if dec.Bool() {
-			vs := &vrtState{
-				muLow:     dec.F64(),
-				muHigh:    dec.F64(),
-				dwellLow:  dec.F64(),
-				dwellHigh: dec.F64(),
-				inLow:     dec.Bool(),
-			}
-			vs.nextSwitch = dec.F64()
-			vs.src = rng.FromState(decodeSrcState(dec))
-			c.vrt = vs
-		}
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		if i > 0 && c.bit <= prevBit {
-			return fmt.Errorf("dram: restore: weak cells not in ascending bit order at %d", i)
-		}
-		prevBit = c.bit
-		d.weak = append(d.weak, c)
-		row := d.geom.rowOfBit(c.bit)
-		d.byRow[row] = append(d.byRow[row], c)
-	}
-
-	ns := dec.Len(maxRestoreCells)
-	d.stuckList = make([]*weakCell, 0, ns)
-	for i := 0; i < ns; i++ {
-		c, err := d.decodeCellAt(dec, "stuck-list")
-		if err != nil {
-			return err
-		}
-		c.inStuckList = true
-		d.stuckList = append(d.stuckList, c)
-	}
-
-	// Divergence journals: membership lists over the rebuilt population.
-	// The tracked flags are derived from membership, so they reset here
-	// rather than traveling on the wire.
-	nj := dec.Len(maxRestoreCells)
-	d.injected = nil
-	for i := 0; i < nj; i++ {
-		c, err := d.decodeCellAt(dec, "injected")
-		if err != nil {
-			return err
-		}
-		d.injected = append(d.injected, c)
-	}
-	nj = dec.Len(maxRestoreCells)
-	d.dpdReseeded = nil
-	for i := 0; i < nj; i++ {
-		c, err := d.decodeCellAt(dec, "dpd-reseeded")
-		if err != nil {
-			return err
-		}
-		c.dpdTracked = true
-		d.dpdReseeded = append(d.dpdReseeded, c)
-	}
-	nj = dec.Len(maxRestoreCells)
-	d.vrtForced = nil
-	for i := 0; i < nj; i++ {
-		c, err := d.decodeCellAt(dec, "vrt-forced")
-		if err != nil {
-			return err
-		}
-		c.vrtTracked = true
-		d.vrtForced = append(d.vrtForced, c)
-	}
-
-	return d.restoreDeviceTail(dec, resolve)
-}
-
 // decodeCellAt reads a weak-slice index and resolves it to the cell.
 func (d *Device) decodeCellAt(dec *checkpoint.Decoder, label string) (*weakCell, error) {
 	i := dec.Int()
@@ -434,9 +267,8 @@ func (d *Device) decodeCellAt(dec *checkpoint.Decoder, label string) (*weakCell,
 }
 
 // restoreDeviceTail decodes the encodeDeviceTail region into d, whose weak
-// population must already be final (dense rebuild or fresh construction plus
-// delta replay), then rebuilds the activation index and resets the run-time
-// scratch. Shared by RestoreState and RestoreDelta.
+// population must already be final (fresh construction plus delta replay),
+// then rebuilds the activation index and resets the run-time scratch.
 func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string) (RowData, error)) error {
 	bulk, err := decodeRowData(dec, resolve)
 	if err != nil {
@@ -510,6 +342,11 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 		data, err := decodeRowData(dec, resolve)
 		if err != nil {
 			return err
+		}
+		if data != nil && !comparableRowData(data) {
+			// The encoder only writes keys it can identify; anything else
+			// would panic as a map key.
+			return fmt.Errorf("dram: restore: round-cache key content %T is not comparable", data)
 		}
 		key := roundKey{data: data, tempC: dec.F64(), elapsed: dec.F64(), autoRef: dec.F64()}
 		ent := &roundEntry{skipped: dec.U64(), dirtyLen: dec.Int()}

@@ -2,7 +2,6 @@ package dram
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"reaper/internal/checkpoint"
@@ -10,7 +9,7 @@ import (
 	"reaper/internal/rng"
 )
 
-// resolvePattern adapts patterns.Parse to the RowData resolver RestoreState
+// resolvePattern adapts patterns.Parse to the RowData resolver RestoreDelta
 // expects; it is what production checkpoint plumbing passes too.
 func resolvePattern(name string) (RowData, error) {
 	p, err := patterns.Parse(name)
@@ -65,181 +64,74 @@ func driveScript(d *Device, ops *rng.Source, start float64) []uint64 {
 	return fails
 }
 
-// TestDeviceStateRoundTrip is the lockstep-twin property: drive a device
-// mid-campaign, checkpoint it, restore into a freshly constructed device of
-// the same config, then drive original and restored through an identical
-// second segment. Every read, every counter, and the final re-encoded state
-// must match exactly — any drift means the codec lost state.
-func TestDeviceStateRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		bankStreams bool
-		workers     int
-	}{
-		{"dense", false, 0},
-		{"banked-sharded", true, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				Geometry:    Geometry{Banks: 8, RowsPerBank: 64, WordsPerRow: 256},
-				Vendor:      VendorB(),
-				Seed:        77,
-				WeakScale:   20,
-				BankStreams: tc.bankStreams,
-			}
-			orig, err := NewDevice(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.workers > 0 {
-				orig.SetSweepWorkers(tc.workers)
-			}
-			if orig.WeakCellCount() == 0 {
-				t.Fatal("degenerate test: no weak cells")
-			}
-
-			// Segment 1: reach a messy mid-campaign state.
-			driveScript(orig, rng.New(0x5EC1), 0)
-
-			enc := checkpoint.NewEncoder()
-			if err := orig.EncodeState(enc); err != nil {
-				t.Fatal(err)
-			}
-			blob := enc.Data()
-
-			restored, err := NewDevice(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.workers > 0 {
-				restored.SetSweepWorkers(tc.workers)
-			}
-			if err := restored.RestoreState(checkpoint.NewDecoder(blob), resolvePattern); err != nil {
-				t.Fatal(err)
-			}
-
-			// Restored state must re-encode byte-identically (encoding is
-			// deterministic and restore is lossless).
-			enc2 := checkpoint.NewEncoder()
-			if err := restored.EncodeState(enc2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(blob, enc2.Data()) {
-				t.Fatalf("re-encoded state differs: %d vs %d bytes", len(blob), len(enc2.Data()))
-			}
-
-			// Segment 2: lockstep. Separate-but-identical op streams so
-			// injections draw the same values on both sides.
-			failsA := driveScript(orig, rng.New(0x0B5E), 30)
-			failsB := driveScript(restored, rng.New(0x0B5E), 30)
-			if !slices.Equal(failsA, failsB) {
-				t.Fatalf("post-restore fail streams diverge: %d vs %d fails", len(failsA), len(failsB))
-			}
-			if orig.IndexStats() != restored.IndexStats() {
-				t.Errorf("index stats diverge: %+v vs %+v", orig.IndexStats(), restored.IndexStats())
-			}
-			if orig.IncrStats() != restored.IncrStats() {
-				t.Errorf("incremental stats diverge: %+v vs %+v", orig.IncrStats(), restored.IncrStats())
-			}
-			if orig.BankStats() != restored.BankStats() {
-				t.Errorf("bank stats diverge: %+v vs %+v", orig.BankStats(), restored.BankStats())
-			}
-			ra, fa := orig.Stats()
-			rb, fb := restored.Stats()
-			if ra != rb || fa != fb {
-				t.Errorf("device stats diverge: (%d,%d) vs (%d,%d)", ra, fa, rb, fb)
-			}
-			for i := range orig.weak {
-				if orig.weak[i].stuck != restored.weak[i].stuck {
-					t.Fatalf("cell %d (bit %d): stuck %d vs %d", i, orig.weak[i].bit,
-						orig.weak[i].stuck, restored.weak[i].stuck)
-				}
-			}
-			if orig.IncrStats().FastSweeps == 0 {
-				t.Error("script never hit the round cache; test exercised nothing")
-			}
-
-			// Final states must also re-encode identically after the lockstep
-			// segment (the restored device did not silently drift internally).
-			encA, encB := checkpoint.NewEncoder(), checkpoint.NewEncoder()
-			if err := orig.EncodeState(encA); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.EncodeState(encB); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(encA.Data(), encB.Data()) {
-				t.Fatal("final states encode differently after lockstep segment")
-			}
-		})
+// requireSameDevice is the field-by-field oracle for two devices built from
+// the same Config: every weak cell's scalars and VRT state (stream position
+// included), the stuck overlay in list order, the counters, the device and
+// bank streams, and the EncodeDelta bytes must all match. It only reads, so
+// it can run between lockstep segments.
+func requireSameDevice(t *testing.T, a, b *Device) {
+	t.Helper()
+	if len(a.weak) != len(b.weak) {
+		t.Fatalf("weak population: %d vs %d cells", len(a.weak), len(b.weak))
 	}
-}
-
-// TestDeviceRestoreRejectsMismatch pins the in-band guards: a blob restored
-// into a device with a different seed or geometry must fail loudly.
-func TestDeviceRestoreRejectsMismatch(t *testing.T) {
-	cfg := Config{
-		Geometry:  Geometry{Banks: 2, RowsPerBank: 16, WordsPerRow: 32},
-		Vendor:    VendorB(),
-		Seed:      5,
-		WeakScale: 20,
-	}
-	d, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := checkpoint.NewEncoder()
-	if err := d.EncodeState(enc); err != nil {
-		t.Fatal(err)
-	}
-
-	otherSeed := cfg
-	otherSeed.Seed = 6
-	ds, err := NewDevice(otherSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.RestoreState(checkpoint.NewDecoder(enc.Data()), resolvePattern); err == nil {
-		t.Error("seed mismatch not rejected")
-	}
-
-	otherGeom := cfg
-	otherGeom.Geometry.Banks = 4
-	dg, err := NewDevice(otherGeom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dg.RestoreState(checkpoint.NewDecoder(enc.Data()), resolvePattern); err == nil {
-		t.Error("geometry mismatch not rejected")
-	}
-}
-
-// TestDeviceRestoreTruncated makes sure a truncated blob surfaces a decode
-// error instead of panicking or silently succeeding.
-func TestDeviceRestoreTruncated(t *testing.T) {
-	cfg := Config{
-		Geometry:  Geometry{Banks: 2, RowsPerBank: 16, WordsPerRow: 32},
-		Vendor:    VendorB(),
-		Seed:      5,
-		WeakScale: 20,
-	}
-	d, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveScript(d, rng.New(1), 0)
-	enc := checkpoint.NewEncoder()
-	if err := d.EncodeState(enc); err != nil {
-		t.Fatal(err)
-	}
-	blob := enc.Data()
-	for _, cut := range []int{0, 1, 8, len(blob) / 2, len(blob) - 1} {
-		fresh, err := NewDevice(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for i := range a.weak {
+		ca, cb := a.weak[i], b.weak[i]
+		if ca.bit != cb.bit || ca.mu != cb.mu || ca.sigma != cb.sigma || ca.dpdSens != cb.dpdSens ||
+			ca.dpdSeed != cb.dpdSeed || ca.chargedVal != cb.chargedVal || ca.stuck != cb.stuck {
+			t.Fatalf("weak cell %d: bit %d vs %d, scalars differ", i, ca.bit, cb.bit)
 		}
-		if err := fresh.RestoreState(checkpoint.NewDecoder(blob[:cut]), resolvePattern); err == nil {
-			t.Errorf("truncation at %d not detected", cut)
+		va, vb := ca.vrt, cb.vrt
+		if (va == nil) != (vb == nil) {
+			t.Fatalf("weak cell %d (bit %d): VRT presence differs", i, ca.bit)
 		}
+		if va != nil && (va.muLow != vb.muLow || va.muHigh != vb.muHigh || va.dwellLow != vb.dwellLow ||
+			va.dwellHigh != vb.dwellHigh || va.inLow != vb.inLow || va.nextSwitch != vb.nextSwitch ||
+			va.src.State() != vb.src.State()) {
+			t.Fatalf("weak cell %d (bit %d): VRT state differs", i, ca.bit)
+		}
+	}
+	if len(a.stuckList) != len(b.stuckList) {
+		t.Fatalf("stuck overlay: %d vs %d entries", len(a.stuckList), len(b.stuckList))
+	}
+	for i := range a.stuckList {
+		if sa, sb := a.stuckList[i], b.stuckList[i]; sa.bit != sb.bit || sa.stuck != sb.stuck {
+			t.Fatalf("stuck overlay entry %d: (bit %d, stuck %d) vs (bit %d, stuck %d)",
+				i, sa.bit, sa.stuck, sb.bit, sb.stuck)
+		}
+	}
+	if a.IndexStats() != b.IndexStats() {
+		t.Fatalf("index stats: %+v vs %+v", a.IndexStats(), b.IndexStats())
+	}
+	if a.IncrStats() != b.IncrStats() {
+		t.Fatalf("incremental stats: %+v vs %+v", a.IncrStats(), b.IncrStats())
+	}
+	if a.BankStats() != b.BankStats() {
+		t.Fatalf("bank stats: %+v vs %+v", a.BankStats(), b.BankStats())
+	}
+	ra, fa := a.Stats()
+	rb, fb := b.Stats()
+	if ra != rb || fa != fb {
+		t.Fatalf("device stats: (%d, %d) vs (%d, %d)", ra, fa, rb, fb)
+	}
+	if a.src.State() != b.src.State() {
+		t.Fatalf("device stream: %v vs %v", a.src.State(), b.src.State())
+	}
+	if len(a.bankSrcs) != len(b.bankSrcs) {
+		t.Fatalf("bank streams: %d vs %d", len(a.bankSrcs), len(b.bankSrcs))
+	}
+	for i := range a.bankSrcs {
+		if a.bankSrcs[i].State() != b.bankSrcs[i].State() {
+			t.Fatalf("bank %d stream: %v vs %v", i, a.bankSrcs[i].State(), b.bankSrcs[i].State())
+		}
+	}
+	ea, eb := checkpoint.NewEncoder(), checkpoint.NewEncoder()
+	if err := a.EncodeDelta(ea); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.EncodeDelta(eb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ea.Data(), eb.Data()) {
+		t.Fatalf("EncodeDelta bytes differ: %d vs %d bytes", len(ea.Data()), len(eb.Data()))
 	}
 }

@@ -44,8 +44,9 @@ func tolerant(attempts int) parallel.RetryPolicy {
 }
 
 // TestSoakCheckpointMatchesPlainCampaign proves segmentation alone changes
-// nothing: an uninstrumented checkpointed campaign produces a report
-// byte-identical to the plain single-shot path.
+// nothing: an uninstrumented campaign checkpointed every 6 windows reports
+// byte-identically to the same campaign without a Dir, which the one soak
+// executor runs as a single segment with no store.
 func TestSoakCheckpointMatchesPlainCampaign(t *testing.T) {
 	ctx := context.Background()
 	plainCfg := ckTestConfig(11, false)
@@ -60,7 +61,7 @@ func TestSoakCheckpointMatchesPlainCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := reportJSON(t, checkpointed), reportJSON(t, plain); got != want {
-		t.Fatal("checkpointed campaign report differs from the plain single-shot campaign")
+		t.Fatal("checkpointed campaign report differs from the single-segment campaign")
 	}
 }
 
@@ -121,7 +122,8 @@ func TestSoakCheckpointResumeByteIdentical(t *testing.T) {
 // TestSoakCheckpointCrashInjectionByteIdentical drives the crash-injection
 // harness: seed-driven worker kills at segment starts are retried from the
 // start-of-segment state, and the final report is byte-identical to a
-// crash-free run.
+// crash-free run — both checkpointed and on the default path without a Dir,
+// where one segment spans the horizon.
 func TestSoakCheckpointCrashInjectionByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	clean := ckTestConfig(13, false)
@@ -133,31 +135,36 @@ func TestSoakCheckpointCrashInjectionByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan := faultinject.NewCrashPlan(0xC4A54, 0.9)
-	crashy := ckTestConfig(13, false)
-	crashy.Workers = 8
-	crashy.ShardPolicy = tolerant(3)
-	crashy.Checkpoint = &CheckpointOptions{Dir: t.TempDir(), EveryWindows: 6, CrashPlan: plan}
-	rep, err := Soak(ctx, crashy)
-	if err != nil {
-		t.Fatal(err)
+	for _, withDir := range []bool{true, false} {
+		plan := faultinject.NewCrashPlan(0xC4A54, 0.9)
+		crashy := ckTestConfig(13, false)
+		crashy.Workers = 8
+		crashy.ShardPolicy = tolerant(3)
+		crashy.Checkpoint = &CheckpointOptions{CrashPlan: plan}
+		if withDir {
+			crashy.Checkpoint.Dir, crashy.Checkpoint.EveryWindows = t.TempDir(), 6
+		}
+		rep, err := Soak(ctx, crashy)
+		if err != nil {
+			t.Fatalf("withDir=%v: %v", withDir, err)
+		}
+		if plan.Fired() == 0 {
+			t.Fatalf("withDir=%v: crash plan never fired; the harness tested nothing", withDir)
+		}
+		if rep.PartialCoverage || len(rep.Quarantined) != 0 {
+			t.Fatalf("withDir=%v: transient crashes must heal via retry, got quarantine %+v", withDir, rep.Quarantined)
+		}
+		if got, want := reportJSON(t, rep), reportJSON(t, ref); got != want {
+			t.Fatalf("withDir=%v: crash-injected campaign (%d kills) not byte-identical to crash-free run", withDir, plan.Fired())
+		}
+		t.Logf("withDir=%v: recovered from %d injected crashes with a byte-identical report", withDir, plan.Fired())
 	}
-	if plan.Fired() == 0 {
-		t.Fatal("crash plan never fired; the harness tested nothing")
-	}
-	if rep.PartialCoverage || len(rep.Quarantined) != 0 {
-		t.Fatalf("transient crashes must heal via retry, got quarantine %+v", rep.Quarantined)
-	}
-	if got, want := reportJSON(t, rep), reportJSON(t, ref); got != want {
-		t.Fatalf("crash-injected campaign (%d kills) not byte-identical to crash-free run", plan.Fired())
-	}
-	t.Logf("recovered from %d injected crashes with a byte-identical report", plan.Fired())
 }
 
 // TestSoakPoisonShardQuarantined proves a persistently failing shard no
-// longer aborts the campaign: it exhausts its retries, lands in quarantine,
-// and the surviving chips report exactly what a healthy campaign reports
-// for them.
+// longer aborts the campaign, with or without a checkpoint Dir: it exhausts
+// its retries, lands in quarantine having completed no windows, and the
+// surviving chips report exactly what a healthy campaign reports for them.
 func TestSoakPoisonShardQuarantined(t *testing.T) {
 	ctx := context.Background()
 	healthy := ckTestConfig(17, false)
@@ -167,39 +174,46 @@ func TestSoakPoisonShardQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan := faultinject.NewCrashPlan(0, 0)
-	plan.PoisonChips(1)
-	poisoned := ckTestConfig(17, false)
-	poisoned.ShardPolicy = tolerant(2)
-	poisoned.Checkpoint = &CheckpointOptions{Dir: t.TempDir(), EveryWindows: 6, CrashPlan: plan}
-	rep, err := Soak(ctx, poisoned)
-	if err != nil {
-		t.Fatal(err)
+	// poisoned returns checkpoint options whose crash plan kills chip 1 at
+	// every execution.
+	poisoned := func(withDir bool) *CheckpointOptions {
+		plan := faultinject.NewCrashPlan(0, 0)
+		plan.PoisonChips(1)
+		ck := &CheckpointOptions{CrashPlan: plan}
+		if withDir {
+			ck.Dir, ck.EveryWindows = t.TempDir(), 6
+		}
+		return ck
 	}
-	if !rep.PartialCoverage || len(rep.Quarantined) != 1 {
-		t.Fatalf("poisoned shard not quarantined: %+v", rep.Quarantined)
-	}
-	q := rep.Quarantined[0]
-	if q.Chip != 1 || q.Attempts != 2 || !strings.Contains(q.Reason, "injected crash") {
-		t.Fatalf("quarantine record = %+v", q)
-	}
-	if len(rep.ChipReports) != 1 || rep.ChipReports[0].Chip != 0 {
-		t.Fatalf("surviving chip reports = %+v", rep.ChipReports)
-	}
-	if got, want := reportJSON(t, &SoakReport{ChipReports: rep.ChipReports}), reportJSON(t, &SoakReport{ChipReports: ref.ChipReports[:1]}); got != want {
-		t.Fatal("surviving chip's report differs from the healthy campaign")
-	}
+	for _, withDir := range []bool{true, false} {
+		cfg := ckTestConfig(17, false)
+		cfg.ShardPolicy = tolerant(2)
+		cfg.Checkpoint = poisoned(withDir)
+		rep, err := Soak(ctx, cfg)
+		if err != nil {
+			t.Fatalf("withDir=%v: %v", withDir, err)
+		}
+		if !rep.PartialCoverage || len(rep.Quarantined) != 1 {
+			t.Fatalf("withDir=%v: poisoned shard not quarantined: %+v", withDir, rep.Quarantined)
+		}
+		q := rep.Quarantined[0]
+		if q.Chip != 1 || q.Windows != 0 || q.Attempts != 2 || !strings.Contains(q.Reason, "injected crash") {
+			t.Fatalf("withDir=%v: quarantine record = %+v", withDir, q)
+		}
+		if len(rep.ChipReports) != 1 || rep.ChipReports[0].Chip != 0 {
+			t.Fatalf("withDir=%v: surviving chip reports = %+v", withDir, rep.ChipReports)
+		}
+		if got, want := reportJSON(t, &SoakReport{ChipReports: rep.ChipReports}), reportJSON(t, &SoakReport{ChipReports: ref.ChipReports[:1]}); got != want {
+			t.Fatalf("withDir=%v: surviving chip's report differs from the healthy campaign", withDir)
+		}
 
-	// Without a shard policy the historical fail-fast contract holds: the
-	// poisoned shard aborts the campaign with its error.
-	abortCfg := ckTestConfig(17, false)
-	abortCfg.Checkpoint = &CheckpointOptions{Dir: t.TempDir(), EveryWindows: 6, CrashPlan: func() *faultinject.CrashPlan {
-		p := faultinject.NewCrashPlan(0, 0)
-		p.PoisonChips(1)
-		return p
-	}()}
-	if _, err := Soak(ctx, abortCfg); err == nil || !strings.Contains(err.Error(), "chip 1") {
-		t.Fatalf("fail-fast campaign error = %v, want poisoned chip 1 abort", err)
+		// Without a shard policy the historical fail-fast contract holds: the
+		// poisoned shard aborts the campaign with its error.
+		abortCfg := ckTestConfig(17, false)
+		abortCfg.Checkpoint = poisoned(withDir)
+		if _, err := Soak(ctx, abortCfg); err == nil || !strings.Contains(err.Error(), "chip 1") {
+			t.Fatalf("withDir=%v: fail-fast campaign error = %v, want poisoned chip 1 abort", withDir, err)
+		}
 	}
 }
 

@@ -136,9 +136,9 @@ func TestPopulationConfigShardValidation(t *testing.T) {
 }
 
 // TestSoakShardEvictionByteIdentical extends the kill-after-round-k harness
-// to shard eviction: a checkpointed campaign that evicts every runner at
-// every barrier (ShardSize bound) produces a final report — including the
-// telemetry snapshot and fleet trace — byte-identical to the keep-alive
+// to shard eviction: a checkpointed campaign whose segment jobs drop their
+// runners on return (ShardSize bound) produces a final report — including
+// the telemetry snapshot and fleet trace — byte-identical to the keep-alive
 // campaign, at workers 1 and 8; and a mid-campaign kill+resume under
 // eviction still lands on the same bytes.
 func TestSoakShardEvictionByteIdentical(t *testing.T) {
@@ -191,9 +191,9 @@ func TestSoakShardEvictionByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSoakPlainShardSizeParity covers the non-checkpointed path: ShardSize
-// only clamps the pool there, so the report must be byte-identical with and
-// without it.
+// TestSoakPlainShardSizeParity covers the default path, a single segment
+// with no checkpoint Dir: ShardSize clamps the pool and drops each runner as
+// its job returns, so the report must be byte-identical with and without it.
 func TestSoakPlainShardSizeParity(t *testing.T) {
 	ctx := context.Background()
 	base := testSoakConfig(9)

@@ -56,18 +56,16 @@ type SoakConfig struct {
 	// identical at any worker count.
 	Workers int `json:"workers"`
 	// ShardSize, when positive, bounds how many chips may hold dense
-	// simulator state at once. The worker pool is clamped to it in every
-	// execution path (a non-checkpointed chip's dense state lives exactly
-	// as long as its job runs, so the clamp alone bounds residency); the
-	// checkpointed path additionally evicts every live runner at each
-	// segment barrier, so between segments the campaign holds only the
-	// compact per-chip state blobs and the next segment re-materializes
-	// each chip from its seed plus blob — the same restore path a
-	// cross-process resume takes. Reports are byte-identical at every
-	// shard size, and a checkpoint directory written at one shard size
-	// resumes cleanly at another (ShardSize does not join the campaign
-	// identity because it cannot shape results). <= 0 keeps every runner
-	// live for the whole campaign.
+	// simulator state at once. The worker pool is clamped to it, and each
+	// segment job drops its chip's runner when it returns, so at most
+	// min(workers, ShardSize) devices are ever live; between segments the
+	// campaign holds only the compact per-chip state blobs, and the next
+	// segment re-materializes each chip from its seed plus blob — the same
+	// restore path a cross-process resume takes. Reports are byte-identical
+	// at every shard size, and a checkpoint directory written at one shard
+	// size resumes cleanly at another (ShardSize does not join the campaign
+	// identity because it cannot shape results). <= 0 keeps every
+	// unfinished runner live across segment barriers.
 	ShardSize int `json:"shard_size,omitempty"`
 	// Chip is the base chip spec; Seed and Chamber are overridden per
 	// chip (soak chips are chamber-less so injected thermal excursions
@@ -95,7 +93,8 @@ type SoakConfig struct {
 	// poisoned shards enumerated in the report instead of aborting.
 	ShardPolicy parallel.RetryPolicy `json:"-"`
 	// Checkpoint, when non-nil with a Dir, runs the campaign in checkpointed
-	// segments (see CheckpointOptions).
+	// segments (see CheckpointOptions). Its CrashPlan applies with or
+	// without a Dir.
 	Checkpoint *CheckpointOptions `json:"-"`
 }
 
@@ -222,8 +221,8 @@ type QuarantinedShard struct {
 	// Seed is the chip's derived campaign seed.
 	Seed uint64 `json:"seed"`
 	// Windows is how many scrub windows the chip completed before the last
-	// checkpoint barrier (always 0 in non-checkpointed campaigns, which
-	// lose a failed shard's partial progress).
+	// segment barrier (always 0 in a campaign without a checkpoint Dir,
+	// whose single segment spans the whole horizon).
 	Windows int `json:"windows"`
 	// Attempts is how many times the shard was tried.
 	Attempts int `json:"attempts"`
@@ -246,51 +245,14 @@ func soakSeeds(cfg SoakConfig) []uint64 {
 // chip's simulation is fully sequential and seeded independently, so the
 // report is bit-for-bit identical at any worker count. With a ShardPolicy,
 // failing chips are retried and then quarantined instead of aborting the
-// campaign; with Checkpoint set, the campaign runs in resumable segments
+// campaign; with a Checkpoint Dir, the campaign runs in resumable segments
 // (see CheckpointOptions) and may return ErrInterrupted.
 func Soak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	seeds := soakSeeds(cfg)
 	ctx = telemetry.WithRegistry(ctx, cfg.Telemetry)
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Dir != "" {
-		return soakCheckpointed(ctx, cfg, seeds)
-	}
-	// With a shard-size bound, clamping the pool is all the eviction this
-	// path needs: a chip's dense state is built inside its job and becomes
-	// garbage when the job returns, so at most min(workers, ShardSize)
-	// devices are ever live.
-	workers := cfg.Workers
-	if cfg.ShardSize > 0 {
-		workers = fleetWorkers(workers, cfg.ShardSize)
-	}
-	var (
-		results     []chipSoakResult
-		quarantined []QuarantinedShard
-		err         error
-	)
-	if cfg.ShardPolicy.Attempts >= 1 {
-		var failures []parallel.JobFailure
-		results, failures, err = parallel.MapPartial(ctx, cfg.Chips, workers, cfg.ShardPolicy,
-			func(ctx context.Context, i int) (chipSoakResult, error) {
-				return soakChip(ctx, cfg, i, seeds[i])
-			})
-		for _, f := range failures {
-			quarantined = append(quarantined, QuarantinedShard{
-				Chip: f.Job, Seed: seeds[f.Job], Attempts: f.Attempts, Reason: f.Reason(),
-			})
-		}
-	} else {
-		results, err = parallel.Map(ctx, cfg.Chips, workers,
-			func(ctx context.Context, i int) (chipSoakResult, error) {
-				return soakChip(ctx, cfg, i, seeds[i])
-			})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return assembleSoakReport(cfg, results, quarantined), nil
+	return soakSegments(ctx, cfg, soakSeeds(cfg))
 }
 
 // assembleSoakReport aggregates the fleet results into the campaign report.
@@ -353,20 +315,6 @@ func assembleSoakReport(cfg SoakConfig, results []chipSoakResult, quarantined []
 type chipSoakResult struct {
 	rep   ChipSoakReport
 	trace []telemetry.Event
-}
-
-// soakChip runs one chip's full campaign in one shot (the non-checkpointed
-// path): construct the stack, run every window, finalize.
-func soakChip(ctx context.Context, cfg SoakConfig, idx int, seed uint64) (chipSoakResult, error) {
-	r, err := newSoakRunner(cfg, idx, seed)
-	if err != nil {
-		return chipSoakResult{rep: ChipSoakReport{Chip: idx, Seed: seed}},
-			fmt.Errorf("soak chip %d: %w", idx, err)
-	}
-	if _, err := r.runWindows(ctx, 0); err != nil {
-		return chipSoakResult{rep: r.rep}, fmt.Errorf("soak chip %d: %w", idx, err)
-	}
-	return r.finalize(), nil
 }
 
 // selectResidentWords picks the resident data set: the words whose contents

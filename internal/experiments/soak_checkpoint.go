@@ -1,13 +1,15 @@
 package experiments
 
-// Checkpointed soak execution: the campaign runs in segments of a fixed
-// number of scrub windows, with a barrier after each segment where every
-// live chip's state is serialized and the whole fleet snapshot is written
-// through the two-generation checkpoint store. A campaign killed at any
-// barrier resumes from its checkpoint directory and produces a final report
-// byte-identical to an uninterrupted run; a shard that panics or errors
-// mid-segment is retried from its start-of-segment state and, if it keeps
-// failing, quarantined so the rest of the fleet completes.
+// Segmented soak execution, the only way a soak runs: the campaign runs in
+// segments of a fixed number of scrub windows. Each (segment, chip) job
+// serializes its own chip's state when it finishes its windows, and the
+// barrier after each segment writes the whole fleet snapshot through the
+// two-generation checkpoint store. A campaign killed at any barrier resumes
+// from its checkpoint directory and produces a final report byte-identical
+// to an uninterrupted run; a shard that panics or errors mid-segment is
+// retried from its start-of-segment state and, if it keeps failing,
+// quarantined so the rest of the fleet completes. Without a checkpoint
+// directory there is no store, and a single segment spans the horizon.
 
 import (
 	"context"
@@ -33,7 +35,9 @@ const DefaultCheckpointEveryWindows = 24
 
 // CheckpointOptions configures crash-safe segment execution for Soak.
 type CheckpointOptions struct {
-	// Dir is the checkpoint directory (empty disables checkpointing).
+	// Dir is the checkpoint directory. Empty runs the campaign without a
+	// store: one segment spans the horizon, and Resume, StopAfterSegments
+	// and ShouldStop do not apply.
 	Dir string
 	// EveryWindows is the segment length in scrub windows between
 	// checkpoint barriers. Defaults to DefaultCheckpointEveryWindows.
@@ -202,36 +206,56 @@ func restoreSoakRunner(cfg SoakConfig, idx int, seed uint64, blob []byte) (*soak
 	return r, nil
 }
 
-// soakCheckpointed runs the campaign in checkpointed segments.
-func soakCheckpointed(ctx context.Context, cfg SoakConfig, seeds []uint64) (*SoakReport, error) {
-	ck := *cfg.Checkpoint
-	if ck.EveryWindows <= 0 {
-		ck.EveryWindows = DefaultCheckpointEveryWindows
+// soakJob is what one (segment, chip) job hands back to the barrier.
+type soakJob struct {
+	finished bool            // the chip reached the horizon
+	windows  int             // scrub windows completed so far
+	blob     []byte          // start-of-next-segment state; nil for a chip finished without a store
+	final    *chipSoakResult // the finalized report, set when finished
+}
+
+// soakSegments is the soak executor. It runs the campaign in segments of
+// EveryWindows scrub windows, one parallel job per active chip, with a
+// barrier after each segment. Without a checkpoint Dir there is no identity
+// and no store, and one segment runs each chip to the horizon: the same work
+// as a flat map over the fleet.
+func soakSegments(ctx context.Context, cfg SoakConfig, seeds []uint64) (*SoakReport, error) {
+	var ck CheckpointOptions
+	if cfg.Checkpoint != nil {
+		ck = *cfg.Checkpoint
 	}
-	identity, err := soakIdentity(cfg, ck.EveryWindows)
-	if err != nil {
-		return nil, err
-	}
-	store, err := checkpoint.NewStore(ck.Dir)
-	if err != nil {
-		return nil, err
+	every := 0
+	var (
+		store    *checkpoint.Store
+		identity string
+	)
+	if ck.Dir != "" {
+		every = ck.EveryWindows
+		if every <= 0 {
+			every = DefaultCheckpointEveryWindows
+		}
+		var err error
+		if identity, err = soakIdentity(cfg, every); err != nil {
+			return nil, err
+		}
+		if store, err = checkpoint.NewStore(ck.Dir); err != nil {
+			return nil, err
+		}
 	}
 
 	n := cfg.Chips
-	// The shard-size bound caps concurrent materializations; barrier
-	// eviction below caps what survives between segments.
-	workers := cfg.Workers
-	if cfg.ShardSize > 0 {
-		workers = fleetWorkers(workers, cfg.ShardSize)
-	}
+	// The shard-size bound caps concurrent materializations; each job drops
+	// its runner on return when the bound is set, so nothing else stays live.
+	workers := fleetWorkers(cfg.Workers, cfg.ShardSize)
 	runners := make([]*soakRunner, n)
 	blobs := make([][]byte, n)
 	done := make([]bool, n)
 	windowsDone := make([]int, n)
+	results := make([]*chipSoakResult, n)
 	quarantined := map[int]QuarantinedShard{}
 	segments := 0
 
-	if ck.Resume {
+	if store != nil && ck.Resume {
 		man, files, err := store.Load(identity)
 		switch {
 		case err == nil:
@@ -278,10 +302,10 @@ func soakCheckpointed(ctx context.Context, cfg SoakConfig, seeds []uint64) (*Soa
 			break
 		}
 
-		segDone, failures, err := parallel.MapPartial(ctx, len(active), workers, cfg.ShardPolicy,
-			func(ctx context.Context, k int) (bool, error) {
+		jobs, failures, err := parallel.MapPartial(ctx, len(active), workers, cfg.ShardPolicy,
+			func(ctx context.Context, k int) (soakJob, error) {
 				i := active[k]
-				if ck.CrashPlan != nil && ck.CrashPlan.Fire(segments, i) {
+				if ck.CrashPlan.Fire(segments, i) {
 					//lint:ignore no-panic crash-injection harness: simulates a worker killed mid-campaign; the retry path must recover from the start-of-segment blob
 					panic(fmt.Sprintf("injected crash: segment %d chip %d", segments, i))
 				}
@@ -292,17 +316,31 @@ func soakCheckpointed(ctx context.Context, cfg SoakConfig, seeds []uint64) (*Soa
 				r := runners[i]
 				runners[i] = nil
 				if r == nil {
-					var rerr error
-					if r, rerr = restoreSoakRunner(cfg, i, seeds[i], blobs[i]); rerr != nil {
-						return false, rerr
+					var err error
+					if r, err = restoreSoakRunner(cfg, i, seeds[i], blobs[i]); err != nil {
+						return soakJob{}, err
 					}
 				}
-				finished, rerr := r.runWindows(ctx, ck.EveryWindows)
-				if rerr != nil {
-					return false, fmt.Errorf("soak chip %d: %w", i, rerr)
+				finished, err := r.runWindows(ctx, every)
+				if err != nil {
+					return soakJob{}, fmt.Errorf("soak chip %d: %w", i, err)
 				}
-				runners[i] = r
-				return finished, nil
+				job := soakJob{finished: finished, windows: r.rep.Windows}
+				// A finished chip's blob matters only to a later process
+				// resuming from the store.
+				if store != nil || !finished {
+					if job.blob, err = r.encodeState(); err != nil {
+						return soakJob{}, fmt.Errorf("soak chip %d: encode: %w", i, err)
+					}
+				}
+				switch {
+				case finished:
+					final := r.finalize()
+					job.final = &final
+				case cfg.ShardSize <= 0:
+					runners[i] = r
+				}
+				return job, nil
 			})
 		if err != nil {
 			return nil, err
@@ -312,28 +350,24 @@ func soakCheckpointed(ctx context.Context, cfg SoakConfig, seeds []uint64) (*Soa
 			f := failures[0]
 			return nil, fmt.Errorf("soak chip %d: %s", active[f.Job], f.Reason())
 		}
-		failed := make(map[int]bool, len(failures))
 		for _, f := range failures {
 			i := active[f.Job]
-			failed[i] = true
 			quarantined[i] = QuarantinedShard{
 				Chip: i, Seed: seeds[i], Windows: windowsDone[i],
 				Attempts: f.Attempts, Reason: f.Reason(),
 			}
 		}
 		for k, i := range active {
-			if failed[i] {
+			if _, q := quarantined[i]; q {
 				continue
 			}
-			done[i] = segDone[k]
-			windowsDone[i] = runners[i].rep.Windows
-			blob, err := runners[i].encodeState()
-			if err != nil {
-				return nil, fmt.Errorf("soak chip %d: encode: %w", i, err)
-			}
-			blobs[i] = blob
+			j := jobs[k]
+			done[i], windowsDone[i], blobs[i], results[i] = j.finished, j.windows, j.blob, j.final
 		}
 		segments++
+		if store == nil {
+			continue
+		}
 
 		meta := &campaignMeta{
 			segments:    segments,
@@ -353,18 +387,6 @@ func soakCheckpointed(ctx context.Context, cfg SoakConfig, seeds []uint64) (*Soa
 		if err := store.Save(segments, identity, files); err != nil {
 			return nil, err
 		}
-		if cfg.ShardSize > 0 {
-			// Shard eviction: drop every runner's dense simulator state at the
-			// barrier. The next segment re-materializes each chip from its seed
-			// plus start-of-segment blob — the identical code path a
-			// cross-process resume takes (restoreSoakRunner), which the resume
-			// property tests prove byte-equivalent to keeping the runner live.
-			// Between segments the campaign therefore holds only blobs:
-			// O(active shard + summaries) instead of O(fleet).
-			for i := range runners {
-				runners[i] = nil
-			}
-		}
 		savedThisProcess++
 		if ck.StopAfterSegments > 0 && savedThisProcess >= ck.StopAfterSegments {
 			return nil, ErrInterrupted
@@ -374,27 +396,29 @@ func soakCheckpointed(ctx context.Context, cfg SoakConfig, seeds []uint64) (*Soa
 		}
 	}
 
-	// Finalize every covered chip. A chip that completed in an earlier
-	// process has no live runner; rebuild it from its final blob so a
-	// resumed campaign reports exactly what the uninterrupted one would.
-	results := make([]chipSoakResult, n)
-	for i := 0; i < n; i++ {
+	// Every chip that finished in this process was finalized by its last
+	// job. A chip that finished in an earlier process is rebuilt from its
+	// final blob, so a resumed campaign reports exactly what the
+	// uninterrupted one would. Quarantined chips keep a zero result.
+	out := make([]chipSoakResult, n)
+	for i, res := range results {
 		if _, q := quarantined[i]; q {
-			results[i] = chipSoakResult{rep: ChipSoakReport{Chip: i, Seed: seeds[i]}}
 			continue
 		}
-		r := runners[i]
-		if r == nil {
+		if res == nil {
 			if blobs[i] == nil {
 				return nil, fmt.Errorf("soak chip %d: marked done but no state blob", i)
 			}
-			if r, err = restoreSoakRunner(cfg, i, seeds[i], blobs[i]); err != nil {
+			r, err := restoreSoakRunner(cfg, i, seeds[i], blobs[i])
+			if err != nil {
 				return nil, err
 			}
+			f := r.finalize()
+			res = &f
 		}
-		results[i] = r.finalize()
+		out[i] = *res
 	}
-	return assembleSoakReport(cfg, results, sortedQuarantine(quarantined)), nil
+	return assembleSoakReport(cfg, out, sortedQuarantine(quarantined)), nil
 }
 
 func sortedQuarantine(m map[int]QuarantinedShard) []QuarantinedShard {

@@ -19,11 +19,11 @@ import (
 )
 
 // soakRunner is one chip's live campaign state: the full simulation stack
-// plus the report accumulators the window loop maintains. The non-checkpoint
-// path constructs one, runs every window, and finalizes; the checkpointed
-// path keeps runners alive across segment barriers, encoding each one's
-// state after every segment so a killed campaign resumes — or a panicked
-// shard retries — from the last barrier with bit-identical behavior.
+// plus the report accumulators the window loop maintains. The segment
+// executor (soakSegments) runs one for a segment's worth of windows, encodes
+// its state, and finalizes it once the chip reaches the horizon, so a killed
+// campaign resumes — or a panicked shard retries — from the last barrier
+// with bit-identical behavior.
 type soakRunner struct {
 	cfg  SoakConfig //lint:serialized-elsewhere campaign config; resume requires the identical config, guarded by the campaign-meta digest
 	idx  int
@@ -42,9 +42,10 @@ type soakRunner struct {
 	end float64 // station clock at campaign end
 }
 
-// newSoakRunner builds the chip stack. The construction sequence (and thus
-// every rng draw) is identical to the original monolithic soakChip, so
-// pre-existing campaign goldens are unchanged.
+// newSoakRunner builds the chip stack. Every rng draw of the construction
+// sequence derives from the chip seed, so a rebuilt runner restored from a
+// blob continues exactly where the encoded one stopped; reordering the
+// construction steps changes every pinned campaign golden.
 func newSoakRunner(cfg SoakConfig, idx int, seed uint64) (*soakRunner, error) {
 	r := &soakRunner{cfg: cfg, idx: idx, seed: seed}
 	r.rep = ChipSoakReport{Chip: idx, Seed: seed}

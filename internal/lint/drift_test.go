@@ -121,12 +121,13 @@ func TestByNameNewRules(t *testing.T) {
 }
 
 // TestSerializeExhaustiveMutation is the self-test demanded by the rule's
-// reason to exist: copy internal/dram, delete one field-encode statement,
-// and require the analyzer to report exactly that field. A clean copy must
-// stay clean — proving the rule detects drift, not merely that the shipped
-// tree happens to pass.
+// reason to exist: copy internal/dram, delete one field-encode statement
+// from the delta encoder (the device codec every soak resume runs), and
+// require the analyzer to report exactly that field. A clean copy must stay
+// clean — proving the rule detects drift, not merely that the shipped tree
+// happens to pass.
 func TestSerializeExhaustiveMutation(t *testing.T) {
-	const mutatedStmt = "e.U64(d.readsDone)"
+	const mutatedStmt = "e.F64(c.vrt.nextSwitch)"
 
 	srcDir := filepath.Join("..", "dram")
 	entries, err := os.ReadDir(srcDir)
@@ -195,7 +196,7 @@ func TestSerializeExhaustiveMutation(t *testing.T) {
 	}
 	f := res.Findings[0]
 	if f.Rule != "serialize-exhaustive" ||
-		!strings.Contains(f.Message, "Device.readsDone") ||
+		!strings.Contains(f.Message, "vrtState.nextSwitch") ||
 		!strings.Contains(f.Message, "decoded but never encoded") {
 		t.Errorf("finding does not name the mutated field: %s", f)
 	}

@@ -155,9 +155,9 @@ func findCodecPairs(p *Package) ([]codecPair, map[types.Object]*ast.FuncDecl) {
 					continue
 				}
 				switch name {
-				case "encodestate", "serialize":
+				case "encodestate", "encodedelta", "serialize":
 					encMethods = append(encMethods, methodSide{named, fd})
-				case "restorestate", "deserialize":
+				case "restorestate", "restoredelta", "deserialize":
 					decMethods = append(decMethods, methodSide{named, fd})
 				}
 				continue

@@ -96,7 +96,7 @@ func (s Stats) Total() float64 {
 // Station couples a device, a clock, timing, and (optionally) a thermal
 // chamber into the test interface profilers drive.
 type Station struct {
-	dev     *dram.Device     //lint:serialized-elsewhere the device checkpoints through its own EncodeState/RestoreState pair
+	dev     *dram.Device     //lint:serialized-elsewhere the device checkpoints through its own EncodeDelta/RestoreDelta pair
 	chamber *thermal.Chamber //lint:serialized-elsewhere may be nil (temperature fixed); thermal state rides on the device's tempC
 	clock   Clock
 	timing  Timing //lint:serialized-elsewhere pure function of the construction parameters
