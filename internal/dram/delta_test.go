@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -22,81 +21,15 @@ func deltaTestConfig() Config {
 }
 
 // TestDeltaEvictRematerializeTwin is the shard-eviction correctness
-// property: drive a device through a messy mid-campaign segment (sweeps,
-// injections, a forced VRT burst, DPD rescrambles, partial writes), then
-// "evict" it — encode only its divergence delta, drop it, re-materialize a
-// fresh device from the same seed, and restore the delta. The
-// re-materialized chip must match the never-evicted twin field by field,
-// then stay in lockstep through a second driven segment. The banked arm
-// runs per-bank sampling streams with sharded sweeps.
+// property: "evict" a driven device — encode only its divergence delta, drop
+// it, re-materialize a fresh device through its ChipRef handle (the path the
+// fleet executor takes for a chip outside the active shard), and restore the
+// delta. The re-materialized chip must match the never-evicted twin field by
+// field, then stay in lockstep through a second driven segment.
 func TestDeltaEvictRematerializeTwin(t *testing.T) {
-	banked := deltaTestConfig()
-	banked.BankStreams = true
-	for _, tc := range []struct {
-		name    string
-		cfg     Config
-		workers int
-	}{
-		{"default", deltaTestConfig(), 0},
-		{"banked-sharded", banked, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			orig, err := NewDevice(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.workers > 0 {
-				orig.SetSweepWorkers(tc.workers)
-			}
-			if orig.WeakCellCount() == 0 {
-				t.Fatal("degenerate test: no weak cells")
-			}
-
-			// Segment 1: reach a state with injections, forced VRT, rescrambled
-			// DPD, live and stale stuck entries, row deviations, and a warm
-			// round cache.
-			driveScript(orig, rng.New(0x5EC1), 0)
-			if len(orig.injected) == 0 || len(orig.vrtForced) == 0 || len(orig.dpdReseeded) == 0 {
-				t.Fatalf("script left no divergence to test: %d injected, %d vrt, %d dpd",
-					len(orig.injected), len(orig.vrtForced), len(orig.dpdReseeded))
-			}
-			if len(orig.stuckList) == 0 {
-				t.Fatal("script left no stuck overlay to test")
-			}
-
-			e := checkpoint.NewEncoder()
-			if err := orig.EncodeDelta(e); err != nil {
-				t.Fatal(err)
-			}
-
-			// Evict and re-materialize through the ChipRef handle — the same
-			// path the fleet executor takes for a chip outside the active shard.
-			rem, err := orig.Ref().Materialize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.workers > 0 {
-				rem.SetSweepWorkers(tc.workers)
-			}
-			if err := rem.RestoreDelta(checkpoint.NewDecoder(e.Data()), resolvePattern); err != nil {
-				t.Fatal(err)
-			}
-			requireSameDevice(t, orig, rem)
-
-			// Segment 2: lockstep through another driven segment, including
-			// fresh injections and bursts on both sides. Separate-but-identical
-			// op streams so injections draw the same values on both sides.
-			failsA := driveScript(orig, rng.New(0x0B5E), 30)
-			failsB := driveScript(rem, rng.New(0x0B5E), 30)
-			if !slices.Equal(failsA, failsB) {
-				t.Fatalf("post-rematerialize fail streams diverge: %d vs %d fails", len(failsA), len(failsB))
-			}
-			if orig.IncrStats().FastSweeps == 0 {
-				t.Error("script never hit the round cache; test exercised nothing")
-			}
-			requireSameDevice(t, orig, rem)
-		})
-	}
+	requireCheckpointTwin(t, deltaTestConfig(), 0, func(orig *Device) (*Device, error) {
+		return orig.Ref().Materialize()
+	})
 }
 
 // TestDeltaTemplateTwin proves the delta codec composes with template-based

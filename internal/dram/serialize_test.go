@@ -2,6 +2,7 @@ package dram
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"reaper/internal/checkpoint"
@@ -133,5 +134,91 @@ func requireSameDevice(t *testing.T, a, b *Device) {
 	}
 	if !bytes.Equal(ea.Data(), eb.Data()) {
 		t.Fatalf("EncodeDelta bytes differ: %d vs %d bytes", len(ea.Data()), len(eb.Data()))
+	}
+}
+
+// requireCheckpointTwin is the lockstep-twin property the checkpoint tests
+// share: drive a device built from cfg through a messy mid-campaign segment
+// (sweeps, injections, a forced VRT burst, DPD rescrambles, partial writes),
+// encode its divergence delta, restore the delta into the fresh device that
+// target builds, and require the two to match field by field, then stay in
+// lockstep through a second driven segment. workers > 0 shards the sweeps of
+// both devices.
+func requireCheckpointTwin(t *testing.T, cfg Config, workers int, target func(orig *Device) (*Device, error)) {
+	t.Helper()
+	orig, err := NewDevice(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if workers > 0 {
+		orig.SetSweepWorkers(workers)
+	}
+	if orig.WeakCellCount() == 0 {
+		t.Fatal("degenerate test: no weak cells")
+	}
+
+	// Segment 1: reach a state with injections, forced VRT, rescrambled DPD,
+	// live and stale stuck entries, row deviations, and a warm round cache.
+	driveScript(orig, rng.New(0x5EC1), 0)
+	if len(orig.injected) == 0 || len(orig.vrtForced) == 0 || len(orig.dpdReseeded) == 0 {
+		t.Fatalf("script left no divergence to test: %d injected, %d vrt, %d dpd",
+			len(orig.injected), len(orig.vrtForced), len(orig.dpdReseeded))
+	}
+	if len(orig.stuckList) == 0 {
+		t.Fatal("script left no stuck overlay to test")
+	}
+
+	e := checkpoint.NewEncoder()
+	if err := orig.EncodeDelta(e); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := target(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if workers > 0 {
+		twin.SetSweepWorkers(workers)
+	}
+	if err := twin.RestoreDelta(checkpoint.NewDecoder(e.Data()), resolvePattern); err != nil {
+		t.Fatal(err)
+	}
+	requireSameDevice(t, orig, twin)
+
+	// Segment 2: lockstep. Separate-but-identical op streams so injections
+	// draw the same values on both sides.
+	failsA := driveScript(orig, rng.New(0x0B5E), 30)
+	failsB := driveScript(twin, rng.New(0x0B5E), 30)
+	if !slices.Equal(failsA, failsB) {
+		t.Fatalf("post-restore fail streams diverge: %d vs %d fails", len(failsA), len(failsB))
+	}
+	if orig.IncrStats().FastSweeps == 0 {
+		t.Error("script never hit the round cache; test exercised nothing")
+	}
+	requireSameDevice(t, orig, twin)
+}
+
+// TestDeviceStateRoundTrip checkpoints a driven device and restores it into
+// a freshly constructed device of the same config: every read, every counter
+// and the re-encoded delta must then match exactly — any drift means the
+// codec lost state. The dense arm samples every bank from the one device
+// stream; the banked arm runs per-bank streams with sharded sweeps.
+func TestDeviceStateRoundTrip(t *testing.T) {
+	cfg := deltaTestConfig()
+	cfg.Seed = 77
+	banked := cfg
+	banked.BankStreams = true
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		workers int
+	}{
+		{"dense", cfg, 0},
+		{"banked-sharded", banked, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireCheckpointTwin(t, tc.cfg, tc.workers, func(*Device) (*Device, error) {
+				return NewDevice(tc.cfg)
+			})
+		})
 	}
 }
