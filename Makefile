@@ -97,6 +97,6 @@ bench-test:
 	cd cmd/bench && $(GO) test ./...
 
 # bench-go runs every go-test benchmark once (compile/behavior smoke, not a
-# measurement).
+# measurement). -run '^$$' skips the tests, which `make test` already runs.
 bench-go:
-	$(GO) test -bench . -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -251,7 +251,7 @@ func (d *Device) runBankShard(s *bankShard, bank int, devRows []uint32, now, sca
 		if data == nil {
 			data = d.bulkData
 		}
-		for _, c := range d.byRow[row] {
+		for _, c := range d.rowCells(row) {
 			s.stats.Slowpath++
 			a := d.geom.AddrOf(c.bit)
 			w := data.Word(row, a.Word)

@@ -158,8 +158,12 @@ func (c *weakCell) failProb(elapsed, tempC float64, storedBit uint8, code uint64
 // Used by the ground-truth oracle.
 func (c *weakCell) worstCaseFailProb(elapsed, tempC float64, v *VendorParams, now float64) float64 {
 	scale := v.muTempScale(tempC)
-	sigma := c.sigma * scale
-	base := c.muAt(now) * scale
+	return c.worstCaseAt(elapsed, c.muAt(now)*scale, c.sigma*scale)
+}
+
+// worstCaseAt is worstCaseFailProb with the temperature-scaled retention
+// mean (base, before DPD) and sigma already in hand.
+func (c *weakCell) worstCaseAt(elapsed, base, sigma float64) float64 {
 	best := 0.0
 	for code := uint64(0); code < dpdCodes; code++ {
 		p := stats.NormalCDF(elapsed, base*c.dpdFactor(code), sigma)

@@ -43,7 +43,7 @@ import (
 //     stale entries (stuck == -1 but still listed) must survive until a
 //     collecting sweep compacts them.
 //   - Construction-derived state: a VRT cell's schedule parameters (muLow,
-//     muHigh, dwellLow, dwellHigh) and the per-row cell lists (byRow) never
+//     muHigh, dwellLow, dwellHigh) and the per-row offsets (rowStart) never
 //     travel; construction redraws the former from the seed, and
 //     construction plus insertWeakCell rebuild the latter.
 //
@@ -102,14 +102,12 @@ func (d *Device) EncodeDelta(e *checkpoint.Encoder) error {
 }
 
 // RestoreDelta loads a blob produced by EncodeDelta into d, which must be a
-// *pristine* device freshly constructed with the same Config and by the same
-// construction path (NewDevice vs NewDeviceFromTemplate with the same
-// template) as the encoder's device — that is exactly what ChipRef
-// materialization provides. Pre-restore read/write activity on d is
-// tolerated (the tail overwrites content, clocks and stream positions), but
-// a device that has already been injected into cannot be a delta target.
-// resolve reconstructs named pattern content (pass patterns.Parse adapted
-// to RowData).
+// *pristine* device freshly constructed by NewDevice with the same Config as
+// the encoder's device — that is exactly what ChipRef materialization
+// provides. Pre-restore read/write activity on d is tolerated (the tail
+// overwrites content, clocks and stream positions), but a device that has
+// already been injected into cannot be a delta target. resolve reconstructs
+// named pattern content (pass patterns.Parse adapted to RowData).
 func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (RowData, error)) error {
 	if len(d.injected) != 0 || len(d.dpdReseeded) != 0 || len(d.vrtForced) != 0 {
 		return fmt.Errorf("dram: delta restore target has prior divergence (%d injected, %d dpd, %d vrt)",
@@ -124,7 +122,7 @@ func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (Row
 	}
 
 	// Replay injected-cell arrivals through the live insertion path, which
-	// maintains the sorted population, the row lists, the activation index,
+	// maintains the sorted population, the row offsets, the activation index,
 	// and the injection journal itself.
 	ni := dec.VarLen(maxRestoreCells)
 	if dec.Err() != nil {

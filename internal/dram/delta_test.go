@@ -32,36 +32,6 @@ func TestDeltaEvictRematerializeTwin(t *testing.T) {
 	})
 }
 
-// TestDeltaTemplateTwin proves the delta codec composes with template-based
-// materialization: a device built from a PopulationTemplate, driven, evicted
-// and re-materialized from the same template restores to an identical twin.
-func TestDeltaTemplateTwin(t *testing.T) {
-	cfg := deltaTestConfig()
-	tpl, err := NewPopulationTemplate(cfg, 4096, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, err := NewDeviceFromTemplate(tpl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveScript(orig, rng.New(0x7E41), 0)
-
-	e := checkpoint.NewEncoder()
-	if err := orig.EncodeDelta(e); err != nil {
-		t.Fatal(err)
-	}
-
-	rem, err := orig.Ref().MaterializeFromTemplate(tpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rem.RestoreDelta(checkpoint.NewDecoder(e.Data()), resolvePattern); err != nil {
-		t.Fatal(err)
-	}
-	requireSameDevice(t, orig, rem)
-}
-
 // TestDeltaRestoreGuards pins the delta codec's refusal paths: a target with
 // prior divergence, a wrong-seed target, and a wrong-geometry target must
 // all fail loudly.

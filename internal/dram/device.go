@@ -108,8 +108,11 @@ type Device struct {
 	vend VendorParams //lint:serialized-elsewhere pure function of cfg; rebuilt by construction, guarded by the in-band cfg.Seed check
 
 	weak []*weakCell // all weak cells, sorted by bit index
-	//lint:serialized-elsewhere construction-derived: per-row view of weak; construction and insertWeakCell (delta replay) rebuild it
-	byRow map[uint32][]*weakCell
+	// rowStart holds, per flat row r, the offset of the row's first cell in
+	// weak: rows are contiguous bit ranges, so row r's cells are
+	// weak[rowStart[r]:rowStart[r+1]] (see rowCells).
+	//lint:serialized-elsewhere construction-derived: row offsets into weak; construction and insertWeakCell (delta replay) rebuild them
+	rowStart []int32
 
 	// cellArena backs weakCell storage in pointer-stable chunks: full
 	// chunks are abandoned (the cells carved from them keep them alive),
@@ -183,8 +186,8 @@ type Device struct {
 	vrtForced   []*weakCell
 }
 
-// validate fills defaults and checks the config is usable; it is the shared
-// front door of NewDevice and NewDeviceFromTemplate.
+// validate fills defaults and checks the config is usable; NewDevice and
+// NewChipRef share it.
 func (c *Config) validate() error {
 	c.fillDefaults()
 	if err := c.Geometry.Validate(); err != nil {
@@ -204,20 +207,10 @@ func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d := newDeviceShell(cfg)
-	d.sampleWeakPopulation()
-	return d, nil
-}
-
-// newDeviceShell builds an empty device from a validated config; the caller
-// samples the weak population (NewDevice from the vendor distributions,
-// NewDeviceFromTemplate from a pre-drawn template).
-func newDeviceShell(cfg Config) *Device {
 	d := &Device{
 		cfg:            cfg,
 		geom:           cfg.Geometry,
 		vend:           cfg.Vendor,
-		byRow:          make(map[uint32][]*weakCell),
 		bulkData:       zeroData{},
 		bulkComparable: true,
 		rows:           make(map[uint32]*rowState),
@@ -233,7 +226,8 @@ func newDeviceShell(cfg Config) *Device {
 			d.bankSrcs[b] = rng.Derive(cfg.Seed, bankStreamSalt+uint64(b))
 		}
 	}
-	return d
+	d.sampleWeakPopulation()
+	return d, nil
 }
 
 // sampleWeakPopulation draws the base weak cells and the latent VRT
@@ -248,8 +242,9 @@ func (d *Device) sampleWeakPopulation() {
 	expected := bits * v.BER(tmax, RefTempC) * d.cfg.WeakScale
 	n := d.src.Poisson(expected)
 	taken := make(map[uint64]struct{}, n)
+	base := newPowerLaw(tmin, tmax, v.BERExponent)
 	for i := 0; i < n; i++ {
-		mu := d.samplePowerLaw(tmin, tmax, v.BERExponent)
+		mu := base.sample(d.src)
 		d.addWeakCell(taken, mu, !d.cfg.DisableVRT && d.src.Bernoulli(v.VRTFraction), 0)
 	}
 
@@ -270,23 +265,73 @@ func (d *Device) sampleWeakPopulation() {
 		dwellSum := v.VRTDwellLowHours + v.VRTDwellHighHours // hours
 		latent := v.VRTRate(vrtMax, RefTempC, d.geom.TotalBytes()) * dwellSum * d.cfg.WeakScale
 		m := d.src.Poisson(latent)
+		reservoir := newPowerLaw(tmin, vrtMax, v.VRTRateExponent)
 		for i := 0; i < m; i++ {
-			muLow := d.samplePowerLaw(tmin, vrtMax, v.VRTRateExponent)
+			muLow := reservoir.sample(d.src)
 			d.addWeakCell(taken, muLow, true, tmax*10)
 		}
 	}
 
-	slices.SortFunc(d.weak, func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
-	for _, c := range d.weak {
-		r := d.geom.rowOfBit(c.bit)
-		d.byRow[r] = append(d.byRow[r], c)
-	}
+	d.sortWeakByRow()
 	d.rebuildIndex()
 }
 
-// samplePowerLaw draws t in [tmin, tmax] with CDF proportional to t^beta.
-func (d *Device) samplePowerLaw(tmin, tmax, beta float64) float64 {
-	return powerLawSample(d.src, tmin, tmax, beta)
+// sortWeakByRow puts the weak population, drawn in random bit order, into
+// bit order and builds rowStart. Rows are contiguous bit ranges and bits are
+// unique (the taken set), so a counting sort by row followed by a sort
+// inside each row gives exactly the order a comparison sort by bit gives,
+// in time linear in the population for the few dozen cells a row holds.
+func (d *Device) sortWeakByRow() {
+	rows := d.geom.TotalRows()
+	start := make([]int32, rows+1)
+	for _, c := range d.weak {
+		start[d.geom.rowOfBit(c.bit)]++
+	}
+	// Inclusive prefix sums leave start[r] at the end of row r; the reverse
+	// scatter below decrements each row's cursor to its first slot.
+	for r := 1; r < rows; r++ {
+		start[r] += start[r-1]
+	}
+	start[rows] = int32(len(d.weak))
+	sorted := make([]*weakCell, len(d.weak))
+	for i := len(d.weak) - 1; i >= 0; i-- {
+		c := d.weak[i]
+		r := d.geom.rowOfBit(c.bit)
+		start[r]--
+		sorted[start[r]] = c
+	}
+	for r := 0; r < rows; r++ {
+		sortByBit(sorted[start[r]:start[r+1]])
+	}
+	d.weak = sorted
+	d.rowStart = start
+}
+
+// sortByBit sorts one row's cells by bit: an insertion sort for the few
+// dozen cells bench-scale rows hold, a comparison sort past rowInsertionMax
+// cells so a dense chip (a test program may ask for weak_scale 1000, some
+// 2000 cells a row) cannot go quadratic.
+func sortByBit(cells []*weakCell) {
+	if len(cells) > rowInsertionMax {
+		slices.SortFunc(cells, func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
+		return
+	}
+	for i := 1; i < len(cells); i++ {
+		c := cells[i]
+		j := i
+		for ; j > 0 && cells[j-1].bit > c.bit; j-- {
+			cells[j] = cells[j-1]
+		}
+		cells[j] = c
+	}
+}
+
+// rowInsertionMax is the longest row sortByBit insertion-sorts.
+const rowInsertionMax = 128
+
+// rowCells returns the weak cells of flat row r, in bit order.
+func (d *Device) rowCells(r uint32) []*weakCell {
+	return d.weak[d.rowStart[r]:d.rowStart[r+1]]
 }
 
 // cellArenaChunk is the cell count per arena chunk: large enough that a
@@ -566,7 +611,7 @@ func (d *Device) ensureRowState(row uint32) *rowState {
 // clearStuck resets the stuck state of all weak cells in a row (a write
 // replaces the charge, erasing any past failure).
 func (d *Device) clearStuck(row uint32) {
-	for _, c := range d.byRow[row] {
+	for _, c := range d.rowCells(row) {
 		c.stuck = -1
 	}
 }
@@ -648,7 +693,7 @@ func (d *Device) ReadRow(bank, row int, now float64) ([]uint64, error) {
 	for w := range words {
 		words[w] = d.wordAt(gr, w)
 	}
-	for _, c := range d.byRow[gr] {
+	for _, c := range d.rowCells(gr) {
 		a := d.geom.AddrOf(c.bit)
 		got := d.sampleRead(c, gr, now, restoredAt)
 		if got == 1 {
@@ -674,7 +719,7 @@ func (d *Device) WriteWord(bank, row, word int, val uint64, now float64) error {
 	gr := d.geom.GlobalRow(bank, row)
 	// Activation restores the row: sample failures now so they stick.
 	_, restoredAt, _ := d.stateOf(gr)
-	for _, c := range d.byRow[gr] {
+	for _, c := range d.rowCells(gr) {
 		d.sampleRead(c, gr, now, restoredAt)
 	}
 	rs := d.ensureRowState(gr)
@@ -685,7 +730,7 @@ func (d *Device) WriteWord(bank, row, word int, val uint64, now float64) error {
 	rs.overrides[word] = val
 	// The write replaces charge in the written word: clear stuck state for
 	// weak cells inside it.
-	for _, c := range d.byRow[gr] {
+	for _, c := range d.rowCells(gr) {
 		a := d.geom.AddrOf(c.bit)
 		if a.Word == word {
 			c.stuck = -1

@@ -123,8 +123,7 @@ func BenchmarkReadCompareAllBanked(b *testing.B) {
 }
 
 // BenchmarkNewDevice measures fleet-member construction from the analytic
-// distributions; BenchmarkNewDeviceFromTemplate is the amortized path that
-// replaces the expensive per-cell draws with table picks.
+// distributions.
 func BenchmarkNewDevice(b *testing.B) {
 	cfg := Config{
 		Geometry:  Geometry{Banks: 8, RowsPerBank: 256, WordsPerRow: 256},
@@ -141,26 +140,27 @@ func BenchmarkNewDevice(b *testing.B) {
 	}
 }
 
-// BenchmarkNewDeviceFromTemplate measures template-amortized construction at
-// the same density as BenchmarkNewDevice (template build cost excluded: it is
-// paid once per vendor, not per chip).
-func BenchmarkNewDeviceFromTemplate(b *testing.B) {
-	cfg := Config{
-		Geometry:  Geometry{Banks: 8, RowsPerBank: 256, WordsPerRow: 256},
-		Vendor:    VendorB(),
-		WeakScale: 100,
-	}
-	tpl, err := NewPopulationTemplate(cfg, 1<<16, 99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		if _, err := NewDeviceFromTemplate(tpl, cfg); err != nil {
-			b.Fatal(err)
-		}
+// oracleSink keeps BenchmarkTrueFailingSet's result live.
+var oracleSink []uint64
+
+// BenchmarkTrueFailingSet measures the ground-truth oracle core.Truth runs
+// once per population chip: the bench population chip (16 Mbit, WeakScale
+// 30) at the population target (1024 ms, 45 C), one sub-benchmark per vendor.
+func BenchmarkTrueFailingSet(b *testing.B) {
+	for _, v := range Vendors() {
+		b.Run(v.Name, func(b *testing.B) {
+			d := testDevice(b, 500, func(c *Config) {
+				c.Geometry = GeometryForBits(16 << 20)
+				c.Vendor = v
+				c.WeakScale = 30
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				oracleSink = d.TrueFailingSet(1.024, RefTempC, 0, OracleThreshold)
+			}
+			b.ReportMetric(float64(d.WeakCellCount()), "cells")
+		})
 	}
 }
 

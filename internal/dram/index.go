@@ -99,33 +99,91 @@ func (s IndexStats) Sub(o IndexStats) IndexStats {
 // IndexStats returns the device's cumulative sparse-index counters.
 func (d *Device) IndexStats() IndexStats { return d.idx }
 
-// rebuildIndex (re)derives the activation index from the weak population.
-// Ties on key are broken by bit index so the order is fully deterministic.
-// Keys are computed once up front rather than inside the comparator:
-// activationKey is pure, so sorting precomputed (key, cell) pairs yields the
-// same order while keeping the dominant construction sort off the float math.
+// rebuildIndex (re)derives the activation index from the weak population,
+// which must be in bit order. The order is the one a comparison sort by
+// (key, bit) gives: a stable LSD radix sort of (orderKey, weak index) pairs
+// keeps equal keys in weak's ascending bit order, which is exactly the bit
+// tie-break. Sorting integer pairs rather than cell pointers keeps the
+// dominant construction sort off pointer chasing and write barriers.
 func (d *Device) rebuildIndex() {
-	type keyedCell struct {
-		key float64
-		c   *weakCell
-	}
-	ks := make([]keyedCell, len(d.weak))
+	n := len(d.weak)
+	keys := make([]uint64, n)
+	order := make([]uint32, n)
 	for i, c := range d.weak {
-		ks[i] = keyedCell{activationKey(c), c}
+		keys[i] = orderKey(activationKey(c))
+		order[i] = uint32(i)
 	}
-	slices.SortFunc(ks, func(a, b keyedCell) int {
-		// Lazy tie-break: cmp.Or would dereference both cells on every
-		// comparison; keys almost never tie, so branch first.
-		if r := cmp.Compare(a.key, b.key); r != 0 {
-			return r
+	radixSortPairs(keys, order)
+	d.actCells = make([]*weakCell, n)
+	d.actKeys = make([]float64, n)
+	for j, i := range order {
+		c := d.weak[i]
+		d.actCells[j] = c
+		d.actKeys[j] = activationKey(c)
+	}
+}
+
+// orderKey maps a float64 to a uint64 whose unsigned order is cmp.Compare's
+// order on the floats: NaN lowest, -0 equal to +0, and otherwise the IEEE
+// order (the sign bit flipped for positives, every bit for negatives).
+// Construction keys are positive, but a corrupt restore can carry anything.
+func orderKey(f float64) uint64 {
+	if f != f {
+		return 0
+	}
+	if f == 0 {
+		f = 0 // -0 sorts with +0
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixSortPairs sorts keys ascending, stably, applying the same permutation
+// to vals: an LSD radix sort by byte that skips every byte all keys share.
+func radixSortPairs(keys []uint64, vals []uint32) {
+	if len(keys) < 2 {
+		return
+	}
+	var diff uint64
+	for _, k := range keys {
+		diff |= k ^ keys[0]
+	}
+	srcK, srcV := keys, vals
+	var dstK []uint64
+	var dstV []uint32
+	var count [256]int
+	for shift := uint(0); shift < 64; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
 		}
-		return cmp.Compare(a.c.bit, b.c.bit)
-	})
-	d.actCells = make([]*weakCell, len(ks))
-	d.actKeys = make([]float64, len(ks))
-	for i, k := range ks {
-		d.actCells[i] = k.c
-		d.actKeys[i] = k.key
+		if dstK == nil {
+			dstK = make([]uint64, len(keys))
+			dstV = make([]uint32, len(vals))
+		}
+		count = [256]int{}
+		for _, k := range srcK {
+			count[k>>shift&0xff]++
+		}
+		pos := 0
+		for b, c := range count {
+			count[b] = pos
+			pos += c
+		}
+		for i, k := range srcK {
+			b := k >> shift & 0xff
+			dstK[count[b]] = k
+			dstV[count[b]] = srcV[i]
+			count[b]++
+		}
+		srcK, dstK = dstK, srcK
+		srcV, dstV = dstV, srcV
+	}
+	if &srcK[0] != &keys[0] {
+		copy(keys, srcK)
+		copy(vals, srcV)
 	}
 }
 
@@ -391,7 +449,7 @@ func (d *Device) classifySeq(now, scale, eff float64, k int, collect bool, fails
 			if data == nil {
 				data = d.bulkData
 			}
-			for _, c := range d.byRow[row] {
+			for _, c := range d.rowCells(row) {
 				d.idx.Slowpath++
 				a := d.geom.AddrOf(c.bit)
 				w := data.Word(row, a.Word)

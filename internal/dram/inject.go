@@ -45,10 +45,12 @@ func (d *Device) InjectWeakCellAt(src *rng.Source, bit uint64, maxMuSeconds, now
 // the steady-state arrival of new retention failures (Figure 4 / Equation 7's
 // accumulation term A). Retention means are drawn from the vendor power-law
 // tail capped at maxMuSeconds (<= 0: full domain). It returns the injected
-// bit indices in ascending order.
+// bit indices in ascending order; a device with fewer than n bits left that
+// are not already weak gets only that many.
 func (d *Device) InjectWeakCells(src *rng.Source, n int, maxMuSeconds, now float64) []uint64 {
-	bits := make([]uint64, 0, n)
 	total := uint64(d.geom.TotalBits())
+	n = max(0, min(n, int(total)-len(d.weak)))
+	bits := make([]uint64, 0, n)
 	for len(bits) < n {
 		bit := src.Uint64n(total)
 		if d.InjectWeakCellAt(src, bit, maxMuSeconds, now) {
@@ -70,7 +72,7 @@ func (d *Device) newInjectedCell(src *rng.Source, bit uint64, maxMuSeconds float
 	if tmax < tmin {
 		tmax = tmin
 	}
-	mu := powerLawSample(src, tmin, tmax, v.BERExponent)
+	mu := newPowerLaw(tmin, tmax, v.BERExponent).sample(src)
 	sigma := src.LogNormal(math.Log(v.SigmaLogMedianMS/1000), v.SigmaLogSigma)
 	if sigmaCap := mu / 5; sigma > sigmaCap {
 		sigma = sigmaCap
@@ -93,17 +95,17 @@ func (d *Device) newInjectedCell(src *rng.Source, bit uint64, maxMuSeconds float
 	return c
 }
 
-// insertWeakCell places c into the sorted weak slice at index i, into its
-// row's cell list (preserving bit order in both), and into the activation
-// index (preserving key order). The cell also joins the round-cache dirty
-// list so live cached classifications fold it in on their next hit, and the
-// injection journal so the delta codec can replay the arrival.
+// insertWeakCell places c into the sorted weak slice at index i (preserving
+// bit order), shifts the row offsets of every later row, and inserts it into
+// the activation index (preserving key order). The cell also joins the
+// round-cache dirty list so live cached classifications fold it in on their
+// next hit, and the injection journal so the delta codec can replay the
+// arrival.
 func (d *Device) insertWeakCell(c *weakCell, i int) {
 	d.weak = slices.Insert(d.weak, i, c)
-	row := d.geom.rowOfBit(c.bit)
-	cells := d.byRow[row]
-	j := sort.Search(len(cells), func(j int) bool { return cells[j].bit >= c.bit })
-	d.byRow[row] = slices.Insert(cells, j, c)
+	for r := int(d.geom.rowOfBit(c.bit)) + 1; r < len(d.rowStart); r++ {
+		d.rowStart[r]++
+	}
 	d.indexInsert(c)
 	d.noteDirtyCell(c)
 	d.injected = append(d.injected, c)
@@ -214,11 +216,19 @@ func (d *Device) VRTCellsInLow(maxMuLowSeconds, now float64) (inLow, total int) 
 	return inLow, total
 }
 
-// powerLawSample draws t in [tmin, tmax] with CDF proportional to t^beta
-// from the given stream (the stream-parameterized form of samplePowerLaw).
-func powerLawSample(src *rng.Source, tmin, tmax, beta float64) float64 {
+// powerLaw draws t in [tmin, tmax] with CDF proportional to t^beta by
+// inverting the CDF. The bound powers and the exponent's reciprocal are
+// constants of a sampling loop, so newPowerLaw computes them once and each
+// draw pays one math.Pow; the same inputs give the same float64s as
+// evaluating all three per draw.
+type powerLaw struct{ lo, hi, invBeta float64 }
+
+func newPowerLaw(tmin, tmax, beta float64) powerLaw {
+	return powerLaw{lo: math.Pow(tmin, beta), hi: math.Pow(tmax, beta), invBeta: 1 / beta}
+}
+
+// sample draws one value from src.
+func (p powerLaw) sample(src *rng.Source) float64 {
 	u := src.Float64()
-	lo := math.Pow(tmin, beta)
-	hi := math.Pow(tmax, beta)
-	return math.Pow(lo+u*(hi-lo), 1/beta)
+	return math.Pow(p.lo+u*(p.hi-p.lo), p.invBeta)
 }

@@ -1,6 +1,10 @@
 package dram
 
-import "sort"
+import (
+	"sort"
+
+	"reaper/internal/stats"
+)
 
 // This file exposes the device's latent ground truth. Real chips have no
 // such interface — profiling mechanisms only ever see read/write results —
@@ -59,15 +63,54 @@ func (d *Device) CellFailProb(bit uint64, tREFI, tempC, now float64) float64 {
 // (the limit of infinite brute-force iterations over all data patterns).
 //
 // A typical threshold is OracleThreshold.
+//
+// The set is exactly the cells whose worstCaseFailProb is >= threshold, but
+// most cells are decided from one failure-CDF evaluation instead of 16 (see
+// worstCaseReaches).
 func (d *Device) TrueFailingSet(tREFI, tempC, now, threshold float64) []uint64 {
 	var out []uint64
+	scale := d.vend.muTempScale(tempC)
 	for _, c := range d.weak {
-		if c.worstCaseFailProb(tREFI, tempC, &d.vend, now) >= threshold {
+		if c.worstCaseReaches(tREFI, c.muAt(now)*scale, c.sigma*scale, threshold) {
 			out = append(out, c.bit)
 		}
 	}
 	return out
 }
+
+// worstCaseReaches reports whether worstCaseFailProb, whose temperature-
+// scaled retention mean and sigma are base and sigma, is at least threshold.
+//
+// For base > 0 the failure CDF cannot rise as the DPD factor grows: every
+// float operation from the factor to Erfc's argument is monotone, and erfc
+// falls. So the code with the smallest factor is the worst case, and p, the
+// CDF there, is one of the 16 values worstCaseFailProb maximizes over. If p
+// reaches threshold, so does the maximum. If p is below threshold/2, every
+// other code's value is too: Erfc's rounding error is far below a factor of
+// two wherever threshold/2 is a normal float. Anything else — a value in
+// between, a NaN, a non-positive or NaN base from a corrupt restore — takes
+// the exact 16-code scan.
+func (c *weakCell) worstCaseReaches(elapsed, base, sigma, threshold float64) bool {
+	if base > 0 {
+		fmin := c.dpdFactor(0)
+		for code := uint64(1); code < dpdCodes; code++ {
+			if f := c.dpdFactor(code); f < fmin {
+				fmin = f
+			}
+		}
+		p := stats.NormalCDF(elapsed, base*fmin, sigma)
+		if p >= threshold {
+			return true
+		}
+		if half := threshold / 2; p < half && half >= minNormal {
+			return false
+		}
+	}
+	return c.worstCaseAt(elapsed, base, sigma) >= threshold
+}
+
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
 
 // OracleThreshold is the default minimum single-read worst-case failure
 // probability for a cell to count as a "possible failing cell" at given

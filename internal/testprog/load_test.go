@@ -78,6 +78,8 @@ func TestLoadRejects(t *testing.T) {
 		{"inject kind", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"gamma_ray","cells":3}]}`, "unknown kind"},
 		{"inject missing mu", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"vrt_burst","cells":3}]}`, "max_mu_s"},
 		{"inject stray mu", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"dpd_rescramble","cells":3,"max_mu_s":1}]}`, "does not take max_mu_s"},
+		{"inject zero cells", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"dpd_rescramble","cells":0}]}`, "cells 0 out of range"},
+		{"inject cells past max", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"weak_arrival","cells":2000000,"max_mu_s":1}]}`, "cells 2000000 out of range 1..65536"},
 		{"unknown soak scenario", `{"version":1,"seed":1,"stages":[{"type":"soak","hours":1,"target_interval_s":1,"controller":true,"scenario":"apocalyptic"}]}`, "unknown scenario"},
 		{"empty grid", `{"version":1,"seed":1,"stages":[{"type":"tradeoff_grid","target_interval_s":1,"target_temp_c":45,"delta_intervals_s":[],"delta_temps_c":[0]}]}`, "empty reach grid"},
 		{"defaulted iterations past max", `{"version":1,"seed":1,"stages":[{"type":"tradeoff_grid","target_interval_s":1,"target_temp_c":45,"delta_intervals_s":[0],"delta_temps_c":[0],"max_iterations":8}]}`, "iterations 16 exceeds max_iterations 8"},

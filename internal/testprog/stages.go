@@ -270,8 +270,8 @@ type InjectFaultStage struct {
 func (s *InjectFaultStage) StageType() string { return StageInjectFault }
 
 func (s *InjectFaultStage) validate(_ *Program, i int) error {
-	if s.Cells <= 0 {
-		return fmt.Errorf("stage %d (%s): cells must be positive", i, s.StageType())
+	if s.Cells <= 0 || s.Cells > maxInjectCells {
+		return fmt.Errorf("stage %d (%s): cells %d out of range 1..%d", i, s.StageType(), s.Cells, maxInjectCells)
 	}
 	switch s.Kind {
 	case FaultWeakArrival, FaultVRTBurst:
@@ -291,6 +291,11 @@ func (s *InjectFaultStage) validate(_ *Program, i int) error {
 
 // maxProfileIterations bounds a profile stage's testing rounds.
 const maxProfileIterations = 1024
+
+// maxInjectCells bounds an inject_fault stage's cell count. Every injected
+// cell is an ordered insert into the chip's weak population, so an unbounded
+// count would hold a job worker for a time quadratic in it.
+const maxInjectCells = 1 << 16
 
 // ProfileStage runs a full reach-profiling round (the paper's Algorithm 1
 // at reach conditions): the standard pattern set, iterated, at target
