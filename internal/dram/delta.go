@@ -45,7 +45,8 @@ import (
 //   - Construction-derived state: a VRT cell's schedule parameters (muLow,
 //     muHigh, dwellLow, dwellHigh) and the per-row offsets (rowStart) never
 //     travel; construction redraws the former from the seed, and
-//     construction plus insertWeakCell rebuild the latter.
+//     construction plus recountRows after the injection replay rebuild the
+//     latter.
 //
 // The blob opens with its own section tag, so any other blob fed to
 // RestoreDelta fails immediately at the tag check.
@@ -107,7 +108,8 @@ func (d *Device) EncodeDelta(e *checkpoint.Encoder) error {
 // provides. Pre-restore read/write activity on d is tolerated (the tail
 // overwrites content, clocks and stream positions), but a device that has
 // already been injected into cannot be a delta target. resolve reconstructs
-// named pattern content (pass patterns.Parse adapted to RowData).
+// named pattern content (pass patterns.Parse adapted to RowData). A failed
+// restore leaves d partially restored; discard it.
 func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (RowData, error)) error {
 	if len(d.injected) != 0 || len(d.dpdReseeded) != 0 || len(d.vrtForced) != 0 {
 		return fmt.Errorf("dram: delta restore target has prior divergence (%d injected, %d dpd, %d vrt)",
@@ -122,8 +124,9 @@ func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (Row
 	}
 
 	// Replay injected-cell arrivals through the live insertion path, which
-	// maintains the sorted population, the row offsets, the activation index,
-	// and the injection journal itself.
+	// maintains the sorted population, the activation index and the
+	// injection journal itself; the row offsets are recounted once after the
+	// whole batch.
 	ni := dec.VarLen(maxRestoreCells)
 	if dec.Err() != nil {
 		return dec.Err()
@@ -148,6 +151,9 @@ func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (Row
 			return fmt.Errorf("dram: delta restore: injected bit %d collides with an existing cell", c.bit)
 		}
 		d.insertWeakCell(c, i)
+	}
+	if ni > 0 {
+		d.recountRows()
 	}
 
 	nd := dec.VarLen(maxRestoreCells)

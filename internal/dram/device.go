@@ -111,7 +111,7 @@ type Device struct {
 	// rowStart holds, per flat row r, the offset of the row's first cell in
 	// weak: rows are contiguous bit ranges, so row r's cells are
 	// weak[rowStart[r]:rowStart[r+1]] (see rowCells).
-	//lint:serialized-elsewhere construction-derived: row offsets into weak; construction and insertWeakCell (delta replay) rebuild them
+	//lint:serialized-elsewhere construction-derived: row offsets into weak; construction and recountRows (after injection and delta replay) rebuild them
 	rowStart []int32
 
 	// cellArena backs weakCell storage in pointer-stable chunks: full
@@ -279,8 +279,8 @@ func (d *Device) sampleWeakPopulation() {
 // sortWeakByRow puts the weak population, drawn in random bit order, into
 // bit order and builds rowStart. Rows are contiguous bit ranges and bits are
 // unique (the taken set), so a counting sort by row followed by a sort
-// inside each row gives exactly the order a comparison sort by bit gives,
-// in time linear in the population for the few dozen cells a row holds.
+// inside each row gives exactly the order a sort of the whole population by
+// bit gives, while each comparison sort only sees one row's cells.
 func (d *Device) sortWeakByRow() {
 	rows := d.geom.TotalRows()
 	start := make([]int32, rows+1)
@@ -301,33 +301,27 @@ func (d *Device) sortWeakByRow() {
 		sorted[start[r]] = c
 	}
 	for r := 0; r < rows; r++ {
-		sortByBit(sorted[start[r]:start[r+1]])
+		slices.SortFunc(sorted[start[r]:start[r+1]], func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
 	}
 	d.weak = sorted
 	d.rowStart = start
 }
 
-// sortByBit sorts one row's cells by bit: an insertion sort for the few
-// dozen cells bench-scale rows hold, a comparison sort past rowInsertionMax
-// cells so a dense chip (a test program may ask for weak_scale 1000, some
-// 2000 cells a row) cannot go quadratic.
-func sortByBit(cells []*weakCell) {
-	if len(cells) > rowInsertionMax {
-		slices.SortFunc(cells, func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
-		return
-	}
-	for i := 1; i < len(cells); i++ {
-		c := cells[i]
-		j := i
-		for ; j > 0 && cells[j-1].bit > c.bit; j-- {
-			cells[j] = cells[j-1]
+// recountRows rebuilds rowStart from the weak population, which must be in
+// bit order, in one pass over the rows and the cells. Injection and delta
+// replay insert cells without touching the offsets and call it once per
+// batch, so a batch of k cells costs one pass rather than k.
+func (d *Device) recountRows() {
+	rowBits := uint64(d.geom.RowBits())
+	i := 0
+	for r := 1; r < len(d.rowStart); r++ {
+		end := uint64(r) * rowBits
+		for i < len(d.weak) && d.weak[i].bit < end {
+			i++
 		}
-		cells[j] = c
+		d.rowStart[r] = int32(i)
 	}
 }
-
-// rowInsertionMax is the longest row sortByBit insertion-sorts.
-const rowInsertionMax = 128
 
 // rowCells returns the weak cells of flat row r, in bit order.
 func (d *Device) rowCells(r uint32) []*weakCell {

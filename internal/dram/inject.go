@@ -29,6 +29,17 @@ import (
 // taken before the call can no longer be restored (RestoreContent checks the
 // population length).
 func (d *Device) InjectWeakCellAt(src *rng.Source, bit uint64, maxMuSeconds, now float64) bool {
+	if !d.injectWeakCell(src, bit, maxMuSeconds) {
+		return false
+	}
+	d.recountRows()
+	_ = now
+	return true
+}
+
+// injectWeakCell is InjectWeakCellAt without the row offsets, which the
+// caller recounts once per batch.
+func (d *Device) injectWeakCell(src *rng.Source, bit uint64, maxMuSeconds float64) bool {
 	if bit >= uint64(d.geom.TotalBits()) {
 		return false
 	}
@@ -37,7 +48,6 @@ func (d *Device) InjectWeakCellAt(src *rng.Source, bit uint64, maxMuSeconds, now
 		return false
 	}
 	d.insertWeakCell(d.newInjectedCell(src, bit, maxMuSeconds), i)
-	_ = now
 	return true
 }
 
@@ -53,9 +63,12 @@ func (d *Device) InjectWeakCells(src *rng.Source, n int, maxMuSeconds, now float
 	bits := make([]uint64, 0, n)
 	for len(bits) < n {
 		bit := src.Uint64n(total)
-		if d.InjectWeakCellAt(src, bit, maxMuSeconds, now) {
+		if d.injectWeakCell(src, bit, maxMuSeconds) {
 			bits = append(bits, bit)
 		}
+	}
+	if n > 0 {
+		d.recountRows()
 	}
 	slices.Sort(bits)
 	return bits
@@ -96,16 +109,13 @@ func (d *Device) newInjectedCell(src *rng.Source, bit uint64, maxMuSeconds float
 }
 
 // insertWeakCell places c into the sorted weak slice at index i (preserving
-// bit order), shifts the row offsets of every later row, and inserts it into
-// the activation index (preserving key order). The cell also joins the
-// round-cache dirty list so live cached classifications fold it in on their
-// next hit, and the injection journal so the delta codec can replay the
-// arrival.
+// bit order) and into the activation index (preserving key order). The cell
+// also joins the round-cache dirty list so live cached classifications fold
+// it in on their next hit, and the injection journal so the delta codec can
+// replay the arrival. The row offsets are left stale: the caller runs
+// recountRows once its batch is in, before any read.
 func (d *Device) insertWeakCell(c *weakCell, i int) {
 	d.weak = slices.Insert(d.weak, i, c)
-	for r := int(d.geom.rowOfBit(c.bit)) + 1; r < len(d.rowStart); r++ {
-		d.rowStart[r]++
-	}
 	d.indexInsert(c)
 	d.noteDirtyCell(c)
 	d.injected = append(d.injected, c)

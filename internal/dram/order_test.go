@@ -276,8 +276,9 @@ func TestRowCellsMatchFilter(t *testing.T) {
 			driveScript(d, rng.New(0x40C), 0)
 			src := rng.New(3)
 			d.InjectWeakCells(src, 25, 0, 50)
+			requireRowCells(t, "batch injection", d)
 			// Cells at both ends of the device land in the first and last
-			// rows, where the offset shift starts and ends.
+			// rows, where the recount starts and ends.
 			for _, bit := range []uint64{0, uint64(d.geom.TotalBits()) - 1} {
 				d.InjectWeakCellAt(src, bit, 0, 50)
 			}
@@ -297,24 +298,6 @@ func TestRowCellsMatchFilter(t *testing.T) {
 			requireRowCells(t, "delta replay", twin)
 		})
 	}
-}
-
-// TestDenseRowsSortByBit builds a chip whose rows outgrow the insertion
-// sort, so construction takes sortByBit's comparison-sort branch.
-func TestDenseRowsSortByBit(t *testing.T) {
-	d := testDevice(t, 5, func(c *Config) {
-		c.Geometry = Geometry{Banks: 1, RowsPerBank: 16, WordsPerRow: 256}
-		c.WeakScale = 1000
-	})
-	longest := 0
-	for r := 0; r < d.geom.TotalRows(); r++ {
-		longest = max(longest, len(d.rowCells(uint32(r))))
-	}
-	if longest <= rowInsertionMax {
-		t.Fatalf("longest row holds %d cells; want more than %d", longest, rowInsertionMax)
-	}
-	requireRowCells(t, "dense construction", d)
-	requireIndexMatchesReference(t, "dense construction", d)
 }
 
 // TestInjectWeakCellsStopsWhenFull asks a 128-bit device for more weak

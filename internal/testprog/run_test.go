@@ -3,9 +3,11 @@ package testprog
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"reaper/internal/dram"
 	"reaper/internal/experiments"
@@ -272,5 +274,41 @@ func TestRunCancellation(t *testing.T) {
 	_, err := Run(ctx, mustLoad(t, minimalDevice()), RunOptions{Workers: 1})
 	if err == nil {
 		t.Fatalf("Run ignored cancelled context")
+	}
+}
+
+// TestInjectFaultLargestStage runs the largest weak_arrival stage Load
+// accepts (maxInjectCells cells) on the largest chip it accepts, the
+// heaviest inject_fault a service worker can be handed. Injection must not
+// pay a pass over the chip's 262144 row offsets per cell: that took about
+// 6 s on a 2-CPU host, against under 1 s for one recount per stage.
+func TestInjectFaultLargestStage(t *testing.T) {
+	src := fmt.Sprintf(`{"version":1,"seed":3,"fleet":{"bits":%d,"weak_scale":0.001},
+  "stages":[{"type":"inject_fault","kind":"weak_arrival","cells":%d,"max_mu_s":1}]}`,
+		int64(maxChipBits), maxInjectCells)
+	p := mustLoad(t, src)
+	budget := 3 * time.Second
+	if raceEnabled {
+		budget = 60 * time.Second
+	}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := Run(context.Background(), p, RunOptions{Workers: 1})
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("Run: %v", o.err)
+		}
+		if got := o.res.Chips[0].Stages[0].Inject.Cells; got != maxInjectCells {
+			t.Fatalf("injected %d cells, want %d", got, maxInjectCells)
+		}
+	case <-time.After(budget):
+		t.Fatalf("inject_fault of %d cells on a %d-bit chip took over %v", maxInjectCells, int64(maxChipBits), budget)
 	}
 }
