@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check bench bench-test bench-go soak-quick soak-resume-quick serve-quick lint lint-json lint-fixtures
+.PHONY: all build vet fmt-check test race check bench bench-test bench-go fuzz-quick soak-quick soak-resume-quick serve-quick lint lint-json lint-fixtures
 
 all: check
 
@@ -95,6 +95,12 @@ bench:
 # cmd/bench is a separate module, so the root `go test ./...` never reaches it.
 bench-test:
 	cd cmd/bench && $(GO) test ./...
+
+# fuzz-quick mutates the RestoreDelta seed corpus for 30 s: any input must
+# fail the restore or leave a device that sweeps and re-encodes without
+# panicking. Plain `go test` only replays the seeds; CI runs this target.
+fuzz-quick:
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDelta$$' -fuzztime 30s ./internal/dram
 
 # bench-go runs every go-test benchmark once (compile/behavior smoke, not a
 # measurement). -run '^$$' skips the tests, which `make test` already runs.

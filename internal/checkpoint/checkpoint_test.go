@@ -2,10 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"reaper/internal/rng"
@@ -211,6 +213,45 @@ func TestStoreLoadEmpty(t *testing.T) {
 	}
 	if _, _, err := st.Load(""); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("err = %v, want ErrNoCheckpoint", err)
+	}
+}
+
+// TestStoreRejectsOtherFormatVersion rewrites both manifest generations to
+// the previous format version. Load must refuse them with an error naming
+// the version, and that error must not be ErrNoCheckpoint: a resume would
+// otherwise start the campaign over without saying so.
+func TestStoreRejectsOtherFormatVersion(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := Identity([]byte("cfg"))
+	for seq := 1; seq <= 2; seq++ {
+		if err := st.Save(seq, id, snap(seq, "state")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{manifestName, prevName} {
+		m, err := st.readManifest(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Version = FormatVersion - 1
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, err = st.Load(id)
+	if err == nil || !strings.Contains(err.Error(), "format version") {
+		t.Fatalf("err = %v, want a format version refusal", err)
+	}
+	if errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("err = %v, must not be ErrNoCheckpoint", err)
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // FormatVersion is the manifest schema version. It is bumped whenever the
 // layout of any state blob changes incompatibly; a Store refuses to load a
 // manifest from a different version rather than misinterpret old bytes.
-const FormatVersion = 1
+// Version 2 dropped the per-bank stream states and counters from the device
+// blob.
+const FormatVersion = 2
 
 // ErrNoCheckpoint is returned by Load when the directory holds no manifest
 // at all (a fresh campaign, or -resume pointed at the wrong directory).

@@ -184,6 +184,11 @@ func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (Row
 		}
 		c.vrt.inLow = dec.Bool()
 		c.vrt.nextSwitch = dec.F64()
+		if dec.Err() == nil && !(c.vrt.nextSwitch >= 0) {
+			// Simulated time starts at 0. A switch before it is corrupt, and
+			// a far-negative one would stall vrtState.advance's catch-up.
+			return fmt.Errorf("dram: delta restore: forced VRT cell at bit %d switches at %v", c.bit, c.vrt.nextSwitch)
+		}
 		c.vrt.src.SetState(decodeSrcState(dec))
 		c.vrtTracked = true
 		d.vrtForced = append(d.vrtForced, c)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"reaper/internal/checkpoint"
+	"reaper/internal/patterns"
 	"reaper/internal/rng"
 )
 
@@ -27,14 +28,14 @@ func deltaTestConfig() Config {
 // delta. The re-materialized chip must match the never-evicted twin field by
 // field, then stay in lockstep through a second driven segment.
 func TestDeltaEvictRematerializeTwin(t *testing.T) {
-	requireCheckpointTwin(t, deltaTestConfig(), 0, func(orig *Device) (*Device, error) {
+	requireCheckpointTwin(t, deltaTestConfig(), func(orig *Device) (*Device, error) {
 		return orig.Ref().Materialize()
 	})
 }
 
 // TestDeltaRestoreGuards pins the delta codec's refusal paths: a target with
-// prior divergence, a wrong-seed target, and a wrong-geometry target must
-// all fail loudly.
+// prior divergence, a wrong-seed target, a wrong-geometry target, and a
+// forced VRT cell scheduled to switch before time 0 must all fail loudly.
 func TestDeltaRestoreGuards(t *testing.T) {
 	cfg := deltaTestConfig()
 	orig, err := NewDevice(cfg)
@@ -71,6 +72,25 @@ func TestDeltaRestoreGuards(t *testing.T) {
 			t.Fatalf("want seed mismatch, got %v", err)
 		}
 	})
+	t.Run("vrt-switch-before-zero", func(t *testing.T) {
+		// A sweep would spend ~1e300/dwell iterations catching this cell up.
+		saved := orig.vrtForced[0].vrt.nextSwitch
+		orig.vrtForced[0].vrt.nextSwitch = -1e300
+		e := checkpoint.NewEncoder()
+		err := orig.EncodeDelta(e)
+		orig.vrtForced[0].vrt.nextSwitch = saved
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := orig.Ref().Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.RestoreDelta(checkpoint.NewDecoder(e.Data()), resolvePattern)
+		if err == nil || !strings.Contains(err.Error(), "switches at") {
+			t.Fatalf("want a forced-VRT switch-time refusal, got %v", err)
+		}
+	})
 	t.Run("wrong-geometry", func(t *testing.T) {
 		other := cfg
 		other.Geometry.Banks = cfg.Geometry.Banks / 2
@@ -85,40 +105,82 @@ func TestDeltaRestoreGuards(t *testing.T) {
 	})
 }
 
-// TestDeltaRestoreCorrupt feeds damaged delta blobs to RestoreDelta, the
-// restore every resumed soak runs on bytes read back from disk: every
-// truncation of a driven device's blob must return an error, and seeded
-// single-bit flips must restore or return an error, never panic or size an
-// allocation from a corrupt count.
-func TestDeltaRestoreCorrupt(t *testing.T) {
-	cfg := Config{
+// corruptFixture builds the device whose delta blob the corruption tests
+// damage: a small chip driven through driveScript that then rewrites one row
+// and pokes one word, so the blob carries row records (explicit words and
+// word overrides) next to round-cache entries, a dirty list and the stuck
+// overlay.
+func corruptFixture(tb testing.TB) (*Device, []byte) {
+	tb.Helper()
+	d, err := NewDevice(Config{
 		Geometry:  Geometry{Banks: 2, RowsPerBank: 16, WordsPerRow: 32},
 		Vendor:    VendorB(),
 		Seed:      5,
 		WeakScale: 20,
-	}
-	d, err := NewDevice(cfg)
+	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	driveScript(d, rng.New(1), 0)
+	d.InjectWeakCells(rng.New(2), 3, 4.0, 39) // onto the dirty list of the live entries
+	words := make([]uint64, d.geom.WordsPerRow)
+	for i := range words {
+		words[i] = 0xA5A5A5A5A5A5A5A5 ^ uint64(i)
+	}
+	if err := d.WriteRow(1, 3, words, 40); err != nil {
+		tb.Fatal(err)
+	}
+	if err := d.WriteWord(0, 7, 5, 0xABCD, 41); err != nil {
+		tb.Fatal(err)
+	}
+	if len(d.rows) == 0 || len(d.rounds) == 0 || len(d.dirtyCells) == 0 {
+		tb.Fatalf("fixture lacks the state it must carry: %d rows, %d rounds, %d dirty cells",
+			len(d.rows), len(d.rounds), len(d.dirtyCells))
+	}
 	e := checkpoint.NewEncoder()
 	if err := d.EncodeDelta(e); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	blob := e.Data()
-	restore := func(b []byte) error {
-		fresh, err := d.Ref().Materialize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fresh.RestoreDelta(checkpoint.NewDecoder(b), resolvePattern)
+	return d, e.Data()
+}
+
+// restoreAndUse restores blob into a fresh twin of d and, when the restore
+// succeeds, runs what a resumed soak does next: a sweep over the restored
+// rows, a bulk rewrite, a second sweep (a hit on the fixture's cached
+// Solid1 round, which folds in the dirty list) and a re-encode. A corrupt
+// blob must fail the restore or survive this sequence; a panic anywhere
+// fails the caller.
+func restoreAndUse(tb testing.TB, d *Device, blob []byte) error {
+	tb.Helper()
+	fresh, err := d.Ref().Materialize()
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if err := restore(blob); err != nil {
+	if err := fresh.RestoreDelta(checkpoint.NewDecoder(blob), resolvePattern); err != nil {
+		return err
+	}
+	fresh.ReadCompareAll(44.096)
+	fresh.WriteAll(patterns.Solid1(), 44.096)
+	fresh.ReadCompareAll(46.144)
+	if err := fresh.EncodeDelta(checkpoint.NewEncoder()); err != nil {
+		tb.Fatalf("re-encoding a restored device: %v", err)
+	}
+	return nil
+}
+
+// TestDeltaRestoreCorrupt feeds damaged delta blobs to RestoreDelta, the
+// restore every resumed soak runs on bytes read back from disk: every
+// truncation of a driven device's blob must return an error, and seeded
+// single-bit flips must fail the restore or leave a device that sweeps,
+// rewrites and re-encodes without panicking. No count may size an
+// allocation from corrupt bytes.
+func TestDeltaRestoreCorrupt(t *testing.T) {
+	d, blob := corruptFixture(t)
+	if err := restoreAndUse(t, d, blob); err != nil {
 		t.Fatalf("intact blob: %v", err)
 	}
 	for cut := 0; cut < len(blob); cut++ {
-		if restore(blob[:cut]) == nil {
+		if restoreAndUse(t, d, blob[:cut]) == nil {
 			t.Fatalf("truncation at %d of %d bytes not detected", cut, len(blob))
 		}
 	}
@@ -128,8 +190,20 @@ func TestDeltaRestoreCorrupt(t *testing.T) {
 		copy(mutant, blob)
 		bit := flips.Intn(8 * len(blob))
 		mutant[bit/8] ^= 1 << (bit % 8)
-		_ = restore(mutant) // an error is fine; a panic fails the test
+		_ = restoreAndUse(t, d, mutant) // an error is fine; a panic fails the test
 	}
+}
+
+// FuzzRestoreDelta fuzzes the same property from the corruption fixture's
+// blob: any byte string must fail RestoreDelta or restore a device that
+// survives restoreAndUse's sweep-and-encode sequence. Plain go test runs
+// the seed corpus; make fuzz-quick mutates it.
+func FuzzRestoreDelta(f *testing.F) {
+	d, blob := corruptFixture(f)
+	f.Add(blob)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_ = restoreAndUse(t, d, data)
+	})
 }
 
 // TestChipRefMaterialize pins the handle's contract: a ref is a pure

@@ -64,16 +64,6 @@ type Config struct {
 	// experiments.
 	DisableVRT bool
 	DisableDPD bool
-
-	// BankStreams gives every bank its own read-sampling stream, derived as a
-	// pure function of (Seed, bank) via rng.Derive, instead of all banks
-	// sharing the device stream. This is what makes bank-sharded parallel
-	// sweeps possible (SetSweepWorkers): per-bank draws are independent of the
-	// other banks' sampling order. Population sampling still uses the device
-	// stream, so the chip identity is unchanged; read outcomes differ from the
-	// default single-stream mode but are byte-identical at every worker count
-	// within banked mode.
-	BankStreams bool
 }
 
 func (c *Config) fillDefaults() {
@@ -146,16 +136,6 @@ type Device struct {
 	// sample after a write stays valid until the next write.
 	contentEpoch uint64
 
-	// Banked sampling streams (bank.go): non-nil only in BankStreams mode.
-	// bankBits is the number of bit addresses per bank; sweepWorkers bounds
-	// the shard fan-out of banked full-device sweeps; shards is the reusable
-	// per-bank scratch.
-	bankSrcs     []*rng.Source
-	bankBits     uint64 //lint:serialized-elsewhere pure function of geometry and bank count; recomputed by construction
-	sweepWorkers int    //lint:serialized-elsewhere execution-tuning knob, not simulated state; results are worker-count invariant
-	shards       []bankShard
-	bank         BankStats
-
 	// Incremental round cache (incremental.go): classification results keyed
 	// by the sweep's (content, temperature, elapsed, auto-refresh) signature,
 	// the list of cells injected since the cache last emptied, and the
@@ -218,13 +198,6 @@ func NewDevice(cfg Config) (*Device, error) {
 		src:            rng.New(cfg.Seed),
 		cacheOn:        true,
 		contentEpoch:   1, // so zero-valued per-cell caches start invalid
-		bankBits:       uint64(cfg.Geometry.RowsPerBank * cfg.Geometry.RowBits()),
-	}
-	if cfg.BankStreams {
-		d.bankSrcs = make([]*rng.Source, cfg.Geometry.Banks)
-		for b := range d.bankSrcs {
-			d.bankSrcs[b] = rng.Derive(cfg.Seed, bankStreamSalt+uint64(b))
-		}
 	}
 	d.sampleWeakPopulation()
 	return d, nil
@@ -528,26 +501,12 @@ func (d *Device) sampleRead(c *weakCell, row uint32, now, restoredAt float64) ui
 // draw happens only for probabilities strictly inside (0, 1), so the early
 // exits below skip no draws.
 func (d *Device) sampleReadBit(c *weakCell, written uint8, now, restoredAt float64) uint8 {
-	got, flipped := d.sampleReadBitOn(c, written, now, restoredAt, d.srcFor(c.bit))
-	if flipped {
-		d.noteStuck(c)
-	}
-	return got
-}
-
-// sampleReadBitOn is sampleReadBit against an explicit sampling stream. It
-// mutates only the cell itself (stuck state, VRT advance, neighbourhood-code
-// cache), never device-wide state: bank-sharded sweeps call it concurrently
-// for cells of different banks and commit the stuck-overlay bookkeeping
-// (noteStuck) at the deterministic shard merge. flipped reports that a
-// failure stuck on this read.
-func (d *Device) sampleReadBitOn(c *weakCell, written uint8, now, restoredAt float64, src *rng.Source) (got uint8, flipped bool) {
 	if c.stuck >= 0 {
-		return uint8(c.stuck), false
+		return uint8(c.stuck)
 	}
 	elapsed := now - restoredAt
 	if elapsed <= 0 {
-		return written, false
+		return written
 	}
 	code := d.neighborhoodCodeOf(c)
 	failed := false
@@ -558,20 +517,20 @@ func (d *Device) sampleReadBitOn(c *weakCell, written uint8, now, restoredAt flo
 		k := math.Floor(elapsed / d.autoRef)
 		p := d.clippedFailProb(c, d.autoRef, written, code, now)
 		pStick := -math.Expm1(k * math.Log1p(-p))
-		if src.Bernoulli(pStick) {
+		if d.src.Bernoulli(pStick) {
 			failed = true
 		} else {
 			resid := elapsed - k*d.autoRef
-			failed = src.Bernoulli(d.clippedFailProb(c, resid, written, code, now))
+			failed = d.src.Bernoulli(d.clippedFailProb(c, resid, written, code, now))
 		}
 	} else {
-		failed = src.Bernoulli(d.clippedFailProb(c, elapsed, written, code, now))
+		failed = d.src.Bernoulli(d.clippedFailProb(c, elapsed, written, code, now))
 	}
 	if failed {
-		c.stuck = int8(written ^ 1)
-		return written ^ 1, true
+		d.markStuck(c, written^1)
+		return written ^ 1
 	}
-	return written, false
+	return written
 }
 
 // clippedFailProb is the per-read failure probability with the zClip

@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"fmt"
 	"testing"
 
 	"reaper/internal/patterns"
@@ -93,32 +92,6 @@ func BenchmarkReadCompareAllSteadyState(b *testing.B) {
 	b.StopTimer()
 	if d.IncrStats().FastSweeps == 0 {
 		b.Fatal("steady-state benchmark never hit the round cache")
-	}
-}
-
-// BenchmarkReadCompareAllBanked measures the full-classification sweep in
-// BankStreams mode at several worker counts. Results are byte-identical
-// across the counts; only the wall clock moves (and only on multi-core
-// hosts — workers cannot beat the machine).
-func BenchmarkReadCompareAllBanked(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			d := testDevice(b, 7, func(c *Config) {
-				c.Geometry = Geometry{Banks: 8, RowsPerBank: 256, WordsPerRow: 256}
-				c.WeakScale = 30
-				c.BankStreams = true
-			})
-			d.SetSweepWorkers(workers)
-			now := 0.0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.WriteAll(patterns.Random(uint64(i)), now)
-				now += 2.048
-				_ = d.ReadCompareAll(now)
-				now += 0.5
-			}
-		})
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-
-	"reaper/internal/rng"
 )
 
 // This file implements incremental re-profiling: a cache of sweep
@@ -91,7 +89,7 @@ type flipRec struct {
 }
 
 // bandProb memoizes one non-VRT band cell's draw probabilities at the
-// entry's signature. Everything the sampling branch of sampleReadBitOn
+// entry's signature. Everything the sampling branch of sampleReadBit
 // computes — the neighbourhood code, the DPD hash, the temperature scale,
 // the normal CDF — is a pure function of the round key for a non-VRT cell,
 // so replay can skip straight to the Bernoulli draws. Filled lazily on first
@@ -233,11 +231,10 @@ const (
 	dispBand
 )
 
-// classifyBulk reproduces the candidate classification of classifySeq /
-// runBankShard for one bulk-context cell, without counters or side effects.
-// The expressions must stay bit-exact with those loops: replay correctness
-// rests on this function reaching the same disposition the full path
-// recorded.
+// classifyBulk reproduces the candidate classification of sweepClassify for
+// one bulk-context cell, without counters or side effects. The expressions
+// must stay bit-exact with that loop: replay correctness rests on this
+// function reaching the same disposition the full path recorded.
 func (d *Device) classifyBulk(c *weakCell, scale, eff float64) disposition {
 	if c.vrt != nil {
 		return dispBand
@@ -323,23 +320,10 @@ func (d *Device) sweepFromCache(e *roundEntry, now, scale, eff float64, collect 
 	d.idx.Skipped += skipped
 
 	// Band sampling and flip replay. The cached band is bit-sorted, so the
-	// walk consumes the stream(s) exactly as the full path's merged walk
-	// would (cache hits imply no deviant rows to merge). Flips consume no
-	// draws, so interleaving them by bit is stream-neutral and keeps the
-	// emitted fails bit-ordered — the epilogue sort's best case.
-	if d.shardedMode() {
-		for _, f := range e.flips {
-			if f.c.stuck >= 0 {
-				continue
-			}
-			d.markStuck(f.c, f.wrong)
-			d.idx.Flipped++
-			if collect {
-				fails = append(fails, f.c.bit)
-			}
-		}
-		return d.replayBandSharded(e, now, collect, fails)
-	}
+	// walk consumes the stream exactly as the full path's merged walk would
+	// (cache hits imply no deviant rows to merge). Flips consume no draws,
+	// so interleaving them by bit is stream-neutral and keeps the emitted
+	// fails bit-ordered — the epilogue sort's best case.
 	fi := 0
 	for bi, c := range e.band {
 		for fi < len(e.flips) && e.flips[fi].c.bit < c.bit {
@@ -350,10 +334,7 @@ func (d *Device) sweepFromCache(e *roundEntry, now, scale, eff float64, collect 
 			continue
 		}
 		d.idx.Sampled++
-		got, written, flipped := d.sampleBandCached(e, bi, c, now, d.srcFor(c.bit))
-		if flipped {
-			d.noteStuck(c)
-		}
+		got, written := d.sampleBandCached(e, bi, c, now)
 		if collect && got != written {
 			fails = append(fails, c.bit)
 		}
@@ -378,18 +359,16 @@ func (d *Device) replayFlip(f flipRec, collect bool, fails []uint64) []uint64 {
 }
 
 // sampleBandCached samples one band cell of a cached entry, drawing the
-// exact Bernoulli sequence sampleReadBitOn would draw but against memoized
+// exact Bernoulli sequence sampleReadBit would draw but against memoized
 // probabilities and stored bit (computed on the cell's first replay; see
 // bandProb). VRT cells fall through to the full sampler — their
-// probabilities depend on simulated time. In sharded replay, banks memoize
-// disjoint index ranges of e.probs, so concurrent fills never alias.
-func (d *Device) sampleBandCached(e *roundEntry, i int, c *weakCell, now float64, src *rng.Source) (got, written uint8, flipped bool) {
+// probabilities depend on simulated time.
+func (d *Device) sampleBandCached(e *roundEntry, i int, c *weakCell, now float64) (got, written uint8) {
 	if c.vrt != nil {
 		row := d.geom.rowOfBit(c.bit)
 		a := d.geom.AddrOf(c.bit)
 		written = uint8(d.bulkData.Word(row, a.Word) >> uint(a.Bit) & 1)
-		got, flipped = d.sampleReadBitOn(c, written, now, d.bulkTime, src)
-		return got, written, flipped
+		return d.sampleReadBit(c, written, now, d.bulkTime), written
 	}
 	bp := &e.probs[i]
 	if !bp.ok {
@@ -412,17 +391,17 @@ func (d *Device) sampleBandCached(e *roundEntry, i int, c *weakCell, now float64
 	written = bp.written
 	failed := false
 	if bp.two {
-		if src.Bernoulli(bp.p1) {
+		if d.src.Bernoulli(bp.p1) {
 			failed = true
 		} else {
-			failed = src.Bernoulli(bp.p2)
+			failed = d.src.Bernoulli(bp.p2)
 		}
 	} else {
-		failed = src.Bernoulli(bp.p1)
+		failed = d.src.Bernoulli(bp.p1)
 	}
 	if failed {
-		c.stuck = int8(written ^ 1)
-		return written ^ 1, written, true
+		d.markStuck(c, written^1)
+		return written ^ 1, written
 	}
-	return written, written, false
+	return written, written
 }

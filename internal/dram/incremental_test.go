@@ -17,7 +17,7 @@ import (
 // at the end, per-cell stuck state and the seed-stream positions must agree,
 // and the incremental device must have served a healthy share of its sweeps
 // from cache (otherwise the test exercised nothing).
-func driveIncrVsFull(t *testing.T, cfg Config, opSeed uint64, workers int) {
+func driveIncrVsFull(t *testing.T, cfg Config, opSeed uint64) {
 	t.Helper()
 	inc, err := NewDevice(cfg)
 	if err != nil {
@@ -28,10 +28,6 @@ func driveIncrVsFull(t *testing.T, cfg Config, opSeed uint64, workers int) {
 		t.Fatal(err)
 	}
 	full.SetRoundCache(false)
-	if workers > 0 {
-		inc.SetSweepWorkers(workers)
-		full.SetSweepWorkers(workers)
-	}
 	if inc.WeakCellCount() == 0 {
 		t.Fatal("degenerate test: no weak cells sampled")
 	}
@@ -150,11 +146,6 @@ func driveIncrVsFull(t *testing.T, cfg Config, opSeed uint64, workers int) {
 	if s, f := inc.src.Uint64(), full.src.Uint64(); s != f {
 		t.Fatalf("seed streams diverged: next draw %#x vs %#x", s, f)
 	}
-	for b := range inc.bankSrcs {
-		if iv, fv := inc.bankSrcs[b].Uint64(), full.bankSrcs[b].Uint64(); iv != fv {
-			t.Fatalf("bank %d streams diverged: next draw %#x vs %#x", b, iv, fv)
-		}
-	}
 	ist, fst := inc.IncrStats(), full.IncrStats()
 	if ist.FastSweeps == 0 {
 		t.Fatalf("incremental device never hit the round cache: %+v", ist)
@@ -174,20 +165,7 @@ func driveIncrVsFull(t *testing.T, cfg Config, opSeed uint64, workers int) {
 // elapsed growth, fault injection, and auto-refresh toggles.
 func TestIncrementalMatchesFullResample(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		driveIncrVsFull(t, sparseTestConfig(seed), seed*433, 0)
-	}
-}
-
-// TestIncrementalMatchesFullBanked runs the same parity drive in BankStreams
-// mode at workers 1 and 4: the cached replay path must shard identically to
-// the full path at any worker count.
-func TestIncrementalMatchesFullBanked(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for seed := uint64(1); seed <= 2; seed++ {
-			cfg := sparseTestConfig(seed)
-			cfg.BankStreams = true
-			driveIncrVsFull(t, cfg, seed*911, workers)
-		}
+		driveIncrVsFull(t, sparseTestConfig(seed), seed*433)
 	}
 }
 
@@ -199,7 +177,7 @@ func TestIncrementalVRTHeavy(t *testing.T) {
 	cfg.Vendor.VRTFraction = 0.5
 	cfg.Vendor.VRTDwellLowHours = 0.5
 	cfg.Vendor.VRTDwellHighHours = 0.5
-	driveIncrVsFull(t, cfg, 2741, 0)
+	driveIncrVsFull(t, cfg, 2741)
 }
 
 // TestRoundCacheOverflow drives more distinct sweep signatures than

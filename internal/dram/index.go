@@ -201,19 +201,11 @@ func (d *Device) indexInsert(c *weakCell) {
 
 // markStuck records a retention failure sticking into a cell: the read (or
 // refresh) restored the wrong value, which the cell now returns until
-// rewritten. Every flip site must go through here (or set the cell's stuck
-// value and call noteStuck at a deterministic point, as the bank shards do)
-// so the stuck overlay — walked by collecting sweeps in place of a full
-// population scan — stays a superset of the cells with stuck >= 0.
+// rewritten. Every flip site must go through here so the stuck overlay —
+// walked by collecting sweeps in place of a full population scan — stays a
+// superset of the cells with stuck >= 0. It also counts the flip.
 func (d *Device) markStuck(c *weakCell, wrong uint8) {
 	c.stuck = int8(wrong)
-	d.noteStuck(c)
-}
-
-// noteStuck performs the device-wide bookkeeping of a failure sticking: the
-// flip counter and the stuck-overlay membership. Bank-sharded sweeps defer it
-// to the shard merge so concurrent shards never touch shared state.
-func (d *Device) noteStuck(c *weakCell) {
 	d.flipsSoFar++
 	if !c.inStuckList {
 		c.inStuckList = true
@@ -283,14 +275,6 @@ func (d *Device) sweep(now float64, collect bool) []uint64 {
 		d.stuckList = live
 	}
 
-	if d.bankSrcs != nil {
-		// Logical shard accounting: a banked sweep partitions into one shard
-		// per bank regardless of how many workers execute them, so the
-		// counters are worker-count invariant like every other series.
-		d.bank.BankedSweeps++
-		d.bank.BankShards += uint64(d.geom.Banks)
-	}
-
 	if e := d.lookupRound(elapsed); e != nil {
 		fails = d.sweepFromCache(e, now, scale, eff, collect, fails)
 	} else {
@@ -340,22 +324,7 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool, f
 	if d.roundCacheable() {
 		e = &roundEntry{skipped: uint64(len(d.actKeys) - k), dirtyLen: len(d.dirtyCells)}
 	}
-	if d.shardedMode() {
-		fails = d.classifySharded(now, scale, eff, k, collect, fails, e)
-	} else {
-		fails = d.classifySeq(now, scale, eff, k, collect, fails, e)
-	}
-	if e != nil {
-		d.storeRound(roundKey{data: d.bulkData, tempC: d.tempC, elapsed: elapsed, autoRef: d.autoRef}, e)
-	}
-	return fails
-}
 
-// classifySeq is the single-goroutine classification and sampling walk. In
-// BankStreams mode it is byte-identical to classifySharded at any worker
-// count: the global bit-order walk visits each bank's cells in bit order,
-// and srcFor routes every draw to the owning bank's stream.
-func (d *Device) classifySeq(now, scale, eff float64, k int, collect bool, fails []uint64, e *roundEntry) []uint64 {
 	// Classify the candidates (key order; no draws happen here). Non-VRT
 	// bulk-context cells are re-tested with clippedFailProb's exact
 	// expressions: p = 0 skips, p = 1 flips via the index — both without a
@@ -469,5 +438,8 @@ func (d *Device) classifySeq(now, scale, eff float64, k int, collect bool, fails
 	}
 	sampleBandBelow(math.MaxUint64)
 	d.band = band[:0] // keep the scratch capacity for the next sweep
+	if e != nil {
+		d.storeRound(roundKey{data: d.bulkData, tempC: d.tempC, elapsed: elapsed, autoRef: d.autoRef}, e)
+	}
 	return fails
 }

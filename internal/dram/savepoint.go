@@ -29,11 +29,10 @@ import "fmt"
 //     later match a different write; every memo is invalidated instead
 //     (they refill deterministically and draw-free).
 //
-// BankStreams devices are refused (their per-bank streams and shard scratch
-// are not covered), and Rollback refuses a device whose population or
-// injection journals changed since the savepoint: injected cells cannot be
-// un-inserted, and journaled VRT forcings or DPD reseeds on new cells are
-// divergence a savepoint does not record.
+// Rollback refuses a device whose population or injection journals changed
+// since the savepoint: injected cells cannot be un-inserted, and journaled
+// VRT forcings or DPD reseeds on new cells are divergence a savepoint does
+// not record.
 
 // Savepoint is a device's mutable profiling state captured by
 // Device.Savepoint, to be restored by Device.Rollback on the same device.
@@ -53,7 +52,6 @@ type Savepoint struct {
 
 	idx        IndexStats
 	incr       IncrStats
-	bank       BankStats
 	readsDone  uint64
 	flipsSoFar uint64
 
@@ -70,12 +68,10 @@ type vrtSave struct {
 
 // Savepoint captures the device's mutable profiling state. It refuses, with
 // an error, a device whose state a rollback could not restore exactly: one
-// with BankStreams, row deviations, a stuck overlay, or cached round
-// classifications. A freshly constructed device is always accepted.
+// with row deviations, a stuck overlay, or cached round classifications. A
+// freshly constructed device is always accepted.
 func (d *Device) Savepoint() (*Savepoint, error) {
 	switch {
-	case d.bankSrcs != nil:
-		return nil, fmt.Errorf("dram: savepoint: BankStreams devices are not supported")
 	case len(d.rows) > 0:
 		return nil, fmt.Errorf("dram: savepoint: %d deviant rows", len(d.rows))
 	case len(d.stuckList) > 0:
@@ -102,7 +98,6 @@ func (d *Device) Savepoint() (*Savepoint, error) {
 		contentEpoch:   d.contentEpoch,
 		idx:            d.idx,
 		incr:           d.incr,
-		bank:           d.bank,
 		readsDone:      d.readsDone,
 		flipsSoFar:     d.flipsSoFar,
 		injected:       len(d.injected),
@@ -169,7 +164,6 @@ func (d *Device) Rollback(sp *Savepoint) error {
 	d.contentEpoch = sp.contentEpoch
 	d.idx = sp.idx
 	d.incr = sp.incr
-	d.bank = sp.bank
 	d.readsDone = sp.readsDone
 	d.flipsSoFar = sp.flipsSoFar
 	return nil

@@ -185,12 +185,6 @@ func TestSavepointRefusals(t *testing.T) {
 			t.Fatal("savepoint of a device with cached rounds accepted")
 		}
 	})
-	t.Run("BankStreams", func(t *testing.T) {
-		d := testDevice(t, 32, func(c *Config) { c.BankStreams = true })
-		if _, err := d.Savepoint(); err == nil {
-			t.Fatal("savepoint of a BankStreams device accepted")
-		}
-	})
 	t.Run("another device", func(t *testing.T) {
 		d, other := testDevice(t, 32, nil), testDevice(t, 32, nil)
 		sp, err := other.Savepoint()

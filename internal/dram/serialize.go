@@ -10,8 +10,8 @@ import (
 
 // This file holds the device codec's shared helpers and the mutable tail
 // that EncodeDelta (delta.go) writes after its divergence records: content
-// and clocks, row deviations, the sampling stream positions, the sparse-
-// index/round-cache/bank counters, and the incremental round cache itself.
+// and clocks, row deviations, the sampling stream position, the sparse-
+// index and round-cache counters, and the incremental round cache itself.
 // With the divergence replayed and the tail restored, a freshly constructed
 // device of the same Config behaves (reads, draws, counters, cache hits)
 // bit-identically to the original.
@@ -75,15 +75,19 @@ func encodeRowData(e *checkpoint.Encoder, data RowData) error {
 
 // decodeRowData reads one content descriptor; named patterns go through the
 // caller's resolver (typically patterns.Parse) so the reconstructed value is
-// == to the original.
-func decodeRowData(d *checkpoint.Decoder, resolve func(string) (RowData, error)) (RowData, error) {
+// == to the original. Explicit words must number exactly wordsPerRow, since
+// every row read indexes them by word.
+func decodeRowData(d *checkpoint.Decoder, resolve func(string) (RowData, error), wordsPerRow int) (RowData, error) {
 	switch kind := d.Byte(); kind {
 	case contentNil:
 		return nil, nil
 	case contentZero:
 		return zeroData{}, nil
 	case contentSlice:
-		n := d.Len(1 << 20)
+		n := d.Len(wordsPerRow)
+		if d.Err() == nil && n != wordsPerRow {
+			return nil, fmt.Errorf("dram: explicit row content has %d words, rows have %d", n, wordsPerRow)
+		}
 		words := make(sliceRowData, n)
 		for i := range words {
 			words[i] = d.U64()
@@ -170,20 +174,14 @@ func (d *Device) encodeDeviceTail(e *checkpoint.Encoder) error {
 		}
 	}
 
-	// Stream positions.
+	// Stream position.
 	encodeSrcState(e, d.src)
-	e.Len(len(d.bankSrcs))
-	for _, s := range d.bankSrcs {
-		encodeSrcState(e, s)
-	}
 
 	// Counters.
 	e.U64(d.idx.Skipped)
 	e.U64(d.idx.Flipped)
 	e.U64(d.idx.Sampled)
 	e.U64(d.idx.Slowpath)
-	e.U64(d.bank.BankedSweeps)
-	e.U64(d.bank.BankShards)
 	e.U64(d.incr.FastSweeps)
 	e.U64(d.incr.FullSweeps)
 	e.U64(d.incr.ReusedCells)
@@ -268,9 +266,12 @@ func (d *Device) decodeCellAt(dec *checkpoint.Decoder, label string) (*weakCell,
 
 // restoreDeviceTail decodes the encodeDeviceTail region into d, whose weak
 // population must already be final (fresh construction plus delta replay),
-// then rebuilds the activation index and resets the run-time scratch.
+// then rebuilds the activation index and resets the run-time scratch. Every
+// row, word and dirty-list position the blob names is range-checked, so a
+// corrupt blob fails here instead of panicking a later sweep.
 func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string) (RowData, error)) error {
-	bulk, err := decodeRowData(dec, resolve)
+	wpr := d.geom.WordsPerRow
+	bulk, err := decodeRowData(dec, resolve, wpr)
 	if err != nil {
 		return err
 	}
@@ -289,44 +290,38 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 	nr := dec.Len(maxRestoreRows)
 	d.rows = make(map[uint32]*rowState, nr)
 	for i := 0; i < nr; i++ {
-		row := uint32(dec.U64())
+		row := dec.U64()
+		if dec.Err() == nil && row >= uint64(d.geom.TotalRows()) {
+			return fmt.Errorf("dram: restore: deviant row %d out of range", row)
+		}
 		rs := &rowState{restoredAt: dec.F64()}
-		rs.data, err = decodeRowData(dec, resolve)
+		rs.data, err = decodeRowData(dec, resolve, wpr)
 		if err != nil {
 			return err
 		}
-		no := dec.Len(1 << 20)
+		no := dec.Len(wpr)
 		if no > 0 {
 			rs.overrides = make(map[int]uint64, no)
 			for j := 0; j < no; j++ {
 				w := dec.Int()
+				if dec.Err() == nil && (w < 0 || w >= wpr) {
+					return fmt.Errorf("dram: restore: row %d override word %d out of range", row, w)
+				}
 				rs.overrides[w] = dec.U64()
 			}
 		}
 		if dec.Err() != nil {
 			return dec.Err()
 		}
-		d.rows[row] = rs
+		d.rows[uint32(row)] = rs
 	}
 
 	d.src.SetState(decodeSrcState(dec))
-	nb := dec.Len(1 << 16)
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	if nb != len(d.bankSrcs) {
-		return fmt.Errorf("dram: restore: %d bank streams in blob, device has %d", nb, len(d.bankSrcs))
-	}
-	for i := 0; i < nb; i++ {
-		d.bankSrcs[i].SetState(decodeSrcState(dec))
-	}
 
 	d.idx.Skipped = dec.U64()
 	d.idx.Flipped = dec.U64()
 	d.idx.Sampled = dec.U64()
 	d.idx.Slowpath = dec.U64()
-	d.bank.BankedSweeps = dec.U64()
-	d.bank.BankShards = dec.U64()
 	d.incr.FastSweeps = dec.U64()
 	d.incr.FullSweeps = dec.U64()
 	d.incr.ReusedCells = dec.U64()
@@ -335,11 +330,12 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 	d.cacheOn = dec.Bool()
 	ne := dec.Len(maxRestoreEntries)
 	d.rounds = nil
+	maxDirtyLen := 0
 	if ne > 0 {
 		d.rounds = make(map[roundKey]*roundEntry, ne)
 	}
 	for i := 0; i < ne; i++ {
-		data, err := decodeRowData(dec, resolve)
+		data, err := decodeRowData(dec, resolve, wpr)
 		if err != nil {
 			return err
 		}
@@ -350,6 +346,10 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 		}
 		key := roundKey{data: data, tempC: dec.F64(), elapsed: dec.F64(), autoRef: dec.F64()}
 		ent := &roundEntry{skipped: dec.U64(), dirtyLen: dec.Int()}
+		if dec.Err() == nil && ent.dirtyLen < 0 {
+			return fmt.Errorf("dram: restore: round-cache entry folded %d dirty cells", ent.dirtyLen)
+		}
+		maxDirtyLen = max(maxDirtyLen, ent.dirtyLen)
 		nf := dec.Len(maxRestoreCells)
 		ent.flips = make([]flipRec, 0, nf)
 		for j := 0; j < nf; j++ {
@@ -383,9 +383,13 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 	if err := dec.Err(); err != nil {
 		return err
 	}
+	// Each entry has folded in a prefix of the dirty list, which
+	// refreshRound slices from there.
+	if maxDirtyLen > len(d.dirtyCells) {
+		return fmt.Errorf("dram: restore: a round-cache entry folded %d dirty cells of %d", maxDirtyLen, len(d.dirtyCells))
+	}
 
 	d.rebuildIndex()
-	d.shards = nil
 	d.band = d.band[:0]
 	d.failScratch = d.failScratch[:0]
 	return nil

@@ -67,8 +67,8 @@ func driveScript(d *Device, ops *rng.Source, start float64) []uint64 {
 
 // requireSameDevice is the field-by-field oracle for two devices built from
 // the same Config: every weak cell's scalars and VRT state (stream position
-// included), the stuck overlay in list order, the counters, the device and
-// bank streams, and the EncodeDelta bytes must all match. It only reads, so
+// included), the stuck overlay in list order, the counters, the device
+// stream, and the EncodeDelta bytes must all match. It only reads, so
 // it can run between lockstep segments.
 func requireSameDevice(t *testing.T, a, b *Device) {
 	t.Helper()
@@ -106,9 +106,6 @@ func requireSameDevice(t *testing.T, a, b *Device) {
 	if a.IncrStats() != b.IncrStats() {
 		t.Fatalf("incremental stats: %+v vs %+v", a.IncrStats(), b.IncrStats())
 	}
-	if a.BankStats() != b.BankStats() {
-		t.Fatalf("bank stats: %+v vs %+v", a.BankStats(), b.BankStats())
-	}
 	ra, fa := a.Stats()
 	rb, fb := b.Stats()
 	if ra != rb || fa != fb {
@@ -116,14 +113,6 @@ func requireSameDevice(t *testing.T, a, b *Device) {
 	}
 	if a.src.State() != b.src.State() {
 		t.Fatalf("device stream: %v vs %v", a.src.State(), b.src.State())
-	}
-	if len(a.bankSrcs) != len(b.bankSrcs) {
-		t.Fatalf("bank streams: %d vs %d", len(a.bankSrcs), len(b.bankSrcs))
-	}
-	for i := range a.bankSrcs {
-		if a.bankSrcs[i].State() != b.bankSrcs[i].State() {
-			t.Fatalf("bank %d stream: %v vs %v", i, a.bankSrcs[i].State(), b.bankSrcs[i].State())
-		}
 	}
 	ea, eb := checkpoint.NewEncoder(), checkpoint.NewEncoder()
 	if err := a.EncodeDelta(ea); err != nil {
@@ -142,16 +131,12 @@ func requireSameDevice(t *testing.T, a, b *Device) {
 // (sweeps, injections, a forced VRT burst, DPD rescrambles, partial writes),
 // encode its divergence delta, restore the delta into the fresh device that
 // target builds, and require the two to match field by field, then stay in
-// lockstep through a second driven segment. workers > 0 shards the sweeps of
-// both devices.
-func requireCheckpointTwin(t *testing.T, cfg Config, workers int, target func(orig *Device) (*Device, error)) {
+// lockstep through a second driven segment.
+func requireCheckpointTwin(t *testing.T, cfg Config, target func(orig *Device) (*Device, error)) {
 	t.Helper()
 	orig, err := NewDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if workers > 0 {
-		orig.SetSweepWorkers(workers)
 	}
 	if orig.WeakCellCount() == 0 {
 		t.Fatal("degenerate test: no weak cells")
@@ -176,9 +161,6 @@ func requireCheckpointTwin(t *testing.T, cfg Config, workers int, target func(or
 	if err != nil {
 		t.Fatal(err)
 	}
-	if workers > 0 {
-		twin.SetSweepWorkers(workers)
-	}
 	if err := twin.RestoreDelta(checkpoint.NewDecoder(e.Data()), resolvePattern); err != nil {
 		t.Fatal(err)
 	}
@@ -200,25 +182,11 @@ func requireCheckpointTwin(t *testing.T, cfg Config, workers int, target func(or
 // TestDeviceStateRoundTrip checkpoints a driven device and restores it into
 // a freshly constructed device of the same config: every read, every counter
 // and the re-encoded delta must then match exactly — any drift means the
-// codec lost state. The dense arm samples every bank from the one device
-// stream; the banked arm runs per-bank streams with sharded sweeps.
+// codec lost state.
 func TestDeviceStateRoundTrip(t *testing.T) {
 	cfg := deltaTestConfig()
 	cfg.Seed = 77
-	banked := cfg
-	banked.BankStreams = true
-	for _, tc := range []struct {
-		name    string
-		cfg     Config
-		workers int
-	}{
-		{"dense", cfg, 0},
-		{"banked-sharded", banked, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			requireCheckpointTwin(t, tc.cfg, tc.workers, func(*Device) (*Device, error) {
-				return NewDevice(tc.cfg)
-			})
-		})
-	}
+	t.Run("dense", func(t *testing.T) {
+		requireCheckpointTwin(t, cfg, func(*Device) (*Device, error) { return NewDevice(cfg) })
+	})
 }

@@ -25,12 +25,20 @@ func fixtureLoader(t *testing.T) *Loader {
 	return loader
 }
 
+// loadFixture loads testdata/src/dir under the import path asPath and
+// checks that the package really came from that directory: a loader that
+// hands back a memoized package for the assumed path would silently check
+// other code.
 func loadFixture(t *testing.T, dir, asPath string) *Package {
 	t.Helper()
 	l := fixtureLoader(t)
-	p, err := l.LoadDirAs(asPath, filepath.Join("testdata", "src", dir))
+	fixDir := filepath.Join("testdata", "src", dir)
+	p, err := l.LoadDirAs(asPath, fixDir)
 	if err != nil {
 		t.Fatalf("loading fixture %s as %s: %v", dir, asPath, err)
+	}
+	if p.Dir != fixDir {
+		t.Fatalf("loaded %s from %s, want the fixture in %s", asPath, p.Dir, fixDir)
 	}
 	return p
 }

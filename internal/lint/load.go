@@ -158,7 +158,17 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 		return p, nil
 	}
 	l.pkgs[path] = nil // in-flight marker
+	p, err := l.typeCheck(path, dir)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	return p, nil
+}
 
+// typeCheck parses and type-checks the package in dir under the import path
+// path, without consulting or updating the memo for path itself.
+func (l *Loader) typeCheck(path, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -210,7 +220,7 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", path, err)
 	}
 
-	p := &Package{
+	return &Package{
 		Path:      path,
 		Dir:       dir,
 		Fset:      l.fset,
@@ -218,9 +228,7 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 		Pkg:       tpkg,
 		Info:      info,
 		TestFiles: testFiles,
-	}
-	l.pkgs[path] = p
-	return p, nil
+	}, nil
 }
 
 func hasGoFiles(dir string) bool {

@@ -21,8 +21,8 @@ import (
 // and checkable: inside a job closure, a *rng.Source must either be
 // created there (rng.Derive/Split called inside the closure) or selected
 // from a per-job slot indexed by the job's own index parameter
-// (seeds[i], d.bankSrcs[bank]). The analyzer flags any other use of a
-// Source that flows in from the enclosing function.
+// (seeds[i]). The analyzer flags any other use of a Source that flows in
+// from the enclosing function.
 
 // RngStreamDiscipline flags shared *rng.Source values captured by parallel
 // job closures and goroutine bodies.
@@ -72,7 +72,7 @@ type jobClosure struct {
 }
 
 // intParamObj returns the object of the first int-typed parameter of the
-// literal — the job index in the parallel.Map/ForEach/ShardLoop signatures.
+// literal — the job index in the parallel.Map/MapPartial/ForEach signatures.
 func intParamObj(p *Package, lit *ast.FuncLit) types.Object {
 	if lit.Type.Params == nil {
 		return nil
@@ -110,7 +110,7 @@ func collectJobClosures(p *Package, f *ast.File) []jobClosure {
 				return true
 			}
 			switch name {
-			case "Map", "MapPartial", "ForEach", "ShardLoop":
+			case "Map", "MapPartial", "ForEach":
 				if len(x.Args) == 0 {
 					return true
 				}
@@ -150,9 +150,9 @@ func declaredInside(obj types.Object, lit *ast.FuncLit) bool {
 }
 
 // indexedByJob reports whether the expression (or any index step inside it)
-// selects a per-job slot using the closure's index parameter: seeds[i],
-// d.bankSrcs[bank] where bank derives from i stays flagged — only the
-// index parameter itself (or an expression mentioning it) qualifies.
+// selects a per-job slot using the closure's index parameter: seeds[i]
+// qualifies, srcs[k] where k derives from i stays flagged — only the index
+// parameter itself (or an expression mentioning it) qualifies.
 func indexedByJob(p *Package, e ast.Expr, indexObj types.Object) bool {
 	if indexObj == nil {
 		return false

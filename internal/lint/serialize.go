@@ -381,7 +381,7 @@ func markLHSFields(p *Package, lhs ast.Expr, cov *codecCoverage, fromDecoder boo
 
 // collectRestoreWrites classifies restore-side mutations: which fields are
 // assignment targets, and which of those consume decoder data (as opposed
-// to derived resets like `d.shards = nil`).
+// to derived resets like `d.band = d.band[:0]`).
 func collectRestoreWrites(p *Package, body ast.Node, cov *codecCoverage) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {

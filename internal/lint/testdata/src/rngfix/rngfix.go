@@ -58,19 +58,28 @@ func sharedCaptures(ctx context.Context, src *rng.Source, seeds []*rng.Source, d
 	)
 }
 
-func (m *sim) shardSweep(vals []float64) {
-	// Legal: per-bank slot selected by the shard index.
-	parallel.ShardLoop(len(m.banks), 2, func(i int) {
+func (m *sim) shardSweep(ctx context.Context, vals []float64) error {
+	// Legal: per-bank slot selected by the job index.
+	err := parallel.ForEach(ctx, len(m.banks), 2, func(ctx context.Context, i int) error {
 		vals[i] = m.banks[i].Float64()
+		return nil
 	})
-	// Illegal: the receiver's shared stream reached every shard.
-	parallel.ShardLoop(len(vals), 2, func(i int) {
+	if err != nil {
+		return err
+	}
+	// Illegal: the receiver's shared stream reached every job.
+	err = parallel.ForEach(ctx, len(vals), 2, func(ctx context.Context, i int) error {
 		vals[i] = m.src.Float64() // WANT rng-stream-discipline
+		return nil
 	})
+	if err != nil {
+		return err
+	}
 	// Illegal: ranging a captured container hands every stream to one job.
-	parallel.ShardLoop(1, 1, func(i int) {
+	return parallel.ForEach(ctx, 1, 1, func(ctx context.Context, i int) error {
 		for _, s := range m.banks { // WANT rng-stream-discipline
 			_ = s.Uint64()
 		}
+		return nil
 	})
 }

@@ -137,14 +137,6 @@ func (s *Station) IndexStats() dram.IndexStats { return s.dev.IndexStats() }
 // profiler records per-round deltas from it.
 func (s *Station) IncrStats() dram.IncrStats { return s.dev.IncrStats() }
 
-// BankStats returns the device's cumulative banked-sweep counters. Shards are
-// counted logically (per bank), so the series is worker-count invariant.
-func (s *Station) BankStats() dram.BankStats { return s.dev.BankStats() }
-
-// SetSweepWorkers bounds the goroutines the device may shard a full sweep
-// across in BankStreams mode; results are byte-identical at every setting.
-func (s *Station) SetSweepWorkers(n int) { s.dev.SetSweepWorkers(n) }
-
 // Clock returns the current simulated time in seconds.
 func (s *Station) Clock() float64 { return s.clock.Now() }
 

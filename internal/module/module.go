@@ -310,25 +310,6 @@ func (m *Module) IncrStats() dram.IncrStats {
 	return total
 }
 
-// BankStats returns the module-wide banked-sweep counters: the element-wise
-// sum over chips.
-func (m *Module) BankStats() dram.BankStats {
-	var total dram.BankStats
-	for _, dev := range m.devs {
-		total = total.Add(dev.BankStats())
-	}
-	return total
-}
-
-// SetSweepWorkers bounds the goroutines each chip may shard a full sweep
-// across in BankStreams mode. Intra-chip sharding composes with the module's
-// own cross-chip worker pool; results are byte-identical at every setting.
-func (m *Module) SetSweepWorkers(n int) {
-	for _, dev := range m.devs {
-		dev.SetSweepWorkers(n)
-	}
-}
-
 // Truth returns the module-wide ground-truth failing set at the target
 // conditions (the union of every chip's oracle, chip-offset). The error is
 // a worker-pool failure (a panic inside a chip simulation, converted by

@@ -118,6 +118,7 @@ func mapJobs[T any](ctx context.Context, n, workers int, fn func(ctx context.Con
 		return out, nil
 	}
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -145,8 +146,17 @@ func mapJobs[T any](ctx context.Context, n, workers int, fn func(ctx context.Con
 				if i >= n {
 					return
 				}
-				if ctx.Err() != nil {
-					fail(i, ctx.Err())
+				if err := parent.Err(); err != nil {
+					fail(i, err)
+					return
+				}
+				// After a failure, sequential execution never reaches a
+				// higher index; a job claimed below it still runs, because
+				// its own error would be the one sequential execution hits.
+				mu.Lock()
+				past := i > firstI
+				mu.Unlock()
+				if past {
 					return
 				}
 				v, err := run(ctx, i, fn)
@@ -190,28 +200,4 @@ func Do(ctx context.Context, workers int, fns ...func(ctx context.Context) error
 	return ForEach(ctx, len(fns), workers, func(ctx context.Context, i int) error {
 		return fns[i](ctx)
 	})
-}
-
-// ShardLoop runs fn(i) for i in [0, n) on at most workers goroutines and
-// waits for all of them: the inner-loop variant of ForEach for shards with no
-// error path of their own (e.g. the per-bank halves of one device sweep).
-// Each shard must own disjoint state, and the caller must merge shard results
-// in shard order, so the outcome is identical at every worker count. A panic
-// inside a shard is re-raised on the caller's goroutine, exactly as the
-// sequential loop would have propagated it.
-func ShardLoop(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	// Shards run microsecond-scale device steps below the layers that carry
-	// a ctx; cancellation happens at experiment granularity above them.
-	//lint:ignore ctx-first inner-loop shard dispatch; cancellation is experiment-granular above the device layer
-	err := ForEach(context.Background(), n, workers, func(_ context.Context, i int) error {
-		fn(i)
-		return nil
-	})
-	if err != nil {
-		//lint:ignore no-panic re-raises a shard panic the equivalent sequential loop would have propagated
-		panic(err)
-	}
 }
