@@ -99,8 +99,11 @@ bench-test:
 # fuzz-quick mutates the RestoreDelta seed corpus for 30 s: any input must
 # fail the restore or leave a device that sweeps and re-encodes without
 # panicking. Plain `go test` only replays the seeds; CI runs this target.
+# Minimizing a new input grown from the ~60 KB many-injected-cells seed
+# takes the whole 60 s default, which would leave the 30 s budget spent on
+# shrinking instead of mutating, so minimization is capped at 5 s.
 fuzz-quick:
-	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDelta$$' -fuzztime 30s ./internal/dram
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDelta$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/dram
 
 # bench-go runs every go-test benchmark once (compile/behavior smoke, not a
 # measurement). -run '^$$' skips the tests, which `make test` already runs.

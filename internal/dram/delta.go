@@ -1,8 +1,9 @@
 package dram
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"reaper/internal/checkpoint"
 )
@@ -24,8 +25,9 @@ import (
 //     base cell's (bit, mu, sigma, chargedVal, dpdSens) after construction.
 //   - Injected cells: the only population growth path is insertWeakCell,
 //     which journals every arrival in Device.injected. The delta carries
-//     those cells in full, in insertion order, so replay re-inserts them and
-//     rebuilds the journal identically (a re-encoded delta is byte-equal).
+//     those cells in full, in insertion order, so replay merges them back
+//     into the population and rebuilds the journal identically (a re-encoded
+//     delta is byte-equal).
 //   - DPD rescrambles: RescrambleDPD overwrites dpdSeed and journals the
 //     cell; the delta records (index, current dpdSeed). Applying the current
 //     value is idempotent, so a cell that is both injected and rescrambled
@@ -123,36 +125,49 @@ func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (Row
 		return fmt.Errorf("dram: delta restore: blob geometry %d bits, device %d", bits, d.geom.TotalBits())
 	}
 
-	// Replay injected-cell arrivals through the live insertion path, which
-	// maintains the sorted population, the activation index and the
-	// injection journal itself; the row offsets are recounted once after the
-	// whole batch.
+	// Replay injected-cell arrivals as one sorted merge into the
+	// construction population. The journal keeps blob (insertion) order,
+	// the row offsets are recounted once, and restoreDeviceTail rebuilds the
+	// activation index and resets the round cache and its dirty list.
 	ni := dec.VarLen(maxRestoreCells)
 	if dec.Err() != nil {
 		return dec.Err()
 	}
-	for k := 0; k < ni; k++ {
-		c := d.allocCell()
-		c.bit = dec.U64()
-		c.mu = dec.F64()
-		c.sigma = dec.F64()
-		c.chargedVal = dec.Byte()
-		c.dpdSens = dec.F64()
-		c.dpdSeed = dec.U64()
-		c.stuck = -1
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		if c.bit >= uint64(d.geom.TotalBits()) {
-			return fmt.Errorf("dram: delta restore: injected bit %d out of range", c.bit)
-		}
-		i := sort.Search(len(d.weak), func(i int) bool { return d.weak[i].bit >= c.bit })
-		if i < len(d.weak) && d.weak[i].bit == c.bit {
-			return fmt.Errorf("dram: delta restore: injected bit %d collides with an existing cell", c.bit)
-		}
-		d.insertWeakCell(c, i)
-	}
 	if ni > 0 {
+		recs := make([]*weakCell, ni)
+		for k := range recs {
+			c := d.allocCell()
+			c.bit = dec.U64()
+			c.mu = dec.F64()
+			c.sigma = dec.F64()
+			c.chargedVal = dec.Byte()
+			c.dpdSens = dec.F64()
+			c.dpdSeed = dec.U64()
+			c.stuck = -1
+			if dec.Err() != nil {
+				return dec.Err()
+			}
+			if c.bit >= uint64(d.geom.TotalBits()) {
+				return fmt.Errorf("dram: delta restore: injected bit %d out of range", c.bit)
+			}
+			recs[k] = c
+		}
+		add := slices.Clone(recs)
+		slices.SortFunc(add, func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
+		merged := make([]*weakCell, 0, len(d.weak)+ni)
+		i := 0
+		for k, c := range add {
+			for i < len(d.weak) && d.weak[i].bit < c.bit {
+				merged = append(merged, d.weak[i])
+				i++
+			}
+			if (i < len(d.weak) && d.weak[i].bit == c.bit) || (k > 0 && add[k-1].bit == c.bit) {
+				return fmt.Errorf("dram: delta restore: injected bit %d collides with another cell", c.bit)
+			}
+			merged = append(merged, c)
+		}
+		d.weak = append(merged, d.weak[i:]...)
+		d.injected = recs
 		d.recountRows()
 	}
 

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,6 +92,47 @@ func TestDeltaRestoreGuards(t *testing.T) {
 			t.Fatalf("want a forced-VRT switch-time refusal, got %v", err)
 		}
 	})
+	t.Run("injected-collision", func(t *testing.T) {
+		// Each blob lists one injected record too many: a construction
+		// cell's bit, or a bit another record already holds.
+		injected := map[*weakCell]bool{}
+		for _, c := range orig.injected {
+			injected[c] = true
+		}
+		var base *weakCell
+		for _, c := range orig.weak {
+			if !injected[c] {
+				base = c
+				break
+			}
+		}
+		n := len(orig.injected)
+		for _, tc := range []struct {
+			name  string
+			extra *weakCell
+		}{
+			{"construction-cell", base},
+			{"repeated-record", orig.injected[0]},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				orig.injected = append(orig.injected, tc.extra)
+				e := checkpoint.NewEncoder()
+				err := orig.EncodeDelta(e)
+				orig.injected = orig.injected[:n]
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := orig.Ref().Materialize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = d.RestoreDelta(checkpoint.NewDecoder(e.Data()), resolvePattern)
+				if err == nil || !strings.Contains(err.Error(), "collides") {
+					t.Fatalf("want an injected-bit collision, got %v", err)
+				}
+			})
+		}
+	})
 	t.Run("wrong-geometry", func(t *testing.T) {
 		other := cfg
 		other.Geometry.Banks = cfg.Geometry.Banks / 2
@@ -144,6 +186,82 @@ func corruptFixture(tb testing.TB) (*Device, []byte) {
 	return d, e.Data()
 }
 
+// injectedFixture builds a device on corruptFixture's Config whose delta
+// replays over a thousand injected cells: driveScript's segment, then a
+// batch injection dense enough that rows hold several injected cells, some
+// before the row's first construction cell and some after its last, and a
+// read that sticks failures into them.
+func injectedFixture(tb testing.TB) (*Device, []byte) {
+	tb.Helper()
+	d, _ := corruptFixture(tb)
+	d.InjectWeakCells(rng.New(0x1AC), 1200, 4.0, 42)
+	d.WriteAll(patterns.Solid1(), 42)
+	d.ReadCompareAll(43.024)
+	e := checkpoint.NewEncoder()
+	if err := d.EncodeDelta(e); err != nil {
+		tb.Fatal(err)
+	}
+	return d, e.Data()
+}
+
+// TestDeltaRestoreManyInjected restores injectedFixture's delta, whose
+// injected cells the replay merges into the construction population in one
+// pass, into a re-materialized twin: it must match the never-evicted device
+// field by field (EncodeDelta bytes included), then stay in lockstep
+// through a driven segment.
+func TestDeltaRestoreManyInjected(t *testing.T) {
+	orig, blob := injectedFixture(t)
+	if len(orig.injected) < 1000 {
+		t.Fatalf("fixture injected %d cells, want >= 1000", len(orig.injected))
+	}
+	injected := map[*weakCell]bool{}
+	for _, c := range orig.injected {
+		injected[c] = true
+	}
+	var several, beforeFirst, afterLast int
+	for r := range orig.geom.TotalRows() {
+		cells := orig.rowCells(uint32(r))
+		n, first, last := 0, -1, -1
+		for i, c := range cells {
+			if injected[c] {
+				n++
+				continue
+			}
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+		if n >= 2 {
+			several++
+		}
+		if first > 0 {
+			beforeFirst++
+		}
+		if last >= 0 && last < len(cells)-1 {
+			afterLast++
+		}
+	}
+	if several == 0 || beforeFirst == 0 || afterLast == 0 {
+		t.Fatalf("fixture lacks a layout the merge must handle: %d rows with several injected cells, %d with one before the first construction cell, %d with one after the last",
+			several, beforeFirst, afterLast)
+	}
+	twin, err := orig.Ref().Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.RestoreDelta(checkpoint.NewDecoder(blob), resolvePattern); err != nil {
+		t.Fatal(err)
+	}
+	requireSameDevice(t, orig, twin)
+	failsA := driveScript(orig, rng.New(0x3E6), 50)
+	failsB := driveScript(twin, rng.New(0x3E6), 50)
+	if !slices.Equal(failsA, failsB) {
+		t.Fatalf("post-restore fail streams diverge: %d vs %d fails", len(failsA), len(failsB))
+	}
+	requireSameDevice(t, orig, twin)
+}
+
 // restoreAndUse restores blob into a fresh twin of d and, when the restore
 // succeeds, runs what a resumed soak does next: a sweep over the restored
 // rows, a bulk rewrite, a second sweep (a hit on the fixture's cached
@@ -195,12 +313,15 @@ func TestDeltaRestoreCorrupt(t *testing.T) {
 }
 
 // FuzzRestoreDelta fuzzes the same property from the corruption fixture's
-// blob: any byte string must fail RestoreDelta or restore a device that
-// survives restoreAndUse's sweep-and-encode sequence. Plain go test runs
-// the seed corpus; make fuzz-quick mutates it.
+// blob and injectedFixture's (same Config): any byte string must fail
+// RestoreDelta or restore a device that survives restoreAndUse's
+// sweep-and-encode sequence. Plain go test runs the seed corpus; make
+// fuzz-quick mutates it.
 func FuzzRestoreDelta(f *testing.F) {
 	d, blob := corruptFixture(f)
 	f.Add(blob)
+	_, many := injectedFixture(f)
+	f.Add(many)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = restoreAndUse(t, d, data)
 	})

@@ -693,16 +693,45 @@ func (d *Device) WriteWord(bank, row, word int, val uint64, now float64) error {
 	return nil
 }
 
-// ReadWord reads a single word (activating and restoring its row).
+// ReadWord reads a single word (activating and restoring its row). The
+// activation samples every weak cell of the row in row order, exactly as
+// ReadRow does, but only the requested word is assembled.
 func (d *Device) ReadWord(bank, row, word int, now float64) (uint64, error) {
-	words, err := d.ReadRow(bank, row, now)
-	if err != nil {
+	if err := d.checkRow(bank, row); err != nil {
 		return 0, err
 	}
 	if word < 0 || word >= d.geom.WordsPerRow {
 		return 0, fmt.Errorf("dram: word %d out of range", word)
 	}
-	return words[word], nil
+	gr := d.geom.GlobalRow(bank, row)
+	_, restoredAt, _ := d.stateOf(gr)
+	val := d.wordAt(gr, word)
+	for _, c := range d.rowCells(gr) {
+		got := d.sampleRead(c, gr, now, restoredAt)
+		if a := d.geom.AddrOf(c.bit); a.Word == word {
+			val = val&^(1<<uint(a.Bit)) | uint64(got)<<uint(a.Bit)
+		}
+	}
+	d.ensureRowState(gr).restoredAt = now
+	return val, nil
+}
+
+// WeakBits returns, for one word, the mask of bits that hold a weak cell and
+// the mask of those whose charged (leak-prone) value is 1. An address
+// outside the device holds no weak cell.
+func (d *Device) WeakBits(bank, row, word int) (weak, charged uint64) {
+	if d.checkRow(bank, row) != nil || word < 0 || word >= d.geom.WordsPerRow {
+		return 0, 0
+	}
+	gr := d.geom.GlobalRow(bank, row)
+	lo := uint64(gr)*uint64(d.geom.RowBits()) + uint64(word)*WordBits
+	for _, c := range d.rowCells(gr) {
+		if c.bit >= lo && c.bit < lo+WordBits {
+			weak |= 1 << (c.bit - lo)
+			charged |= uint64(c.chargedVal) << (c.bit - lo)
+		}
+	}
+	return weak, charged
 }
 
 func (d *Device) checkRow(bank, row int) error {

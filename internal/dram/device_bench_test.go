@@ -3,7 +3,9 @@ package dram
 import (
 	"testing"
 
+	"reaper/internal/checkpoint"
 	"reaper/internal/patterns"
+	"reaper/internal/rng"
 )
 
 // benchReadDevice builds the chip the read-path benchmarks use: large enough
@@ -195,4 +197,65 @@ func BenchmarkRollback(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(d.WeakCellCount()), "cells")
+}
+
+// benchSoakDevice builds the soak chip (8 Mbit, WeakScale 20): the device
+// the scrub and checkpoint-restore benchmarks exercise.
+func benchSoakDevice(b *testing.B) *Device {
+	b.Helper()
+	return testDevice(b, 11, func(c *Config) { c.Geometry = GeometryForBits(8 << 20) })
+}
+
+// BenchmarkReadWord measures a scrub-style word read: the 96 words a soak
+// chip keeps resident, each overridden by a word write (so every row read
+// is a deviant row), read back in address order as an ECC scrub pass does.
+func BenchmarkReadWord(b *testing.B) {
+	d := benchSoakDevice(b)
+	d.WriteAll(patterns.Checkerboard(), 0)
+	g := d.Geometry()
+	type addr struct{ bank, row, word int }
+	var resident []addr
+	for i := 0; i < len(d.weak) && len(resident) < 96; i += len(d.weak) / 96 {
+		a := g.AddrOf(d.weak[i].bit)
+		resident = append(resident, addr{a.Bank, a.Row, a.Word})
+		if err := d.WriteWord(a.Bank, a.Row, a.Word, ^uint64(0), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	now := 1.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := resident[i%len(resident)]
+		if _, err := d.ReadWord(a.bank, a.row, a.word, now); err != nil {
+			b.Fatal(err)
+		}
+		now += 0.001
+	}
+}
+
+// BenchmarkRestoreDelta measures replaying a soak chip's checkpoint delta
+// carrying 2,048 injected cells into a freshly materialized device; the
+// materialization itself is untimed.
+func BenchmarkRestoreDelta(b *testing.B) {
+	d := benchSoakDevice(b)
+	d.InjectWeakCells(rng.New(1), 2048, 0, 0)
+	e := checkpoint.NewEncoder()
+	if err := d.EncodeDelta(e); err != nil {
+		b.Fatal(err)
+	}
+	blob := e.Data()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh, err := d.Ref().Materialize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := fresh.RestoreDelta(checkpoint.NewDecoder(blob), resolvePattern); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -327,19 +327,23 @@ type chipSoakResult struct {
 //     remaps these, populating the spare segment with live data).
 func selectResidentWords(st *memctrl.Station, shield *mitigate.ArchShield, target float64, limit int) []mitigate.WordAddr {
 	g := st.Device().Geometry()
-	type wordClass struct{ vrt, marginal, failing int }
-	classes := map[mitigate.WordAddr]*wordClass{}
+	// Cells come in bit order, which is (bank, row, word) order, so each
+	// word's cells are adjacent and the words come out sorted.
+	type wordClass struct {
+		wa                     mitigate.WordAddr
+		vrt, marginal, failing int
+	}
+	var words []wordClass
 	for _, c := range st.Device().Cells(st.Clock()) {
 		a := g.AddrOf(c.Bit)
 		wa := mitigate.WordAddr{Bank: a.Bank, Row: a.Row, Word: a.Word}
 		if shield.InReservedSegment(wa) {
 			continue
 		}
-		cl := classes[wa]
-		if cl == nil {
-			cl = &wordClass{}
-			classes[wa] = cl
+		if len(words) == 0 || words[len(words)-1].wa != wa {
+			words = append(words, wordClass{wa: wa})
 		}
+		cl := &words[len(words)-1]
 		switch {
 		case c.VRT:
 			cl.vrt++
@@ -349,18 +353,13 @@ func selectResidentWords(st *memctrl.Station, shield *mitigate.ArchShield, targe
 			cl.marginal++
 		}
 	}
-	addrs := make([]mitigate.WordAddr, 0, len(classes))
-	for wa := range classes {
-		addrs = append(addrs, wa)
-	}
-	sortWordAddrs(addrs)
 	pick := func(keep func(*wordClass) bool, quota int, out []mitigate.WordAddr) []mitigate.WordAddr {
-		for _, wa := range addrs {
+		for i := range words {
 			if quota <= 0 || len(out) >= limit {
 				break
 			}
-			if keep(classes[wa]) && !containsAddr(out, wa) {
-				out = append(out, wa)
+			if keep(&words[i]) && !containsAddr(out, words[i].wa) {
+				out = append(out, words[i].wa)
 				quota--
 			}
 		}
@@ -399,33 +398,12 @@ func sortWordAddrs(addrs []mitigate.WordAddr) {
 	})
 }
 
-// cellsByPhysicalWord groups the device's current weak cells by the word
-// that physically contains them.
-func cellsByPhysicalWord(st *memctrl.Station) map[mitigate.WordAddr][]dram.CellInfo {
-	g := st.Device().Geometry()
-	out := map[mitigate.WordAddr][]dram.CellInfo{}
-	for _, c := range st.Device().Cells(st.Clock()) {
-		a := g.AddrOf(c.Bit)
-		wa := mitigate.WordAddr{Bank: a.Bank, Row: a.Row, Word: a.Word}
-		out[wa] = append(out[wa], c)
-	}
-	return out
-}
-
 // stressPayload builds the resident value for a word: a per-word base
-// pattern with every known weak cell's bit set to its charged (leak-prone)
-// value, so retention failures in the physical word actually corrupt data.
-func stressPayload(wa mitigate.WordAddr, cells []dram.CellInfo) uint64 {
+// pattern with every weak bit of the physical word backing it (weak) set to
+// its charged, leak-prone value (charged), so retention failures in the
+// physical word actually corrupt data.
+func stressPayload(wa mitigate.WordAddr, weak, charged uint64) uint64 {
 	h := uint64(wa.Bank)<<40 ^ uint64(wa.Row)<<20 ^ uint64(wa.Word)
 	h *= 0x9e3779b97f4a7c15
-	val := 0xa5a5a5a5a5a5a5a5 ^ h
-	for _, c := range cells {
-		bit := c.Bit % 64
-		if c.ChargedVal == 1 {
-			val |= 1 << bit
-		} else {
-			val &^= 1 << bit
-		}
-	}
-	return val
+	return (0xa5a5a5a5a5a5a5a5^h)&^weak | charged
 }

@@ -125,13 +125,20 @@ func newSoakRunner(cfg SoakConfig, idx int, seed uint64) (*soakRunner, error) {
 
 // writeResident rewrites the resident data set (the AfterRound hook).
 func (r *soakRunner) writeResident() error {
-	cells := cellsByPhysicalWord(r.st)
 	for _, wa := range r.resident {
-		if err := r.mem.Write(wa, stressPayload(wa, cells[r.shield.Resolve(wa)])); err != nil {
+		if err := r.reload(wa); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// reload writes a resident word's stress payload, built from the weak cells
+// of the physical word currently backing it.
+func (r *soakRunner) reload(wa mitigate.WordAddr) error {
+	p := r.shield.Resolve(wa)
+	weak, charged := r.st.Device().WeakBits(p.Bank, p.Row, p.Word)
+	return r.mem.Write(wa, stressPayload(wa, weak, charged))
 }
 
 // done reports whether the campaign horizon has been reached.
@@ -164,9 +171,8 @@ func (r *soakRunner) runWindows(ctx context.Context, maxWindows int) (bool, erro
 			// Page-reload model: the OS restores each SECDED-fatal word
 			// from backing store, so the word is stressed again next
 			// window rather than staying frozen at its corrupted value.
-			cells := cellsByPhysicalWord(r.st)
 			for _, wa := range srep.Uncorrectables {
-				if err := r.mem.Write(wa, stressPayload(wa, cells[r.shield.Resolve(wa)])); err != nil {
+				if err := r.reload(wa); err != nil {
 					return false, err
 				}
 			}
