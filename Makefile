@@ -96,14 +96,20 @@ bench:
 bench-test:
 	cd cmd/bench && $(GO) test ./...
 
-# fuzz-quick mutates the RestoreDelta seed corpus for 30 s: any input must
-# fail the restore or leave a device that sweeps and re-encodes without
-# panicking. Plain `go test` only replays the seeds; CI runs this target.
-# Minimizing a new input grown from the ~60 KB many-injected-cells seed
-# takes the whole 60 s default, which would leave the 30 s budget spent on
+# fuzz-quick mutates the seed corpora of the three trust boundaries, one
+# go test -fuzz run per package. RestoreDelta gets 30 s: any input must
+# fail the restore or leave a device that sweeps, re-encodes and scores
+# exactly without panicking. testprog.Load and checkpoint Store.Load get
+# 15 s each: a program must fail to load or survive a Canonical round trip,
+# and a checkpoint directory must fail to load or yield only regular .ckpt
+# files inside it. Plain `go test` only replays the seeds; CI runs this
+# target. Minimizing a new input grown from the ~60 KB many-injected-cells
+# seed takes the whole 60 s default, which would leave the budget spent on
 # shrinking instead of mutating, so minimization is capped at 5 s.
 fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDelta$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/dram
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/testprog
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/checkpoint
 
 # bench-go runs every go-test benchmark once (compile/behavior smoke, not a
 # measurement). -run '^$$' skips the tests, which `make test` already runs.

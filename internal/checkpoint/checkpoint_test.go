@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
@@ -374,4 +376,130 @@ func TestStoreRejectsBadNames(t *testing.T) {
 	if err := st.Save(1, "id", map[string][]byte{"sub/state.ckpt": nil}); err == nil {
 		t.Error("want error for non-base name")
 	}
+}
+
+// entryManifest returns a manifest whose one entry names name with data's
+// true length and digest.
+func entryManifest(tb testing.TB, seq int, id, name string, data []byte) []byte {
+	tb.Helper()
+	sum := sha256.Sum256(data)
+	enc, err := json.Marshal(Manifest{Version: FormatVersion, Identity: id, Seq: seq,
+		Files: []FileEntry{{Name: name, SHA256: hex.EncodeToString(sum[:]), Bytes: int64(len(data))}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enc
+}
+
+// outsideEntries are manifest entries Load must refuse: a path into the
+// parent directory, a path into a subdirectory, a name without the .ckpt
+// suffix, and a .ckpt symlink to a regular file outside the directory.
+// plantOutside puts a file holding data wherever each resolves for a store
+// directory dir inside root.
+var outsideEntries = []struct{ label, name string }{
+	{"parent-dir", "../x.ckpt"}, {"subdir", "sub/x.ckpt"}, {"suffix", "x.txt"}, {"symlink", "link.ckpt"},
+}
+
+func plantOutside(tb testing.TB, root, dir string, data []byte) {
+	tb.Helper()
+	target := filepath.Join(root, "outside.bin")
+	for _, path := range []string{filepath.Join(root, "x.ckpt"), filepath.Join(dir, "sub", "x.ckpt"), filepath.Join(dir, "x.txt"), target} {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			tb.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := os.Symlink(target, filepath.Join(dir, "link.ckpt")); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestStoreLoadRefusesOutsideFiles lists each outside entry, with its
+// target's true length and digest, in the newest manifest. Load must refuse
+// that generation and fall back to the previous one.
+func TestStoreLoadRefusesOutsideFiles(t *testing.T) {
+	outside := []byte("bytes that live outside the checkpoint directory")
+	for _, entry := range outsideEntries {
+		t.Run(entry.label, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "ckpt")
+			st, err := NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := Identity([]byte("cfg"))
+			if err := st.Save(1, id, snap(1, "generation-one")); err != nil {
+				t.Fatal(err)
+			}
+			plantOutside(t, root, dir, outside)
+			if err := os.Rename(filepath.Join(dir, manifestName), filepath.Join(dir, prevName)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, manifestName), entryManifest(t, 2, id, entry.name, outside), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			m, files, err := st.Load(id)
+			if err != nil {
+				t.Fatalf("fallback load failed: %v", err)
+			}
+			if m.Seq != 1 || len(files) != 1 || string(files["state.ckpt"]) != "generation-one" {
+				t.Fatalf("loaded seq %d with files %q, want the fallback to seq 1", m.Seq, files)
+			}
+		})
+	}
+}
+
+// FuzzStoreLoad fuzzes the checkpoint directory's trust boundary: an
+// arbitrary manifest.json beside an arbitrary a.ckpt, with the outside
+// entries' targets holding the same bytes as a.ckpt. Load must return an
+// error or only regular files in the directory with base .ckpt names, and
+// must never panic. Plain go test runs the seed corpus; make fuzz-quick
+// mutates it.
+func FuzzStoreLoad(f *testing.F) {
+	state := []byte("generation-one")
+	dir := f.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := st.Save(1, Identity([]byte("cfg")), map[string][]byte{"a.ckpt": state}); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, state)
+	f.Add(valid[:len(valid)/2], state)
+	for _, entry := range outsideEntries {
+		f.Add(entryManifest(f, 1, "", entry.name, state), state)
+	}
+	f.Fuzz(func(t *testing.T, manifest, ckpt []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "ckpt")
+		st, err := NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plantOutside(t, root, dir, ckpt)
+		for name, data := range map[string][]byte{manifestName: manifest, "a.ckpt": ckpt} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, files, err := st.Load("")
+		if err != nil {
+			return
+		}
+		for name := range files {
+			if checkStateName(name) != nil {
+				t.Fatalf("Load returned state file %q", name)
+			}
+			if info, err := os.Lstat(filepath.Join(dir, name)); err != nil || !info.Mode().IsRegular() {
+				t.Fatalf("Load returned %q, which is not a regular file in the directory", name)
+			}
+		}
+	})
 }

@@ -107,11 +107,8 @@ func (s *Store) Save(seq int, identity string, files map[string][]byte) error {
 	sort.Strings(names)
 	m := &Manifest{Version: FormatVersion, Identity: identity, Seq: seq}
 	for _, name := range names {
-		if !strings.HasSuffix(name, stateSuffix) {
-			return fmt.Errorf("checkpoint: state file %q must end in %s", name, stateSuffix)
-		}
-		if name != filepath.Base(name) {
-			return fmt.Errorf("checkpoint: state file %q must be a base name", name)
+		if err := checkStateName(name); err != nil {
+			return err
 		}
 		data := files[name]
 		if err := WriteFileAtomic(filepath.Join(s.dir, name), data, 0o644); err != nil {
@@ -139,6 +136,18 @@ func (s *Store) Save(seq int, identity string, files map[string][]byte) error {
 		return err
 	}
 	s.prune()
+	return nil
+}
+
+// checkStateName enforces the rule for state-file names: a base name in the
+// store's directory that ends in stateSuffix.
+func checkStateName(name string) error {
+	if !strings.HasSuffix(name, stateSuffix) {
+		return fmt.Errorf("checkpoint: state file %q must end in %s", name, stateSuffix)
+	}
+	if name != filepath.Base(name) {
+		return fmt.Errorf("checkpoint: state file %q must be a base name", name)
+	}
 	return nil
 }
 
@@ -219,16 +228,30 @@ func (s *Store) Load(identity string) (*Manifest, map[string][]byte, error) {
 	return nil, nil, fmt.Errorf("checkpoint: no loadable snapshot: %w", errors.Join(errs...))
 }
 
-// verify reads and checksums every state file of a manifest.
+// verify reads and checksums every state file of a manifest. An entry must
+// pass Save's name rule and name a regular file (not a symlink) whose size
+// matches before it is read, so a manifest can neither reach outside the
+// directory nor make Load read without bound.
 func (s *Store) verify(m *Manifest) (map[string][]byte, error) {
 	files := make(map[string][]byte, len(m.Files))
 	for _, f := range m.Files {
-		data, err := os.ReadFile(filepath.Join(s.dir, f.Name))
+		if err := checkStateName(f.Name); err != nil {
+			return nil, err
+		}
+		path := filepath.Join(s.dir, f.Name)
+		info, err := os.Lstat(path)
 		if err != nil {
 			return nil, err
 		}
-		if int64(len(data)) != f.Bytes {
-			return nil, fmt.Errorf("%s: %d bytes, manifest says %d (truncated?)", f.Name, len(data), f.Bytes)
+		if !info.Mode().IsRegular() {
+			return nil, fmt.Errorf("%s: not a regular file", f.Name)
+		}
+		if info.Size() != f.Bytes {
+			return nil, fmt.Errorf("%s: %d bytes, manifest says %d (truncated?)", f.Name, info.Size(), f.Bytes)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
 		}
 		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != f.SHA256 {

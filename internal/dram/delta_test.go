@@ -267,7 +267,9 @@ func TestDeltaRestoreManyInjected(t *testing.T) {
 // rows, a bulk rewrite, a second sweep (a hit on the fixture's cached
 // Solid1 round, which folds in the dirty list) and a re-encode. A corrupt
 // blob must fail the restore or survive this sequence; a panic anywhere
-// fails the caller.
+// fails the caller. The ground-truth oracle must also match the 16-code
+// scan on the restored device, whose injected records can carry any mu,
+// sigma and dpdSens.
 func restoreAndUse(tb testing.TB, d *Device, blob []byte) error {
 	tb.Helper()
 	fresh, err := d.Ref().Materialize()
@@ -280,6 +282,10 @@ func restoreAndUse(tb testing.TB, d *Device, blob []byte) error {
 	fresh.ReadCompareAll(44.096)
 	fresh.WriteAll(patterns.Solid1(), 44.096)
 	fresh.ReadCompareAll(46.144)
+	got := fresh.TrueFailingSet(1.024, 45, 46.144, OracleThreshold)
+	if want := scanTrueFailingSet(fresh, 1.024, 45, 46.144, OracleThreshold); !slices.Equal(got, want) {
+		tb.Fatalf("restored device: oracle %d cells, scan %d cells", len(got), len(want))
+	}
 	if err := fresh.EncodeDelta(checkpoint.NewEncoder()); err != nil {
 		tb.Fatalf("re-encoding a restored device: %v", err)
 	}
@@ -315,8 +321,8 @@ func TestDeltaRestoreCorrupt(t *testing.T) {
 // FuzzRestoreDelta fuzzes the same property from the corruption fixture's
 // blob and injectedFixture's (same Config): any byte string must fail
 // RestoreDelta or restore a device that survives restoreAndUse's
-// sweep-and-encode sequence. Plain go test runs the seed corpus; make
-// fuzz-quick mutates it.
+// sweep-and-encode sequence and oracle check. Plain go test runs the seed
+// corpus; make fuzz-quick mutates it.
 func FuzzRestoreDelta(f *testing.F) {
 	d, blob := corruptFixture(f)
 	f.Add(blob)

@@ -106,8 +106,10 @@ type Device struct {
 
 	// cellArena backs weakCell storage in pointer-stable chunks: full
 	// chunks are abandoned (the cells carved from them keep them alive),
-	// never grown, so &cellArena[i] stays valid for the device's lifetime
-	// while construction pays ~1 allocation per chunk instead of per cell.
+	// never grown, so &cellArena[i] stays valid for the device's lifetime.
+	// Construction carves the base cells from one chunk sized to their
+	// count and the VRT reservoir from another; later injections and
+	// restores take cellArenaChunk-cell chunks.
 	//lint:serialized-elsewhere allocation backing store; restore re-carves cells through the same arena allocator
 	cellArena []weakCell
 
@@ -216,9 +218,12 @@ func (d *Device) sampleWeakPopulation() {
 	n := d.src.Poisson(expected)
 	taken := make(map[uint64]struct{}, n)
 	base := newPowerLaw(tmin, tmax, v.BERExponent)
+	logSigma := v.sigmaLogMean()
+	d.weak = make([]*weakCell, 0, n)
+	d.cellArena = make([]weakCell, 0, n)
 	for i := 0; i < n; i++ {
 		mu := base.sample(d.src)
-		d.addWeakCell(taken, mu, !d.cfg.DisableVRT && d.src.Bernoulli(v.VRTFraction), 0)
+		d.addWeakCell(taken, logSigma, mu, !d.cfg.DisableVRT && d.src.Bernoulli(v.VRTFraction), 0)
 	}
 
 	// Latent VRT reservoir: cells whose high-retention state is beyond the
@@ -239,9 +244,11 @@ func (d *Device) sampleWeakPopulation() {
 		latent := v.VRTRate(vrtMax, RefTempC, d.geom.TotalBytes()) * dwellSum * d.cfg.WeakScale
 		m := d.src.Poisson(latent)
 		reservoir := newPowerLaw(tmin, vrtMax, v.VRTRateExponent)
+		d.weak = slices.Grow(d.weak, m)
+		d.cellArena = make([]weakCell, 0, m)
 		for i := 0; i < m; i++ {
 			muLow := reservoir.sample(d.src)
-			d.addWeakCell(taken, muLow, true, tmax*10)
+			d.addWeakCell(taken, logSigma, muLow, true, tmax*10)
 		}
 	}
 
@@ -317,11 +324,12 @@ func (d *Device) allocCell() *weakCell {
 	return &d.cellArena[len(d.cellArena)-1]
 }
 
-// addWeakCell creates one weak cell at a fresh random bit position.
-// muHighOverride > 0 forces the VRT high-retention state to that value
-// (used for the latent reservoir); otherwise a VRT cell's high state is a
-// random multiple of its low state.
-func (d *Device) addWeakCell(taken map[uint64]struct{}, mu float64, vrt bool, muHighOverride float64) {
+// addWeakCell creates one weak cell at a fresh random bit position, drawing
+// its sigma around logSigma, the vendor's sigmaLogMean. muHighOverride > 0
+// forces the VRT high-retention state to that value (used for the latent
+// reservoir); otherwise a VRT cell's high state is a random multiple of its
+// low state.
+func (d *Device) addWeakCell(taken map[uint64]struct{}, logSigma, mu float64, vrt bool, muHighOverride float64) {
 	var bit uint64
 	for {
 		bit = d.src.Uint64n(uint64(d.geom.TotalBits()))
@@ -331,7 +339,7 @@ func (d *Device) addWeakCell(taken map[uint64]struct{}, mu float64, vrt bool, mu
 		}
 	}
 	v := &d.vend
-	sigma := d.src.LogNormal(math.Log(v.SigmaLogMedianMS/1000), v.SigmaLogSigma)
+	sigma := d.src.LogNormal(logSigma, v.SigmaLogSigma)
 	if sigmaCap := mu / 5; sigma > sigmaCap {
 		sigma = sigmaCap
 	}

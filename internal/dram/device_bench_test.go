@@ -98,20 +98,25 @@ func BenchmarkReadCompareAllSteadyState(b *testing.B) {
 }
 
 // BenchmarkNewDevice measures fleet-member construction from the analytic
-// distributions.
+// distributions: a 32 Mbit chip at WeakScale 100, and the bench population
+// chip (16 Mbit, WeakScale 30) once per vendor.
 func BenchmarkNewDevice(b *testing.B) {
-	cfg := Config{
-		Geometry:  Geometry{Banks: 8, RowsPerBank: 256, WordsPerRow: 256},
-		Vendor:    VendorB(),
-		WeakScale: 100,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		if _, err := NewDevice(cfg); err != nil {
-			b.Fatal(err)
+	build := func(b *testing.B, cfg Config) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cfg.Seed = uint64(i + 1)
+			if _, err := NewDevice(cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
+	}
+	b.Run("32mbit", func(b *testing.B) {
+		build(b, Config{Geometry: Geometry{Banks: 8, RowsPerBank: 256, WordsPerRow: 256}, Vendor: VendorB(), WeakScale: 100})
+	})
+	for _, v := range Vendors() {
+		b.Run("population/"+v.Name, func(b *testing.B) {
+			build(b, Config{Geometry: GeometryForBits(16 << 20), Vendor: v, WeakScale: 30})
+		})
 	}
 }
 

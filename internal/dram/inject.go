@@ -86,7 +86,7 @@ func (d *Device) newInjectedCell(src *rng.Source, bit uint64, maxMuSeconds float
 		tmax = tmin
 	}
 	mu := newPowerLaw(tmin, tmax, v.BERExponent).sample(src)
-	sigma := src.LogNormal(math.Log(v.SigmaLogMedianMS/1000), v.SigmaLogSigma)
+	sigma := src.LogNormal(v.sigmaLogMean(), v.SigmaLogSigma)
 	if sigmaCap := mu / 5; sigma > sigmaCap {
 		sigma = sigmaCap
 	}

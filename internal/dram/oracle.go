@@ -1,10 +1,6 @@
 package dram
 
-import (
-	"sort"
-
-	"reaper/internal/stats"
-)
+import "sort"
 
 // This file exposes the device's latent ground truth. Real chips have no
 // such interface — profiling mechanisms only ever see read/write results —
@@ -64,9 +60,10 @@ func (d *Device) CellFailProb(bit uint64, tREFI, tempC, now float64) float64 {
 //
 // A typical threshold is OracleThreshold.
 //
-// The set is exactly the cells whose worstCaseFailProb is >= threshold, but
-// most cells are decided from one failure-CDF evaluation instead of 16 (see
-// worstCaseReaches).
+// The set is exactly the cells whose worstCaseFailProb is >= threshold; cells
+// far below their retention mean are excluded without the 16-code scan (see
+// worstCaseReaches). Every cell's VRT state catches up to now, excluded or
+// not.
 func (d *Device) TrueFailingSet(tREFI, tempC, now, threshold float64) []uint64 {
 	var out []uint64
 	scale := d.vend.muTempScale(tempC)
@@ -81,36 +78,31 @@ func (d *Device) TrueFailingSet(tREFI, tempC, now, threshold float64) []uint64 {
 // worstCaseReaches reports whether worstCaseFailProb, whose temperature-
 // scaled retention mean and sigma are base and sigma, is at least threshold.
 //
-// For base > 0 the failure CDF cannot rise as the DPD factor grows: every
-// float operation from the factor to Erfc's argument is monotone, and erfc
-// falls. So the code with the smallest factor is the worst case, and p, the
-// CDF there, is one of the 16 values worstCaseFailProb maximizes over. If p
-// reaches threshold, so does the maximum. If p is below threshold/2, every
-// other code's value is too: Erfc's rounding error is far below a factor of
-// two wherever threshold/2 is a normal float. Anything else — a value in
-// between, a NaN, a non-positive or NaN base from a corrupt restore — takes
-// the exact 16-code scan.
+// A cell with elapsed more than farTailSigmas sigmas below base is excluded
+// without the scan when dpdSens >= 0 and threshold >= farTailMinThreshold.
+// Every code's DPD factor is then >= 1 (or NaN, which worstCaseAt never
+// picks), so every code's mean is >= base and its failure CDF is at most
+// Φ(-4) ≈ 3.2e-5. That bound is a factor of three below farTailMinThreshold,
+// far more than the rounding of the CDF's few float operations can close.
+// Everything else takes the exact 16-code scan: a NaN or non-positive base, a
+// NaN, non-positive or infinite sigma, a negative or NaN dpdSens (a restored
+// injected record can carry any of these), and every threshold under
+// farTailMinThreshold.
 func (c *weakCell) worstCaseReaches(elapsed, base, sigma, threshold float64) bool {
-	if base > 0 {
-		fmin := c.dpdFactor(0)
-		for code := uint64(1); code < dpdCodes; code++ {
-			if f := c.dpdFactor(code); f < fmin {
-				fmin = f
-			}
-		}
-		p := stats.NormalCDF(elapsed, base*fmin, sigma)
-		if p >= threshold {
-			return true
-		}
-		if half := threshold / 2; p < half && half >= minNormal {
-			return false
-		}
+	if base > 0 && sigma > 0 && c.dpdSens >= 0 && threshold >= farTailMinThreshold &&
+		elapsed < base-farTailSigmas*sigma {
+		return false
 	}
 	return c.worstCaseAt(elapsed, base, sigma) >= threshold
 }
 
-// minNormal is the smallest positive normal float64.
-const minNormal = 0x1p-1022
+// farTailSigmas and farTailMinThreshold define worstCaseReaches's exact cut:
+// a failure CDF evaluated farTailSigmas sigmas below its mean is below every
+// threshold >= farTailMinThreshold.
+const (
+	farTailSigmas       = 4
+	farTailMinThreshold = 1e-4
+)
 
 // OracleThreshold is the default minimum single-read worst-case failure
 // probability for a cell to count as a "possible failing cell" at given

@@ -10,14 +10,12 @@ import (
 
 	"reaper/internal/checkpoint"
 	"reaper/internal/rng"
-	"reaper/internal/stats"
 )
 
 // This file pins the construction and oracle shortcuts to the plain
-// algorithms they replace: TrueFailingSet's one-evaluation decision against
-// the 16-code scan, the radix-sorted activation index against a comparison
-// sort by (key, bit), and the row offsets against a filter of the weak
-// population by row.
+// algorithms they replace: TrueFailingSet's far-tail cut against the 16-code
+// scan, the radix-sorted activation index against a comparison sort by (key,
+// bit), and the row offsets against a filter of the weak population by row.
 
 // scanTrueFailingSet is the 16-code reference oracle: every cell whose
 // worst-case failure probability reaches threshold.
@@ -31,36 +29,25 @@ func scanTrueFailingSet(d *Device, tREFI, tempC, now, threshold float64) []uint6
 	return out
 }
 
-// fastPathProb is the single CDF value TrueFailingSet decides most cells
-// from: the cell's failure probability at its smallest DPD factor.
-func fastPathProb(d *Device, c *weakCell, tREFI, tempC, now float64) float64 {
-	scale := d.vend.muTempScale(tempC)
-	fmin := c.dpdFactor(0)
-	for code := uint64(1); code < dpdCodes; code++ {
-		fmin = min(fmin, c.dpdFactor(code))
-	}
-	return stats.NormalCDF(tREFI, c.muAt(now)*scale*fmin, c.sigma*scale)
-}
-
 // requireOracleMatchesScan compares TrueFailingSet with the reference scan
-// at several conditions and thresholds, including thresholds derived from
-// cells' own fast-path values: 1.5x puts that cell in the fallback band
-// (below threshold, at least threshold/2), 1.0x on the inclusive edge.
+// at several conditions and thresholds: fixed ones on both sides of the
+// far-tail cut's threshold floor, and each sampled cell's own worst-case
+// probability and the next float above it, the two edges of its inclusion.
 func requireOracleMatchesScan(t *testing.T, d *Device, now float64) {
 	t.Helper()
 	for _, cond := range []struct{ tREFI, tempC float64 }{{1.024, 45}, {2.048, 45}, {1.5, 55}} {
 		var interior []float64
 		for _, c := range d.weak {
-			if p := fastPathProb(d, c, cond.tREFI, cond.tempC, now); p > 0 && p < 1 {
+			if p := c.worstCaseFailProb(cond.tREFI, cond.tempC, &d.vend, now); p > 0 && p < 1 {
 				interior = append(interior, p)
 			}
 		}
 		if len(interior) == 0 {
 			t.Fatalf("tREFI %v tempC %v: no cell strictly inside (0, 1)", cond.tREFI, cond.tempC)
 		}
-		thresholds := []float64{0, OracleThreshold, 0.5, 1}
+		thresholds := []float64{0, 5e-5, farTailMinThreshold, math.Nextafter(farTailMinThreshold, 1), OracleThreshold, 0.5, 1}
 		for i := 0; i < len(interior); i += max(1, len(interior)/6) {
-			thresholds = append(thresholds, interior[i]*1.5, interior[i])
+			thresholds = append(thresholds, interior[i], math.Nextafter(interior[i], 1))
 		}
 		decided := 0
 		for _, th := range thresholds {
@@ -76,6 +63,46 @@ func requireOracleMatchesScan(t *testing.T, d *Device, now float64) {
 		}
 		if decided == 0 {
 			t.Fatalf("tREFI %v tempC %v: no threshold split the population; the comparison is vacuous", cond.tREFI, cond.tempC)
+		}
+	}
+}
+
+// editOracleCells overwrites cells of d with the parameters a restored
+// injected record could carry, and places three cells on the far-tail cut's
+// edge at 1.024 s and 45 °C (where the temperature scale is 1): elapsed
+// exactly base − 4σ and one ulp on either side. Each edited cell loses its
+// VRT state, so its mean is its mu at any time.
+func editOracleCells(t *testing.T, d *Device) {
+	t.Helper()
+	type edit struct{ mu, sigma, sens float64 }
+	nan, inf := math.NaN(), math.Inf(1)
+	edits := []edit{
+		{nan, 0.1, 0}, {inf, 0.1, 0}, {-inf, 0.1, 0}, {0, 0.1, 0}, {-1, 0.1, 0},
+		// The mean lies below every condition's elapsed time, so a
+		// non-positive sigma's step CDF reads 1; with sigma -1 or -Inf the
+		// cut would drop the cell if it did not require sigma > 0.
+		{0.5, nan, 0}, {0.5, inf, 0}, {0.5, -inf, 0}, {0.5, 0, 0}, {0.5, -1, 0},
+		// At 1.024 s the mean is far more than 4σ above elapsed, but a
+		// negative sensitivity gives some codes a factor below 1/2, so the
+		// cut must require dpdSens >= 0.
+		{1.9, 0.01, -0.9}, {1.9, 0.01, nan}, {1.9, 0.01, inf},
+	}
+	const sigma = 0.0625
+	for _, edge := range []float64{1.024, math.Nextafter(1.024, 0), math.Nextafter(1.024, 2)} {
+		mu := edge + farTailSigmas*sigma
+		if mu-farTailSigmas*sigma != edge {
+			t.Fatalf("edge cell: %v - 4*%v != %v", mu, sigma, edge)
+		}
+		edits = append(edits, edit{mu, sigma, 0})
+	}
+	if d.vend.muTempScale(45) != 1 {
+		t.Fatal("temperature scale at 45 °C is not 1")
+	}
+	for k, e := range edits {
+		c := d.weak[(k+1)*len(d.weak)/(len(edits)+1)]
+		c.mu, c.sigma, c.dpdSens, c.vrt = e.mu, e.sigma, e.sens, nil
+		if (e.sigma == -1 || e.sens < 0) && c.worstCaseFailProb(1.024, 45, &d.vend, 0) < OracleThreshold {
+			t.Fatalf("edited cell %+v is not in the true set at 1.024 s; it cannot catch a weakened guard", e)
 		}
 	}
 }
@@ -97,6 +124,8 @@ func TestTrueFailingSetMatchesScan(t *testing.T) {
 					if dpd && len(d.RescrambleDPD(src, 40)) == 0 {
 						t.Fatal("no DPD cell to rescramble")
 					}
+					requireOracleMatchesScan(t, d, 36000)
+					editOracleCells(t, d)
 					requireOracleMatchesScan(t, d, 36000)
 				})
 			}
@@ -185,6 +214,7 @@ func TestActivationIndexMatchesComparisonSort(t *testing.T) {
 }
 
 func TestOrderKeyMatchesCmpCompare(t *testing.T) {
+	const minNormal = 0x1p-1022 // the smallest positive normal float64
 	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
 	vals := []float64{
 		math.NaN(), negNaN, math.Float64frombits(0x7FF0000000000001),

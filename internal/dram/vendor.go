@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // VendorParams is the per-vendor calibration of the retention model. The
 // three vendor profiles below are fit to the quantities the paper publishes;
@@ -177,4 +180,11 @@ func (v VendorParams) VRTRate(t, tempC float64, bytes int64) float64 {
 // exactly that for a power-law mean distribution.
 func (v VendorParams) muTempScale(tempC float64) float64 {
 	return exp(-v.TempCoeff / v.BERExponent * (tempC - RefTempC))
+}
+
+// sigmaLogMean returns the log-space mean of the per-cell sigma lognormal:
+// the log of SigmaLogMedianMS in seconds. Construction computes it once per
+// population and injection once per cell, from the same expression.
+func (v VendorParams) sigmaLogMean() float64 {
+	return math.Log(v.SigmaLogMedianMS / 1000)
 }

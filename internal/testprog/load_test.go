@@ -50,42 +50,45 @@ func TestLoadMinimalDevice(t *testing.T) {
 	}
 }
 
+// loadRejectCases are programs Load must refuse, each with a substring of
+// its error. FuzzLoad seeds from them too.
+var loadRejectCases = []struct {
+	name string
+	json string
+	want string // substring of the error
+}{
+	{"unknown top-level field", `{"version":1,"seed":1,"bogus":2,"stages":[{"type":"disable_refresh"}]}`, "bogus"},
+	{"unknown stage type", `{"version":1,"seed":1,"stages":[{"type":"warp_drive"}]}`, "unknown stage type"},
+	{"unknown stage field", `{"version":1,"seed":1,"stages":[{"type":"wait","seconds":1,"minutes":2}]}`, "minutes"},
+	{"missing stage type", `{"version":1,"seed":1,"stages":[{"seconds":1}]}`, "missing \"type\""},
+	{"wrong field type in stage", `{"version":1,"seed":1,"stages":[{"type":"wait","seconds":"soon"}]}`, "cannot unmarshal"},
+	{"trailing content", minimalDevice() + `{"version":1}`, "trailing content"},
+	{"bad version", `{"version":2,"seed":1,"stages":[{"type":"disable_refresh"}]}`, "unsupported program version"},
+	{"no stages", `{"version":1,"seed":1,"stages":[]}`, "no stages"},
+	{"unknown vendor", `{"version":1,"seed":1,"fleet":{"vendor":"Z"},"stages":[{"type":"disable_refresh"}]}`, "unknown vendor"},
+	{"tiny chip", `{"version":1,"seed":1,"fleet":{"bits":4096},"stages":[{"type":"disable_refresh"}]}`, "fleet.bits"},
+	{"negative wait", `{"version":1,"seed":1,"stages":[{"type":"wait","seconds":-1}]}`, "seconds"},
+	{"bad pattern", `{"version":1,"seed":1,"stages":[{"type":"write_pattern","pattern":"plaid"}]}`, "plaid"},
+	{"read before write", `{"version":1,"seed":1,"stages":[{"type":"read_compare"}]}`, "prior write_pattern"},
+	{"classify before read", `{"version":1,"seed":1,"stages":[
+		{"type":"write_pattern","pattern":"solid1"},
+		{"type":"classify","target_interval_s":1,"target_temp_c":45}]}`, "prior read_compare or profile"},
+	{"mixed families", `{"version":1,"seed":1,"stages":[
+		{"type":"disable_refresh"},
+		{"type":"soak","hours":1,"target_interval_s":1,"controller":true}]}`, "cannot mix"},
+	{"inject kind", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"gamma_ray","cells":3}]}`, "unknown kind"},
+	{"inject missing mu", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"vrt_burst","cells":3}]}`, "max_mu_s"},
+	{"inject stray mu", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"dpd_rescramble","cells":3,"max_mu_s":1}]}`, "does not take max_mu_s"},
+	{"inject zero cells", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"dpd_rescramble","cells":0}]}`, "cells 0 out of range"},
+	{"inject cells past max", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"weak_arrival","cells":2000000,"max_mu_s":1}]}`, "cells 2000000 out of range 1..65536"},
+	{"unknown soak scenario", `{"version":1,"seed":1,"stages":[{"type":"soak","hours":1,"target_interval_s":1,"controller":true,"scenario":"apocalyptic"}]}`, "unknown scenario"},
+	{"empty grid", `{"version":1,"seed":1,"stages":[{"type":"tradeoff_grid","target_interval_s":1,"target_temp_c":45,"delta_intervals_s":[],"delta_temps_c":[0]}]}`, "empty reach grid"},
+	{"defaulted iterations past max", `{"version":1,"seed":1,"stages":[{"type":"tradeoff_grid","target_interval_s":1,"target_temp_c":45,"delta_intervals_s":[0],"delta_temps_c":[0],"max_iterations":8}]}`, "iterations 16 exceeds max_iterations 8"},
+	{"trace on campaign", `{"version":1,"seed":1,"output":{"include_trace":true},"stages":[{"type":"soak","hours":1,"target_interval_s":1,"controller":true}]}`, "include_trace"},
+}
+
 func TestLoadRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		json string
-		want string // substring of the error
-	}{
-		{"unknown top-level field", `{"version":1,"seed":1,"bogus":2,"stages":[{"type":"disable_refresh"}]}`, "bogus"},
-		{"unknown stage type", `{"version":1,"seed":1,"stages":[{"type":"warp_drive"}]}`, "unknown stage type"},
-		{"unknown stage field", `{"version":1,"seed":1,"stages":[{"type":"wait","seconds":1,"minutes":2}]}`, "minutes"},
-		{"missing stage type", `{"version":1,"seed":1,"stages":[{"seconds":1}]}`, "missing \"type\""},
-		{"wrong field type in stage", `{"version":1,"seed":1,"stages":[{"type":"wait","seconds":"soon"}]}`, "cannot unmarshal"},
-		{"trailing content", minimalDevice() + `{"version":1}`, "trailing content"},
-		{"bad version", `{"version":2,"seed":1,"stages":[{"type":"disable_refresh"}]}`, "unsupported program version"},
-		{"no stages", `{"version":1,"seed":1,"stages":[]}`, "no stages"},
-		{"unknown vendor", `{"version":1,"seed":1,"fleet":{"vendor":"Z"},"stages":[{"type":"disable_refresh"}]}`, "unknown vendor"},
-		{"tiny chip", `{"version":1,"seed":1,"fleet":{"bits":4096},"stages":[{"type":"disable_refresh"}]}`, "fleet.bits"},
-		{"negative wait", `{"version":1,"seed":1,"stages":[{"type":"wait","seconds":-1}]}`, "seconds"},
-		{"bad pattern", `{"version":1,"seed":1,"stages":[{"type":"write_pattern","pattern":"plaid"}]}`, "plaid"},
-		{"read before write", `{"version":1,"seed":1,"stages":[{"type":"read_compare"}]}`, "prior write_pattern"},
-		{"classify before read", `{"version":1,"seed":1,"stages":[
-			{"type":"write_pattern","pattern":"solid1"},
-			{"type":"classify","target_interval_s":1,"target_temp_c":45}]}`, "prior read_compare or profile"},
-		{"mixed families", `{"version":1,"seed":1,"stages":[
-			{"type":"disable_refresh"},
-			{"type":"soak","hours":1,"target_interval_s":1,"controller":true}]}`, "cannot mix"},
-		{"inject kind", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"gamma_ray","cells":3}]}`, "unknown kind"},
-		{"inject missing mu", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"vrt_burst","cells":3}]}`, "max_mu_s"},
-		{"inject stray mu", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"dpd_rescramble","cells":3,"max_mu_s":1}]}`, "does not take max_mu_s"},
-		{"inject zero cells", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"dpd_rescramble","cells":0}]}`, "cells 0 out of range"},
-		{"inject cells past max", `{"version":1,"seed":1,"stages":[{"type":"inject_fault","kind":"weak_arrival","cells":2000000,"max_mu_s":1}]}`, "cells 2000000 out of range 1..65536"},
-		{"unknown soak scenario", `{"version":1,"seed":1,"stages":[{"type":"soak","hours":1,"target_interval_s":1,"controller":true,"scenario":"apocalyptic"}]}`, "unknown scenario"},
-		{"empty grid", `{"version":1,"seed":1,"stages":[{"type":"tradeoff_grid","target_interval_s":1,"target_temp_c":45,"delta_intervals_s":[],"delta_temps_c":[0]}]}`, "empty reach grid"},
-		{"defaulted iterations past max", `{"version":1,"seed":1,"stages":[{"type":"tradeoff_grid","target_interval_s":1,"target_temp_c":45,"delta_intervals_s":[0],"delta_temps_c":[0],"max_iterations":8}]}`, "iterations 16 exceeds max_iterations 8"},
-		{"trace on campaign", `{"version":1,"seed":1,"output":{"include_trace":true},"stages":[{"type":"soak","hours":1,"target_interval_s":1,"controller":true}]}`, "include_trace"},
-	}
-	for _, tc := range cases {
+	for _, tc := range loadRejectCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load([]byte(tc.json))
 			if err == nil {
@@ -173,8 +176,9 @@ func TestStageTypesSortedAndClosed(t *testing.T) {
 	}
 }
 
-func TestCampaignProgramLoads(t *testing.T) {
-	src := `{
+// campaignProgram returns a small valid campaign program as JSON.
+func campaignProgram() string {
+	return `{
   "version": 1,
   "seed": 11,
   "fleet": {"bits": 1048576, "weak_scale": 40},
@@ -185,13 +189,45 @@ func TestCampaignProgramLoads(t *testing.T) {
   ],
   "output": {}
 }`
-	p, err := Load([]byte(src))
+}
+
+func TestCampaignProgramLoads(t *testing.T) {
+	p, err := Load([]byte(campaignProgram()))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if p.Kind() != KindCampaign {
 		t.Fatalf("kind = %q, want campaign", p.Kind())
 	}
+}
+
+// FuzzLoad fuzzes the test-program trust boundary from the programs the
+// load tests use: any input must fail Load, or load a program whose
+// Canonical form loads back to a deeply equal program. Plain go test runs
+// the seed corpus; make fuzz-quick mutates it.
+func FuzzLoad(f *testing.F) {
+	f.Add([]byte(minimalDevice()))
+	f.Add([]byte(campaignProgram()))
+	for _, tc := range loadRejectCases {
+		f.Add([]byte(tc.json))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Load(data)
+		if err != nil {
+			return
+		}
+		canon, err := p.Canonical()
+		if err != nil {
+			t.Fatalf("Canonical of a loaded program: %v", err)
+		}
+		back, err := Load(canon)
+		if err != nil {
+			t.Fatalf("Load(Canonical): %v\n%s", err, canon)
+		}
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("round trip diverged:\n%+v\nvs\n%+v", p, back)
+		}
+	})
 }
 
 // TestResultJSONDeterministic pins that marshaling a Result twice gives
