@@ -103,23 +103,27 @@ bench-test:
 bench-smoke:
 	bash cmd/bench/run.sh --workload all --seed 1 --seconds 1 --trace 0
 
-# fuzz-quick mutates the seed corpora of the four trust boundaries, one
-# go test -fuzz run per package. RestoreDelta gets 30 s: any input must
-# fail the restore or leave a device that sweeps, re-encodes and scores
-# exactly without panicking. testprog.Load, checkpoint Store.Load and the
-# soak chip blob get 15 s each: a program must fail to load or survive a
-# Canonical round trip, a checkpoint directory must fail to load or yield
-# only regular .ckpt files inside it, and a chip blob must fail to restore
-# or give a runner that runs two windows, encodes and finalizes without
-# panicking. Plain `go test` only replays the seeds; CI runs this
-# target. Minimizing a new input grown from the ~60 KB many-injected-cells
-# seed takes the whole 60 s default, which would leave the budget spent on
-# shrinking instead of mutating, so minimization is capped at 5 s.
+# fuzz-quick mutates the seed corpora of the trust boundaries, one go test
+# -fuzz run per target. RestoreDelta gets 30 s: any input must fail the
+# restore or leave a device that sweeps, re-encodes and scores exactly
+# without panicking. testprog.Load, checkpoint Store.Load, the soak chip
+# blob and the soak campaign meta get 15 s each: a program must fail to
+# load or survive a Canonical round trip, a checkpoint directory must fail
+# to load or yield only regular .ckpt files inside it, a chip blob must
+# fail to restore or give a runner that runs two windows, encodes and
+# finalizes without panicking, and a campaign meta must fail to decode or
+# carry a telemetry snapshot that restores into a fresh registry,
+# re-snapshots and re-encodes without panicking. Plain `go test` only
+# replays the seeds; CI runs this target. Minimizing a new input grown
+# from the ~60 KB many-injected-cells seed takes the whole 60 s default,
+# which would leave the budget spent on shrinking instead of mutating, so
+# minimization is capped at 5 s.
 fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDelta$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/testprog
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzSoakRestore$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzCampaignMeta$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/experiments
 
 # bench-go runs every go-test benchmark once (compile/behavior smoke, not a
 # measurement). -run '^$$' skips the tests, which `make test` already runs.

@@ -101,6 +101,33 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
+// TestMetricsMatchSetAlgebra pins Coverage and FalsePositiveRate, which
+// count the members the two sets share, to the ratios of the Intersect and
+// Diff sets they replaced. Byte-sized members make the random sets overlap.
+func TestMetricsMatchSetAlgebra(t *testing.T) {
+	set := func(xs []uint8) *FailureSet {
+		s := NewFailureSet()
+		for _, x := range xs {
+			s.Add(uint64(x))
+		}
+		return s
+	}
+	f := func(a, b []uint8) bool {
+		found, truth := set(a), set(b)
+		wantCov, wantFPR := 1.0, 0.0
+		if truth.Len() > 0 {
+			wantCov = float64(found.Intersect(truth).Len()) / float64(truth.Len())
+		}
+		if found.Len() > 0 {
+			wantFPR = float64(found.Diff(truth).Len()) / float64(found.Len())
+		}
+		return Coverage(found, truth) == wantCov && FalsePositiveRate(found, truth) == wantFPR
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFalsePositiveRate(t *testing.T) {
 	truth := NewFailureSet(1, 2)
 	found := NewFailureSet(1, 2, 3, 4)

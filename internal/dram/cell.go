@@ -14,9 +14,10 @@ func exp(x float64) float64    { return math.Exp(x) }
 // cell whose retention mean lies inside the modelled interval domain and
 // which can therefore produce retention failures during experiments.
 type weakCell struct {
-	// The seven 8-byte fields come first and the 1-byte fields after them, so
-	// the struct packs into 64 bytes (one cache line) with no interior
-	// padding; a 64 Mbit scale-model chip carries hundreds of thousands.
+	// The seven 8-byte fields come first, then the 4-byte rank and the
+	// 1-byte fields, so the struct packs into 64 bytes (one cache line) with
+	// no interior padding; a 64 Mbit scale-model chip carries hundreds of
+	// thousands.
 
 	// bit is the cell's global linear bit index.
 	bit uint64
@@ -42,6 +43,13 @@ type weakCell struct {
 	// vrt is non-nil for cells with variable retention time.
 	vrt *vrtState
 
+	// rank is the cell's index in the bit-ordered Device.weak, so ranks
+	// order cells as bits do. Sweeps mark ranks in a bitmap and walk it to
+	// get bit order without a comparison sort (index.go). Like
+	// Device.rowStart it may be stale only inside an injection batch,
+	// before any read.
+	rank uint32 //lint:serialized-elsewhere construction-derived: index into weak; construction and recountRows (after injection and delta replay) rebuild it
+
 	// chargedVal is the logical value (0 or 1) stored as charge in this
 	// cell. Retention loss can only corrupt a cell storing its charged
 	// value ("true-cells" lose 1s, "anti-cells" lose 0s), which is why the
@@ -53,25 +61,32 @@ type weakCell struct {
 	// scenario); -1 when the cell holds its written data.
 	stuck int8
 
-	// inStuckList records membership in Device.stuckList, the overlay a
-	// sparse sweep visits instead of scanning the population for stuck
-	// cells. stuck >= 0 implies inStuckList; the converse can be stale
-	// after a partial-write clear until the next collecting sweep compacts
-	// the list.
-	inStuckList bool
-
-	// dpdTracked / vrtTracked record membership in the device's delta-codec
-	// divergence journals (Device.dpdReseeded / Device.vrtForced), so a cell
-	// hit by repeated injection events is journaled exactly once. A forced
-	// VRT cell stays journaled forever: its whole future switch schedule
-	// descends from the forced baseline, not the construction draw.
-	dpdTracked bool
-	vrtTracked bool
+	// flags holds the cell's list memberships (cellStuckListed,
+	// cellDPDTracked, cellVRTTracked).
+	flags uint8
 
 	// nbrCode caches the cell's 4-bit neighbourhood code for the write epoch
 	// nbrEpoch.
 	nbrCode uint8 //lint:serialized-elsewhere per-epoch memo; recomputed on the first sample after restore
 }
+
+// weakCell.flags bits.
+const (
+	// cellStuckListed records membership in Device.stuckList, the overlay a
+	// sparse sweep visits instead of scanning the population for stuck
+	// cells. stuck >= 0 implies the flag; the converse can be stale after a
+	// partial-write clear until the next collecting sweep compacts the list.
+	cellStuckListed uint8 = 1 << iota
+
+	// cellDPDTracked / cellVRTTracked record membership in the device's
+	// delta-codec divergence journals (Device.dpdReseeded /
+	// Device.vrtForced), so a cell hit by repeated injection events is
+	// journaled exactly once. A forced VRT cell stays journaled forever: its
+	// whole future switch schedule descends from the forced baseline, not
+	// the construction draw.
+	cellDPDTracked
+	cellVRTTracked
+)
 
 // vrtState models the memoryless two-state VRT process (Section 2.3.1): the
 // cell alternates between a low-retention state (mean muLow) and a

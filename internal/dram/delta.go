@@ -181,7 +181,7 @@ func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (Row
 			return err
 		}
 		c.dpdSeed = dec.U64()
-		c.dpdTracked = true
+		c.flags |= cellDPDTracked
 		d.dpdReseeded = append(d.dpdReseeded, c)
 	}
 
@@ -205,14 +205,14 @@ func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (Row
 			return fmt.Errorf("dram: delta restore: forced VRT cell at bit %d switches at %v", c.bit, c.vrt.nextSwitch)
 		}
 		c.vrt.src.SetState(decodeSrcState(dec))
-		c.vrtTracked = true
+		c.flags |= cellVRTTracked
 		d.vrtForced = append(d.vrtForced, c)
 	}
 
 	// Stuck overlay: clear whatever pre-restore activity left behind, then
 	// rebuild membership, order and values from the pairs.
 	for _, c := range d.stuckList {
-		c.inStuckList = false
+		c.flags &^= cellStuckListed
 		c.stuck = -1
 	}
 	ns := dec.VarLen(maxRestoreCells)
@@ -225,8 +225,13 @@ func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (Row
 		if err != nil {
 			return err
 		}
+		if c.flags&cellStuckListed != 0 {
+			// markStuck lists a cell at most once, and sweeps report each
+			// listed cell once per read.
+			return fmt.Errorf("dram: delta restore: stuck-list cell at bit %d listed twice", c.bit)
+		}
 		c.stuck = int8(dec.SVar())
-		c.inStuckList = true
+		c.flags |= cellStuckListed
 		d.stuckList = append(d.stuckList, c)
 	}
 

@@ -35,8 +35,9 @@ func TestDeltaEvictRematerializeTwin(t *testing.T) {
 }
 
 // TestDeltaRestoreGuards pins the delta codec's refusal paths: a target with
-// prior divergence, a wrong-seed target, a wrong-geometry target, and a
-// forced VRT cell scheduled to switch before time 0 must all fail loudly.
+// prior divergence, a wrong-seed target, a wrong-geometry target, a forced
+// VRT cell scheduled to switch before time 0, an injected bit that collides
+// and a stuck-list cell listed twice must all fail loudly.
 func TestDeltaRestoreGuards(t *testing.T) {
 	cfg := deltaTestConfig()
 	orig, err := NewDevice(cfg)
@@ -131,6 +132,26 @@ func TestDeltaRestoreGuards(t *testing.T) {
 					t.Fatalf("want an injected-bit collision, got %v", err)
 				}
 			})
+		}
+	})
+	t.Run("stuck-list-repeat", func(t *testing.T) {
+		// markStuck lists a cell once; a blob listing one twice would make
+		// a collecting sweep report the cell twice.
+		n := len(orig.stuckList)
+		orig.stuckList = append(orig.stuckList, orig.weak[0], orig.weak[0])
+		e := checkpoint.NewEncoder()
+		err := orig.EncodeDelta(e)
+		orig.stuckList = orig.stuckList[:n]
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := orig.Ref().Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.RestoreDelta(checkpoint.NewDecoder(e.Data()), resolvePattern)
+		if err == nil || !strings.Contains(err.Error(), "listed twice") {
+			t.Fatalf("want a repeated stuck-list refusal, got %v", err)
 		}
 	})
 	t.Run("wrong-geometry", func(t *testing.T) {

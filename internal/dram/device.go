@@ -123,6 +123,14 @@ type Device struct {
 	band      []*weakCell
 	idx       IndexStats
 
+	// Rank bitmaps (index.go), one bit per weak cell at its rank: a sweep
+	// marks its band cells (and, collecting, its out-of-order fails) in
+	// rankMarks and its new entry's flips in flipMarks, then walks the
+	// marked words to read them back in bit order. Every walk clears what
+	// it reads, so both are all-zero between sweeps.
+	rankMarks []uint64 //lint:serialized-elsewhere per-sweep scratch, all-zero between sweeps; sized by the first sweep after restore
+	flipMarks []uint64 //lint:serialized-elsewhere per-sweep scratch, all-zero between sweeps; sized by the first sweep after restore
+
 	bulkData   RowData
 	bulkTime   float64
 	rows       map[uint32]*rowState
@@ -150,9 +158,11 @@ type Device struct {
 	incr           IncrStats
 	bulkComparable bool
 
-	// failScratch is the reusable failing-bit accumulator of full-device
-	// sweeps; collecting sweeps copy it into an exact-size result.
-	failScratch []uint64
+	// fails is the reusable failing-cell accumulator of full-device sweeps
+	// (index.go); collecting sweeps turn it into a bit-ordered result. It
+	// holds bits and ranks, not cell pointers, so its appends need no GC
+	// write barrier.
+	fails failList
 
 	// Delta-codec divergence journals (delta.go): the cells injected since
 	// construction (in insertion order), and the cells whose dpdSeed or VRT
@@ -257,10 +267,11 @@ func (d *Device) sampleWeakPopulation() {
 }
 
 // sortWeakByRow puts the weak population, drawn in random bit order, into
-// bit order and builds rowStart. Rows are contiguous bit ranges and bits are
-// unique (the taken set), so a counting sort by row followed by a sort
-// inside each row gives exactly the order a sort of the whole population by
-// bit gives, while each comparison sort only sees one row's cells.
+// bit order, builds rowStart and sets every cell's rank. Rows are contiguous
+// bit ranges and bits are unique (the taken set), so a counting sort by row
+// followed by a sort inside each row gives exactly the order a sort of the
+// whole population by bit gives, while each comparison sort only sees one
+// row's cells.
 func (d *Device) sortWeakByRow() {
 	rows := d.geom.TotalRows()
 	start := make([]int32, rows+1)
@@ -281,22 +292,28 @@ func (d *Device) sortWeakByRow() {
 		sorted[start[r]] = c
 	}
 	for r := 0; r < rows; r++ {
-		slices.SortFunc(sorted[start[r]:start[r+1]], func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
+		cells := sorted[start[r]:start[r+1]]
+		slices.SortFunc(cells, func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
+		for i, c := range cells {
+			c.rank = uint32(int(start[r]) + i)
+		}
 	}
 	d.weak = sorted
 	d.rowStart = start
 }
 
-// recountRows rebuilds rowStart from the weak population, which must be in
-// bit order, in one pass over the rows and the cells. Injection and delta
-// replay insert cells without touching the offsets and call it once per
-// batch, so a batch of k cells costs one pass rather than k.
+// recountRows rebuilds rowStart and every cell's rank from the weak
+// population, which must be in bit order, in one pass over the rows and the
+// cells. Injection and delta replay insert cells without touching either and
+// call it once per batch, so a batch of k cells costs one pass rather than
+// k.
 func (d *Device) recountRows() {
 	rowBits := uint64(d.geom.RowBits())
 	i := 0
 	for r := 1; r < len(d.rowStart); r++ {
 		end := uint64(r) * rowBits
 		for i < len(d.weak) && d.weak[i].bit < end {
+			d.weak[i].rank = uint32(i)
 			i++
 		}
 		d.rowStart[r] = int32(i)
@@ -818,13 +835,13 @@ func (d *Device) RestoreContent(snap *ContentSnapshot, now float64) error {
 	}
 	// Rebuild the stuck overlay to mirror the snapshot's corruption.
 	for _, c := range d.stuckList {
-		c.inStuckList = false
+		c.flags &^= cellStuckListed
 	}
 	d.stuckList = d.stuckList[:0]
 	for i, c := range d.weak {
 		c.stuck = snap.stuck[i]
 		if c.stuck >= 0 {
-			c.inStuckList = true
+			c.flags |= cellStuckListed
 			d.stuckList = append(d.stuckList, c)
 		}
 	}

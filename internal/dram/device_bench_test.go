@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"testing"
 
 	"reaper/internal/checkpoint"
@@ -94,6 +95,34 @@ func BenchmarkReadCompareAllSteadyState(b *testing.B) {
 	b.StopTimer()
 	if d.IncrStats().FastSweeps == 0 {
 		b.Fatal("steady-state benchmark never hit the round cache")
+	}
+}
+
+// BenchmarkFig9Pass measures one Algorithm 1 pass on the fig9_grid chip (64
+// Mbit, WeakScale 20, vendor B) at the +250 ms reach interval: a bulk write
+// of a fresh random pattern, a refresh-paused wait that RestoreAll ends at
+// 1.274 s, and ReadCompareAll. The fresh pattern misses the round cache, so
+// every op classifies in full, stores a round entry and collects the stuck
+// overlay that classification and sampling left in key order.
+func BenchmarkFig9Pass(b *testing.B) {
+	cfg := Config{Geometry: GeometryForBits(64 << 20), Vendor: VendorB(), Seed: 1, WeakScale: 20}
+	for _, dt := range []float64{0, 10} {
+		b.Run(fmt.Sprintf("+%gC", dt), func(b *testing.B) {
+			d, err := NewDevice(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.SetTemperature(RefTempC + dt)
+			now := 0.0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.WriteAll(patterns.Random(uint64(i)), now)
+				now += 1.274
+				d.RestoreAll(now)
+				_ = d.ReadCompareAll(now)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"cmp"
 	"math"
 	"reflect"
 	"slices"
@@ -19,7 +18,7 @@ import (
 // every round) therefore reclassifies identically every round; only the band
 // sampling actually consumes randomness. The cache stores one entry per
 // distinct signature and replays it on a hit, skipping the O(candidates)
-// classification (threshold tests, DPD hashes, band sort) entirely.
+// classification (threshold tests, DPD hashes, rank-bitmap walk) entirely.
 //
 // Replay is byte-identical to the full path by construction, so the cache is
 // always on:
@@ -70,13 +69,15 @@ type roundKey struct {
 }
 
 // roundEntry is one cached classification: the skip total, the deterministic
-// flips (any order), the sampling band (bit order), the band's memoized draw
-// probabilities, and how much of the device dirty list it has folded in.
+// flips and the sampling band (both in bit order, as the classification's
+// rank walk emits them), the band's memoized draw probabilities (nil until
+// the entry's first replay), and how much of the device dirty list it has
+// folded in.
 type roundEntry struct {
 	skipped  uint64
 	flips    []flipRec
 	band     []*weakCell
-	probs    []bandProb
+	probs    []bandProb //lint:serialized-elsewhere draw-free memo; a restored entry allocates it on first replay like a new one
 	dirtyLen int
 }
 
@@ -92,9 +93,11 @@ type flipRec struct {
 // entry's signature. Everything the sampling branch of sampleReadBit
 // computes — the neighbourhood code, the DPD hash, the temperature scale,
 // the normal CDF — is a pure function of the round key for a non-VRT cell,
-// so replay can skip straight to the Bernoulli draws. Filled lazily on first
-// replay (ok=false until then; VRT cells never memoize: their retention mean
-// moves with simulated time).
+// so replay can skip straight to the Bernoulli draws. The memo is allocated
+// on the entry's first replay, since most entries (fresh random patterns)
+// are never replayed, and each cell's slot is filled on its first draw
+// (ok=false until then; VRT cells never memoize: their retention mean moves
+// with simulated time).
 type bandProb struct {
 	// p1 is the single-read failure probability, or the any-cycle stick
 	// probability on the multi-cycle auto-refresh path (two=true); p2 is
@@ -191,11 +194,6 @@ func (d *Device) storeRound(key roundKey, e *roundEntry) {
 		d.dirtyCells = d.dirtyCells[:0]
 		e.dirtyLen = 0
 	}
-	// Flips are recorded in classification (key) order; bit-sort them once so
-	// replay can interleave them with the (bit-sorted) band and emit fails in
-	// bit order — the sweep epilogue's sort then sees already-sorted input.
-	slices.SortFunc(e.flips, func(a, b flipRec) int { return cmp.Compare(a.c.bit, b.c.bit) })
-	e.probs = make([]bandProb, len(e.band))
 	d.rounds[key] = e
 }
 
@@ -259,8 +257,9 @@ func (d *Device) classifyBulk(c *weakCell, scale, eff float64) disposition {
 
 // refreshRound folds the dirty-list tail the entry has not seen yet:
 // injected cells are classified at the entry's signature and appended to its
-// skip total, flips, or band (bit-sorted insert). The per-cell cursor test
-// mirrors the binary-search predicate of the full path.
+// skip total, flips, or band (bit-sorted insert, and into the probability
+// memo once it exists). The per-cell cursor test mirrors the binary-search
+// predicate of the full path.
 func (d *Device) refreshRound(e *roundEntry, scale, eff float64) {
 	if e.dirtyLen >= len(d.dirtyCells) {
 		return
@@ -283,7 +282,9 @@ func (d *Device) refreshRound(e *roundEntry, scale, eff float64) {
 		case dispBand:
 			j := sort.Search(len(e.band), func(i int) bool { return e.band[i].bit >= c.bit })
 			e.band = slices.Insert(e.band, j, c)
-			e.probs = slices.Insert(e.probs, j, bandProb{})
+			if e.probs != nil {
+				e.probs = slices.Insert(e.probs, j, bandProb{})
+			}
 		}
 	}
 	e.dirtyLen = len(d.dirtyCells)
@@ -293,8 +294,11 @@ func (d *Device) refreshRound(e *roundEntry, scale, eff float64) {
 // instead of rebuilding it. Counters, fail lists, stuck bookkeeping, and the
 // seed stream advance exactly as sweepClassify would advance them at the
 // device's current state.
-func (d *Device) sweepFromCache(e *roundEntry, now, scale, eff float64, collect bool, fails []uint64) []uint64 {
+func (d *Device) sweepFromCache(e *roundEntry, now, scale, eff float64, collect bool) {
 	d.refreshRound(e, scale, eff)
+	if e.probs == nil {
+		e.probs = make([]bandProb, len(e.band))
+	}
 	d.incr.FastSweeps++
 	d.incr.ReusedCells += uint64(len(e.flips) + len(e.band))
 
@@ -323,11 +327,12 @@ func (d *Device) sweepFromCache(e *roundEntry, now, scale, eff float64, collect 
 	// walk consumes the stream exactly as the full path's merged walk would
 	// (cache hits imply no deviant rows to merge). Flips consume no draws,
 	// so interleaving them by bit is stream-neutral and keeps the emitted
-	// fails bit-ordered — the epilogue sort's best case.
+	// fails bit-ordered: over an empty stuck overlay, failBits copies them
+	// straight through.
 	fi := 0
 	for bi, c := range e.band {
 		for fi < len(e.flips) && e.flips[fi].c.bit < c.bit {
-			fails = d.replayFlip(e.flips[fi], collect, fails)
+			d.replayFlip(e.flips[fi], collect)
 			fi++
 		}
 		if c.stuck >= 0 {
@@ -336,26 +341,24 @@ func (d *Device) sweepFromCache(e *roundEntry, now, scale, eff float64, collect 
 		d.idx.Sampled++
 		got, written := d.sampleBandCached(e, bi, c, now)
 		if collect && got != written {
-			fails = append(fails, c.bit)
+			d.fails.add(c)
 		}
 	}
 	for ; fi < len(e.flips); fi++ {
-		fails = d.replayFlip(e.flips[fi], collect, fails)
+		d.replayFlip(e.flips[fi], collect)
 	}
-	return fails
 }
 
 // replayFlip commits one cached deterministic flip (no draws).
-func (d *Device) replayFlip(f flipRec, collect bool, fails []uint64) []uint64 {
+func (d *Device) replayFlip(f flipRec, collect bool) {
 	if f.c.stuck >= 0 {
-		return fails
+		return
 	}
 	d.markStuck(f.c, f.wrong)
 	d.idx.Flipped++
 	if collect {
-		fails = append(fails, f.c.bit)
+		d.fails.add(f.c)
 	}
-	return fails
 }
 
 // sampleBandCached samples one band cell of a cached entry, drawing the

@@ -1,8 +1,8 @@
 package dram
 
 import (
-	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -45,9 +45,12 @@ import (
 //
 // The index orders cells by key, not by bit, and the seed-stream contract
 // requires d.src draws to occur in global bit order. Classification itself
-// draws nothing, so it may run in key order; the surviving band is sorted by
-// bit and merged with the deviant-row cells (which always take the original
-// slow path) into one bit-ordered sampling walk.
+// draws nothing, so it may run in key order; it marks each surviving band
+// cell at its rank (its index in the bit-ordered weak slice) in a bitmap,
+// and one walk over the marked words reads the band back in bit order, with
+// no comparison sort. The band is then merged with the deviant-row cells
+// (which always take the original slow path) into one bit-ordered sampling
+// walk.
 const keyMargin = 1e-9
 
 // activationKey returns the cell's sort key: a conservative reference-
@@ -207,8 +210,8 @@ func (d *Device) indexInsert(c *weakCell) {
 func (d *Device) markStuck(c *weakCell, wrong uint8) {
 	c.stuck = int8(wrong)
 	d.flipsSoFar++
-	if !c.inStuckList {
-		c.inStuckList = true
+	if c.flags&cellStuckListed == 0 {
+		c.flags |= cellStuckListed
 		d.stuckList = append(d.stuckList, c)
 	}
 }
@@ -219,14 +222,39 @@ func (d *Device) markStuck(c *weakCell, wrong uint8) {
 func (d *Device) dropStuckList() {
 	for _, c := range d.stuckList {
 		c.stuck = -1
-		c.inStuckList = false
+		c.flags &^= cellStuckListed
 	}
 	d.stuckList = d.stuckList[:0]
 }
 
+// rankSpan is the range of ranks marked in a rank bitmap since its last
+// walk; it is empty while lo > hi. A walk reads only the words of the span,
+// so its cost is bounded by the marked range, never the whole population.
+type rankSpan struct{ lo, hi uint32 }
+
+func emptyRankSpan() rankSpan { return rankSpan{lo: math.MaxUint32} }
+
+// mark sets rank r in bitmap m and widens the span to cover it.
+func (s *rankSpan) mark(m []uint64, r uint32) {
+	m[r/64] |= 1 << (r % 64)
+	s.lo, s.hi = min(s.lo, r), max(s.hi, r)
+}
+
+// ensureRankMarks sizes the rank bitmaps to the weak population: allocated
+// on the first sweep and grown after injection, like d.band. Every walk
+// clears the words it reads, so both are all-zero between sweeps and a
+// grown bitmap starts empty.
+func (d *Device) ensureRankMarks() {
+	if n := (len(d.weak) + 63) / 64; len(d.rankMarks) < n {
+		d.rankMarks = make([]uint64, n)
+		d.flipMarks = make([]uint64, n)
+	}
+}
+
 // sweep is the shared implementation of ReadCompareAll (collect = true) and
 // RestoreAll (collect = false): a full-device read-and-restore at simulated
-// time now, returning the sorted failing bit indices when collecting.
+// time now, returning the failing bit indices in ascending order when
+// collecting.
 //
 // Draw-order equivalence with the dense walk: the cells visited by the
 // bit-ordered merge below (active band + deviant rows) are a superset of the
@@ -234,7 +262,8 @@ func (d *Device) dropStuckList() {
 // cells provably consume no draws, so the seed stream advances exactly as
 // the dense per-cell walk advanced it.
 func (d *Device) sweep(now float64, collect bool) []uint64 {
-	fails := d.failScratch[:0]
+	d.ensureRankMarks()
+	d.fails.bits, d.fails.ranks = d.fails.bits[:0], d.fails.ranks[:0]
 	elapsed := now - d.bulkTime
 	scale := d.vend.muTempScale(d.tempC)
 	// eff is the largest elapsed value any failure probability is evaluated
@@ -255,7 +284,7 @@ func (d *Device) sweep(now float64, collect bool) []uint64 {
 		live := d.stuckList[:0]
 		for _, c := range d.stuckList {
 			if c.stuck < 0 {
-				c.inStuckList = false
+				c.flags &^= cellStuckListed
 				continue
 			}
 			live = append(live, c)
@@ -269,16 +298,16 @@ func (d *Device) sweep(now float64, collect bool) []uint64 {
 			a := d.geom.AddrOf(c.bit)
 			written := uint8(d.bulkData.Word(row, a.Word) >> uint(a.Bit) & 1)
 			if uint8(c.stuck) != written {
-				fails = append(fails, c.bit)
+				d.fails.add(c)
 			}
 		}
 		d.stuckList = live
 	}
 
 	if e := d.lookupRound(elapsed); e != nil {
-		fails = d.sweepFromCache(e, now, scale, eff, collect, fails)
+		d.sweepFromCache(e, now, scale, eff, collect)
 	} else {
-		fails = d.sweepClassify(now, elapsed, scale, eff, collect, fails)
+		d.sweepClassify(now, elapsed, scale, eff, collect)
 	}
 
 	// Every row has now been read out and restored. Rows whose record holds
@@ -295,12 +324,56 @@ func (d *Device) sweep(now float64, collect bool) []uint64 {
 	}
 	d.readsDone++
 	var out []uint64
-	if collect && len(fails) > 0 {
-		slices.Sort(fails)
-		out = make([]uint64, len(fails))
-		copy(out, fails)
+	if collect && len(d.fails.ranks) > 0 {
+		out = d.failBits()
 	}
-	d.failScratch = fails[:0] // keep the accumulator capacity for the next sweep
+	return out
+}
+
+// failList holds the failing cells a collecting sweep reported, in report
+// order (stuck overlay, then classification or replay): their bits, copied
+// straight through when they arrived ascending, and their ranks, marked and
+// walked when they did not.
+type failList struct {
+	bits  []uint64
+	ranks []uint32
+}
+
+func (f *failList) add(c *weakCell) {
+	f.bits = append(f.bits, c.bit)
+	f.ranks = append(f.ranks, c.rank)
+}
+
+// failBits returns the bits of the sweep's failing cells in ascending order.
+// Fails reported already ascending — a cached replay over an empty stuck
+// overlay — are copied straight through. Otherwise each rank is marked and
+// one walk over the marked words emits the bits, clearing the words as it
+// goes.
+func (d *Device) failBits() []uint64 {
+	ranks := d.fails.ranks
+	out := make([]uint64, len(ranks))
+	for i := 1; i < len(ranks); i++ {
+		if ranks[i] <= ranks[i-1] {
+			return d.walkFails(ranks, out[:0])
+		}
+	}
+	copy(out, d.fails.bits)
+	return out
+}
+
+// walkFails is failBits' rank-bitmap path: it appends the fails' bits to out
+// in rank order, which is bit order.
+func (d *Device) walkFails(ranks []uint32, out []uint64) []uint64 {
+	span := emptyRankSpan()
+	for _, r := range ranks {
+		span.mark(d.rankMarks, r)
+	}
+	for w := span.lo / 64; w <= span.hi/64; w++ {
+		for m := d.rankMarks[w]; m != 0; m &= m - 1 {
+			out = append(out, d.weak[w*64+uint32(bits.TrailingZeros64(m))].bit)
+		}
+		d.rankMarks[w] = 0
+	}
 	return out
 }
 
@@ -309,7 +382,7 @@ func (d *Device) sweep(now float64, collect bool) []uint64 {
 // band merged with the deviant rows. When the device state allows it, the
 // classification is also recorded as a round-cache entry so the next sweep
 // at this exact signature can skip straight to the band (incremental.go).
-func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool, fails []uint64) []uint64 {
+func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool) {
 	// Binary-search the activation index to the active band: cells with
 	// key*scale > eff are deterministically p = 0 at every window this sweep
 	// evaluates and are never touched.
@@ -329,8 +402,11 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool, f
 	// bulk-context cells are re-tested with clippedFailProb's exact
 	// expressions: p = 0 skips, p = 1 flips via the index — both without a
 	// draw, matching Bernoulli's no-draw contract — and only the strict
-	// interior joins the sampling band.
-	band := d.band[:0]
+	// interior joins the sampling band. Band cells are marked at their rank
+	// in d.rankMarks, and flips (when an entry is being built) in
+	// d.flipMarks, so the walk below reads both back in bit order.
+	span := emptyRankSpan()
+	nflips := 0
 	haveDeviant := len(d.rows) > 0
 	for _, c := range d.actCells[:k] {
 		if c.stuck >= 0 {
@@ -343,7 +419,7 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool, f
 			}
 		}
 		if c.vrt != nil {
-			band = append(band, c) // VRT stays on the slow sample path
+			span.mark(d.rankMarks, c.rank) // VRT stays on the slow sample path
 			continue
 		}
 		a := d.geom.AddrOf(c.bit)
@@ -370,19 +446,40 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool, f
 			// Bernoulli(1); with it, p(interval) = 1 makes the stick
 			// probability exactly 1 (-expm1(k*log1p(-1)) = 1). Neither
 			// consumes a draw, so flipping here is seed-stream identical.
+			// The stuck overlay keeps this (key) order, which EncodeDelta
+			// writes.
 			d.markStuck(c, written^1)
 			d.idx.Flipped++
 			if e != nil {
-				e.flips = append(e.flips, flipRec{c, written ^ 1})
+				span.mark(d.flipMarks, c.rank)
+				nflips++
 			}
 			if collect {
-				fails = append(fails, c.bit)
+				d.fails.add(c)
 			}
 			continue
 		}
-		band = append(band, c)
+		span.mark(d.rankMarks, c.rank)
 	}
-	slices.SortFunc(band, func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
+
+	// One walk over the marked words reads the band, and the entry's flips,
+	// back in rank order, which is bit order, clearing each word as it goes.
+	// Flip marks exist only when e != nil. A flip needs written ==
+	// chargedVal, so its wrong value is chargedVal^1.
+	band := d.band[:0]
+	if nflips > 0 {
+		e.flips = make([]flipRec, 0, nflips)
+	}
+	for w := span.lo / 64; w <= span.hi/64; w++ {
+		for m := d.rankMarks[w]; m != 0; m &= m - 1 {
+			band = append(band, d.weak[w*64+uint32(bits.TrailingZeros64(m))])
+		}
+		for m := d.flipMarks[w]; m != 0; m &= m - 1 {
+			c := d.weak[w*64+uint32(bits.TrailingZeros64(m))]
+			e.flips = append(e.flips, flipRec{c, c.chargedVal ^ 1})
+		}
+		d.rankMarks[w], d.flipMarks[w] = 0, 0
+	}
 	d.idx.Sampled += uint64(len(band))
 	if e != nil {
 		e.band = append(e.band, band...)
@@ -401,7 +498,7 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool, f
 			written := uint8(d.bulkData.Word(row, a.Word) >> uint(a.Bit) & 1)
 			got := d.sampleReadBit(c, written, now, d.bulkTime)
 			if collect && got != written {
-				fails = append(fails, c.bit)
+				d.fails.add(c)
 			}
 		}
 	}
@@ -431,7 +528,7 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool, f
 				written := uint8(w >> uint(a.Bit) & 1)
 				got := d.sampleReadBit(c, written, now, rs.restoredAt)
 				if collect && got != written {
-					fails = append(fails, c.bit)
+					d.fails.add(c)
 				}
 			}
 		}
@@ -441,5 +538,4 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool, f
 	if e != nil {
 		d.storeRound(roundKey{data: d.bulkData, tempC: d.tempC, elapsed: elapsed, autoRef: d.autoRef}, e)
 	}
-	return fails
 }

@@ -159,8 +159,8 @@ func (d *Device) ForceVRTLowBurst(src *rng.Source, n int, maxMuLowSeconds, now f
 		// The forced baseline replaces the construction draw, so natural
 		// catch-up can no longer reproduce this cell: journal it for the
 		// delta codec.
-		if !c.vrtTracked {
-			c.vrtTracked = true
+		if c.flags&cellVRTTracked == 0 {
+			c.flags |= cellVRTTracked
 			d.vrtForced = append(d.vrtForced, c)
 		}
 		bits = append(bits, c.bit)
@@ -190,8 +190,8 @@ func (d *Device) RescrambleDPD(src *rng.Source, n int) []uint64 {
 		candidates[i] = candidates[len(candidates)-1]
 		candidates = candidates[:len(candidates)-1]
 		c.dpdSeed = src.Uint64()
-		if !c.dpdTracked {
-			c.dpdTracked = true
+		if c.flags&cellDPDTracked == 0 {
+			c.flags |= cellDPDTracked
 			d.dpdReseeded = append(d.dpdReseeded, c)
 		}
 		bits = append(bits, c.bit)

@@ -136,7 +136,7 @@ func (d *Device) Rollback(sp *Savepoint) error {
 	i := 0
 	for _, c := range d.weak {
 		c.stuck = -1
-		c.inStuckList = false
+		c.flags &^= cellStuckListed
 		c.nbrEpoch = 0
 		if v := c.vrt; v != nil {
 			s := &sp.vrt[i]

@@ -24,7 +24,7 @@ import (
 // Per-cell scratch that is a pure function of serialized state is NOT
 // serialized: neighbourhood-code caches restore as invalid (nbrEpoch 0 can
 // never equal the restored contentEpoch, which starts at 1) and round-entry
-// draw-probability memos restore empty — both refill deterministically
+// draw-probability memos restore unallocated — both refill deterministically
 // without consuming rng draws, so dropping them is observation-equivalent.
 
 // sanity ceilings for decoded lengths; beyond these the blob is corrupt.
@@ -126,9 +126,11 @@ func decodeSrcState(d *checkpoint.Decoder) [4]uint64 {
 	return [4]uint64{d.U64(), d.U64(), d.U64(), d.U64()}
 }
 
-// cellIndexOf returns c's index in the bit-sorted weak slice.
+// cellIndexOf returns c's index in the bit-sorted weak slice: its rank,
+// which no encoder can see stale (ranks are stale only inside an injection
+// batch).
 func (d *Device) cellIndexOf(c *weakCell) int {
-	return sort.Search(len(d.weak), func(i int) bool { return d.weak[i].bit >= c.bit })
+	return int(c.rank)
 }
 
 // encodeDeviceTail serializes the population-independent remainder of the
@@ -368,7 +370,6 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 			}
 			ent.band = append(ent.band, c)
 		}
-		ent.probs = make([]bandProb, len(ent.band))
 		d.rounds[key] = ent
 	}
 	nd := dec.Len(maxDirtyCells)
@@ -391,6 +392,6 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 
 	d.rebuildIndex()
 	d.band = d.band[:0]
-	d.failScratch = d.failScratch[:0]
+	d.fails = failList{}
 	return nil
 }

@@ -366,3 +366,42 @@ func FuzzSoakRestore(f *testing.F) {
 		_ = r.finalize()
 	})
 }
+
+// FuzzCampaignMeta fuzzes the campaign meta file, the first checkpoint
+// record a resumed soak reads: barrier progress, quarantined chips and the
+// telemetry registry snapshot. Any byte string must fail decodeCampaignMeta
+// or yield a meta whose snapshot restores into a fresh registry,
+// re-snapshots and re-encodes without a panic. The seeds are one meta with
+// a snapshot of every metric kind and one without a snapshot. Plain go test
+// runs the seed corpus; make fuzz-quick mutates it.
+func FuzzCampaignMeta(f *testing.F) {
+	const chips = 2
+	reg := telemetry.New()
+	reg.Counter("soak_windows_total", telemetry.L("chip", "0")).Add(24)
+	reg.Gauge("soak_uber", telemetry.L("chip", "1")).Set(1.5e-5)
+	h := reg.Histogram("soak_window_ms", []float64{1, 10, 100})
+	for _, v := range []float64{0.5, 7, 250} {
+		h.Observe(v)
+	}
+	for _, snap := range []*telemetry.Snapshot{reg.Snapshot(), nil} {
+		f.Add(encodeCampaignMeta(&campaignMeta{
+			segments:    3,
+			done:        []bool{true, false},
+			windowsDone: []int{72, 48},
+			quarantined: []QuarantinedShard{{Chip: 1, Seed: 9, Windows: 48, Attempts: 2, Reason: "window failed"}},
+			snapshot:    snap,
+		}))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeCampaignMeta(data, chips)
+		if err != nil {
+			return
+		}
+		fresh := telemetry.New()
+		fresh.RestoreSnapshot(m.snapshot)
+		if m.snapshot != nil {
+			m.snapshot = fresh.Snapshot()
+		}
+		_ = encodeCampaignMeta(m)
+	})
+}
