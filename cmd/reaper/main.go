@@ -20,14 +20,12 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
 	"reaper"
-	"reaper/internal/checkpoint"
 	"reaper/internal/ecc"
 	"reaper/internal/exitcode"
 	"reaper/internal/longevity"
@@ -199,13 +197,14 @@ func run() int {
 	}
 
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, reg); err != nil {
+		if err := reg.Snapshot().WriteFile(*metricsOut); err != nil {
 			log.Println(err)
 			return exitcode.ConfigError
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, tracer); err != nil {
+		trace := telemetry.Merge(telemetry.Trace{Source: "profiler", Events: tracer.Events()})
+		if err := telemetry.WriteJSONLFile(*traceOut, trace); err != nil {
 			log.Println(err)
 			return exitcode.ConfigError
 		}
@@ -217,25 +216,4 @@ func run() int {
 		}
 	}
 	return exitcode.OK
-}
-
-// writeMetrics serializes the registry snapshot to path atomically, so a
-// crash mid-write never leaves a truncated artifact behind.
-func writeMetrics(path string, reg *telemetry.Registry) error {
-	var buf bytes.Buffer
-	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
-		return err
-	}
-	return checkpoint.WriteFileAtomic(path, buf.Bytes(), 0o644)
-}
-
-// writeTrace serializes the tracer's events to path as JSONL atomically,
-// stamped with the profiler source.
-func writeTrace(path string, tracer *telemetry.Tracer) error {
-	var buf bytes.Buffer
-	err := telemetry.WriteJSONL(&buf, telemetry.Merge(telemetry.Trace{Source: "profiler", Events: tracer.Events()}))
-	if err != nil {
-		return err
-	}
-	return checkpoint.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }

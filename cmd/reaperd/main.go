@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"reaper/client"
-	"reaper/internal/checkpoint"
 	"reaper/internal/exitcode"
 	"reaper/internal/parallel"
 	"reaper/internal/reaperd"
@@ -127,9 +126,11 @@ func run() int {
 
 	err := s.Serve(ctx)
 	_ = s.Close()
-	if werr := writeMetrics(*metricsOut, reg); werr != nil {
-		log.Printf("reaperd: %v", werr)
-		return exitcode.ConfigError
+	if *metricsOut != "" {
+		if werr := reg.Snapshot().WriteFile(*metricsOut); werr != nil {
+			log.Printf("reaperd: %v", werr)
+			return exitcode.ConfigError
+		}
 	}
 	if err != nil {
 		log.Printf("reaperd: scheduler: %v", err)
@@ -137,18 +138,6 @@ func run() int {
 	}
 	log.Printf("reaperd: drained, exiting")
 	return exitcode.OK
-}
-
-// writeMetrics writes the registry snapshot atomically when a path is set.
-func writeMetrics(path string, reg *telemetry.Registry) error {
-	if path == "" {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
-		return err
-	}
-	return checkpoint.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }
 
 // runSelftest hosts the server on a loopback port and runs the

@@ -37,7 +37,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -244,23 +243,13 @@ func run() int {
 		os.Stdout.Write(enc)
 	}
 	if *metricsOut != "" {
-		var buf bytes.Buffer
-		err := rep.Telemetry.WriteJSON(&buf)
-		if err == nil {
-			err = checkpoint.WriteFileAtomic(*metricsOut, buf.Bytes(), 0o644)
-		}
-		if err != nil {
+		if err := rep.Telemetry.WriteFile(*metricsOut); err != nil {
 			log.Println(err)
 			return exitcode.ConfigError
 		}
 	}
 	if *traceOut != "" {
-		var buf bytes.Buffer
-		err := telemetry.WriteJSONL(&buf, rep.TraceEvents)
-		if err == nil {
-			err = checkpoint.WriteFileAtomic(*traceOut, buf.Bytes(), 0o644)
-		}
-		if err != nil {
+		if err := telemetry.WriteJSONLFile(*traceOut, rep.TraceEvents); err != nil {
 			log.Println(err)
 			return exitcode.ConfigError
 		}

@@ -18,14 +18,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
-	"reaper/internal/checkpoint"
 	"reaper/internal/core"
 	"reaper/internal/exitcode"
 	"reaper/internal/experiments"
@@ -98,7 +96,7 @@ func run() int {
 	fmt.Println("(paper: 2.5x at 99% coverage and <50% FPR; up to 3.5x at >75% FPR)")
 
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, reg); err != nil {
+		if err := reg.Snapshot().WriteFile(*metricsOut); err != nil {
 			log.Println(err)
 			return exitcode.ConfigError
 		}
@@ -110,16 +108,6 @@ func run() int {
 		}
 	}
 	return exitcode.OK
-}
-
-// writeMetrics serializes the registry snapshot to path atomically, so a
-// crash mid-write never leaves a truncated artifact behind.
-func writeMetrics(path string, reg *telemetry.Registry) error {
-	var buf bytes.Buffer
-	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
-		return err
-	}
-	return checkpoint.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }
 
 // writeTrace emits one "tradeoff-point" event per grid point, in the
@@ -134,10 +122,5 @@ func writeTrace(path string, points []core.TradeoffPoint) error {
 				pt.Reach.DeltaInterval, pt.Reach.DeltaTempC,
 				pt.Coverage, pt.FalsePositiveRate, pt.Speedup()))
 	}
-	var buf bytes.Buffer
-	err := telemetry.WriteJSONL(&buf, telemetry.Merge(telemetry.Trace{Source: "grid", Events: tracer.Events()}))
-	if err != nil {
-		return err
-	}
-	return checkpoint.WriteFileAtomic(path, buf.Bytes(), 0o644)
+	return telemetry.WriteJSONLFile(path, telemetry.Merge(telemetry.Trace{Source: "grid", Events: tracer.Events()}))
 }

@@ -153,26 +153,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// failProb returns the probability that a single read of this cell, elapsed
-// seconds after its last restore, at ambient temperature tempC, with the
-// given stored bit and neighbourhood code, returns the wrong value.
-func (c *weakCell) failProb(elapsed, tempC float64, storedBit uint8, code uint64, v *VendorParams, now float64) float64 {
-	if storedBit != c.chargedVal {
-		// The cell is storing its discharged value; leakage cannot
-		// corrupt it.
-		return 0
-	}
-	scale := v.muTempScale(tempC)
-	mu := c.muAt(now) * scale * c.dpdFactor(code)
-	sigma := c.sigma * scale
-	return stats.NormalCDF(elapsed, mu, sigma)
-}
-
 // worstCaseFailProb returns the cell's failure probability maximized over
 // neighbourhood codes — the probability under the worst-case data pattern.
 // Used by the ground-truth oracle.
 func (c *weakCell) worstCaseFailProb(elapsed, tempC float64, v *VendorParams, now float64) float64 {
-	scale := v.muTempScale(tempC)
+	scale := v.RetentionScale(tempC)
 	return c.worstCaseAt(elapsed, c.muAt(now)*scale, c.sigma*scale)
 }
 

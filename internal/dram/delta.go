@@ -211,10 +211,7 @@ func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (Row
 
 	// Stuck overlay: clear whatever pre-restore activity left behind, then
 	// rebuild membership, order and values from the pairs.
-	for _, c := range d.stuckList {
-		c.flags &^= cellStuckListed
-		c.stuck = -1
-	}
+	d.dropStuckList()
 	ns := dec.VarLen(maxRestoreCells)
 	if dec.Err() != nil {
 		return dec.Err()

@@ -3,10 +3,12 @@ package dram
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
 	"reaper/internal/rng"
+	"reaper/internal/stats"
 )
 
 // RowData supplies the logical content of device rows. Implementations must
@@ -437,39 +439,53 @@ func (d *Device) SetAutoRefresh(interval float64) {
 // AutoRefresh returns the configured auto-refresh interval (0 if disabled).
 func (d *Device) AutoRefresh() float64 { return d.autoRef }
 
-// stateOf returns the row's content source and last-restore time.
-func (d *Device) stateOf(row uint32) (RowData, float64, *rowState) {
+// rowRestoredAt returns the row's last-restore time.
+func (d *Device) rowRestoredAt(row uint32) float64 {
 	if rs, ok := d.rows[row]; ok {
-		data := rs.data
-		if data == nil {
-			data = d.bulkData
-		}
-		return data, rs.restoredAt, rs
+		return rs.restoredAt
 	}
-	return d.bulkData, d.bulkTime, nil
+	return d.bulkTime
 }
 
 // wordAt returns the logical (written) value of a word, honouring overrides.
 // The no-deviation fast path matters: right after a bulk pattern write —
 // the state every profiling pass reads from — there are no per-row records,
 // and the word comes straight out of the pattern descriptor with no map
-// lookups at all.
+// lookups at all. It is small enough to inline, so a word read costs its
+// callers one call, to rowWord.
 func (d *Device) wordAt(row uint32, word int) uint64 {
-	if len(d.rows) == 0 {
-		return d.bulkData.Word(row, word)
+	var rs *rowState
+	if len(d.rows) > 0 {
+		rs = d.rows[row]
 	}
-	data, _, rs := d.stateOf(row)
-	if rs != nil && rs.overrides != nil {
-		if v, ok := rs.overrides[word]; ok {
-			return v
+	return d.rowWord(rs, row, word)
+}
+
+// rowWord returns the logical value of a word of row, whose deviation record
+// is rs (nil when the row holds the bulk content): the word's override if it
+// has one, else the row's own content, else the bulk content.
+func (d *Device) rowWord(rs *rowState, row uint32, word int) uint64 {
+	data := d.bulkData
+	if rs != nil {
+		if rs.overrides != nil { // a lookup in a nil map is still a runtime call
+			if v, ok := rs.overrides[word]; ok {
+				return v
+			}
+		}
+		if rs.data != nil {
+			data = rs.data
 		}
 	}
 	return data.Word(row, word)
 }
 
-// bitAt returns the logical (written) value of a single bit.
-func (d *Device) bitAt(row uint32, word, bit int) uint8 {
-	return uint8(d.wordAt(row, word) >> uint(bit) & 1)
+// bulkBit returns the logical value of a bit under the bulk content: the
+// stored bit of every cell outside a deviant row. Rows are whole words, so
+// the device-wide word index w splits into row w/WordsPerRow and word
+// w%WordsPerRow.
+func (d *Device) bulkBit(bit uint64) uint8 {
+	w, wpr := bit/WordBits, uint64(d.geom.WordsPerRow)
+	return uint8(d.bulkData.Word(uint32(w/wpr), int(w%wpr)) >> (bit % WordBits) & 1)
 }
 
 // neighborhoodCode encodes the stored values of a cell's four neighbours
@@ -483,16 +499,16 @@ func (d *Device) neighborhoodCode(bit uint64) uint64 {
 
 	var code uint64
 	if p := pos - 1; p >= 0 {
-		code |= uint64(d.bitAt(row, p/WordBits, p%WordBits))
+		code |= d.wordAt(row, p/WordBits) >> uint(p%WordBits) & 1
 	}
 	if p := pos + 1; p < rowBits {
-		code |= uint64(d.bitAt(row, p/WordBits, p%WordBits)) << 1
+		code |= (d.wordAt(row, p/WordBits) >> uint(p%WordBits) & 1) << 1
 	}
 	if a.Row > 0 {
-		code |= uint64(d.bitAt(row-1, pos/WordBits, pos%WordBits)) << 2
+		code |= (d.wordAt(row-1, a.Word) >> uint(a.Bit) & 1) << 2
 	}
 	if a.Row < d.geom.RowsPerBank-1 {
-		code |= uint64(d.bitAt(row+1, pos/WordBits, pos%WordBits)) << 3
+		code |= (d.wordAt(row+1, a.Word) >> uint(a.Bit) & 1) << 3
 	}
 	return code
 }
@@ -516,7 +532,7 @@ func (d *Device) neighborhoodCodeOf(c *weakCell) uint64 {
 // (reading restores what was read). It returns the read bit value.
 func (d *Device) sampleRead(c *weakCell, row uint32, now, restoredAt float64) uint8 {
 	a := d.geom.AddrOf(c.bit)
-	written := d.bitAt(row, a.Word, a.Bit)
+	written := uint8(d.wordAt(row, a.Word) >> uint(a.Bit) & 1)
 	return d.sampleReadBit(c, written, now, restoredAt)
 }
 
@@ -533,47 +549,81 @@ func (d *Device) sampleReadBit(c *weakCell, written uint8, now, restoredAt float
 	if elapsed <= 0 {
 		return written
 	}
+	// After k whole auto-refresh cycles (k > 0), a failure at any of them
+	// was restored as a stuck wrong value; the residual window since the
+	// last refresh draws only when none stuck. Without them (k = 0) the
+	// residual window is the whole elapsed time.
 	code := d.neighborhoodCodeOf(c)
-	failed := false
-	if d.autoRef > 0 && elapsed > d.autoRef {
-		// k full refresh cycles have passed; a failure at any of them was
-		// restored as a stuck wrong value. Per-cycle outcomes are modelled
-		// as independent trials.
-		k := math.Floor(elapsed / d.autoRef)
-		p := d.clippedFailProb(c, d.autoRef, written, code, now)
-		pStick := -math.Expm1(k * math.Log1p(-p))
-		if d.src.Bernoulli(pStick) {
-			failed = true
-		} else {
-			resid := elapsed - k*d.autoRef
-			failed = d.src.Bernoulli(d.clippedFailProb(c, resid, written, code, now))
-		}
-	} else {
-		failed = d.src.Bernoulli(d.clippedFailProb(c, elapsed, written, code, now))
-	}
-	if failed {
+	k, resid := d.refreshCycles(elapsed)
+	if k > 0 && d.src.Bernoulli(d.clippedFailProb(c, d.autoRef, k, written, code, now)) ||
+		d.src.Bernoulli(d.clippedFailProb(c, resid, 0, written, code, now)) {
 		d.markStuck(c, written^1)
 		return written ^ 1
 	}
 	return written
 }
 
-// clippedFailProb is the per-read failure probability with the zClip
-// deterministic bounds applied.
-func (d *Device) clippedFailProb(c *weakCell, elapsed float64, written uint8, code uint64, now float64) float64 {
-	if written != c.chargedVal {
-		return 0
+// refreshCycles splits a window of elapsed seconds since a row's last
+// restore into k whole auto-refresh cycles and the residual window after the
+// last of them. k is 0 and resid is elapsed when refresh is off or the
+// window fits in one cycle.
+func (d *Device) refreshCycles(elapsed float64) (k, resid float64) {
+	if d.autoRef > 0 && elapsed > d.autoRef {
+		k = math.Floor(elapsed / d.autoRef)
+		return k, elapsed - k*d.autoRef
 	}
-	scale := d.vend.muTempScale(d.tempC)
-	mu := c.muAt(now) * scale * c.dpdFactor(code)
-	sigma := c.sigma * scale
+	return 0, elapsed
+}
+
+// clippedFailProb is the probability that one read of a cell storing
+// written, with neighbourhood code code, returns the wrong value window
+// seconds after its last restore at simulated time now: the normal failure
+// CDF of Section 5.5, its mean scaled by Equation 1 and DPD, clipped to
+// exactly 0 or 1 outside the zClip window. A cell storing its discharged
+// value cannot fail. With k > 0 the window is one auto-refresh interval, and
+// the result is the probability that a failure sticks at any of k such
+// cycles, modelled as independent trials.
+func (d *Device) clippedFailProb(c *weakCell, window, k float64, written uint8, code uint64, now float64) float64 {
+	p := 0.0
+	if written == c.chargedVal {
+		scale := d.vend.RetentionScale(d.tempC)
+		mu := c.muAt(now) * scale * c.dpdFactor(code)
+		sigma := c.sigma * scale
+		switch clipWindow(window, mu, sigma) {
+		case dispFlip:
+			p = 1
+		case dispBand:
+			p = stats.NormalCDF(window, mu, sigma)
+		}
+	}
+	if k > 0 {
+		return -math.Expm1(k * math.Log1p(-p))
+	}
+	return p
+}
+
+// disposition is a cell's classification at one elapsed window: skipped
+// (failure probability exactly 0), flipped (exactly 1), or in the sampling
+// band (anything else, and every VRT cell, whose retention mean is known
+// only when it is sampled).
+type disposition uint8
+
+const (
+	dispSkip disposition = iota
+	dispFlip
+	dispBand
+)
+
+// clipWindow places elapsed against the zClip window of a failure CDF with
+// mean mu and standard deviation sigma.
+func clipWindow(elapsed, mu, sigma float64) disposition {
 	if elapsed < mu-zClip*sigma {
-		return 0
+		return dispSkip
 	}
 	if elapsed > mu+zClip*sigma {
-		return 1
+		return dispFlip
 	}
-	return c.failProb(elapsed, d.tempC, written, code, &d.vend, now)
+	return dispBand
 }
 
 // ensureRowState returns (creating if needed) the deviation record for a row.
@@ -666,7 +716,7 @@ func (d *Device) ReadRow(bank, row int, now float64) ([]uint64, error) {
 		return nil, err
 	}
 	gr := d.geom.GlobalRow(bank, row)
-	_, restoredAt, _ := d.stateOf(gr)
+	restoredAt := d.rowRestoredAt(gr)
 	words := make([]uint64, d.geom.WordsPerRow)
 	for w := range words {
 		words[w] = d.wordAt(gr, w)
@@ -696,7 +746,7 @@ func (d *Device) WriteWord(bank, row, word int, val uint64, now float64) error {
 	}
 	gr := d.geom.GlobalRow(bank, row)
 	// Activation restores the row: sample failures now so they stick.
-	_, restoredAt, _ := d.stateOf(gr)
+	restoredAt := d.rowRestoredAt(gr)
 	for _, c := range d.rowCells(gr) {
 		d.sampleRead(c, gr, now, restoredAt)
 	}
@@ -729,7 +779,7 @@ func (d *Device) ReadWord(bank, row, word int, now float64) (uint64, error) {
 		return 0, fmt.Errorf("dram: word %d out of range", word)
 	}
 	gr := d.geom.GlobalRow(bank, row)
-	_, restoredAt, _ := d.stateOf(gr)
+	restoredAt := d.rowRestoredAt(gr)
 	val := d.wordAt(gr, word)
 	for _, c := range d.rowCells(gr) {
 		got := d.sampleRead(c, gr, now, restoredAt)
@@ -791,19 +841,17 @@ func (d *Device) SnapshotContent() *ContentSnapshot {
 		stuck:    make([]int8, len(d.weak)),
 	}
 	for k, rs := range d.rows {
-		cp := &rowState{data: rs.data, restoredAt: rs.restoredAt}
-		if rs.overrides != nil {
-			cp.overrides = make(map[int]uint64, len(rs.overrides))
-			for w, v := range rs.overrides {
-				cp.overrides[w] = v
-			}
-		}
-		snap.rows[k] = cp
+		snap.rows[k] = rs.clone(rs.restoredAt)
 	}
 	for i, c := range d.weak {
 		snap.stuck[i] = c.stuck
 	}
 	return snap
+}
+
+// clone returns a deep copy of the row record, restored at restoredAt.
+func (rs *rowState) clone(restoredAt float64) *rowState {
+	return &rowState{data: rs.data, restoredAt: restoredAt, overrides: maps.Clone(rs.overrides)}
 }
 
 // RestoreContent writes a snapshot back into the device at simulated time
@@ -824,20 +872,10 @@ func (d *Device) RestoreContent(snap *ContentSnapshot, now float64) error {
 	d.bulkTime = now
 	d.rows = make(map[uint32]*rowState, len(snap.rows))
 	for k, rs := range snap.rows {
-		cp := &rowState{data: rs.data, restoredAt: now}
-		if rs.overrides != nil {
-			cp.overrides = make(map[int]uint64, len(rs.overrides))
-			for w, v := range rs.overrides {
-				cp.overrides[w] = v
-			}
-		}
-		d.rows[k] = cp
+		d.rows[k] = rs.clone(now)
 	}
 	// Rebuild the stuck overlay to mirror the snapshot's corruption.
-	for _, c := range d.stuckList {
-		c.flags &^= cellStuckListed
-	}
-	d.stuckList = d.stuckList[:0]
+	d.dropStuckList()
 	for i, c := range d.weak {
 		c.stuck = snap.stuck[i]
 		if c.stuck >= 0 {

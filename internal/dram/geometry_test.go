@@ -128,16 +128,16 @@ func TestVendorVRTRateAnchor(t *testing.T) {
 }
 
 func TestMuTempScaleConsistentWithBER(t *testing.T) {
-	// Scaling all means by muTempScale must reproduce the BER temperature
+	// Scaling all means by RetentionScale must reproduce the BER temperature
 	// factor for the power-law population: count(t) ~ (t/scale)^beta.
 	v := VendorB()
-	scale := v.muTempScale(55)
+	scale := v.RetentionScale(55)
 	countRatio := pow(1/scale, v.BERExponent)
 	berRatio := v.BER(1.024, 55) / v.BER(1.024, 45)
 	if countRatio/berRatio < 0.99 || countRatio/berRatio > 1.01 {
-		t.Errorf("muTempScale inconsistent with BER: %v vs %v", countRatio, berRatio)
+		t.Errorf("RetentionScale inconsistent with BER: %v vs %v", countRatio, berRatio)
 	}
-	if v.muTempScale(45) != 1 {
-		t.Error("muTempScale at reference temp must be 1")
+	if v.RetentionScale(45) != 1 {
+		t.Error("RetentionScale at reference temp must be 1")
 	}
 }

@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -18,7 +17,8 @@ import (
 // every round) therefore reclassifies identically every round; only the band
 // sampling actually consumes randomness. The cache stores one entry per
 // distinct signature and replays it on a hit, skipping the O(candidates)
-// classification (threshold tests, DPD hashes, rank-bitmap walk) entirely.
+// classification (classifyBulk's threshold tests and DPD hashes, and the
+// rank-bitmap walk) entirely.
 //
 // Replay is byte-identical to the full path by construction, so the cache is
 // always on:
@@ -36,8 +36,8 @@ import (
 //     a change is a different signature, not an invalidation.
 //   - Injected cells (inject.go): appended to a device-wide dirty list; each
 //     entry records the list length it has folded in and classifies only the
-//     tail on its next hit. The per-cell key test used for that fold is the
-//     same conservative activation-key cursor the full path binary-searches.
+//     tail on its next hit, through the full path's cursor test (pastCursor)
+//     and classifier (classifyBulk).
 //   - RescrambleDPD: mutates dpdSeed, which classification hashes — the only
 //     event that silently changes an existing cell's classification, so it
 //     drops the whole cache.
@@ -89,24 +89,24 @@ type flipRec struct {
 	wrong uint8
 }
 
-// bandProb memoizes one non-VRT band cell's draw probabilities at the
-// entry's signature. Everything the sampling branch of sampleReadBit
-// computes — the neighbourhood code, the DPD hash, the temperature scale,
-// the normal CDF — is a pure function of the round key for a non-VRT cell,
-// so replay can skip straight to the Bernoulli draws. The memo is allocated
-// on the entry's first replay, since most entries (fresh random patterns)
-// are never replayed, and each cell's slot is filled on its first draw
-// (ok=false until then; VRT cells never memoize: their retention mean moves
-// with simulated time).
+// bandProb memoizes one band cell's replay inputs at the entry's signature:
+// its stored bit and, for a non-VRT cell, its draw probabilities.
+// Everything the sampling branch of sampleReadBit computes — the
+// neighbourhood code, the DPD hash, the temperature scale, the normal CDF —
+// is a pure function of the round key for a non-VRT cell, so replay can skip
+// straight to the Bernoulli draws; a VRT cell's retention mean moves with
+// simulated time, so it is sampled in full. The memo is allocated on the
+// entry's first replay, since most entries (fresh random patterns) are never
+// replayed, and each cell's slot is filled on its first draw (ok=false until
+// then).
 type bandProb struct {
-	// p1 is the single-read failure probability, or the any-cycle stick
-	// probability on the multi-cycle auto-refresh path (two=true); p2 is
-	// then the residual-window probability of the second draw. written is
-	// the cell's stored bit under the entry's content.
-	p1, p2  float64
-	written uint8
-	two     bool
-	ok      bool
+	// stick is the probability that a failure stuck at one of the whole
+	// auto-refresh cycles the window spans (0 when it spans none), and p the
+	// failure probability of the residual window, drawn only when stick's
+	// draw fails. written is the cell's stored bit under the entry's content.
+	stick, p float64
+	written  uint8
+	ok       bool
 }
 
 // IncrStats counts, cumulatively over a device's lifetime, the incremental
@@ -220,53 +220,18 @@ func (d *Device) noteDirtyCell(c *weakCell) {
 	d.dirtyCells = append(d.dirtyCells, c)
 }
 
-// disposition is a cell's classification outcome at one sweep signature.
-type disposition uint8
-
-const (
-	dispSkip disposition = iota
-	dispFlip
-	dispBand
-)
-
-// classifyBulk reproduces the candidate classification of sweepClassify for
-// one bulk-context cell, without counters or side effects. The expressions
-// must stay bit-exact with that loop: replay correctness rests on this
-// function reaching the same disposition the full path recorded.
-func (d *Device) classifyBulk(c *weakCell, scale, eff float64) disposition {
-	if c.vrt != nil {
-		return dispBand
-	}
-	row := d.geom.rowOfBit(c.bit)
-	a := d.geom.AddrOf(c.bit)
-	written := uint8(d.bulkData.Word(row, a.Word) >> uint(a.Bit) & 1)
-	if written != c.chargedVal {
-		return dispSkip
-	}
-	code := d.neighborhoodCodeOf(c)
-	mu := c.mu * scale * c.dpdFactor(code)
-	sigma := c.sigma * scale
-	if eff < mu-zClip*sigma {
-		return dispSkip
-	}
-	if eff > mu+zClip*sigma {
-		return dispFlip
-	}
-	return dispBand
-}
-
 // refreshRound folds the dirty-list tail the entry has not seen yet:
-// injected cells are classified at the entry's signature and appended to its
-// skip total, flips, or band (bit-sorted insert, and into the probability
-// memo once it exists). The per-cell cursor test mirrors the binary-search
-// predicate of the full path.
+// injected cells are classified at the entry's signature, through the full
+// path's cursor test and classifier, and appended to its skip total, flips
+// (a flip needs written == chargedVal, so its wrong value is chargedVal^1),
+// or band (bit-sorted insert, and into the probability memo once it exists).
 func (d *Device) refreshRound(e *roundEntry, scale, eff float64) {
 	if e.dirtyLen >= len(d.dirtyCells) {
 		return
 	}
 	for _, c := range d.dirtyCells[e.dirtyLen:] {
 		d.incr.DirtyCells++
-		if eff <= 0 || activationKey(c)*scale > eff {
+		if pastCursor(activationKey(c), scale, eff) {
 			e.skipped++
 			continue
 		}
@@ -274,11 +239,8 @@ func (d *Device) refreshRound(e *roundEntry, scale, eff float64) {
 		case dispSkip:
 			e.skipped++
 		case dispFlip:
-			row := d.geom.rowOfBit(c.bit)
-			a := d.geom.AddrOf(c.bit)
-			written := uint8(d.bulkData.Word(row, a.Word) >> uint(a.Bit) & 1)
 			j := sort.Search(len(e.flips), func(i int) bool { return e.flips[i].c.bit >= c.bit })
-			e.flips = slices.Insert(e.flips, j, flipRec{c, written ^ 1})
+			e.flips = slices.Insert(e.flips, j, flipRec{c, c.chargedVal ^ 1})
 		case dispBand:
 			j := sort.Search(len(e.band), func(i int) bool { return e.band[i].bit >= c.bit })
 			e.band = slices.Insert(e.band, j, c)
@@ -314,10 +276,7 @@ func (d *Device) sweepFromCache(e *roundEntry, now, scale, eff float64, collect 
 		if c.stuck < 0 {
 			continue // stale entry; the full path classifies it normally too
 		}
-		if eff <= 0 || activationKey(c)*scale > eff {
-			continue
-		}
-		if d.classifyBulk(c, scale, eff) == dispSkip {
+		if !pastCursor(activationKey(c), scale, eff) && d.classifyBulk(c, scale, eff) == dispSkip {
 			skipped--
 		}
 	}
@@ -362,47 +321,28 @@ func (d *Device) replayFlip(f flipRec, collect bool) {
 }
 
 // sampleBandCached samples one band cell of a cached entry, drawing the
-// exact Bernoulli sequence sampleReadBit would draw but against memoized
-// probabilities and stored bit (computed on the cell's first replay; see
-// bandProb). VRT cells fall through to the full sampler — their
-// probabilities depend on simulated time.
+// exact Bernoulli sequence sampleReadBit would draw but against the cell's
+// memoized stored bit and, for a non-VRT cell, probabilities (filled on the
+// cell's first replay; see bandProb). VRT cells go through the full sampler.
 func (d *Device) sampleBandCached(e *roundEntry, i int, c *weakCell, now float64) (got, written uint8) {
-	if c.vrt != nil {
-		row := d.geom.rowOfBit(c.bit)
-		a := d.geom.AddrOf(c.bit)
-		written = uint8(d.bulkData.Word(row, a.Word) >> uint(a.Bit) & 1)
-		return d.sampleReadBit(c, written, now, d.bulkTime), written
-	}
 	bp := &e.probs[i]
 	if !bp.ok {
-		row := d.geom.rowOfBit(c.bit)
-		a := d.geom.AddrOf(c.bit)
-		bp.written = uint8(d.bulkData.Word(row, a.Word) >> uint(a.Bit) & 1)
-		elapsed := now - d.bulkTime
-		code := d.neighborhoodCodeOf(c)
-		if d.autoRef > 0 && elapsed > d.autoRef {
-			k := math.Floor(elapsed / d.autoRef)
-			p := d.clippedFailProb(c, d.autoRef, bp.written, code, now)
-			bp.p1 = -math.Expm1(k * math.Log1p(-p))
-			bp.p2 = d.clippedFailProb(c, elapsed-k*d.autoRef, bp.written, code, now)
-			bp.two = true
-		} else {
-			bp.p1 = d.clippedFailProb(c, elapsed, bp.written, code, now)
+		bp.written = d.bulkBit(c.bit)
+		if c.vrt == nil {
+			code := d.neighborhoodCodeOf(c)
+			k, resid := d.refreshCycles(now - d.bulkTime)
+			if k > 0 {
+				bp.stick = d.clippedFailProb(c, d.autoRef, k, bp.written, code, now)
+			}
+			bp.p = d.clippedFailProb(c, resid, 0, bp.written, code, now)
 		}
 		bp.ok = true
 	}
 	written = bp.written
-	failed := false
-	if bp.two {
-		if d.src.Bernoulli(bp.p1) {
-			failed = true
-		} else {
-			failed = d.src.Bernoulli(bp.p2)
-		}
-	} else {
-		failed = d.src.Bernoulli(bp.p1)
+	if c.vrt != nil {
+		return d.sampleReadBit(c, written, now, d.bulkTime), written
 	}
-	if failed {
+	if d.src.Bernoulli(bp.stick) || d.src.Bernoulli(bp.p) {
 		d.markStuck(c, written^1)
 		return written ^ 1, written
 	}

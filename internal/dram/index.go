@@ -26,7 +26,7 @@ import (
 // runtime condition, because each adjustment only raises the threshold:
 //
 //   - Temperature scales mu and sigma by the same positive factor
-//     (vendor.muTempScale), so the threshold scales linearly and the p = 0
+//     (vendor.RetentionScale), so the threshold scales linearly and the p = 0
 //     test becomes key*scale > eff — applied in the binary-search predicate,
 //     which is why SetTemperature needs no index invalidation.
 //   - dpdFactor(code) >= 1 multiplies mu only, so any stored pattern (and any
@@ -40,8 +40,9 @@ import (
 // keyMargin pushes the stored key ~1e-9 relative below the analytic
 // threshold so float rounding in key*scale can only over-include a cell into
 // the candidate band, never skip one that sampleReadBit would have sampled.
-// Candidates are then re-tested with bit-exact copies of clippedFailProb's
-// expressions before being skipped, flipped, or sampled.
+// Candidates are then skipped, flipped, or sampled as classifyBulk, the one
+// sweep classifier, places them: its zClip test is clipWindow, the same one
+// clippedFailProb applies before a draw.
 //
 // The index orders cells by key, not by bit, and the seed-stream contract
 // requires d.src draws to occur in global bit order. Classification itself
@@ -265,7 +266,7 @@ func (d *Device) sweep(now float64, collect bool) []uint64 {
 	d.ensureRankMarks()
 	d.fails.bits, d.fails.ranks = d.fails.bits[:0], d.fails.ranks[:0]
 	elapsed := now - d.bulkTime
-	scale := d.vend.muTempScale(d.tempC)
+	scale := d.vend.RetentionScale(d.tempC)
 	// eff is the largest elapsed value any failure probability is evaluated
 	// at this sweep. Under auto-refresh the per-cycle trial window is the
 	// refresh interval (and the residual window is shorter still), so a cell
@@ -288,16 +289,13 @@ func (d *Device) sweep(now float64, collect bool) []uint64 {
 				continue
 			}
 			live = append(live, c)
-			row := d.geom.rowOfBit(c.bit)
 			if len(d.rows) > 0 {
-				if _, deviant := d.rows[row]; deviant {
+				if _, deviant := d.rows[d.geom.rowOfBit(c.bit)]; deviant {
 					continue // the deviant-row walk below reports it
 				}
 			}
 			d.idx.Slowpath++
-			a := d.geom.AddrOf(c.bit)
-			written := uint8(d.bulkData.Word(row, a.Word) >> uint(a.Bit) & 1)
-			if uint8(c.stuck) != written {
+			if uint8(c.stuck) != d.bulkBit(c.bit) {
 				d.fails.add(c)
 			}
 		}
@@ -383,13 +381,10 @@ func (d *Device) walkFails(ranks []uint32, out []uint64) []uint64 {
 // classification is also recorded as a round-cache entry so the next sweep
 // at this exact signature can skip straight to the band (incremental.go).
 func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool) {
-	// Binary-search the activation index to the active band: cells with
-	// key*scale > eff are deterministically p = 0 at every window this sweep
+	// Binary-search the activation index to the active band: cells past the
+	// cursor are deterministically p = 0 at every window this sweep
 	// evaluates and are never touched.
-	k := 0
-	if eff > 0 {
-		k = sort.Search(len(d.actKeys), func(i int) bool { return d.actKeys[i]*scale > eff })
-	}
+	k := sort.Search(len(d.actKeys), func(i int) bool { return pastCursor(d.actKeys[i], scale, eff) })
 	d.idx.Skipped += uint64(len(d.actKeys) - k)
 	d.incr.FullSweeps++
 
@@ -398,13 +393,12 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool) {
 		e = &roundEntry{skipped: uint64(len(d.actKeys) - k), dirtyLen: len(d.dirtyCells)}
 	}
 
-	// Classify the candidates (key order; no draws happen here). Non-VRT
-	// bulk-context cells are re-tested with clippedFailProb's exact
-	// expressions: p = 0 skips, p = 1 flips via the index — both without a
+	// Classify the candidates (key order; no draws happen here) with
+	// classifyBulk: p = 0 skips, p = 1 flips via the index — both without a
 	// draw, matching Bernoulli's no-draw contract — and only the strict
-	// interior joins the sampling band. Band cells are marked at their rank
-	// in d.rankMarks, and flips (when an entry is being built) in
-	// d.flipMarks, so the walk below reads both back in bit order.
+	// interior (and every VRT cell) joins the sampling band. Band cells are
+	// marked at their rank in d.rankMarks, and flips (when an entry is being
+	// built) in d.flipMarks, so the walk below reads both back in bit order.
 	span := emptyRankSpan()
 	nflips := 0
 	haveDeviant := len(d.rows) > 0
@@ -412,43 +406,26 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool) {
 		if c.stuck >= 0 {
 			continue // no draw either way; the stuck overlay reports it
 		}
-		row := d.geom.rowOfBit(c.bit)
 		if haveDeviant {
-			if _, deviant := d.rows[row]; deviant {
+			if _, deviant := d.rows[d.geom.rowOfBit(c.bit)]; deviant {
 				continue // sampled with its row's own content and restore time
 			}
 		}
-		if c.vrt != nil {
-			span.mark(d.rankMarks, c.rank) // VRT stays on the slow sample path
-			continue
-		}
-		a := d.geom.AddrOf(c.bit)
-		written := uint8(d.bulkData.Word(row, a.Word) >> uint(a.Bit) & 1)
-		if written != c.chargedVal {
-			d.idx.Skipped++ // storing the discharged value: leakage-immune
-			if e != nil {
-				e.skipped++
-			}
-			continue
-		}
-		code := d.neighborhoodCodeOf(c)
-		mu := c.mu * scale * c.dpdFactor(code)
-		sigma := c.sigma * scale
-		if eff < mu-zClip*sigma {
+		switch d.classifyBulk(c, scale, eff) {
+		case dispSkip:
 			d.idx.Skipped++
 			if e != nil {
 				e.skipped++
 			}
-			continue
-		}
-		if eff > mu+zClip*sigma {
+		case dispFlip:
 			// Deterministic failure. Without auto-refresh this is
 			// Bernoulli(1); with it, p(interval) = 1 makes the stick
 			// probability exactly 1 (-expm1(k*log1p(-1)) = 1). Neither
 			// consumes a draw, so flipping here is seed-stream identical.
-			// The stuck overlay keeps this (key) order, which EncodeDelta
-			// writes.
-			d.markStuck(c, written^1)
+			// A flip needs written == chargedVal, so its wrong value is
+			// chargedVal^1. The stuck overlay keeps this (key) order, which
+			// EncodeDelta writes.
+			d.markStuck(c, c.chargedVal^1)
 			d.idx.Flipped++
 			if e != nil {
 				span.mark(d.flipMarks, c.rank)
@@ -457,15 +434,14 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool) {
 			if collect {
 				d.fails.add(c)
 			}
-			continue
+		case dispBand:
+			span.mark(d.rankMarks, c.rank)
 		}
-		span.mark(d.rankMarks, c.rank)
 	}
 
 	// One walk over the marked words reads the band, and the entry's flips,
 	// back in rank order, which is bit order, clearing each word as it goes.
-	// Flip marks exist only when e != nil. A flip needs written ==
-	// chargedVal, so its wrong value is chargedVal^1.
+	// Flip marks exist only when e != nil.
 	band := d.band[:0]
 	if nflips > 0 {
 		e.flips = make([]flipRec, 0, nflips)
@@ -493,9 +469,7 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool) {
 		for bi < len(band) && band[bi].bit < limit {
 			c := band[bi]
 			bi++
-			row := d.geom.rowOfBit(c.bit)
-			a := d.geom.AddrOf(c.bit)
-			written := uint8(d.bulkData.Word(row, a.Word) >> uint(a.Bit) & 1)
+			written := d.bulkBit(c.bit)
 			got := d.sampleReadBit(c, written, now, d.bulkTime)
 			if collect && got != written {
 				d.fails.add(c)
@@ -512,20 +486,10 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool) {
 		for _, row := range devRows {
 			sampleBandBelow(uint64(row) * rowBits)
 			rs := d.rows[row]
-			data := rs.data
-			if data == nil {
-				data = d.bulkData
-			}
 			for _, c := range d.rowCells(row) {
 				d.idx.Slowpath++
 				a := d.geom.AddrOf(c.bit)
-				w := data.Word(row, a.Word)
-				if rs.overrides != nil {
-					if v, ok := rs.overrides[a.Word]; ok {
-						w = v
-					}
-				}
-				written := uint8(w >> uint(a.Bit) & 1)
+				written := uint8(d.rowWord(rs, row, a.Word) >> uint(a.Bit) & 1)
 				got := d.sampleReadBit(c, written, now, rs.restoredAt)
 				if collect && got != written {
 					d.fails.add(c)
@@ -538,4 +502,32 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool) {
 	if e != nil {
 		d.storeRound(roundKey{data: d.bulkData, tempC: d.tempC, elapsed: elapsed, autoRef: d.autoRef}, e)
 	}
+}
+
+// classifyBulk is the sweep classifier: the disposition of one candidate
+// cell holding the bulk content at a sweep whose retention scale is scale
+// and whose largest evaluated window is eff. VRT cells always join the band,
+// because their retention mean moves with simulated time; a cell storing its
+// discharged value is skipped; every other cell is placed against its zClip
+// window, as clippedFailProb places it. It draws nothing and changes no
+// counter, so the full path, a cached entry's dirty-list fold and its stuck
+// reconciliation all reach the same disposition through it.
+func (d *Device) classifyBulk(c *weakCell, scale, eff float64) disposition {
+	if c.vrt != nil {
+		return dispBand
+	}
+	if d.bulkBit(c.bit) != c.chargedVal {
+		return dispSkip // storing the discharged value: leakage-immune
+	}
+	mu := c.mu * scale * c.dpdFactor(d.neighborhoodCodeOf(c))
+	return clipWindow(eff, mu, c.sigma*scale)
+}
+
+// pastCursor reports whether a cell with activation key key lies past the
+// sweep's activation cursor: p = 0 at every window a sweep at retention
+// scale scale evaluates, whose largest is eff. No window opens unless eff > 0
+// (NaN included). The full path binary-searches the index with it; a cached
+// replay tests single cells with it.
+func pastCursor(key, scale, eff float64) bool {
+	return !(eff > 0) || key*scale > eff
 }

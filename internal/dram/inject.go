@@ -208,7 +208,9 @@ func (d *Device) RescrambleDPD(src *rng.Source, n int) []uint64 {
 
 // VRTCellsInLow reports, of the device's VRT cells with low-state retention
 // mean at most maxMuLowSeconds (<= 0: all), how many are currently in the
-// low state. Fault scenarios use it to size escape bursts.
+// low state, catching each counted cell's VRT process up to now. It
+// observes latent state no read exposes; the injection tests use it to
+// check ForceVRTLowBurst.
 func (d *Device) VRTCellsInLow(maxMuLowSeconds, now float64) (inLow, total int) {
 	for _, c := range d.weak {
 		if c.vrt == nil {

@@ -66,7 +66,7 @@ func (d *Device) CellFailProb(bit uint64, tREFI, tempC, now float64) float64 {
 // not.
 func (d *Device) TrueFailingSet(tREFI, tempC, now, threshold float64) []uint64 {
 	var out []uint64
-	scale := d.vend.muTempScale(tempC)
+	scale := d.vend.RetentionScale(tempC)
 	for _, c := range d.weak {
 		if c.worstCaseReaches(tREFI, c.muAt(now)*scale, c.sigma*scale, threshold) {
 			out = append(out, c.bit)

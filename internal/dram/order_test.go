@@ -95,7 +95,7 @@ func editOracleCells(t *testing.T, d *Device) {
 		}
 		edits = append(edits, edit{mu, sigma, 0})
 	}
-	if d.vend.muTempScale(45) != 1 {
+	if d.vend.RetentionScale(45) != 1 {
 		t.Fatal("temperature scale at 45 °C is not 1")
 	}
 	for k, e := range edits {

@@ -27,11 +27,12 @@ func denseReadCompareAll(d *Device, now float64) []uint64 {
 		row := d.geom.rowOfBit(c.bit)
 		if !haveRow || row != curRow {
 			curRow, haveRow = row, true
-			var rs *rowState
-			curData, restoredAt, rs = d.stateOf(row)
-			curOverr = nil
-			if rs != nil {
-				curOverr = rs.overrides
+			curData, restoredAt, curOverr = d.bulkData, d.bulkTime, nil
+			if rs := d.rows[row]; rs != nil {
+				restoredAt, curOverr = rs.restoredAt, rs.overrides
+				if rs.data != nil {
+					curData = rs.data
+				}
 			}
 		}
 		a := d.geom.AddrOf(c.bit)

@@ -173,12 +173,12 @@ func (v VendorParams) VRTRate(t, tempC float64, bytes int64) float64 {
 	return per2GB * float64(bytes) / (2 << 30) * exp(v.TempCoeff*(tempC-RefTempC))
 }
 
-// muTempScale returns the multiplicative scale applied to per-cell retention
-// means (and sigmas) at ambient temperature tempC. It is derived from the
-// requirement that the failing-cell count N(t) ∝ t^β scale as
+// RetentionScale returns Equation 1's multiplicative scale on per-cell
+// retention means (and sigmas) at ambient temperature tempC. It is derived
+// from the requirement that the failing-cell count N(t) ∝ t^β scale as
 // exp(TempCoeff*ΔT): scaling all means by exp(-TempCoeff/β*ΔT) achieves
-// exactly that for a power-law mean distribution.
-func (v VendorParams) muTempScale(tempC float64) float64 {
+// exactly that for a power-law mean distribution. It is 1 at RefTempC.
+func (v VendorParams) RetentionScale(tempC float64) float64 {
 	return exp(-v.TempCoeff / v.BERExponent * (tempC - RefTempC))
 }
 

@@ -570,7 +570,7 @@ func Fig6CellCDFs(cfg Fig6Config) (*Fig6Result, error) {
 		return nil, fmt.Errorf("experiments: no suitable sample cells")
 	}
 
-	tempScale := math.Exp(-cfg.Chip.Vendor.TempCoeff / cfg.Chip.Vendor.BERExponent * (40 - dram.RefTempC))
+	tempScale := cfg.Chip.Vendor.RetentionScale(40)
 	var ksStats []float64
 	for _, cell := range sample {
 		// Measure the failure fraction at PointsPerCell intervals around
@@ -664,7 +664,7 @@ func Fig7TemperatureShift(chip ChipSpec, temps []float64) ([]Fig7Row, error) {
 	v := st.Device().Vendor()
 	var out []Fig7Row
 	for _, temp := range temps {
-		scale := math.Exp(-v.TempCoeff / v.BERExponent * (temp - dram.RefTempC))
+		scale := v.RetentionScale(temp)
 		var mus, sigmas []float64
 		for _, c := range cells {
 			mus = append(mus, c.Mu*scale)

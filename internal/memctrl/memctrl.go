@@ -206,21 +206,13 @@ func (s *Station) DisableRefresh() {
 // first refresh sweep after a refresh-paused window reads every row and
 // restores what it read — cells that decayed during the pause are locked in
 // as wrong values (the paper's Figure 1c) until their rows are rewritten.
-func (s *Station) EnableRefresh() {
-	if !s.refresh {
-		s.dev.RestoreAll(s.clock.Now())
-		s.trace.add(Command{Kind: CmdRefreshOn, Start: s.clock.Now(), End: s.clock.Now(),
-			Interval: s.timing.DefaultTREFI})
-	}
-	s.refresh = true
-	s.dev.SetAutoRefresh(s.timing.DefaultTREFI)
-}
+func (s *Station) EnableRefresh() { s.SetRefreshInterval(s.timing.DefaultTREFI) }
 
 // RefreshEnabled reports whether auto-refresh is running.
 func (s *Station) RefreshEnabled() bool { return s.refresh }
 
-// SetRefreshInterval runs auto-refresh at a non-default interval (used by
-// multi-rate refresh mechanisms). interval <= 0 disables refresh.
+// SetRefreshInterval runs auto-refresh at the given interval (multi-rate
+// refresh mechanisms set non-default ones). interval <= 0 disables refresh.
 func (s *Station) SetRefreshInterval(interval float64) {
 	if interval <= 0 {
 		s.DisableRefresh()
@@ -238,14 +230,35 @@ func (s *Station) SetRefreshInterval(interval float64) {
 // WritePattern streams a data pattern into the whole device (Algorithm 1
 // line 5), charging one full write pass of latency.
 func (s *Station) WritePattern(p dram.RowData) {
+	_ = s.pass(CmdWritePass, func(now float64) error {
+		s.dev.WriteAll(p, now)
+		return nil
+	})
+}
+
+// pass streams one whole-device pass of kind CmdWritePass or CmdReadPass: it
+// advances the clock by the pass time, runs op at the pass's end, and, only
+// if op succeeds, charges the pass to the stats and the command trace. It
+// returns op's error; the passes whose op cannot fail discard it.
+func (s *Station) pass(kind CmdKind, op func(now float64) error) error {
 	start := s.clock.Now()
-	d := s.timing.PassSeconds(s.dev.Geometry().TotalBytes())
+	bytes := s.dev.Geometry().TotalBytes()
+	d := s.timing.PassSeconds(bytes)
 	s.advance(d)
-	s.dev.WriteAll(p, s.clock.Now())
-	s.stats.WriteSeconds += d
-	s.stats.WritePasses++
-	s.stats.BytesWritten += s.dev.Geometry().TotalBytes()
-	s.trace.add(Command{Kind: CmdWritePass, Start: start, End: s.clock.Now()})
+	if err := op(s.clock.Now()); err != nil {
+		return err
+	}
+	if kind == CmdWritePass {
+		s.stats.WriteSeconds += d
+		s.stats.WritePasses++
+		s.stats.BytesWritten += bytes
+	} else {
+		s.stats.ReadSeconds += d
+		s.stats.ReadPasses++
+		s.stats.BytesRead += bytes
+	}
+	s.trace.add(Command{Kind: kind, Start: start, End: s.clock.Now()})
+	return nil
 }
 
 // Wait lets seconds of simulated time pass (Algorithm 1 line 7 when refresh
@@ -287,45 +300,31 @@ func (s *Station) ReadWord(bank, row, word int) (uint64, error) {
 // (and locked in) with their corrupted values — saving cannot heal data.
 // This is the paper's footnote-4 save step before a profiling round.
 func (s *Station) SaveData() *dram.ContentSnapshot {
-	start := s.clock.Now()
-	d := s.timing.PassSeconds(s.dev.Geometry().TotalBytes())
-	s.advance(d)
-	s.dev.RestoreAll(s.clock.Now())
-	snap := s.dev.SnapshotContent()
-	s.stats.ReadSeconds += d
-	s.stats.ReadPasses++
-	s.stats.BytesRead += s.dev.Geometry().TotalBytes()
-	s.trace.add(Command{Kind: CmdReadPass, Start: start, End: s.clock.Now()})
+	var snap *dram.ContentSnapshot
+	_ = s.pass(CmdReadPass, func(now float64) error {
+		s.dev.RestoreAll(now)
+		snap = s.dev.SnapshotContent()
+		return nil
+	})
 	return snap
 }
 
 // RestoreData streams a snapshot back into the device, charging one full
-// write pass — the paper's footnote-4 restore step after profiling.
+// write pass — the paper's footnote-4 restore step after profiling. A
+// snapshot the device refuses is an error and charges no pass, though the
+// clock has moved on by the pass time.
 func (s *Station) RestoreData(snap *dram.ContentSnapshot) error {
-	start := s.clock.Now()
-	d := s.timing.PassSeconds(s.dev.Geometry().TotalBytes())
-	s.advance(d)
-	if err := s.dev.RestoreContent(snap, s.clock.Now()); err != nil {
-		return err
-	}
-	s.stats.WriteSeconds += d
-	s.stats.WritePasses++
-	s.stats.BytesWritten += s.dev.Geometry().TotalBytes()
-	s.trace.add(Command{Kind: CmdWritePass, Start: start, End: s.clock.Now()})
-	return nil
+	return s.pass(CmdWritePass, func(now float64) error { return s.dev.RestoreContent(snap, now) })
 }
 
 // ReadCompare streams the whole device out, compares against the written
 // content, and returns the failing bit addresses (Algorithm 1 line 9),
 // charging one full read pass of latency.
 func (s *Station) ReadCompare() []uint64 {
-	start := s.clock.Now()
-	d := s.timing.PassSeconds(s.dev.Geometry().TotalBytes())
-	s.advance(d)
-	fails := s.dev.ReadCompareAll(s.clock.Now())
-	s.stats.ReadSeconds += d
-	s.stats.ReadPasses++
-	s.stats.BytesRead += s.dev.Geometry().TotalBytes()
-	s.trace.add(Command{Kind: CmdReadPass, Start: start, End: s.clock.Now()})
+	var fails []uint64
+	_ = s.pass(CmdReadPass, func(now float64) error {
+		fails = s.dev.ReadCompareAll(now)
+		return nil
+	})
 	return fails
 }

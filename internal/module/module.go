@@ -192,21 +192,10 @@ func (m *Module) DisableRefresh() {
 
 // EnableRefresh resumes auto-refresh at the default interval, locking in
 // any failures that accumulated while paused (see memctrl.Station).
-func (m *Module) EnableRefresh() {
-	if !m.refresh {
-		now := m.clock.Now()
-		if err := m.forEachChip(func(_ int, d *dram.Device) { d.RestoreAll(now) }); err != nil {
-			m.fail(err)
-		}
-	}
-	m.refresh = true
-	for _, d := range m.devs {
-		d.SetAutoRefresh(m.timing.DefaultTREFI)
-	}
-}
+func (m *Module) EnableRefresh() { m.SetRefreshInterval(m.timing.DefaultTREFI) }
 
-// SetRefreshInterval runs auto-refresh at a non-default interval on every
-// chip; interval <= 0 disables refresh.
+// SetRefreshInterval runs auto-refresh at the given interval on every chip;
+// interval <= 0 disables refresh.
 func (m *Module) SetRefreshInterval(interval float64) {
 	if interval <= 0 {
 		m.DisableRefresh()

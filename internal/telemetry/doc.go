@@ -42,7 +42,7 @@
 //	mgr.Instrument(reg, tracer, telemetry.L("chip", "0"))
 //	...
 //	snap := reg.Snapshot()                        // sorted, stable
-//	err := snap.WriteJSON(f)
+//	err := snap.WriteFile("metrics.json")         // or WriteJSON(w)
 //
 // A nil *Registry, *Counter, *Gauge, *Histogram, or *Tracer is a valid
 // no-op, so instrumented code never branches on "is telemetry enabled".

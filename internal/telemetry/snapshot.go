@@ -1,11 +1,14 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
 	"slices"
 	"strings"
+
+	"reaper/internal/checkpoint"
 )
 
 // CounterSnapshot is one counter series in a Snapshot.
@@ -117,6 +120,17 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc = append(enc, '\n')
 	_, err = w.Write(enc)
 	return err
+}
+
+// WriteFile writes the snapshot to path in WriteJSON's format — the
+// -metrics-out file — atomically (checkpoint.WriteFileAtomic), so a crash
+// mid-write never leaves a truncated file behind.
+func (s *Snapshot) WriteFile(path string) error {
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		return err
+	}
+	return checkpoint.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }
 
 // Counter returns the snapshotted value of the named counter series, or 0

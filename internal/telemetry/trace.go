@@ -1,11 +1,14 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"slices"
 	"strings"
 	"sync"
+
+	"reaper/internal/checkpoint"
 )
 
 // Event is one structured trace record. Clock is logical (simulated)
@@ -148,4 +151,14 @@ func WriteJSONL(w io.Writer, events []Event) error {
 		}
 	}
 	return nil
+}
+
+// WriteJSONLFile writes events to path in WriteJSONL's format — the
+// -trace-out file — atomically (checkpoint.WriteFileAtomic).
+func WriteJSONLFile(path string, events []Event) error {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, events); err != nil {
+		return err
+	}
+	return checkpoint.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }

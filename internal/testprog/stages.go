@@ -488,10 +488,10 @@ type PopulationSweepStage struct {
 	// Iterations is the per-chip profiling rounds; 0 means 16.
 	Iterations int `json:"iterations,omitempty"`
 	// ShardSize caps how many chips are materialized at once
-	// (experiments.PopulationConfig.ShardSize): the sweep runs in
-	// consecutive shards of at most this many devices, so peak memory is
-	// O(shard), not O(fleet). 0 means one fleet-wide batch. Results are
-	// byte-identical at any value.
+	// (experiments.PopulationConfig.ShardSize): it caps the sweep's worker
+	// pool, and each worker drops its chip before taking the next, so peak
+	// memory is O(ShardSize), not O(fleet). 0 leaves the pool at the run's
+	// worker count. Results are byte-identical at any value.
 	ShardSize int `json:"shard_size,omitempty"`
 }
 
