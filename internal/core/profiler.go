@@ -112,7 +112,9 @@ func (r *Result) RuntimeSeconds() float64 { return r.Stats.Total() }
 // BruteForce runs the paper's Algorithm 1 on the station: for each
 // iteration and each data pattern, write the pattern everywhere, disable
 // refresh, wait for tREFI, re-enable refresh, and collect the failures.
-// tREFI is in seconds.
+// tREFI is in seconds. A station whose TestStation methods latch failures
+// they cannot return (module.Module) exposes them through Err() error;
+// BruteForce checks it after every pass and returns the latched error.
 func BruteForce(st TestStation, tREFI float64, opt Options) (*Result, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil station")
@@ -145,6 +147,7 @@ func BruteForce(st TestStation, tREFI float64, opt Options) (*Result, error) {
 	if hasIc {
 		icBefore = ic.IncrStats()
 	}
+	latched, hasErr := st.(interface{ Err() error })
 
 	reg := opt.Telemetry
 	reg.Counter("core_profiling_rounds_total").Inc()
@@ -164,6 +167,11 @@ func BruteForce(st TestStation, tREFI float64, opt Options) (*Result, error) {
 			st.Wait(tREFI)
 			st.EnableRefresh()
 			fails := st.ReadCompare()
+			if hasErr {
+				if err := latched.Err(); err != nil {
+					return nil, fmt.Errorf("core: iteration %d pattern %s: %w", it, p.Name(), err)
+				}
+			}
 			added := res.Failures.AddAll(fails)
 			reg.Counter("core_profiling_passes_total", telemetry.L("pattern", patternLabel(p.Name()))).Inc()
 			newPerPass.Observe(float64(added))

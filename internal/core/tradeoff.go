@@ -39,16 +39,6 @@ type TradeoffConfig struct {
 	// Options is the base profiling configuration (patterns, seed).
 	Options Options
 
-	// Reference selects what coverage and false positives are scored
-	// against. The default, ReferenceEmpirical, follows the paper's
-	// Figure 9/10 methodology: the reference set is the result of
-	// brute-force profiling at the *target* conditions for Iterations
-	// rounds, so the (0,0) grid point has coverage 1 and FPR 0 by
-	// construction. ReferenceOracle scores against the simulator's ground
-	// truth instead (impossible on real hardware, useful for model
-	// analysis).
-	Reference ReferenceMode
-
 	// Workers bounds the worker pool evaluating grid points concurrently;
 	// <= 0 means one worker per CPU. Every grid point starts from a station
 	// in the state mkStation built it in — at most one station per
@@ -56,18 +46,6 @@ type TradeoffConfig struct {
 	// points — so results are identical at any worker count.
 	Workers int
 }
-
-// ReferenceMode selects the scoring reference for tradeoff exploration.
-type ReferenceMode int
-
-const (
-	// ReferenceEmpirical scores against a brute-force profile taken at the
-	// target conditions (the paper's methodology).
-	ReferenceEmpirical ReferenceMode = iota
-	// ReferenceOracle scores against the device model's latent ground
-	// truth.
-	ReferenceOracle
-)
 
 func (c *TradeoffConfig) fill() error {
 	if c.TargetInterval <= 0 {
@@ -116,8 +94,9 @@ type TradeoffPoint struct {
 
 	// Coverage and FalsePositiveRate are sampled after
 	// TradeoffConfig.Iterations iterations, scored against the reference
-	// at the *target* conditions (empirical brute-force profile or oracle,
-	// per TradeoffConfig.Reference).
+	// at the *target* conditions: the paper's Figure 9/10 methodology, a
+	// brute-force profile taken there for Iterations rounds, so the (0,0)
+	// grid point has coverage 1 and FPR 0 by construction.
 	Coverage          float64 `json:"coverage"`
 	FalsePositiveRate float64 `json:"false_positive_rate"`
 
@@ -163,17 +142,15 @@ func ExploreTradeoffs(ctx context.Context, mkStation func() (*memctrl.Station, e
 
 	// Build the scoring reference first: every grid point scores against the
 	// same brute-force profile at target conditions.
-	var reference *FailureSet
-	if cfg.Reference == ReferenceEmpirical {
-		ps, err := pool.get()
-		if err != nil {
-			return nil, err
-		}
-		if reference, err = profileReference(ps.st, cfg); err != nil {
-			return nil, err
-		}
-		pool.put(ps)
+	ps, err := pool.get()
+	if err != nil {
+		return nil, err
 	}
+	reference, err := profileReference(ps.st, cfg)
+	if err != nil {
+		return nil, err
+	}
+	pool.put(ps)
 
 	// Grid points are independent — each profiles a station in its
 	// just-constructed state and only reads the shared reference — so fan
@@ -198,8 +175,8 @@ func ExploreTradeoffs(ctx context.Context, mkStation func() (*memctrl.Station, e
 	return points, nil
 }
 
-// profileReference runs the empirical scoring reference: brute-force
-// profiling at the target conditions for cfg.Iterations rounds.
+// profileReference runs the scoring reference: brute-force profiling at the
+// target conditions for cfg.Iterations rounds.
 func profileReference(st *memctrl.Station, cfg TradeoffConfig) (*FailureSet, error) {
 	if st.Ambient() != cfg.TargetTempC {
 		st.SetAmbient(cfg.TargetTempC)
@@ -297,13 +274,9 @@ func (p *stationPool) put(ps pooledStation) {
 	p.mu.Unlock()
 }
 
-func measurePoint(st *memctrl.Station, cfg TradeoffConfig, reference *FailureSet, reach ReachConditions) (TradeoffPoint, error) {
+func measurePoint(st *memctrl.Station, cfg TradeoffConfig, truth *FailureSet, reach ReachConditions) (TradeoffPoint, error) {
 	if st.Ambient() != cfg.TargetTempC {
 		st.SetAmbient(cfg.TargetTempC)
-	}
-	truth := reference
-	if truth == nil { // ReferenceOracle
-		truth = Truth(st, cfg.TargetInterval, cfg.TargetTempC)
 	}
 	pt := TradeoffPoint{Reach: reach, TruthSize: truth.Len()}
 

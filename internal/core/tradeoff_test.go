@@ -59,15 +59,13 @@ func exploreOracle(ctx context.Context, mk func() (*memctrl.Station, error), cfg
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	var reference *FailureSet
-	if cfg.Reference == ReferenceEmpirical {
-		st, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		if reference, err = profileReference(st, cfg); err != nil {
-			return nil, err
-		}
+	st, err := mk()
+	if err != nil {
+		return nil, err
+	}
+	reference, err := profileReference(st, cfg)
+	if err != nil {
+		return nil, err
 	}
 	// One sequential worker, so the parallel_* series match the grid's.
 	nI := len(cfg.DeltaIntervals)
@@ -111,7 +109,7 @@ func mkChamberStation(seed uint64) func() (*memctrl.Station, error) {
 
 // TestExploreTradeoffsMatchesFreshStationOracle checks station recycling
 // against exploreOracle: equal points and equal telemetry snapshots at every
-// worker count, with both reference modes and through the drop-and-rebuild
+// worker count, and through the drop-and-rebuild
 // path of a station that refuses savepoints. It also pins the mkStation
 // contract: one call in total at workers=1, at most one per worker.
 func TestExploreTradeoffsMatchesFreshStationOracle(t *testing.T) {
@@ -145,8 +143,6 @@ func TestExploreTradeoffsMatchesFreshStationOracle(t *testing.T) {
 		MaxIterations:  8,
 		Options:        Options{FreshRandomPerIteration: true, Seed: 5},
 	}
-	oracleRef := base
-	oracleRef.Reference = ReferenceOracle
 	cases := []struct {
 		name     string
 		mk       func() (*memctrl.Station, error)
@@ -154,7 +150,6 @@ func TestExploreTradeoffsMatchesFreshStationOracle(t *testing.T) {
 		recycled bool
 	}{
 		{"empirical", mkStation(23), base, true},
-		{"oracle-reference", mkStation(23), oracleRef, true},
 		{"chamber", mkChamberStation(23), base, false},
 	}
 	for _, tc := range cases {

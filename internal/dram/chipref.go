@@ -29,19 +29,8 @@ func NewChipRef(cfg Config) (ChipRef, error) {
 	return ChipRef{cfg: cfg}, nil
 }
 
-// Config returns the validated construction config (defaults filled).
-func (r ChipRef) Config() Config { return r.cfg }
-
-// Seed returns the chip's identity seed.
-func (r ChipRef) Seed() uint64 { return r.cfg.Seed }
-
 // Materialize builds the full device from the ref. The result is
 // byte-identical across calls: same population, same stream positions.
 func (r ChipRef) Materialize() (*Device, error) {
 	return NewDevice(r.cfg)
 }
-
-// Ref returns the handle this device can be rebuilt from. Ref().Materialize()
-// reproduces the device as constructed; divergence since construction is
-// recoverable via EncodeDelta/RestoreDelta.
-func (d *Device) Ref() ChipRef { return ChipRef{cfg: d.cfg} }

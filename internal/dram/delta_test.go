@@ -10,6 +10,17 @@ import (
 	"reaper/internal/rng"
 )
 
+// Config returns the validated construction config (defaults filled).
+func (r ChipRef) Config() Config { return r.cfg }
+
+// Seed returns the chip's identity seed.
+func (r ChipRef) Seed() uint64 { return r.cfg.Seed }
+
+// Ref returns the handle this device can be rebuilt from. Ref().Materialize()
+// reproduces the device as constructed; divergence since construction is
+// recoverable via EncodeDelta/RestoreDelta.
+func (d *Device) Ref() ChipRef { return ChipRef{cfg: d.cfg} }
+
 // deltaTestConfig is the shared mid-campaign delta-codec fixture: small
 // enough to drive quickly, big enough that the weak population dwarfs the
 // divergence the delta records.

@@ -437,6 +437,8 @@ func (d *Device) SetAutoRefresh(interval float64) {
 }
 
 // AutoRefresh returns the configured auto-refresh interval (0 if disabled).
+//
+//lint:ignore dead-export the firmware, memctrl and module tests read back the refresh interval their stations program
 func (d *Device) AutoRefresh() float64 { return d.autoRef }
 
 // rowRestoredAt returns the row's last-restore time.
@@ -690,51 +692,6 @@ func (d *Device) RestoreAll(now float64) {
 	d.sweep(now, false)
 }
 
-// WriteRow replaces the content of one row at simulated time now. words must
-// have exactly Geometry.WordsPerRow entries (the slice is copied).
-func (d *Device) WriteRow(bank, row int, words []uint64, now float64) error {
-	if err := d.checkRow(bank, row); err != nil {
-		return err
-	}
-	if len(words) != d.geom.WordsPerRow {
-		return fmt.Errorf("dram: WriteRow needs %d words, got %d", d.geom.WordsPerRow, len(words))
-	}
-	gr := d.geom.GlobalRow(bank, row)
-	cp := make(sliceRowData, len(words))
-	copy(cp, words)
-	d.rows[gr] = &rowState{data: cp, restoredAt: now}
-	d.clearStuck(gr)
-	d.contentEpoch++
-	return nil
-}
-
-// ReadRow activates and reads one row at simulated time now, returning its
-// current content with any retention failures applied. The activation
-// restores the row (wrong values stick until rewritten).
-func (d *Device) ReadRow(bank, row int, now float64) ([]uint64, error) {
-	if err := d.checkRow(bank, row); err != nil {
-		return nil, err
-	}
-	gr := d.geom.GlobalRow(bank, row)
-	restoredAt := d.rowRestoredAt(gr)
-	words := make([]uint64, d.geom.WordsPerRow)
-	for w := range words {
-		words[w] = d.wordAt(gr, w)
-	}
-	for _, c := range d.rowCells(gr) {
-		a := d.geom.AddrOf(c.bit)
-		got := d.sampleRead(c, gr, now, restoredAt)
-		if got == 1 {
-			words[a.Word] |= 1 << uint(a.Bit)
-		} else {
-			words[a.Word] &^= 1 << uint(a.Bit)
-		}
-	}
-	rs := d.ensureRowState(gr)
-	rs.restoredAt = now
-	return words, nil
-}
-
 // WriteWord writes a single 64-bit word. The implied row activation restores
 // the rest of the row first (sampling retention failures), as on hardware.
 func (d *Device) WriteWord(bank, row, word int, val uint64, now float64) error {
@@ -769,8 +726,9 @@ func (d *Device) WriteWord(bank, row, word int, val uint64, now float64) error {
 }
 
 // ReadWord reads a single word (activating and restoring its row). The
-// activation samples every weak cell of the row in row order, exactly as
-// ReadRow does, but only the requested word is assembled.
+// activation samples every weak cell of the row in row order, as a whole-row
+// read would, but only the requested word is assembled (the tests keep a
+// whole-row ReadRow as its oracle).
 func (d *Device) ReadWord(bank, row, word int, now float64) (uint64, error) {
 	if err := d.checkRow(bank, row); err != nil {
 		return 0, err
@@ -814,12 +772,6 @@ func (d *Device) checkRow(bank, row int) error {
 		return fmt.Errorf("dram: bank %d row %d out of range for %v", bank, row, d.geom)
 	}
 	return nil
-}
-
-// Stats returns simple operation counters (reads performed, failures that
-// have stuck so far).
-func (d *Device) Stats() (readPasses, totalFlips uint64) {
-	return d.readsDone, d.flipsSoFar
 }
 
 // ContentSnapshot captures the logical content of a device at a moment: the

@@ -7,6 +7,12 @@ import (
 	"reaper/internal/patterns"
 )
 
+// Stats returns simple operation counters (reads performed, failures that
+// have stuck so far).
+func (d *Device) Stats() (readPasses, totalFlips uint64) {
+	return d.readsDone, d.flipsSoFar
+}
+
 // testDevice builds a small chip with an amplified weak population so tests
 // have statistically meaningful failure counts.
 func testDevice(t testing.TB, seed uint64, mutate func(*Config)) *Device {

@@ -44,7 +44,7 @@ import (
 //   - VRT state and stuck state: deliberately NOT invalidation events. VRT
 //     cells are always band-classified (their state matters only at sampling
 //     time), and stuck cells are reconciled at replay.
-//   - Partial writes (WriteRow/WriteWord) create deviant rows, which block
+//   - Partial writes (WriteWord) create deviant rows, which block
 //     both building and hitting the cache until the next bulk write clears
 //     them.
 const (
@@ -144,19 +144,6 @@ func (s IncrStats) Sub(o IncrStats) IncrStats {
 
 // IncrStats returns the device's cumulative round-cache counters.
 func (d *Device) IncrStats() IncrStats { return d.incr }
-
-// SetRoundCache enables or disables the incremental round cache (enabled by
-// default). Disabling drops any cached classifications. Results are
-// byte-identical either way — the cache only skips provably unchanged work —
-// which the incremental parity tests pin by running both settings in
-// lockstep.
-func (d *Device) SetRoundCache(on bool) {
-	d.cacheOn = on
-	if !on {
-		d.rounds = nil
-		d.dirtyCells = nil
-	}
-}
 
 // comparableRowData reports whether a content descriptor's dynamic type
 // supports ==, the identity test round keys and the WriteAll rewrite

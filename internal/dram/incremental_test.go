@@ -8,6 +8,19 @@ import (
 	"reaper/internal/rng"
 )
 
+// SetRoundCache enables or disables the incremental round cache (enabled by
+// default). Disabling drops any cached classifications. Results are
+// byte-identical either way — the cache only skips provably unchanged work —
+// which the incremental parity tests pin by running both settings in
+// lockstep.
+func (d *Device) SetRoundCache(on bool) {
+	d.cacheOn = on
+	if !on {
+		d.rounds = nil
+		d.dirtyCells = nil
+	}
+}
+
 // driveIncrVsFull runs two devices with identical config and seed — one with
 // the incremental round cache on (the default), one forced to reclassify in
 // full every sweep — through a multi-round profiling script that revisits

@@ -7,6 +7,28 @@ import (
 	"reaper/internal/rng"
 )
 
+// VRTCellsInLow reports, of the device's VRT cells with low-state retention
+// mean at most maxMuLowSeconds (<= 0: all), how many are currently in the
+// low state, catching each counted cell's VRT process up to now. It
+// observes latent state no read exposes; the injection tests use it to
+// check ForceVRTLowBurst.
+func (d *Device) VRTCellsInLow(maxMuLowSeconds, now float64) (inLow, total int) {
+	for _, c := range d.weak {
+		if c.vrt == nil {
+			continue
+		}
+		if maxMuLowSeconds > 0 && c.vrt.muLow > maxMuLowSeconds {
+			continue
+		}
+		c.vrt.advance(now)
+		total++
+		if c.vrt.inLow {
+			inLow++
+		}
+	}
+	return inLow, total
+}
+
 func newInjectTestDevice(t *testing.T, seed uint64) *Device {
 	t.Helper()
 	d, err := NewDevice(Config{

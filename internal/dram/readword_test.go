@@ -2,11 +2,57 @@ package dram
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"reaper/internal/patterns"
 	"reaper/internal/rng"
 )
+
+// WriteRow replaces the content of one row at simulated time now. words must
+// have exactly Geometry.WordsPerRow entries (the slice is copied).
+func (d *Device) WriteRow(bank, row int, words []uint64, now float64) error {
+	if err := d.checkRow(bank, row); err != nil {
+		return err
+	}
+	if len(words) != d.geom.WordsPerRow {
+		return fmt.Errorf("dram: WriteRow needs %d words, got %d", d.geom.WordsPerRow, len(words))
+	}
+	gr := d.geom.GlobalRow(bank, row)
+	cp := make(sliceRowData, len(words))
+	copy(cp, words)
+	d.rows[gr] = &rowState{data: cp, restoredAt: now}
+	d.clearStuck(gr)
+	d.contentEpoch++
+	return nil
+}
+
+// ReadRow activates and reads one row at simulated time now, returning its
+// current content with any retention failures applied. The activation
+// restores the row (wrong values stick until rewritten).
+func (d *Device) ReadRow(bank, row int, now float64) ([]uint64, error) {
+	if err := d.checkRow(bank, row); err != nil {
+		return nil, err
+	}
+	gr := d.geom.GlobalRow(bank, row)
+	restoredAt := d.rowRestoredAt(gr)
+	words := make([]uint64, d.geom.WordsPerRow)
+	for w := range words {
+		words[w] = d.wordAt(gr, w)
+	}
+	for _, c := range d.rowCells(gr) {
+		a := d.geom.AddrOf(c.bit)
+		got := d.sampleRead(c, gr, now, restoredAt)
+		if got == 1 {
+			words[a.Word] |= 1 << uint(a.Bit)
+		} else {
+			words[a.Word] &^= 1 << uint(a.Bit)
+		}
+	}
+	rs := d.ensureRowState(gr)
+	rs.restoredAt = now
+	return words, nil
+}
 
 // TestReadWordOutOfRangeLeavesDeviceUnchanged pins the order of ReadWord's
 // checks: a bad word index fails before the row is activated, so no cell is

@@ -16,7 +16,6 @@ package ecc
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"reaper/internal/stats"
 )
@@ -266,23 +265,4 @@ func unpackWord(w Word72) [72]bool {
 		word[pos] = w.Check>>uint(i)&1 == 1
 	}
 	return word
-}
-
-// FlipBit returns a copy of w with the given encoded-word position (0..71)
-// flipped. Positions follow the internal layout: 0 is the overall parity
-// bit, powers of two are Hamming parity bits, the rest are data bits.
-func FlipBit(w Word72, pos int) Word72 {
-	if pos < 0 || pos >= 72 {
-		//lint:ignore no-panic fault-injection API precondition, asserted by tests (ecc_test.go)
-		panic("ecc: FlipBit position out of range")
-	}
-	word := unpackWord(w)
-	word[pos] = !word[pos]
-	return packWord(word)
-}
-
-// HammingDistance returns the number of differing bits between two encoded
-// words.
-func HammingDistance(a, b Word72) int {
-	return bits.OnesCount64(a.Data^b.Data) + bits.OnesCount8(a.Check^b.Check)
 }

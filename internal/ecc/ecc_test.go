@@ -2,11 +2,30 @@ package ecc
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
 	"reaper/internal/rng"
 )
+
+// FlipBit returns a copy of w with the given encoded-word position (0..71)
+// flipped. Positions follow the internal layout: 0 is the overall parity
+// bit, powers of two are Hamming parity bits, the rest are data bits.
+func FlipBit(w Word72, pos int) Word72 {
+	if pos < 0 || pos >= 72 {
+		panic("ecc: FlipBit position out of range")
+	}
+	word := unpackWord(w)
+	word[pos] = !word[pos]
+	return packWord(word)
+}
+
+// HammingDistance returns the number of differing bits between two encoded
+// words.
+func HammingDistance(a, b Word72) int {
+	return bits.OnesCount64(a.Data^b.Data) + bits.OnesCount8(a.Check^b.Check)
+}
 
 func TestCodeValidate(t *testing.T) {
 	for _, c := range StandardCodes() {

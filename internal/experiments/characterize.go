@@ -471,6 +471,8 @@ func Fig5Table(rows []Fig5Row) *Table {
 
 // Fig5RandomWins reports whether the random pattern found the most failures
 // for every vendor in the result set — the paper's headline observation.
+//
+//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func Fig5RandomWins(rows []Fig5Row) bool {
 	best := map[string]Fig5Row{}
 	for _, r := range rows {

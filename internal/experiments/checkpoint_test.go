@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"reaper/internal/checkpoint"
-	"reaper/internal/faultinject"
 	"reaper/internal/parallel"
 	"reaper/internal/telemetry"
 )
@@ -136,11 +135,11 @@ func TestSoakCheckpointCrashInjectionByteIdentical(t *testing.T) {
 	}
 
 	for _, withDir := range []bool{true, false} {
-		plan := faultinject.NewCrashPlan(0xC4A54, 0.9)
+		plan := newCrashPlan(0xC4A54, 0.9)
 		crashy := ckTestConfig(13, false)
 		crashy.Workers = 8
 		crashy.ShardPolicy = tolerant(3)
-		crashy.Checkpoint = &CheckpointOptions{CrashPlan: plan}
+		crashy.Checkpoint = plan.arm()
 		if withDir {
 			crashy.Checkpoint.Dir, crashy.Checkpoint.EveryWindows = t.TempDir(), 6
 		}
@@ -148,16 +147,16 @@ func TestSoakCheckpointCrashInjectionByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("withDir=%v: %v", withDir, err)
 		}
-		if plan.Fired() == 0 {
+		if plan.firedCount() == 0 {
 			t.Fatalf("withDir=%v: crash plan never fired; the harness tested nothing", withDir)
 		}
 		if rep.PartialCoverage || len(rep.Quarantined) != 0 {
 			t.Fatalf("withDir=%v: transient crashes must heal via retry, got quarantine %+v", withDir, rep.Quarantined)
 		}
 		if got, want := reportJSON(t, rep), reportJSON(t, ref); got != want {
-			t.Fatalf("withDir=%v: crash-injected campaign (%d kills) not byte-identical to crash-free run", withDir, plan.Fired())
+			t.Fatalf("withDir=%v: crash-injected campaign (%d kills) not byte-identical to crash-free run", withDir, plan.firedCount())
 		}
-		t.Logf("withDir=%v: recovered from %d injected crashes with a byte-identical report", withDir, plan.Fired())
+		t.Logf("withDir=%v: recovered from %d injected crashes with a byte-identical report", withDir, plan.firedCount())
 	}
 }
 
@@ -177,9 +176,9 @@ func TestSoakPoisonShardQuarantined(t *testing.T) {
 	// poisoned returns checkpoint options whose crash plan kills chip 1 at
 	// every execution.
 	poisoned := func(withDir bool) *CheckpointOptions {
-		plan := faultinject.NewCrashPlan(0, 0)
-		plan.PoisonChips(1)
-		ck := &CheckpointOptions{CrashPlan: plan}
+		plan := newCrashPlan(0, 0)
+		plan.poisonChips(1)
+		ck := plan.arm()
 		if withDir {
 			ck.Dir, ck.EveryWindows = t.TempDir(), 6
 		}

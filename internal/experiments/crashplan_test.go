@@ -1,21 +1,23 @@
-package faultinject
+package experiments
 
 import (
+	"fmt"
 	"sync"
 
 	"reaper/internal/rng"
 )
 
-// CrashPlan is the crash-injection harness for checkpointed campaigns: a
-// seed-driven schedule of worker kills. Each (segment, chip) pair draws an
+// crashPlan is the crash-injection harness for checkpointed campaigns: a
+// seed-driven schedule of worker kills, armed through
+// CheckpointOptions.beforeJob. Each (segment, chip) pair draws an
 // independent Bernoulli decision from a seed-derived stream, so the schedule
 // is a pure function of the seed — independent of worker count, execution
 // order, and retries — and a crash-injected run is reproducible exactly.
 //
 // A drawn crash fires at most once: the retry of a killed shard observes
-// Fire() == false and completes, which is precisely the recovery path the
+// fire() == false and completes, which is precisely the recovery path the
 // checkpoint layer must prove byte-identical to an uninterrupted run.
-type CrashPlan struct {
+type crashPlan struct {
 	seed uint64
 	prob float64
 
@@ -24,17 +26,26 @@ type CrashPlan struct {
 	poison map[int]bool
 }
 
-// NewCrashPlan builds a plan that kills each (segment, chip) execution with
+// newCrashPlan builds a plan that kills each (segment, chip) execution with
 // the given probability. prob <= 0 never fires; prob >= 1 kills every shard
 // once.
-func NewCrashPlan(seed uint64, prob float64) *CrashPlan {
-	return &CrashPlan{seed: seed, prob: prob, fired: map[[2]int]bool{}, poison: map[int]bool{}}
+func newCrashPlan(seed uint64, prob float64) *crashPlan {
+	return &crashPlan{seed: seed, prob: prob, fired: map[[2]int]bool{}, poison: map[int]bool{}}
 }
 
-// PoisonChips marks chips whose every execution crashes, never latched:
+// arm returns checkpoint options whose jobs the plan kills by panicking.
+func (p *crashPlan) arm() *CheckpointOptions {
+	return &CheckpointOptions{beforeJob: func(segment, chip int) {
+		if p.fire(segment, chip) {
+			panic(fmt.Sprintf("injected crash: segment %d chip %d", segment, chip))
+		}
+	}}
+}
+
+// poisonChips marks chips whose every execution crashes, never latched:
 // unlike a transient kill, a poisoned shard fails each retry too, so it
 // exhausts its attempt budget and lands in quarantine.
-func (p *CrashPlan) PoisonChips(chips ...int) {
+func (p *crashPlan) poisonChips(chips ...int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, c := range chips {
@@ -42,13 +53,10 @@ func (p *CrashPlan) PoisonChips(chips ...int) {
 	}
 }
 
-// Fire reports whether the worker running the given segment of the given
+// fire reports whether the worker running the given segment of the given
 // chip should be killed now. The decision is deterministic per (segment,
 // chip); the first true is latched so the shard's retry survives.
-func (p *CrashPlan) Fire(segment, chip int) bool {
-	if p == nil {
-		return false
-	}
+func (p *crashPlan) fire(segment, chip int) bool {
 	p.mu.Lock()
 	poisoned := p.poison[chip]
 	p.mu.Unlock()
@@ -74,11 +82,8 @@ func (p *CrashPlan) Fire(segment, chip int) bool {
 	return true
 }
 
-// Fired returns how many crashes the plan has injected so far.
-func (p *CrashPlan) Fired() int {
-	if p == nil {
-		return 0
-	}
+// firedCount returns how many crashes the plan has injected so far.
+func (p *crashPlan) firedCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.fired)

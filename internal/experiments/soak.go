@@ -93,8 +93,7 @@ type SoakConfig struct {
 	// poisoned shards enumerated in the report instead of aborting.
 	ShardPolicy parallel.RetryPolicy `json:"-"`
 	// Checkpoint, when non-nil with a Dir, runs the campaign in checkpointed
-	// segments (see CheckpointOptions). Its CrashPlan applies with or
-	// without a Dir.
+	// segments (see CheckpointOptions).
 	Checkpoint *CheckpointOptions `json:"-"`
 }
 

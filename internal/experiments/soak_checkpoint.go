@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"reaper/internal/checkpoint"
-	"reaper/internal/faultinject"
 	"reaper/internal/parallel"
 	"reaper/internal/telemetry"
 )
@@ -59,10 +58,12 @@ type CheckpointOptions struct {
 	// handler in cmd/soak uses this for SIGINT/SIGTERM: the in-flight
 	// segment completes, the checkpoint is written, then the process exits.
 	ShouldStop func() bool
-	// CrashPlan, when non-nil, is the crash-injection harness: it kills
-	// (panics) workers at seed-chosen (segment, chip) points to prove the
-	// retry path restores start-of-segment state exactly.
-	CrashPlan *faultinject.CrashPlan
+
+	// beforeJob, when non-nil, runs at the start of every (segment, chip)
+	// job. The crash-injection tests set it to kill (panic) workers at
+	// seed-chosen points, proving the retry path restores start-of-segment
+	// state exactly.
+	beforeJob func(segment, chip int)
 }
 
 // State file names carry the checkpoint sequence number so the previous
@@ -309,9 +310,8 @@ func soakSegments(ctx context.Context, cfg SoakConfig, seeds []uint64) (*SoakRep
 		jobs, failures, err := parallel.MapPartial(ctx, len(active), workers, cfg.ShardPolicy,
 			func(ctx context.Context, k int) (soakJob, error) {
 				i := active[k]
-				if ck.CrashPlan.Fire(segments, i) {
-					//lint:ignore no-panic crash-injection harness: simulates a worker killed mid-campaign; the retry path must recover from the start-of-segment blob
-					panic(fmt.Sprintf("injected crash: segment %d chip %d", segments, i))
+				if ck.beforeJob != nil {
+					ck.beforeJob(segments, i)
 				}
 				// Take the live runner; a panic or error below leaves the
 				// slot nil, so the retry (or the next segment after a

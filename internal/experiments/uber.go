@@ -39,6 +39,8 @@ type UBERValidationConfig struct {
 
 // DefaultUBERValidationConfig uses a long interval so multi-cell words have
 // measurable joint failure probability.
+//
+//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func DefaultUBERValidationConfig() UBERValidationConfig {
 	chip := DefaultChipSpec(77)
 	chip.Bits = 16 << 20
@@ -53,6 +55,8 @@ func DefaultUBERValidationConfig() UBERValidationConfig {
 }
 
 // UBERValidation runs the experiment.
+//
+//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func UBERValidation(cfg UBERValidationConfig) (*UBERValidationResult, error) {
 	st, err := cfg.Chip.NewStation()
 	if err != nil {

@@ -282,13 +282,6 @@ func (inj *Injector) RoundGate() func() error {
 	}
 }
 
-// RunFor advances the station clock by seconds, firing every fault whose
-// time falls inside the window (in clock order, ties broken by channel
-// index). The station ends exactly seconds later.
-func (inj *Injector) RunFor(seconds float64) {
-	inj.RunUntil(inj.st.Clock() + seconds)
-}
-
 // RunUntil advances the station clock to the absolute time until.
 func (inj *Injector) RunUntil(until float64) {
 	for {

@@ -5,10 +5,19 @@ import (
 	"reflect"
 	"testing"
 
+	"reaper/internal/checkpoint"
 	"reaper/internal/dram"
 	"reaper/internal/memctrl"
 	"reaper/internal/mitigate"
+	"reaper/internal/thermal"
 )
+
+// RunFor advances the station clock by seconds, firing every fault whose
+// time falls inside the window (in clock order, ties broken by channel
+// index). The station ends exactly seconds later.
+func (inj *Injector) RunFor(seconds float64) {
+	inj.RunUntil(inj.st.Clock() + seconds)
+}
 
 func newStation(t testing.TB, seed uint64) *memctrl.Station {
 	t.Helper()
@@ -178,5 +187,25 @@ func TestInjectorDeterministicAcrossStationUse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cells2, cells3) {
 		t.Fatal("weak-cell population not reproducible")
+	}
+}
+
+// TestRestoreRejectsBadExcursion: a checkpoint whose in-flight temperature
+// excursion has a non-positive time constant is refused on restore, as a
+// scenario with one is refused on construction.
+func TestRestoreRejectsBadExcursion(t *testing.T) {
+	inj, err := New(newStation(t, 6), 1.024, DefaultScenario(11, 1.024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.excursion = &thermal.Excursion{StartSeconds: 1, PeakDeltaC: 8, TauSeconds: 0}
+	e := checkpoint.NewEncoder()
+	inj.EncodeState(e)
+	fresh, err := New(newStation(t, 6), 1.024, DefaultScenario(11, 1.024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreState(checkpoint.NewDecoder(e.Data())); err == nil {
+		t.Fatal("restore accepted an excursion with a zero time constant")
 	}
 }

@@ -90,6 +90,11 @@ func (inj *Injector) RestoreState(d *checkpoint.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
+	if inj.excursion != nil {
+		if err := inj.excursion.Validate(); err != nil {
+			return fmt.Errorf("faultinject: restore: %w", err)
+		}
+	}
 	inj.events = make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		inj.events = append(inj.events, Event{

@@ -227,9 +227,6 @@ func (m *Manager) Rounds() int { return m.rounds }
 // Aborts returns how many profiling rounds the PreRound hook aborted.
 func (m *Manager) Aborts() int { return m.aborts }
 
-// ProfilingSeconds returns the simulated time consumed by profiling so far.
-func (m *Manager) ProfilingSeconds() float64 { return m.profilingSeconds }
-
 // OverheadFraction returns the fraction of elapsed simulated time spent
 // profiling — the empirical counterpart of the paper's Figure 11.
 func (m *Manager) OverheadFraction() float64 {

@@ -13,6 +13,9 @@ import (
 	"reaper/internal/mitigate"
 )
 
+// ProfilingSeconds returns the simulated time consumed by profiling so far.
+func (m *Manager) ProfilingSeconds() float64 { return m.profilingSeconds }
+
 func newStation(t testing.TB, seed uint64) *memctrl.Station {
 	t.Helper()
 	dev, err := dram.NewDevice(dram.Config{

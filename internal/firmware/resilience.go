@@ -279,10 +279,6 @@ func (m *Manager) WidenSteps() int { return m.widenSteps }
 // scheduled them early (out of cadence).
 func (m *Manager) EarlyRounds() int { return m.earlyRounds }
 
-// Windows returns how many scrub windows have been reported, and how many
-// of those were unclean.
-func (m *Manager) Windows() (total, unclean int) { return m.windows, m.uncleanWindows }
-
 // SparesExhausted reports whether mitigation capacity ran out.
 func (m *Manager) SparesExhausted() bool { return m.sparesExhausted }
 

@@ -9,6 +9,10 @@ import (
 	"reaper/internal/core"
 )
 
+// Windows returns how many scrub windows have been reported, and how many
+// of those were unclean.
+func (m *Manager) Windows() (total, unclean int) { return m.windows, m.uncleanWindows }
+
 // quickCfg is a cheap manager configuration for controller unit tests.
 func quickCfg() Config {
 	return Config{

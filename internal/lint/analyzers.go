@@ -20,6 +20,7 @@ func Analyzers() []*Analyzer {
 		RawArtifactWrite,
 		SerializeExhaustive,
 		RngStreamDiscipline,
+		DeadExport,
 		StaleSuppression,
 	}
 }

@@ -39,6 +39,8 @@ type Package struct {
 	// stale-suppression can flag //lint:ignore directives that can never
 	// have any effect there.
 	TestFiles []*ast.File
+
+	loader *Loader // the loader that checked it, for module-wide indexes
 }
 
 // IsMain reports whether the package is a command (package main).

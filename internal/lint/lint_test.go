@@ -2,6 +2,8 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -120,6 +122,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"raw-artifact-write/checkpoint-allowed", "writefix", "reaper/internal/checkpoint", RawArtifactWrite, false},
 		{"serialize-exhaustive", "serfix", "reaper/internal/serfix", SerializeExhaustive, true},
 		{"rng-stream-discipline", "rngfix", "reaper/internal/rngfix", RngStreamDiscipline, true},
+		{"dead-export/internal", "deadfix", "reaper/internal/deadfix", DeadExport, true},
+		{"dead-export/client-allowed", "deadfix", "reaper/client/deadfix", DeadExport, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,6 +173,36 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
+// TestDeadExportSubsetRunIndexesWholeModule pins how dead-export treats a
+// run over a subset of packages (reaperlint ./internal/dram): it indexes the
+// uses of the whole module, so an export whose only callers sit outside the
+// subset is not reported.
+func TestDeadExportSubsetRunIndexesWholeModule(t *testing.T) {
+	l := fixtureLoader(t)
+	p, err := l.LoadDir(filepath.Join(l.Root, "internal", "dram"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An index of dram's own uses would report these exports.
+	own := newUseIndex()
+	own.add(p)
+	outside := 0
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Name.IsExported() && !own.live(p.Info.Defs[d.Name].(*types.Func)) {
+				outside++
+			}
+		}
+	}
+	if outside == 0 {
+		t.Fatal("every dram export has a caller inside dram; the subset run proves nothing")
+	}
+	res := Run([]*Package{p}, []*Analyzer{DeadExport})
+	for _, f := range res.Findings {
+		t.Errorf("subset run reported %s", f)
+	}
+}
+
 // TestRepoClean is the tier-1 hook: the shipped tree itself must pass the
 // whole analyzer suite. Any new violation fails `go test ./...` directly,
 // not just `make lint`.
@@ -176,11 +210,7 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module scan skipped in -short mode (run by make lint)")
 	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadAll()
+	pkgs, err := fixtureLoader(t).LoadAll()
 	if err != nil {
 		t.Fatal(err)
 	}

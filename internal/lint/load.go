@@ -30,6 +30,10 @@ type Loader struct {
 	fset *token.FileSet
 	std  types.Importer
 	pkgs map[string]*Package // keyed by import path; nil while in-flight
+
+	// uses is dead-export's index of the whole module, built on first use.
+	uses    *useIndex
+	usesErr error
 }
 
 // NewLoader locates the module root at or above dir and reads the module
@@ -74,9 +78,6 @@ func NewLoader(dir string) (*Loader, error) {
 		pkgs:       map[string]*Package{},
 	}, nil
 }
-
-// Fset returns the file set shared by every package this loader checks.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // LoadAll loads every package under the module root (the "./..." pattern).
 func (l *Loader) LoadAll() ([]*Package, error) { return l.LoadUnder(".") }
@@ -228,6 +229,7 @@ func (l *Loader) typeCheck(path, dir string) (*Package, error) {
 		Pkg:       tpkg,
 		Info:      info,
 		TestFiles: testFiles,
+		loader:    l,
 	}, nil
 }
 

@@ -140,16 +140,3 @@ func (m Model) MinimumCoverage(tREFI float64) float64 {
 	}
 	return min
 }
-
-// ReprofilesPerDay returns how many profiling rounds per day the longevity
-// implies (0 when the profile never expires).
-func (m Model) ReprofilesPerDay(tREFI, coverage float64) (float64, error) {
-	t, err := m.Longevity(tREFI, coverage)
-	if err != nil {
-		return 0, err
-	}
-	if t >= time.Duration(1<<62-1) {
-		return 0, nil
-	}
-	return float64(24*time.Hour) / float64(t), nil
-}

@@ -171,25 +171,6 @@ func TestMinimumCoverage(t *testing.T) {
 	}
 }
 
-func TestReprofilesPerDay(t *testing.T) {
-	m := paperModel()
-	perDay, err := m.ReprofilesPerDay(1.536, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perDay <= 0 {
-		t.Error("expected a positive reprofiling frequency at 1536ms")
-	}
-	long, err := m.Longevity(1.536, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 24 / long.Hours()
-	if math.Abs(perDay-want) > 1e-9 {
-		t.Errorf("ReprofilesPerDay = %v, want %v", perDay, want)
-	}
-}
-
 func TestLongevityErrorsOnBadInterval(t *testing.T) {
 	m := paperModel()
 	if _, err := m.Longevity(0, 1); err == nil {

@@ -102,7 +102,6 @@ type Station struct {
 	timing  Timing //lint:serialized-elsewhere pure function of the construction parameters
 	refresh bool
 	stats   Stats
-	trace   *Trace //lint:serialized-elsewhere observability ring buffer; not simulated state, empty after resume by design
 }
 
 // NewStation builds a station for the device. chamber may be nil, in which
@@ -145,9 +144,6 @@ func (s *Station) Timing() Timing { return s.timing }
 
 // Stats returns the accumulated time accounting.
 func (s *Station) Stats() Stats { return s.stats }
-
-// ResetStats zeroes the time accounting (the clock keeps running).
-func (s *Station) ResetStats() { s.stats = Stats{} }
 
 // advance moves simulated time, the chamber, and the device temperature
 // forward together.
@@ -195,9 +191,6 @@ func (s *Station) Ambient() float64 { return s.dev.Temperature() }
 
 // DisableRefresh pauses auto-refresh (Algorithm 1 line 6).
 func (s *Station) DisableRefresh() {
-	if s.refresh {
-		s.trace.add(Command{Kind: CmdRefreshOff, Start: s.clock.Now(), End: s.clock.Now()})
-	}
 	s.refresh = false
 	s.dev.SetAutoRefresh(0)
 }
@@ -208,9 +201,6 @@ func (s *Station) DisableRefresh() {
 // as wrong values (the paper's Figure 1c) until their rows are rewritten.
 func (s *Station) EnableRefresh() { s.SetRefreshInterval(s.timing.DefaultTREFI) }
 
-// RefreshEnabled reports whether auto-refresh is running.
-func (s *Station) RefreshEnabled() bool { return s.refresh }
-
 // SetRefreshInterval runs auto-refresh at the given interval (multi-rate
 // refresh mechanisms set non-default ones). interval <= 0 disables refresh.
 func (s *Station) SetRefreshInterval(interval float64) {
@@ -220,8 +210,6 @@ func (s *Station) SetRefreshInterval(interval float64) {
 	}
 	if !s.refresh {
 		s.dev.RestoreAll(s.clock.Now())
-		s.trace.add(Command{Kind: CmdRefreshOn, Start: s.clock.Now(), End: s.clock.Now(),
-			Interval: interval})
 	}
 	s.refresh = true
 	s.dev.SetAutoRefresh(interval)
@@ -230,25 +218,24 @@ func (s *Station) SetRefreshInterval(interval float64) {
 // WritePattern streams a data pattern into the whole device (Algorithm 1
 // line 5), charging one full write pass of latency.
 func (s *Station) WritePattern(p dram.RowData) {
-	_ = s.pass(CmdWritePass, func(now float64) error {
+	_ = s.pass(true, func(now float64) error {
 		s.dev.WriteAll(p, now)
 		return nil
 	})
 }
 
-// pass streams one whole-device pass of kind CmdWritePass or CmdReadPass: it
-// advances the clock by the pass time, runs op at the pass's end, and, only
-// if op succeeds, charges the pass to the stats and the command trace. It
-// returns op's error; the passes whose op cannot fail discard it.
-func (s *Station) pass(kind CmdKind, op func(now float64) error) error {
-	start := s.clock.Now()
+// pass streams one whole-device write or read pass: it advances the clock by
+// the pass time, runs op at the pass's end, and, only if op succeeds, charges
+// the pass to the stats. It returns op's error; the passes whose op cannot
+// fail discard it.
+func (s *Station) pass(write bool, op func(now float64) error) error {
 	bytes := s.dev.Geometry().TotalBytes()
 	d := s.timing.PassSeconds(bytes)
 	s.advance(d)
 	if err := op(s.clock.Now()); err != nil {
 		return err
 	}
-	if kind == CmdWritePass {
+	if write {
 		s.stats.WriteSeconds += d
 		s.stats.WritePasses++
 		s.stats.BytesWritten += bytes
@@ -257,7 +244,6 @@ func (s *Station) pass(kind CmdKind, op func(now float64) error) error {
 		s.stats.ReadPasses++
 		s.stats.BytesRead += bytes
 	}
-	s.trace.add(Command{Kind: kind, Start: start, End: s.clock.Now()})
 	return nil
 }
 
@@ -267,30 +253,24 @@ func (s *Station) Wait(seconds float64) {
 	if seconds <= 0 {
 		return
 	}
-	start := s.clock.Now()
 	s.advance(seconds)
 	if s.refresh {
 		s.stats.IdleSeconds += seconds
 	} else {
 		s.stats.WaitSeconds += seconds
 	}
-	s.trace.add(Command{Kind: CmdWait, Start: start, End: s.clock.Now(), Interval: seconds})
 }
 
 // WriteWord performs a single random word write (used by mitigation
 // mechanisms operating on live data), charging one access latency.
 func (s *Station) WriteWord(bank, row, word int, val uint64) error {
-	start := s.clock.Now()
 	s.advance(s.timing.AccessSeconds)
-	s.trace.add(Command{Kind: CmdWriteWord, Start: start, End: s.clock.Now()})
 	return s.dev.WriteWord(bank, row, word, val, s.clock.Now())
 }
 
 // ReadWord performs a single random word read, charging one access latency.
 func (s *Station) ReadWord(bank, row, word int) (uint64, error) {
-	start := s.clock.Now()
 	s.advance(s.timing.AccessSeconds)
-	s.trace.add(Command{Kind: CmdReadWord, Start: start, End: s.clock.Now()})
 	return s.dev.ReadWord(bank, row, word, s.clock.Now())
 }
 
@@ -301,7 +281,7 @@ func (s *Station) ReadWord(bank, row, word int) (uint64, error) {
 // This is the paper's footnote-4 save step before a profiling round.
 func (s *Station) SaveData() *dram.ContentSnapshot {
 	var snap *dram.ContentSnapshot
-	_ = s.pass(CmdReadPass, func(now float64) error {
+	_ = s.pass(false, func(now float64) error {
 		s.dev.RestoreAll(now)
 		snap = s.dev.SnapshotContent()
 		return nil
@@ -314,7 +294,7 @@ func (s *Station) SaveData() *dram.ContentSnapshot {
 // snapshot the device refuses is an error and charges no pass, though the
 // clock has moved on by the pass time.
 func (s *Station) RestoreData(snap *dram.ContentSnapshot) error {
-	return s.pass(CmdWritePass, func(now float64) error { return s.dev.RestoreContent(snap, now) })
+	return s.pass(true, func(now float64) error { return s.dev.RestoreContent(snap, now) })
 }
 
 // ReadCompare streams the whole device out, compares against the written
@@ -322,7 +302,7 @@ func (s *Station) RestoreData(snap *dram.ContentSnapshot) error {
 // charging one full read pass of latency.
 func (s *Station) ReadCompare() []uint64 {
 	var fails []uint64
-	_ = s.pass(CmdReadPass, func(now float64) error {
+	_ = s.pass(false, func(now float64) error {
 		fails = s.dev.ReadCompareAll(now)
 		return nil
 	})

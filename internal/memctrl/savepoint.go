@@ -18,15 +18,10 @@ type StationSavepoint struct {
 // Savepoint captures the station's state so Rollback can return it to this
 // exact point, letting one station profile many runs from the same start.
 // It refuses a station with a thermal chamber (the chamber's own dynamics
-// are not captured) or an attached command trace (rolling back would leave
-// commands from the future in it), and any device dram.Device.Savepoint
-// refuses.
+// are not captured), and any device dram.Device.Savepoint refuses.
 func (s *Station) Savepoint() (*StationSavepoint, error) {
 	if s.chamber != nil {
 		return nil, fmt.Errorf("memctrl: savepoint: station has a thermal chamber")
-	}
-	if s.trace != nil {
-		return nil, fmt.Errorf("memctrl: savepoint: station has a command trace attached")
 	}
 	dsp, err := s.dev.Savepoint()
 	if err != nil {
@@ -36,14 +31,10 @@ func (s *Station) Savepoint() (*StationSavepoint, error) {
 }
 
 // Rollback returns the station to the state captured by sp. It refuses,
-// with an error, whatever dram.Device.Rollback refuses, and a station that
-// has had a trace attached since the savepoint.
+// with an error, whatever dram.Device.Rollback refuses.
 func (s *Station) Rollback(sp *StationSavepoint) error {
 	if sp == nil {
 		return fmt.Errorf("memctrl: rollback: nil savepoint")
-	}
-	if s.trace != nil {
-		return fmt.Errorf("memctrl: rollback: station has a command trace attached")
 	}
 	if err := s.dev.Rollback(sp.dev); err != nil {
 		return err

@@ -6,9 +6,7 @@ import (
 
 // Checkpoint surface of the station: the simulated clock, the refresh flag,
 // and the time accounting. The device's own state (including its refresh
-// interval) lives in the dram checkpoint blob, and the command trace is a
-// debugging aid that checkpointed campaigns do not attach — neither is
-// serialized here.
+// interval) lives in the dram checkpoint blob and is not serialized here.
 
 // EncodeState serializes the station's mutable state.
 func (s *Station) EncodeState(e *checkpoint.Encoder) {

@@ -1,7 +1,7 @@
 // Package mitigate implements the retention failure mitigation mechanisms
 // the paper combines REAPER with (Section 7.1): ArchShield-style word
-// remapping backed by a reserved DRAM segment, RAIDR-style multi-rate
-// refresh binning, row map-out, and SECRET-style individual cell remapping.
+// remapping backed by a reserved DRAM segment and RAIDR-style multi-rate
+// refresh binning.
 //
 // Each mechanism consumes the failing-cell set a profiler produces and makes
 // extended-refresh-interval operation safe for the cells it covers. Their

@@ -8,6 +8,11 @@ import (
 	"reaper/internal/memctrl"
 )
 
+// BinOf returns the refresh interval assigned to a row.
+func (r *RAIDR) BinOf(bank, row int) float64 {
+	return r.bins[r.rowBin[r.geom.GlobalRow(bank, row)]]
+}
+
 func newStation(t testing.TB, seed uint64) *memctrl.Station {
 	t.Helper()
 	dev, err := dram.NewDevice(dram.Config{
@@ -324,92 +329,5 @@ func TestRAIDRWithRealProfiles(t *testing.T) {
 	}
 	if total != geom.TotalRows() {
 		t.Errorf("bin counts sum %d != rows %d", total, geom.TotalRows())
-	}
-}
-
-func TestRowMapOut(t *testing.T) {
-	geom := dram.Geometry{Banks: 2, RowsPerBank: 8, WordsPerRow: 4}
-	m, err := NewRowMapOut(geom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRowMapOut(dram.Geometry{}); err == nil {
-		t.Error("bad geometry not rejected")
-	}
-	fails := core.NewFailureSet(
-		geom.BitIndex(dram.Addr{Bank: 0, Row: 3, Word: 1, Bit: 9}),
-		geom.BitIndex(dram.Addr{Bank: 0, Row: 3, Word: 2, Bit: 1}), // same row
-		geom.BitIndex(dram.Addr{Bank: 1, Row: 5}),
-	)
-	if added := m.Exclude(fails); added != 2 {
-		t.Errorf("Exclude added %d rows, want 2", added)
-	}
-	if m.Usable(0, 3) || m.Usable(1, 5) {
-		t.Error("excluded rows still usable")
-	}
-	if !m.Usable(0, 0) {
-		t.Error("clean row unusable")
-	}
-	if m.LostRows() != 2 {
-		t.Errorf("LostRows = %d", m.LostRows())
-	}
-	if got := m.CapacityLoss(); got != 2.0/16 {
-		t.Errorf("CapacityLoss = %v", got)
-	}
-	// Re-excluding is idempotent.
-	if added := m.Exclude(fails); added != 0 {
-		t.Errorf("re-Exclude added %d", added)
-	}
-}
-
-func TestRowMapOutFalsePositiveCost(t *testing.T) {
-	// The cost of false positives for row map-out: every spurious cell in
-	// a distinct row discards a full healthy row.
-	geom := dram.Geometry{Banks: 1, RowsPerBank: 100, WordsPerRow: 4}
-	m, _ := NewRowMapOut(geom)
-	truth := core.NewFailureSet(geom.BitIndex(dram.Addr{Row: 0}))
-	falsePos := core.NewFailureSet()
-	for i := 1; i <= 30; i++ {
-		falsePos.Add(geom.BitIndex(dram.Addr{Row: i}))
-	}
-	m.Exclude(truth.Union(falsePos))
-	if m.LostRows() != 31 {
-		t.Errorf("LostRows = %d, want 31", m.LostRows())
-	}
-	if m.CapacityLoss() < 0.3 {
-		t.Errorf("30%% false positives should cost ~31%% capacity, got %v", m.CapacityLoss())
-	}
-}
-
-func TestCellRemap(t *testing.T) {
-	if _, err := NewCellRemap(0); err == nil {
-		t.Error("zero budget not rejected")
-	}
-	c, err := NewCellRemap(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Install(core.NewFailureSet(10, 20)); err != nil {
-		t.Fatal(err)
-	}
-	if c.Used() != 2 || c.Capacity() != 3 {
-		t.Errorf("Used/Capacity = %d/%d", c.Used(), c.Capacity())
-	}
-	if _, ok := c.Redirect(10); !ok {
-		t.Error("remapped cell not redirected")
-	}
-	if _, ok := c.Redirect(99); ok {
-		t.Error("unmapped cell redirected")
-	}
-	// Idempotent for existing cells.
-	if err := c.Install(core.NewFailureSet(10, 20, 30)); err != nil {
-		t.Fatal(err)
-	}
-	if c.Used() != 3 {
-		t.Errorf("Used = %d, want 3", c.Used())
-	}
-	// Budget exhaustion.
-	if err := c.Install(core.NewFailureSet(40)); err == nil {
-		t.Error("budget exhaustion not reported")
 	}
 }

@@ -89,11 +89,6 @@ func (r *RAIDR) Assign(profileAt func(interval float64) *core.FailureSet) error 
 	return nil
 }
 
-// BinOf returns the refresh interval assigned to a row.
-func (r *RAIDR) BinOf(bank, row int) float64 {
-	return r.bins[r.rowBin[r.geom.GlobalRow(bank, row)]]
-}
-
 // BinCounts returns how many rows sit in each bin.
 func (r *RAIDR) BinCounts() []int {
 	counts := make([]int, len(r.bins))
@@ -131,6 +126,3 @@ func (r *RAIDR) Savings(baselineInterval float64) float64 {
 	}
 	return s
 }
-
-// Bins returns the configured bin intervals.
-func (r *RAIDR) Bins() []float64 { return append([]float64(nil), r.bins...) }

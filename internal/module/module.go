@@ -27,11 +27,6 @@ func GlobalBit(chip int, bit uint64) uint64 {
 	return uint64(chip)<<chipShift | bit
 }
 
-// SplitBit decomposes a module-global cell address.
-func SplitBit(global uint64) (chip int, bit uint64) {
-	return int(global >> chipShift), global & (1<<chipShift - 1)
-}
-
 // Module is a set of identical-geometry devices behind one controller.
 type Module struct {
 	devs    []*dram.Device
@@ -117,8 +112,9 @@ func (m *Module) fail(err error) {
 // Err returns the first error a TestStation-interface operation encountered
 // (nil when all operations succeeded). The interface methods EnableRefresh,
 // SetRefreshInterval, WritePattern and ReadCompare cannot return errors
-// without breaking every profiler; they latch failures here instead, and
-// callers driving a module directly should check Err after a campaign.
+// without breaking every profiler; they latch failures here instead.
+// core.BruteForce (and so core.Reach) checks Err after every pass; callers
+// driving a module directly should check it after a campaign.
 func (m *Module) Err() error { return m.err }
 
 // Chips returns the number of devices in the module.

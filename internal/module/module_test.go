@@ -37,6 +37,11 @@ func testModule(t testing.TB, chips int, seed uint64) *Module {
 	return m
 }
 
+// SplitBit decomposes a module-global cell address.
+func SplitBit(global uint64) (chip int, bit uint64) {
+	return int(global >> chipShift), global & (1<<chipShift - 1)
+}
+
 func TestGlobalBitRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		chip int

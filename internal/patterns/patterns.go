@@ -140,12 +140,3 @@ func StandardWithInverses(seed uint64) []Pattern {
 	}
 	return out
 }
-
-// Names returns the display names of a pattern list.
-func Names(ps []Pattern) []string {
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name()
-	}
-	return out
-}

@@ -136,9 +136,9 @@ func TestStandardSets(t *testing.T) {
 			t.Errorf("pattern %d's successor is not its inverse", i)
 		}
 	}
-	names := Names(all)
 	seen := make(map[string]bool)
-	for _, n := range names {
+	for _, p := range all {
+		n := p.Name()
 		if seen[n] {
 			t.Errorf("duplicate pattern name %q", n)
 		}

@@ -13,7 +13,6 @@ package perfmodel
 
 import (
 	"fmt"
-	"time"
 )
 
 // PassSecondsPer2GB is the empirically measured time to write (or read and
@@ -62,11 +61,6 @@ func (c RoundConfig) RoundSeconds() float64 {
 		t /= c.SpeedupFactor
 	}
 	return t
-}
-
-// RoundDuration returns RoundSeconds as a time.Duration.
-func (c RoundConfig) RoundDuration() time.Duration {
-	return time.Duration(c.RoundSeconds() * float64(time.Second))
 }
 
 // OverheadFraction returns the proportion of total system time consumed by

@@ -3,7 +3,13 @@ package perfmodel
 import (
 	"math"
 	"testing"
+	"time"
 )
+
+// RoundDuration returns RoundSeconds as a time.Duration.
+func (c RoundConfig) RoundDuration() time.Duration {
+	return time.Duration(c.RoundSeconds() * float64(time.Second))
+}
 
 func TestValidate(t *testing.T) {
 	good := RoundConfig{TREFI: 1, NumPatterns: 6, NumIterations: 6, TotalBytes: 1 << 30}

@@ -10,8 +10,6 @@
 // refresh dominates).
 package power
 
-import "fmt"
-
 // Params holds the energy-per-operation constants.
 type Params struct {
 	// ActivatePJ is the energy of one row activate+precharge pair.
@@ -50,16 +48,6 @@ func DefaultParams() Params {
 		BackgroundMWPerGB: 60,
 		RowBytes:          2048,
 	}
-}
-
-// Validate reports whether the parameters are usable.
-func (p Params) Validate() error {
-	if p.ActivatePJ < 0 || p.ReadPJPerByte < 0 || p.WritePJPerByte < 0 ||
-		p.RefreshPJPerRow < 0 || p.BackgroundBaseW < 0 ||
-		p.BackgroundMWPerGB < 0 || p.RowBytes <= 0 {
-		return fmt.Errorf("power: invalid params %+v", p)
-	}
-	return nil
 }
 
 // RefreshWatts returns the average power spent refreshing a device of the
@@ -116,13 +104,4 @@ func (p Params) SystemPower(bytes int64, tREFI float64, readBps, writeBps, activ
 			writeBps*p.WritePJPerByte +
 			activationsPerSec*p.ActivatePJ) * 1e-12,
 	}
-}
-
-// ReductionVsBaseline returns the fractional power reduction of a breakdown
-// relative to a baseline breakdown (Figure 13 bottom's metric).
-func ReductionVsBaseline(baseline, other Breakdown) float64 {
-	if baseline.TotalW() <= 0 {
-		return 0
-	}
-	return 1 - other.TotalW()/baseline.TotalW()
 }

@@ -1,11 +1,31 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"reaper/internal/perfmodel"
 )
+
+// ReductionVsBaseline returns the fractional power reduction of a breakdown
+// relative to a baseline breakdown (Figure 13 bottom's metric).
+func ReductionVsBaseline(baseline, other Breakdown) float64 {
+	if baseline.TotalW() <= 0 {
+		return 0
+	}
+	return 1 - other.TotalW()/baseline.TotalW()
+}
+
+// Validate reports whether the parameters are usable.
+func (p Params) Validate() error {
+	if p.ActivatePJ < 0 || p.ReadPJPerByte < 0 || p.WritePJPerByte < 0 ||
+		p.RefreshPJPerRow < 0 || p.BackgroundBaseW < 0 ||
+		p.BackgroundMWPerGB < 0 || p.RowBytes <= 0 {
+		return fmt.Errorf("power: invalid params %+v", p)
+	}
+	return nil
+}
 
 func TestValidate(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {

@@ -95,4 +95,6 @@ func New(cfg Config) *Server {
 // Handler returns the server's HTTP handler — the full /v1 API plus
 // /healthz and /metrics. It is what Start serves over TCP; tests mount it
 // on an httptest.Server instead.
+//
+//lint:ignore dead-export the client and reaperd tests mount the in-process handler on httptest
 func (s *Server) Handler() http.Handler { return s.mux }

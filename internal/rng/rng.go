@@ -85,7 +85,7 @@ func Derive(seed, key uint64) *Source {
 }
 
 // State returns the generator's full 256-bit internal state, for
-// checkpointing. Restoring it with SetState or FromState resumes the stream
+// checkpointing. Restoring it with SetState resumes the stream
 // at exactly the position it was captured, so a checkpointed campaign
 // replays the identical draw sequence.
 func (s *Source) State() [4]uint64 {
@@ -103,13 +103,6 @@ func (s *Source) SetState(st [4]uint64) {
 		return
 	}
 	s.s0, s.s1, s.s2, s.s3 = st[0], st[1], st[2], st[3]
-}
-
-// FromState constructs a Source positioned at a state captured by State.
-func FromState(st [4]uint64) *Source {
-	var s Source
-	s.SetState(st)
-	return &s
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).

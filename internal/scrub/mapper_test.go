@@ -9,6 +9,15 @@ import (
 	"reaper/internal/mitigate"
 )
 
+// History returns the per-pass scrub reports accumulated so far, oldest
+// first — the correctable-error-per-window telemetry stream the firmware
+// resilience controller compares against its longevity budget.
+func (s *Scrubber) History() []ScrubReport {
+	out := make([]ScrubReport, len(s.history))
+	copy(out, s.history)
+	return out
+}
+
 func TestECCMemoryMapperFollowsRemap(t *testing.T) {
 	st := newStation(t, 7)
 	shield, err := mitigate.NewArchShield(st, 0.04)

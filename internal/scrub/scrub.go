@@ -201,26 +201,13 @@ func (s *Scrubber) Scrub() (ScrubReport, error) {
 	return rep, nil
 }
 
-// History returns the per-pass scrub reports accumulated so far, oldest
-// first — the correctable-error-per-window telemetry stream the firmware
-// resilience controller compares against its longevity budget.
-func (s *Scrubber) History() []ScrubReport {
-	out := make([]ScrubReport, len(s.history))
-	copy(out, s.history)
-	return out
-}
-
 func (s *Scrubber) recordWord(bit uint64) { s.profile.Add(bit) }
-
-// Profile returns the set of word base addresses (as bit indices) the
-// scrubber has observed failing. Note the granularity difference from
-// active profiling: the scrubber sees words, not cells, and only under the
-// stored data.
-func (s *Scrubber) Profile() *core.FailureSet { return s.profile.Clone() }
 
 // WordCoverage scores the scrubber's profile against a ground-truth cell
 // set at word granularity: the fraction of truth cells whose containing
 // word is in the scrubber's profile.
+//
+//lint:ignore dead-export passive-scrub coverage, reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func (s *Scrubber) WordCoverage(truth *core.FailureSet, st *memctrl.Station) float64 {
 	if truth.Len() == 0 {
 		return 1

@@ -10,6 +10,12 @@ import (
 	"reaper/internal/mitigate"
 )
 
+// Profile returns the set of word base addresses (as bit indices) the
+// scrubber has observed failing. Note the granularity difference from
+// active profiling: the scrubber sees words, not cells, and only under the
+// stored data.
+func (s *Scrubber) Profile() *core.FailureSet { return s.profile.Clone() }
+
 func newStation(t testing.TB, seed uint64) *memctrl.Station {
 	t.Helper()
 	dev, err := dram.NewDevice(dram.Config{

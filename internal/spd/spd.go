@@ -48,15 +48,6 @@ type Characterization struct {
 	Samples           []TradeoffSample `json:"samples"`
 }
 
-// BER evaluates the fitted bit error rate at interval t (seconds) and
-// ambient temperature tempC.
-func (c *Characterization) BER(t, tempC float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return c.BERAnchor * math.Pow(t/1.024, c.BERExponent) * math.Exp(c.TempCoeff*(tempC-45))
-}
-
 // Save writes the characterization as JSON.
 func (c *Characterization) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -12,6 +12,15 @@ import (
 	"reaper/internal/memctrl"
 )
 
+// BER evaluates the fitted bit error rate at interval t (seconds) and
+// ambient temperature tempC.
+func (c *Characterization) BER(t, tempC float64) float64 {
+	if t <= 0 {
+		return 0
+	}
+	return c.BERAnchor * math.Pow(t/1.024, c.BERExponent) * math.Exp(c.TempCoeff*(tempC-45))
+}
+
 func mkStation(seed uint64) func() (*memctrl.Station, error) {
 	return func() (*memctrl.Station, error) {
 		dev, err := dram.NewDevice(dram.Config{

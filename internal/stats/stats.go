@@ -1,10 +1,10 @@
 // Package stats implements the statistical machinery the REAPER reproduction
-// rests on: normal and lognormal distributions (per-cell retention failure
+// rests on: the normal CDF and lognormal fits (per-cell retention failure
 // CDFs, Section 5.5 of the paper), log-space binomial tail probabilities (the
 // ECC/UBER model, Section 6.2.2), power-law least-squares fits (the Figure 4
 // steady-state failure accumulation fits of the form y = a*x^b), and the
-// descriptive statistics used by the experiment harness (histograms, ECDFs,
-// percentiles, box-plot summaries).
+// descriptive statistics used by the experiment harness (percentiles,
+// box-plot summaries).
 //
 // Everything here is pure math on float64 with no hidden state, so it is
 // trivially testable and reusable across the device model, the profiler, and
@@ -27,78 +27,6 @@ func NormalCDF(x, mu, sigma float64) float64 {
 		return 1
 	}
 	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
-}
-
-// NormalQuantile returns the x such that NormalCDF(x, mu, sigma) == p.
-// It uses the Acklam rational approximation refined by one Halley step,
-// accurate to ~1e-15 over (0, 1). Out-of-range p follows the math
-// convention of the standard library (no panics in library code): the
-// limits -Inf at p <= 0 and +Inf at p >= 1 (or mu when sigma == 0, the
-// point-mass degenerate).
-func NormalQuantile(p, mu, sigma float64) float64 {
-	if p <= 0 || p >= 1 {
-		if sigma == 0 {
-			return mu
-		}
-		if p <= 0 {
-			return math.Inf(-1)
-		}
-		return math.Inf(1)
-	}
-	z := standardNormalQuantile(p)
-	return mu + sigma*z
-}
-
-func standardNormalQuantile(p float64) float64 {
-	// Coefficients for the Acklam approximation.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-
-	const plow = 0.02425
-	var z float64
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		z = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-plow:
-		q := p - 0.5
-		r := q * q
-		z = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		z = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-	// One Halley refinement step.
-	e := NormalCDF(z, 0, 1) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(z*z/2)
-	z = z - u/(1+z*u/2)
-	return z
-}
-
-// LogNormalCDF returns P(X <= x) for X lognormal with log-space parameters
-// (mu, sigma). Returns 0 for x <= 0.
-func LogNormalCDF(x, mu, sigma float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return NormalCDF(math.Log(x), mu, sigma)
-}
-
-// LogNormalQuantile returns the x such that LogNormalCDF(x, mu, sigma) == p.
-func LogNormalQuantile(p, mu, sigma float64) float64 {
-	return math.Exp(NormalQuantile(p, mu, sigma))
 }
 
 // LogBinomialPMF returns ln P(K == k) for K ~ Binomial(n, p).
@@ -250,9 +178,6 @@ type PowerLawFit struct {
 	R2 float64
 }
 
-// Eval returns A * x^B.
-func (f PowerLawFit) Eval(x float64) float64 { return f.A * math.Pow(x, f.B) }
-
 // FitPowerLaw fits y = A*x^B to the given points, ignoring any point with
 // non-positive x or y (which cannot be represented in log space). It returns
 // an error if fewer than two usable points remain.
@@ -272,19 +197,6 @@ func FitPowerLaw(xs, ys []float64) (PowerLawFit, error) {
 	}
 	slope, intercept, r2 := linearFit(lx, ly)
 	return PowerLawFit{A: math.Exp(intercept), B: slope, R2: r2}, nil
-}
-
-// LinearFit fits y = slope*x + intercept by ordinary least squares and
-// returns the fit together with its R^2.
-func LinearFit(xs, ys []float64) (slope, intercept, r2 float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, 0, errors.New("stats: LinearFit length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, 0, 0, errors.New("stats: LinearFit needs >= 2 points")
-	}
-	slope, intercept, r2 = linearFit(xs, ys)
-	return slope, intercept, r2, nil
 }
 
 func linearFit(xs, ys []float64) (slope, intercept, r2 float64) {
@@ -316,11 +228,6 @@ func linearFit(xs, ys []float64) (slope, intercept, r2 float64) {
 	return slope, intercept, 1 - ssRes/ssTot
 }
 
-// FitNormal estimates (mu, sigma) of a normal distribution by sample moments.
-func FitNormal(xs []float64) (mu, sigma float64) {
-	return Mean(xs), StdDev(xs)
-}
-
 // FitLogNormal estimates the log-space (mu, sigma) of a lognormal
 // distribution from samples, ignoring non-positive values.
 func FitLogNormal(xs []float64) (mu, sigma float64) {
@@ -331,70 +238,4 @@ func FitLogNormal(xs []float64) (mu, sigma float64) {
 		}
 	}
 	return Mean(logs), StdDev(logs)
-}
-
-// Histogram bins xs into nbins equal-width bins over [min, max] and returns
-// the bin edges (nbins+1 values) and counts (nbins values). Values outside
-// the range are clamped into the first/last bin. A degenerate request
-// (nbins <= 0 or max <= min) has no bins: both results are nil.
-func Histogram(xs []float64, min, max float64, nbins int) (edges []float64, counts []int) {
-	if nbins <= 0 || max <= min {
-		return nil, nil
-	}
-	edges = make([]float64, nbins+1)
-	width := (max - min) / float64(nbins)
-	for i := range edges {
-		edges[i] = min + float64(i)*width
-	}
-	counts = make([]int, nbins)
-	for _, x := range xs {
-		b := int((x - min) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return edges, counts
-}
-
-// ECDF returns the empirical CDF of xs evaluated at each of the sorted sample
-// points: the i-th returned y equals (i+1)/n for the i-th sorted x.
-func ECDF(xs []float64) (sortedX, y []float64) {
-	sortedX = append([]float64(nil), xs...)
-	sort.Float64s(sortedX)
-	y = make([]float64, len(sortedX))
-	n := float64(len(sortedX))
-	for i := range y {
-		y[i] = float64(i+1) / n
-	}
-	return sortedX, y
-}
-
-// KSNormal returns the Kolmogorov-Smirnov statistic of xs against a
-// Normal(mu, sigma) reference — the maximum absolute gap between the
-// empirical CDF and the reference CDF. Used by the characterization harness
-// to verify that measured per-cell failure CDFs are normal (Figure 6a).
-func KSNormal(xs []float64, mu, sigma float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	maxGap := 0.0
-	for i, x := range sorted {
-		ref := NormalCDF(x, mu, sigma)
-		lo := float64(i) / n
-		hi := float64(i+1) / n
-		if g := math.Abs(ref - lo); g > maxGap {
-			maxGap = g
-		}
-		if g := math.Abs(ref - hi); g > maxGap {
-			maxGap = g
-		}
-	}
-	return maxGap
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"reaper/internal/rng"
 )
@@ -33,69 +32,6 @@ func TestNormalCDFDegenerateSigma(t *testing.T) {
 	if NormalCDF(2, 2, 0) != 1 {
 		t.Error("CDF at mean with sigma=0 should be 1")
 	}
-}
-
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	f := func(raw float64) bool {
-		p := math.Abs(math.Mod(raw, 1))
-		if p < 1e-10 || p > 1-1e-10 {
-			return true
-		}
-		x := NormalQuantile(p, 3, 2)
-		back := NormalCDF(x, 3, 2)
-		return math.Abs(back-p) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNormalQuantileTails(t *testing.T) {
-	// Deep tails should still round-trip.
-	for _, p := range []float64{1e-12, 1e-9, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-9} {
-		x := NormalQuantile(p, 0, 1)
-		almost(t, NormalCDF(x, 0, 1), p, p*1e-3+1e-15, "roundtrip")
-	}
-}
-
-func TestNormalQuantileDegenerate(t *testing.T) {
-	// Out-of-range p follows the mathematical limits instead of panicking.
-	for _, p := range []float64{0, -0.5} {
-		if got := NormalQuantile(p, 0, 1); !math.IsInf(got, -1) {
-			t.Errorf("NormalQuantile(%v) = %v, want -Inf", p, got)
-		}
-	}
-	for _, p := range []float64{1, 2} {
-		if got := NormalQuantile(p, 0, 1); !math.IsInf(got, 1) {
-			t.Errorf("NormalQuantile(%v) = %v, want +Inf", p, got)
-		}
-	}
-	// A point mass (sigma == 0) concentrates everything at mu.
-	if got := NormalQuantile(0, 3, 0); got != 3 {
-		t.Errorf("NormalQuantile(0, 3, 0) = %v, want 3", got)
-	}
-	if got := Percentile(nil, 50); !math.IsNaN(got) {
-		t.Errorf("Percentile(nil) = %v, want NaN", got)
-	}
-	b := Box(nil)
-	if !math.IsNaN(b.Median) || !math.IsNaN(b.Min) || !math.IsNaN(b.Mean) {
-		t.Errorf("Box(nil) = %+v, want all NaN", b)
-	}
-	if e, c := Histogram([]float64{1, 2}, 5, 5, 4); e != nil || c != nil {
-		t.Errorf("Histogram with max <= min = %v, %v, want nil, nil", e, c)
-	}
-	if e, c := Histogram([]float64{1, 2}, 0, 5, 0); e != nil || c != nil {
-		t.Errorf("Histogram with nbins <= 0 = %v, %v, want nil, nil", e, c)
-	}
-}
-
-func TestLogNormal(t *testing.T) {
-	// Median of lognormal(mu, sigma) is exp(mu).
-	almost(t, LogNormalCDF(math.Exp(1.5), 1.5, 0.7), 0.5, 1e-12, "lognormal median")
-	if LogNormalCDF(-1, 0, 1) != 0 || LogNormalCDF(0, 0, 1) != 0 {
-		t.Error("lognormal CDF must be 0 for x <= 0")
-	}
-	almost(t, LogNormalQuantile(0.5, 2, 0.3), math.Exp(2), 1e-9, "lognormal quantile")
 }
 
 func TestLogBinomialPMFMatchesDirect(t *testing.T) {
@@ -179,6 +115,9 @@ func TestPercentile(t *testing.T) {
 	if unsorted[0] != 5 {
 		t.Error("Percentile modified its input")
 	}
+	if got := Percentile(nil, 50); !math.IsNaN(got) {
+		t.Errorf("Percentile(nil) = %v, want NaN", got)
+	}
 }
 
 func TestBox(t *testing.T) {
@@ -190,6 +129,10 @@ func TestBox(t *testing.T) {
 	almost(t, b.Mean, 5.5, 1e-12, "mean")
 	if !(b.P25 < b.Median && b.Median < b.P75) {
 		t.Errorf("box quartiles out of order: %+v", b)
+	}
+	b = Box(nil)
+	if !math.IsNaN(b.Median) || !math.IsNaN(b.Min) || !math.IsNaN(b.Mean) {
+		t.Errorf("Box(nil) = %+v, want all NaN", b)
 	}
 }
 
@@ -206,7 +149,6 @@ func TestFitPowerLawExact(t *testing.T) {
 	almost(t, fit.A, 3.5, 1e-9, "A")
 	almost(t, fit.B, 2.25, 1e-9, "B")
 	almost(t, fit.R2, 1, 1e-9, "R2")
-	almost(t, fit.Eval(2), 3.5*math.Pow(2, 2.25), 1e-9, "Eval")
 }
 
 func TestFitPowerLawNoisy(t *testing.T) {
@@ -239,27 +181,10 @@ func TestFitPowerLawRejectsBadInput(t *testing.T) {
 func TestLinearFit(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7}
-	slope, intercept, r2, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slope, intercept, r2 := linearFit(xs, ys)
 	almost(t, slope, 2, 1e-12, "slope")
 	almost(t, intercept, 1, 1e-12, "intercept")
 	almost(t, r2, 1, 1e-12, "r2")
-	if _, _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point not rejected")
-	}
-}
-
-func TestFitNormalRecovers(t *testing.T) {
-	src := rng.New(5)
-	xs := make([]float64, 50000)
-	for i := range xs {
-		xs[i] = 1.5 + 0.4*src.Norm()
-	}
-	mu, sigma := FitNormal(xs)
-	almost(t, mu, 1.5, 0.01, "fit mu")
-	almost(t, sigma, 0.4, 0.01, "fit sigma")
 }
 
 func TestFitLogNormalRecovers(t *testing.T) {
@@ -272,62 +197,4 @@ func TestFitLogNormalRecovers(t *testing.T) {
 	mu, sigma := FitLogNormal(xs)
 	almost(t, mu, -2.5, 0.02, "fit log mu")
 	almost(t, sigma, 0.6, 0.02, "fit log sigma")
-}
-
-func TestHistogram(t *testing.T) {
-	edges, counts := Histogram([]float64{0.5, 1.5, 1.6, 2.5, -10, 10}, 0, 3, 3)
-	if len(edges) != 4 || len(counts) != 3 {
-		t.Fatalf("bad shapes: %v %v", edges, counts)
-	}
-	if counts[0] != 2 { // 0.5 and clamped -10
-		t.Errorf("bin0 = %d, want 2", counts[0])
-	}
-	if counts[1] != 2 {
-		t.Errorf("bin1 = %d, want 2", counts[1])
-	}
-	if counts[2] != 2 { // 2.5 and clamped 10
-		t.Errorf("bin2 = %d, want 2", counts[2])
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 6 {
-		t.Errorf("histogram lost samples: %d", total)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	x, y := ECDF([]float64{3, 1, 2})
-	if x[0] != 1 || x[1] != 2 || x[2] != 3 {
-		t.Errorf("ECDF x not sorted: %v", x)
-	}
-	almost(t, y[2], 1, 1e-12, "last ECDF value")
-	almost(t, y[0], 1.0/3, 1e-12, "first ECDF value")
-}
-
-func TestKSNormalSmallForNormalData(t *testing.T) {
-	src := rng.New(7)
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = 5 + 2*src.Norm()
-	}
-	d := KSNormal(xs, 5, 2)
-	// KS critical value at alpha=0.01 for n=2000 is ~0.0364.
-	if d > 0.05 {
-		t.Errorf("KS statistic %v too large for genuinely normal data", d)
-	}
-	// And clearly large for uniform data against a normal reference.
-	for i := range xs {
-		xs[i] = src.Float64() * 20
-	}
-	if KSNormal(xs, 5, 2) < 0.2 {
-		t.Error("KS statistic should be large for non-normal data")
-	}
-}
-
-func TestKSNormalEmpty(t *testing.T) {
-	if KSNormal(nil, 0, 1) != 0 {
-		t.Error("KS of empty sample should be 0")
-	}
 }

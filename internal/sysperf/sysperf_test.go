@@ -17,15 +17,23 @@ func cfgFor(t testing.TB, chipGb int, tREFI float64) Config {
 	return cfg
 }
 
+// benchmark returns the suite benchmark with the given name.
+func benchmark(t testing.TB, name string) workload.Spec {
+	t.Helper()
+	for _, s := range workload.Benchmarks() {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("unknown benchmark %q", name)
+	return workload.Spec{}
+}
+
 func mixNamed(t testing.TB, names ...string) []workload.Spec {
 	t.Helper()
 	mix := make([]workload.Spec, len(names))
 	for i, n := range names {
-		s, err := workload.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mix[i] = s
+		mix[i] = benchmark(t, n)
 	}
 	return mix
 }
@@ -213,7 +221,7 @@ func TestWeightedSpeedup(t *testing.T) {
 func TestAloneIPCCacheMemoizes(t *testing.T) {
 	cfg := cfgFor(t, 8, 0.064)
 	cache := NewAloneIPCCache(cfg)
-	spec, _ := workload.ByName("mcf")
+	spec := benchmark(t, "mcf")
 	a, err := cache.IPC(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -63,14 +63,6 @@ func (c *Counter) Add(n int64) {
 // Inc increases the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil || c.m == nil {
-		return 0
-	}
-	return c.m.count.Load()
-}
-
 // Gauge is a last-write-wins float metric. Gauges must have a single
 // logical owner (use per-instance labels when many instances report); the
 // nil Gauge is a no-op.
@@ -82,14 +74,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.m.gaugeBits.Store(math.Float64bits(v))
-}
-
-// Value returns the last value Set.
-func (g *Gauge) Value() float64 {
-	if g == nil || g.m == nil {
-		return 0
-	}
-	return math.Float64frombits(g.m.gaugeBits.Load())
 }
 
 // Histogram is a fixed-bucket distribution metric. Observations land in the
@@ -114,14 +98,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	m.overflow.Add(1)
-}
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 {
-	if h == nil || h.m == nil {
-		return 0
-	}
-	return h.m.count.Load()
 }
 
 // Registry holds the metrics of one run. Handles are get-or-create: asking

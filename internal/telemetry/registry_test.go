@@ -2,10 +2,47 @@ package telemetry
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// Counter returns the snapshotted value of the named counter series, or 0
+// if absent — a convenience for tests and report assembly.
+func (s *Snapshot) Counter(name string, labels ...Label) int64 {
+	cl := canonicalLabels(labels)
+	for _, c := range s.Counters {
+		if c.Name == name && labelsLess(c.Labels, cl) == 0 {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// Count returns the number of observations so far.
+func (h *Histogram) Count() int64 {
+	if h == nil || h.m == nil {
+		return 0
+	}
+	return h.m.count.Load()
+}
+
+// Value returns the last value Set.
+func (g *Gauge) Value() float64 {
+	if g == nil || g.m == nil {
+		return 0
+	}
+	return math.Float64frombits(g.m.gaugeBits.Load())
+}
+
+// Value returns the current count.
+func (c *Counter) Value() int64 {
+	if c == nil || c.m == nil {
+		return 0
+	}
+	return c.m.count.Load()
+}
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
 	reg := New()

@@ -132,15 +132,3 @@ func (s *Snapshot) WriteFile(path string) error {
 	}
 	return checkpoint.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }
-
-// Counter returns the snapshotted value of the named counter series, or 0
-// if absent — a convenience for tests and report assembly.
-func (s *Snapshot) Counter(name string, labels ...Label) int64 {
-	cl := canonicalLabels(labels)
-	for _, c := range s.Counters {
-		if c.Name == name && labelsLess(c.Labels, cl) == 0 {
-			return c.Value
-		}
-	}
-	return 0
-}

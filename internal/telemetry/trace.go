@@ -83,16 +83,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Dropped returns how many events the ring has evicted.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Trace pairs a source name with its event stream, for Merge.
 type Trace struct {
 	Source string

@@ -8,6 +8,16 @@ import (
 	"testing"
 )
 
+// Dropped returns how many events the ring has evicted.
+func (t *Tracer) Dropped() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
+}
+
 func TestTracerRingEviction(t *testing.T) {
 	tr := NewTracer(3)
 	for i := 0; i < 5; i++ {

@@ -2,10 +2,27 @@ package testprog
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// Canonical validates and normalizes the program, then encodes it in the
+// canonical deterministic form: two-space-indented JSON with struct fields
+// in schema order and a trailing newline. Load(Canonical(p)) returns a
+// program deeply equal to the validated p, and two programs are
+// semantically identical iff their canonical bytes are equal.
+func (p *Program) Canonical() ([]byte, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	enc, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("testprog: %w", err)
+	}
+	return append(enc, '\n'), nil
+}
 
 // minimalDevice returns a small valid device program as JSON.
 func minimalDevice() string {

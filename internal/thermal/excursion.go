@@ -49,10 +49,3 @@ func (e Excursion) Expired(now, absTolC float64) bool {
 	}
 	return math.Abs(e.DeltaAt(now)) < absTolC
 }
-
-// Disturb kicks the chamber's true plant temperature by deltaC without
-// moving the setpoint — the open-loop disturbance an Excursion's onset
-// represents. Subsequent Step calls show the PID loop rejecting it.
-func (c *Chamber) Disturb(deltaC float64) {
-	c.ambient += deltaC
-}

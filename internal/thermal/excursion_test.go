@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// Disturb kicks the chamber's true plant temperature by deltaC without
+// moving the setpoint — the open-loop disturbance an Excursion's onset
+// represents. Subsequent Step calls show the PID loop rejecting it.
+func (c *Chamber) Disturb(deltaC float64) {
+	c.ambient += deltaC
+}
+
 func TestExcursionWaveform(t *testing.T) {
 	e := Excursion{StartSeconds: 100, PeakDeltaC: 10, TauSeconds: 600}
 	if err := e.Validate(); err != nil {

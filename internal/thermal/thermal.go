@@ -50,13 +50,6 @@ func (p *PID) Update(err, dt float64) float64 {
 	return out
 }
 
-// Reset clears the controller state.
-func (p *PID) Reset() {
-	p.integ = 0
-	p.prevErr = 0
-	p.primed = false
-}
-
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// Reset clears the controller state.
+func (p *PID) Reset() {
+	p.integ = 0
+	p.prevErr = 0
+	p.primed = false
+}
+
 func newTestChamber(t *testing.T) *Chamber {
 	t.Helper()
 	c, err := NewChamber(DefaultChamberConfig())

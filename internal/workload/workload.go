@@ -65,16 +65,6 @@ func Benchmarks() []Spec {
 	}
 }
 
-// ByName returns the benchmark with the given name.
-func ByName(name string) (Spec, error) {
-	for _, s := range Benchmarks() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
-}
-
 // Mixes builds n multiprogrammed mixes of perMix randomly selected
 // benchmarks each (with replacement across mixes, without replacement
 // within a mix when possible), reproducing the paper's methodology of 20

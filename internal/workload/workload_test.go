@@ -1,9 +1,20 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
+
+// ByName returns the benchmark with the given name.
+func ByName(name string) (Spec, error) {
+	for _, s := range Benchmarks() {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
+}
 
 func TestBenchmarksValid(t *testing.T) {
 	suite := Benchmarks()

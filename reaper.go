@@ -32,7 +32,7 @@
 //   - internal/core     — brute-force and reach profiling + metrics
 //   - internal/ecc      — UBER/RBER analysis and a SECDED(72,64) codec
 //   - internal/longevity — the Equation 7 profile-longevity model
-//   - internal/mitigate — ArchShield / RAIDR / row map-out / cell remap
+//   - internal/mitigate — ArchShield / RAIDR
 //   - internal/perfmodel, internal/power, internal/workload,
 //     internal/sysperf — the end-to-end evaluation substrate
 package reaper
