@@ -126,6 +126,9 @@ fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignMeta$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/experiments
 
 # bench-go runs every go-test benchmark once (compile/behavior smoke, not a
-# measurement). -run '^$$' skips the tests, which `make test` already runs.
+# measurement). BenchmarkExperiments runs every experiment-registry entry at
+# its one configuration and fails unless each output equals its golden in
+# testdata/reproduce/, so this gates every published table and figure.
+# -run '^$$' skips the tests, which `make test` already runs.
 bench-go:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

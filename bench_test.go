@@ -1,583 +1,62 @@
-// Benchmark harness: one testing.B per table and figure of the paper's
-// evaluation. Each benchmark regenerates its experiment on the simulated
-// substrate and reports the headline quantities via b.ReportMetric, so
+// Benchmark harness: one sub-benchmark per entry of the experiment registry
+// (internal/experiments.Entries), so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench Experiments -benchtime 1x
 //
-// reproduces the entire evaluation. EXPERIMENTS.md records paper-vs-measured
-// for every entry. Benchmarks run reduced-scale configurations sized to
-// finish in seconds; the cmd/ tools expose the full-scale versions.
+// regenerates the entire evaluation. Each entry runs at seed 1, and its
+// output must equal testdata/reproduce/<ID>.txt byte for byte; a golden is
+// the stdout of `go run ./cmd/reproduce -fig ID -seed 1`. EXPERIMENTS.md
+// records paper-vs-measured for every entry.
 package reaper
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
-	"reaper/internal/core"
-	"reaper/internal/dram"
-	"reaper/internal/ecc"
 	"reaper/internal/experiments"
-	"reaper/internal/longevity"
-	"reaper/internal/memctrl"
-	"reaper/internal/mitigate"
-	"reaper/internal/perfmodel"
-	"reaper/internal/scrub"
+	"reaper/internal/parallel"
 )
 
-// benchChip returns the scale-model chip benchmarks use.
-func benchChip(seed uint64) experiments.ChipSpec {
-	c := experiments.DefaultChipSpec(seed)
-	c.Bits = 32 << 20
-	c.WeakScale = 20
-	return c
-}
-
-// BenchmarkFig2RetentionDistribution regenerates Figure 2: BER versus
-// refresh interval with unique/repeat/non-repeat categorization across the
-// three vendors.
-func BenchmarkFig2RetentionDistribution(b *testing.B) {
-	cfg := experiments.DefaultFig2Config()
-	cfg.Iterations = 3
-	cfg.Chip = func(v dram.VendorParams, seed uint64) experiments.ChipSpec {
-		c := benchChip(seed)
-		c.Vendor = v
-		return c
+// BenchmarkExperiments times every registry entry and fails on a missing
+// golden, on a golden without an entry, and on any byte of difference.
+func BenchmarkExperiments(b *testing.B) {
+	dir := filepath.Join("testdata", "reproduce")
+	entries := experiments.Entries()
+	ids := map[string]bool{}
+	for _, e := range entries {
+		ids[e.ID] = true
 	}
-	var rows []experiments.Fig2Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig2RetentionDistribution(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Report vendor B's BER at 1024 ms (paper anchor ~1.43e-7).
-	for _, r := range rows {
-		if r.Vendor == "B" && r.IntervalS == 1.024 {
-			b.ReportMetric(r.BER*1e9, "BER1024ms-e9")
-		}
-	}
-}
-
-// BenchmarkFig3VRTAccumulation regenerates Figure 3: continuous brute-force
-// profiling at 2048 ms with VRT-driven steady-state failure accumulation.
-func BenchmarkFig3VRTAccumulation(b *testing.B) {
-	cfg := experiments.Fig3Config{
-		Chip:          experiments.ChipSpec{Bits: 16 << 20, WeakScale: 100, Vendor: dram.VendorB(), Seed: 3},
-		IntervalS:     2.048,
-		Iterations:    80,
-		TotalSimHours: 48,
-	}
-	var res *experiments.Fig3Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig3VRTAccumulation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.SteadyStateCellsPerHour, "newcells/hr")
-	b.ReportMetric(res.PerIterationMean, "fails/iter")
-}
-
-// BenchmarkFig4AccumulationRates regenerates Figure 4: steady-state
-// accumulation rate versus interval, power-law fit per vendor.
-func BenchmarkFig4AccumulationRates(b *testing.B) {
-	cfg := experiments.Fig4Config{
-		Intervals:  []float64{2.048, 2.896, 4.096},
-		Iterations: 30,
-		SimHours:   36,
-		Seed:       4,
-		ChipBits:   8 << 20,
-		WeakScale:  150,
-	}
-	var rows []experiments.Fig4Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig4AccumulationRates(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Vendor == "B" {
-			b.ReportMetric(r.Fit.B, "fit-exponent-B")
-		}
-	}
-}
-
-// BenchmarkFig5PatternCoverage regenerates Figure 5: per-data-pattern
-// failure discovery coverage (the random pattern leads on LPDDR4).
-func BenchmarkFig5PatternCoverage(b *testing.B) {
-	cfg := experiments.Fig5Config{
-		IntervalS:  2.048,
-		Iterations: 32,
-		Seed:       5,
-		Vendors:    []dram.VendorParams{dram.VendorB()},
-		ChipBits:   16 << 20,
-		WeakScale:  30,
-	}
-	var rows []experiments.Fig5Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig5PatternCoverage(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Pattern == "random" {
-			b.ReportMetric(r.Coverage, "random-coverage")
-		}
-	}
-	if !experiments.Fig5RandomWins(rows) {
-		b.Fatal("random pattern did not win; Observation 3 violated")
-	}
-}
-
-// BenchmarkFig6CellCDFs regenerates Figure 6: per-cell normal failure CDFs
-// and the lognormal sigma population.
-func BenchmarkFig6CellCDFs(b *testing.B) {
-	cfg := experiments.DefaultFig6Config()
-	cfg.Chip.Bits = 16 << 20
-	cfg.Chip.WeakScale = 30
-	cfg.SampleCells = 16
-	var res *experiments.Fig6Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig6CellCDFs(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.MedianKS, "median-KS")
-	b.ReportMetric(res.FracSigmaBelow200ms, "sigma<200ms-frac")
-}
-
-// BenchmarkFig7TemperatureShift regenerates Figure 7: the (mu, sigma)
-// distributions shifting left and narrowing with temperature.
-func BenchmarkFig7TemperatureShift(b *testing.B) {
-	chip := benchChip(7)
-	var rows []experiments.Fig7Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig7TemperatureShift(chip, []float64{40, 45, 50, 55})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].MedianMuS/rows[len(rows)-1].MedianMuS, "mu-shrink-40to55C")
-}
-
-// BenchmarkFig8CombinedDistribution regenerates Figure 8: temperature and
-// refresh interval as interchangeable reach knobs.
-func BenchmarkFig8CombinedDistribution(b *testing.B) {
-	chip := benchChip(8)
-	var res *experiments.Fig8Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig8CombinedDistribution(chip,
-			[]float64{40, 45, 50, 55}, []float64{0.512, 1.024, 2.048, 4.096})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.EquivalentDeltaIntervalPer10C, "sec-per-10C")
-}
-
-// BenchmarkFig9ReachTradeoff regenerates Figure 9: coverage and false
-// positive rate across the reach-condition grid.
-func BenchmarkFig9ReachTradeoff(b *testing.B) {
-	cfg := experiments.DefaultFig9Config()
-	cfg.Chip = benchChip(9)
-	cfg.DeltaIntervals = []float64{0, 0.128, 0.25, 0.5}
-	cfg.DeltaTemps = []float64{0, 5}
-	cfg.Iterations = 8
-	cfg.MaxIterations = 32
-	var h experiments.HeadlineResult
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig9Fig10Tradeoff(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h, err = experiments.Headline(points)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(h.Coverage, "coverage@+250ms")
-	b.ReportMetric(h.FalsePositiveRate, "FPR@+250ms")
-}
-
-// BenchmarkFig10RuntimeContours regenerates Figure 10: profiling runtime to
-// the coverage goal, normalized to brute force, across reach conditions.
-func BenchmarkFig10RuntimeContours(b *testing.B) {
-	cfg := experiments.DefaultFig9Config()
-	cfg.Chip = benchChip(10)
-	cfg.DeltaIntervals = []float64{0, 0.25, 0.5, 1.0}
-	cfg.DeltaTemps = []float64{0}
-	cfg.Iterations = 8
-	cfg.MaxIterations = 48
-	var best float64
-	var at250 float64
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig9Fig10Tradeoff(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		best = 0
-		for _, p := range points {
-			if s := p.Speedup(); s > best {
-				best = s
-			}
-			if p.Reach.DeltaInterval == 0.25 && p.Reach.DeltaTempC == 0 {
-				at250 = p.Speedup()
-			}
-		}
-	}
-	b.ReportMetric(at250, "speedup@+250ms")
-	b.ReportMetric(best, "speedup-best")
-}
-
-// BenchmarkHeadlineReachSpeedup measures the paper's Section 6.1.2 headline
-// claim in isolation: reach profiling at +250 ms versus brute force.
-func BenchmarkHeadlineReachSpeedup(b *testing.B) {
-	cfg := experiments.DefaultFig9Config()
-	cfg.Chip = benchChip(11)
-	cfg.DeltaIntervals = []float64{0, 0.25}
-	cfg.DeltaTemps = []float64{0}
-	cfg.Iterations = 16
-	cfg.MaxIterations = 48
-	var h experiments.HeadlineResult
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig9Fig10Tradeoff(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h, err = experiments.Headline(points)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(h.Coverage, "coverage")
-	b.ReportMetric(h.FalsePositiveRate, "FPR")
-	b.ReportMetric(h.Speedup, "speedup-x")
-}
-
-// BenchmarkTable1TolerableRBER regenerates Table 1: tolerable RBER and bit
-// error budgets per ECC strength.
-func BenchmarkTable1TolerableRBER(b *testing.B) {
-	var rows []experiments.Table1Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table1TolerableRBER(ecc.UBERConsumer)
-	}
-	b.ReportMetric(rows[1].TolerableRBER*1e9, "SECDED-RBER-e9")
-	b.ReportMetric(rows[1].TolerableErrors[2], "SECDED-errors@2GB")
-}
-
-// BenchmarkLongevityExample reproduces the Section 6.2.3 worked example:
-// 2GB + SECDED + 1024 ms @ 45°C + 99% coverage => ~2.3 days with the
-// paper's Table 1 budget.
-func BenchmarkLongevityExample(b *testing.B) {
-	m := longevity.Model{
-		Code:       ecc.SECDED(),
-		TargetUBER: ecc.UBERConsumer,
-		Bytes:      2 << 30,
-		Vendor:     dram.VendorB(),
-		TempC:      45,
-	}
-	var days float64
-	for i := 0; i < b.N; i++ {
-		d, err := m.LongevityWithBudget(1.024, 0.99, 65)
-		if err != nil {
-			b.Fatal(err)
-		}
-		days = d.Hours() / 24
-	}
-	b.ReportMetric(days, "days")
-}
-
-// BenchmarkEq9ProfilingRuntime reproduces the Section 7.3.1 runtime
-// examples: ~3.01 minutes for 32x8Gb and ~19.8 minutes for 32x64Gb.
-func BenchmarkEq9ProfilingRuntime(b *testing.B) {
-	c8 := perfmodel.RoundConfig{
-		TREFI: 1.024, NumPatterns: 6, NumIterations: 6,
-		TotalBytes: 32 * (8 << 30) / 8,
-	}
-	c64 := c8
-	c64.TotalBytes = 32 * (64 << 30) / 8
-	var m8, m64 float64
-	for i := 0; i < b.N; i++ {
-		m8 = c8.RoundSeconds() / 60
-		m64 = c64.RoundSeconds() / 60
-	}
-	b.ReportMetric(m8, "min-8Gb")
-	b.ReportMetric(m64, "min-64Gb")
-}
-
-// BenchmarkFig11ProfilingTimeFraction regenerates Figure 11: fraction of
-// system time spent profiling across profiling intervals and chip sizes.
-func BenchmarkFig11ProfilingTimeFraction(b *testing.B) {
-	cfg := experiments.DefaultFig11Config()
-	var rows []experiments.Fig11Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig11Fig12ProfilingOverhead(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.ChipGb == 64 && r.IntervalHours == 4 {
-			b.ReportMetric(r.BruteFraction, "brute@64Gb-4h")
-			b.ReportMetric(r.ReaperFrac, "reaper@64Gb-4h")
-		}
-	}
-}
-
-// BenchmarkFig12ProfilingPower regenerates Figure 12: average DRAM power of
-// the profiling traffic itself.
-func BenchmarkFig12ProfilingPower(b *testing.B) {
-	cfg := experiments.DefaultFig11Config()
-	var rows []experiments.Fig11Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig11Fig12ProfilingOverhead(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.ChipGb == 64 && r.IntervalHours == 4 {
-			b.ReportMetric(r.BruteProfilingW, "brute-W@64Gb-4h")
-			b.ReportMetric(r.ReaperProfilingW, "reaper-W@64Gb-4h")
-		}
-	}
-}
-
-// BenchmarkUBERIndependenceValidation checks the Equation-5 independence
-// assumption empirically: predicted vs measured multi-bit word failure
-// rates agree, so Table 1's arithmetic transfers to the device model.
-func BenchmarkUBERIndependenceValidation(b *testing.B) {
-	cfg := experiments.DefaultUBERValidationConfig()
-	cfg.Rounds = 200
-	var res *experiments.UBERValidationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.UBERValidation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Ratio, "measured/predicted")
-	b.ReportMetric(float64(res.WordsTested), "words")
-}
-
-// BenchmarkPopulationAverages aggregates the headline reach-profiling
-// metrics over a fleet of chips per vendor, mirroring the paper's
-// 368-chip population claims (every chip shows the same trends).
-func BenchmarkPopulationAverages(b *testing.B) {
-	cfg := experiments.DefaultPopulationConfig()
-	var results []experiments.PopulationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = experiments.PopulationSweep(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range results {
-		if !r.AllChipsAgree {
-			b.Fatalf("vendor %s fleet diverged from the paper's trend", r.Vendor)
-		}
-		if r.Vendor == "B" {
-			b.ReportMetric(r.CoverageMean, "covB")
-			b.ReportMetric(r.FPRMean, "fprB")
-		}
-	}
-}
-
-// BenchmarkAblationVRT isolates VRT's causal role (DESIGN.md section 5):
-// with VRT disabled, post-discovery failure accumulation collapses and
-// offline profiling would suffice.
-func BenchmarkAblationVRT(b *testing.B) {
-	chip := experiments.ChipSpec{Bits: 16 << 20, WeakScale: 100, Vendor: dram.VendorB(), Seed: 101}
-	var res *experiments.VRTAblationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.AblationVRT(context.Background(), chip, 2.048, 50, 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.NewCellsPerHourWithVRT, "with-VRT/hr")
-	b.ReportMetric(res.NewCellsPerHourWithoutVRT, "no-VRT/hr")
-}
-
-// BenchmarkAblationDPD isolates DPD's causal role: without it a single
-// pattern pair reaches full coverage; with it multiple patterns are
-// mandatory (Corollary 3).
-func BenchmarkAblationDPD(b *testing.B) {
-	chip := experiments.ChipSpec{Bits: 16 << 20, WeakScale: 30, Vendor: dram.VendorB(), Seed: 102}
-	var res *experiments.DPDAblationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.AblationDPD(context.Background(), chip, 1.024, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.SinglePatternCoverageWithDPD, "cov-with-DPD")
-	b.ReportMetric(res.SinglePatternCoverageWithoutDPD, "cov-no-DPD")
-}
-
-// BenchmarkAblationReachKnobs verifies Section 5.5's interchangeability of
-// the two reach knobs: +0.5 s of interval, +5°C of temperature, and the
-// half-and-half combination land at comparable coverage.
-func BenchmarkAblationReachKnobs(b *testing.B) {
-	chip := experiments.ChipSpec{Bits: 16 << 20, WeakScale: 30, Vendor: dram.VendorB(), Seed: 103}
-	var res *experiments.KnobAblationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.AblationReachKnobs(context.Background(), chip, 1.024, 0.5, 5, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.IntervalOnly.Coverage, "cov-interval")
-	b.ReportMetric(res.TempOnly.Coverage, "cov-temp")
-	b.ReportMetric(res.Combined.Coverage, "cov-combined")
-}
-
-// BenchmarkPassiveVsActiveProfiling contrasts AVATAR-style ECC scrubbing
-// (passive, Section 3.2) against one active reach profile on an identical
-// chip: the scrubber only sees failures under resident data, the active
-// profiler tests worst-case patterns deliberately.
-func BenchmarkPassiveVsActiveProfiling(b *testing.B) {
-	var passive, active float64
-	for i := 0; i < b.N; i++ {
-		dev, err := dram.NewDevice(dram.Config{
-			Geometry:  dram.Geometry{Banks: 8, RowsPerBank: 64, WordsPerRow: 256},
-			Vendor:    dram.VendorB(),
-			Seed:      505,
-			WeakScale: 20,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := memctrl.NewStation(dev, nil, memctrl.DefaultTiming())
-		if err != nil {
-			b.Fatal(err)
-		}
-		truth := core.Truth(st, 2.048, 45)
-		geom := st.Device().Geometry()
-		mem, err := scrub.NewECCMemory(st)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scr, err := scrub.NewScrubber(mem)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Benign resident data: each truth cell's word stores the cell's
-		// discharged value.
-		chargedOf := map[uint64]uint8{}
-		for _, c := range st.Device().Cells(st.Clock()) {
-			chargedOf[c.Bit] = c.ChargedVal
-		}
-		for _, bit := range truth.Sorted() {
-			a := geom.AddrOf(bit)
-			val := uint64(0)
-			if chargedOf[bit] == 0 {
-				val = ^uint64(0)
-			}
-			if err := mem.Write(mitigate.WordAddr{Bank: a.Bank, Row: a.Row, Word: a.Word}, val); err != nil {
-				b.Fatal(err)
-			}
-		}
-		st.SetRefreshInterval(2.048)
-		for h := 0; h < 24; h++ {
-			st.Wait(3600)
-			if _, err := scr.Scrub(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		passive = scr.WordCoverage(truth, st)
-
-		st2, err := memctrl.NewStation(mustDevice(b, 505), nil, memctrl.DefaultTiming())
-		if err != nil {
-			b.Fatal(err)
-		}
-		prof, err := core.Reach(st2, 2.048, core.ReachConditions{DeltaInterval: 0.25},
-			core.Options{Iterations: 16, FreshRandomPerIteration: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		active = core.Coverage(prof.Failures, core.Truth(st2, 2.048, 45))
-	}
-	b.ReportMetric(passive, "passive-coverage")
-	b.ReportMetric(active, "active-coverage")
-}
-
-func mustDevice(b *testing.B, seed uint64) *dram.Device {
-	dev, err := dram.NewDevice(dram.Config{
-		Geometry:  dram.Geometry{Banks: 8, RowsPerBank: 64, WordsPerRow: 256},
-		Vendor:    dram.VendorB(),
-		Seed:      seed,
-		WeakScale: 20,
-	})
+	goldens, err := filepath.Glob(filepath.Join(dir, "*.txt"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return dev
-}
-
-// BenchmarkClassificationFallacy quantifies the paper's Section 5.5 claim
-// that cells cannot be classified weak/strong: cells labelled strong by a
-// finite observation window keep failing later.
-func BenchmarkClassificationFallacy(b *testing.B) {
-	cfg := experiments.DefaultClassificationConfig()
-	cfg.ObserveIterations = 16
-	cfg.ObserveHours = 8
-	var res *experiments.ClassificationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.ClassificationFallacy(cfg)
-		if err != nil {
-			b.Fatal(err)
+	for _, g := range goldens {
+		if id := strings.TrimSuffix(filepath.Base(g), ".txt"); !ids[id] {
+			b.Errorf("golden %s has no registry entry %q", g, id)
 		}
 	}
-	b.ReportMetric(float64(res.LateFailures), "late-failures")
-	b.ReportMetric(res.LateFailureRatio, "late/weak-ratio")
-}
-
-// BenchmarkFig13EndToEnd regenerates Figure 13: end-to-end performance and
-// DRAM power across refresh intervals for brute force, REAPER, and ideal
-// profiling on the trace-driven system simulator.
-func BenchmarkFig13EndToEnd(b *testing.B) {
-	cfg := experiments.DefaultFig13Config()
-	cfg.ChipGbs = []int{64}
-	cfg.Mixes = 8
-	cfg.InstructionsPerCore = 400_000
-	var cells []experiments.Fig13Cell
-	for i := 0; i < b.N; i++ {
-		var err error
-		cells, err = experiments.Fig13EndToEnd(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if c, ok := experiments.FindCell(cells, 64, 1.024, "reaper"); ok {
-		b.ReportMetric(c.PerfGain.Mean*100, "reaper@1024ms-%")
-	}
-	if c, ok := experiments.FindCell(cells, 64, 1.024, "brute"); ok {
-		b.ReportMetric(c.PerfGain.Mean*100, "brute@1024ms-%")
-	}
-	if c, ok := experiments.FindCell(cells, 64, 1.280, "brute"); ok {
-		b.ReportMetric(c.PerfGain.Mean*100, "brute@1280ms-%")
-	}
-	if c, ok := experiments.FindCell(cells, 64, 0, "ideal"); ok {
-		b.ReportMetric(c.PerfGain.Mean*100, "noref-%")
-		b.ReportMetric(c.PowerReduction.Mean*100, "noref-power-%")
+	for _, e := range entries {
+		b.Run(e.ID, func(b *testing.B) {
+			path := filepath.Join(dir, e.ID+".txt")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				b.Fatalf("missing golden: %v", err)
+			}
+			var got bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				got.Reset()
+				if err := e.Run(context.Background(), &got, 1, parallel.DefaultWorkers()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				b.Fatalf("output differs from %s; re-pin only on purpose with "+
+					"`go run ./cmd/reproduce -fig %s -seed 1 > %s`. Got:\n%s", path, e.ID, path, got.Bytes())
+			}
+		})
 	}
 }

@@ -57,9 +57,9 @@ import (
 )
 
 // The fault-injection presets -scenario accepts live in
-// internal/faultinject (NamedScenario), shared with the test-program
-// "soak" stage so a scenario named in a JSON program is bit-identical to
-// the same name on this command line.
+// internal/faultinject and resolve through experiments.SoakScenario, shared
+// with the test-program "soak" stage so a scenario named in a JSON program
+// is bit-identical to the same name on this command line.
 func scenarioNames() string {
 	return strings.Join(faultinject.ScenarioNames(), ", ")
 }
@@ -113,9 +113,7 @@ func run() int {
 		log.Printf("soak: -shard-size must be >= 0 (got %d)", *shardSize)
 		return exitcode.ConfigError
 	}
-	// The seed split matches the harness's own default-scenario derivation,
-	// so -scenario default is bit-identical to omitting the flag.
-	scenarioOverride, err := faultinject.NamedScenario(*scenario, *seed^0xFA177, *targetMs/1000)
+	scenarioOverride, err := experiments.SoakScenario(*scenario, *seed)
 	if err != nil {
 		log.Printf("soak: unknown scenario %q; valid scenarios: %s", *scenario, scenarioNames())
 		return exitcode.ConfigError

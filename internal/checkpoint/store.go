@@ -16,8 +16,9 @@ import (
 // layout of any state blob changes incompatibly; a Store refuses to load a
 // manifest from a different version rather than misinterpret old bytes.
 // Version 2 dropped the per-bank stream states and counters from the device
-// blob.
-const FormatVersion = 2
+// blob; version 3 dropped the scrubber's per-pass history and the firmware
+// manager's window counters from the soak chip blob.
+const FormatVersion = 3
 
 // ErrNoCheckpoint is returned by Load when the directory holds no manifest
 // at all (a fresh campaign, or -resume pointed at the wrong directory).

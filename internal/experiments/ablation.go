@@ -30,8 +30,6 @@ type VRTAblationResult struct {
 // finite and accumulation collapses — one-time offline profiling would
 // suffice; with VRT it never does (Corollary 2: online profiling is
 // required *because of* VRT).
-//
-//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func AblationVRT(ctx context.Context, chip ChipSpec, intervalS float64, iterations int, simHours float64) (*VRTAblationResult, error) {
 	run := func(disable bool) (float64, error) {
 		c := chip
@@ -102,8 +100,6 @@ type DPDAblationResult struct {
 // an identical chip without it. Without DPD one pattern pair suffices; with
 // DPD it cannot reach the worst-case-pattern population (Corollary 3:
 // multiple data patterns are required *because of* DPD).
-//
-//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func AblationDPD(ctx context.Context, chip ChipSpec, intervalS float64, iterations int) (*DPDAblationResult, error) {
 	run := func(disable bool) (float64, error) {
 		c := chip
@@ -158,8 +154,6 @@ type KnobAblationResult struct {
 // equivalence at these conditions), demonstrating Section 5.5's claim that
 // the two knobs are interchangeable. All three are scored against the
 // oracle truth at the target conditions on identically seeded chips.
-//
-//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func AblationReachKnobs(ctx context.Context, chip ChipSpec, target, deltaInterval, deltaTemp float64, iterations int) (*KnobAblationResult, error) {
 	measure := func(reach core.ReachConditions) (KnobPoint, error) {
 		st, err := chip.NewStation()

@@ -227,6 +227,25 @@ func Fig3VRTAccumulation(cfg Fig3Config) (*Fig3Result, error) {
 	return res, nil
 }
 
+// Fig3Table renders about a dozen evenly spaced iterations of the series.
+func Fig3Table(res *Fig3Result) *Table {
+	t := &Table{
+		Title:  "Figure 3: failure discovery over continuous brute-force profiling @2048ms",
+		Header: []string{"iteration", "sim hours", "cumulative", "new", "repeat"},
+		Caption: fmt.Sprintf("steady-state accumulation %.2f cells/hour; per-iteration total ~%.0f "+
+			"(paper: accumulation never stops; totals stay constant)",
+			res.SteadyStateCellsPerHour, res.PerIterationMean),
+	}
+	stride := len(res.Points)/12 + 1
+	for i, p := range res.Points {
+		if i%stride == 0 || i == len(res.Points)-1 {
+			t.AddRow(fmt.Sprint(p.Iteration), fmt.Sprintf("%.1f", p.SimHours),
+				fmt.Sprint(p.Cumulative), fmt.Sprint(p.NewCells), fmt.Sprint(p.Repeats))
+		}
+	}
+	return t
+}
+
 // ---------------------------------------------------------------------------
 // Figure 4: steady-state accumulation rate vs refresh interval per vendor,
 // fit as y = a * x^b.
@@ -469,25 +488,6 @@ func Fig5Table(rows []Fig5Row) *Table {
 	return t
 }
 
-// Fig5RandomWins reports whether the random pattern found the most failures
-// for every vendor in the result set — the paper's headline observation.
-//
-//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
-func Fig5RandomWins(rows []Fig5Row) bool {
-	best := map[string]Fig5Row{}
-	for _, r := range rows {
-		if cur, ok := best[r.Vendor]; !ok || r.Coverage > cur.Coverage {
-			best[r.Vendor] = r
-		}
-	}
-	for _, r := range best {
-		if r.Pattern != "random" {
-			return false
-		}
-	}
-	return len(best) > 0
-}
-
 // ---------------------------------------------------------------------------
 // Figure 6: per-cell failure CDFs are normal; their sigmas are lognormal.
 // ---------------------------------------------------------------------------
@@ -641,6 +641,23 @@ func Fig6CellCDFs(cfg Fig6Config) (*Fig6Result, error) {
 	}, nil
 }
 
+// Fig6Table renders the per-cell CDF and sigma-population summary.
+func Fig6Table(res *Fig6Result) *Table {
+	t := &Table{
+		Title:  "Figure 6: per-cell failure CDFs (normal) and sigma population (lognormal), 40°C",
+		Header: []string{"metric", "value"},
+		Caption: "paper: individual cells fail with normal CDFs; sigmas are lognormal with the " +
+			"majority below 200ms",
+	}
+	t.AddRow("cells with measured CDFs", fmt.Sprint(res.CellsMeasured))
+	t.AddRow("median |measured - Phi| (KS)", fmt.Sprintf("%.3f", res.MedianKS))
+	t.AddRow("p90 |measured - Phi| (KS)", fmt.Sprintf("%.3f", res.P90KS))
+	t.AddRow("sigma lognormal mu (log s)", fmt.Sprintf("%.3f", res.SigmaLogMu))
+	t.AddRow("sigma lognormal sigma", fmt.Sprintf("%.3f", res.SigmaLogSigma))
+	t.AddRow("fraction of sigmas < 200ms", Pct(res.FracSigmaBelow200ms))
+	return t
+}
+
 // ---------------------------------------------------------------------------
 // Figure 7: the (mu, sigma) distributions shift left and narrow as
 // temperature rises.
@@ -679,6 +696,20 @@ func Fig7TemperatureShift(chip ChipSpec, temps []float64) ([]Fig7Row, error) {
 		})
 	}
 	return out, nil
+}
+
+// Fig7Table renders the per-temperature medians.
+func Fig7Table(rows []Fig7Row) *Table {
+	t := &Table{
+		Title:   "Figure 7: (mu, sigma) distributions vs temperature",
+		Header:  []string{"temp", "median mu (s)", "median sigma (s)"},
+		Caption: "paper: both distributions shift left (shorter, narrower) as temperature rises",
+	}
+	for _, r := range rows {
+		t.AddRow(fmt.Sprintf("%.0f°C", r.TempC),
+			fmt.Sprintf("%.3f", r.MedianMuS), fmt.Sprintf("%.4f", r.MedianSigma))
+	}
+	return t
 }
 
 // ---------------------------------------------------------------------------
@@ -739,4 +770,27 @@ func Fig8CombinedDistribution(chip ChipSpec, temps, intervals []float64) (*Fig8R
 	}
 	res.EquivalentDeltaIntervalPer10C = (lo + hi) / 2
 	return res, nil
+}
+
+// Fig8Table renders the temperature x interval grid of mean failure
+// probabilities.
+func Fig8Table(res *Fig8Result) *Table {
+	header := []string{"temp \\ tREFI"}
+	for _, interval := range res.Intervals {
+		header = append(header, Ms(interval))
+	}
+	t := &Table{
+		Title:  "Figure 8: combined failure probability over temperature x interval",
+		Header: header,
+		Caption: fmt.Sprintf("+10°C is equivalent to extending the interval by %.2fs at 45°C/2048ms "+
+			"(paper: ~1s)", res.EquivalentDeltaIntervalPer10C),
+	}
+	for ti, temp := range res.Temps {
+		row := []string{fmt.Sprintf("%.0f°C", temp)}
+		for ii := range res.Intervals {
+			row = append(row, fmt.Sprintf("%.4f", res.MeanFailProb[ti][ii]))
+		}
+		t.AddRow(row...)
+	}
+	return t
 }

@@ -38,9 +38,8 @@ type ClassificationConfig struct {
 	ObserveHours float64
 }
 
-// DefaultClassificationConfig is a bench-scale setup.
-//
-//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
+// DefaultClassificationConfig labels cells over 8 brute-force iterations,
+// then observes 16 more over 8 simulated hours.
 func DefaultClassificationConfig() ClassificationConfig {
 	chip := DefaultChipSpec(55)
 	chip.Bits = 16 << 20
@@ -49,14 +48,12 @@ func DefaultClassificationConfig() ClassificationConfig {
 		Chip:               chip,
 		IntervalS:          2.048,
 		ClassifyIterations: 8,
-		ObserveIterations:  24,
-		ObserveHours:       12,
+		ObserveIterations:  16,
+		ObserveHours:       8,
 	}
 }
 
 // ClassificationFallacy runs the experiment.
-//
-//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func ClassificationFallacy(cfg ClassificationConfig) (*ClassificationResult, error) {
 	st, err := cfg.Chip.NewStation()
 	if err != nil {

@@ -415,15 +415,3 @@ func Fig13Table(cells []Fig13Cell) *Table {
 	}
 	return t
 }
-
-// FindCell locates a cell in a Fig13 result set.
-//
-//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
-func FindCell(cells []Fig13Cell, gb int, interval float64, mech string) (Fig13Cell, bool) {
-	for _, c := range cells {
-		if c.ChipGb == gb && c.IntervalS == interval && c.Mechanism == mech {
-			return c, true
-		}
-	}
-	return Fig13Cell{}, false
-}

@@ -224,6 +224,16 @@ func TestFig13RejectsBadConfig(t *testing.T) {
 	}
 }
 
+// FindCell locates a cell in a Fig13 result set.
+func FindCell(cells []Fig13Cell, gb int, interval float64, mech string) (Fig13Cell, bool) {
+	for _, c := range cells {
+		if c.ChipGb == gb && c.IntervalS == interval && c.Mechanism == mech {
+			return c, true
+		}
+	}
+	return Fig13Cell{}, false
+}
+
 func TestFindCellMissing(t *testing.T) {
 	if _, ok := FindCell(nil, 8, 1, "brute"); ok {
 		t.Error("FindCell on empty set returned ok")

@@ -1,9 +1,12 @@
 // Package experiments implements one reproducible harness per table and
-// figure of the paper's evaluation. Each Fig*/Table* function builds the
-// workloads, runs the sweep on the simulated substrate, and returns a
-// structured result that renders as the same rows/series the paper reports;
-// cmd/characterize, cmd/tradeoff, cmd/endtoend, and the repository's
-// benchmark suite are thin wrappers around these functions.
+// figure of the paper's evaluation, plus the studies that go beyond it
+// (ablations, the UBER independence check, passive scrubbing, the
+// classification fallacy) and the fault-injection soak. Each Fig*/Table*
+// function builds the workloads, runs the sweep on the simulated substrate,
+// and returns a structured result that renders as the same rows/series the
+// paper reports. Entries (registry.go) wires each result exactly once, at
+// one configuration: cmd/reproduce prints any entry, and the repository
+// benchmark checks every entry's seed-1 output against a golden file.
 //
 // Scale note: the characterization experiments run on scale-model chips
 // (tens of Mbit with amplified weak-cell density) so that a full sweep

@@ -230,6 +230,18 @@ type QuarantinedShard struct {
 	Reason string `json:"reason"`
 }
 
+// SoakScenario resolves a named faultinject preset for a soak campaign of
+// the given seed. cmd/soak's -scenario flag and a test program's soak stage
+// both resolve names here, so a name means the same campaign on either. The
+// "default" preset is nil, which leaves every chip on DefaultScenario seeded
+// by the same split of its own chip seed.
+func SoakScenario(name string, seed uint64) (*faultinject.Scenario, error) {
+	return faultinject.NamedScenario(name, scenarioSeed(seed))
+}
+
+// scenarioSeed splits the fault-injection seed from a soak seed.
+func scenarioSeed(seed uint64) uint64 { return seed ^ 0xFA177 }
+
 // soakSeeds derives the per-chip seeds up front so the fleet order is fixed.
 func soakSeeds(cfg SoakConfig) []uint64 {
 	root := rng.New(cfg.Seed)

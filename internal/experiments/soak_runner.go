@@ -75,7 +75,7 @@ func newSoakRunner(cfg SoakConfig, idx int, seed uint64) (*soakRunner, error) {
 		return nil, err
 	}
 
-	scen := faultinject.DefaultScenario(seed^0xFA177, cfg.TargetInterval)
+	scen := faultinject.DefaultScenario(scenarioSeed(seed))
 	if cfg.Scenario != nil {
 		scen = *cfg.Scenario
 		scen.Seed = scen.Seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15

@@ -39,8 +39,6 @@ type UBERValidationConfig struct {
 
 // DefaultUBERValidationConfig uses a long interval so multi-cell words have
 // measurable joint failure probability.
-//
-//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func DefaultUBERValidationConfig() UBERValidationConfig {
 	chip := DefaultChipSpec(77)
 	chip.Bits = 16 << 20
@@ -49,14 +47,12 @@ func DefaultUBERValidationConfig() UBERValidationConfig {
 	return UBERValidationConfig{
 		Chip:      chip,
 		IntervalS: 3.0,
-		Rounds:    300,
+		Rounds:    200,
 		MaxWords:  200,
 	}
 }
 
 // UBERValidation runs the experiment.
-//
-//lint:ignore dead-export reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func UBERValidation(cfg UBERValidationConfig) (*UBERValidationResult, error) {
 	st, err := cfg.Chip.NewStation()
 	if err != nil {
@@ -65,16 +61,9 @@ func UBERValidation(cfg UBERValidationConfig) (*UBERValidationResult, error) {
 	dev := st.Device()
 	geom := dev.Geometry()
 
-	// Collect words with >= 2 charged-high weak cells, with each cell's
-	// worst-case single-read failure probability at the test interval.
-	type wordInfo struct {
-		row        uint32
-		word       int
-		bits       []int // bit positions within the word
-		cellProbs  []float64
-		multiProb  float64 // P(>= 2 of the word's cells fail in one round)
-		globalBits []uint64
-	}
+	// Collect words with >= 2 charged-high weak cells whose worst-case
+	// single-read failure probabilities at the test interval give a
+	// measurable chance of a multi-bit failure.
 	cellsByWord := map[[2]uint64][]dram.CellInfo{}
 	for _, c := range dev.Cells(st.Clock()) {
 		if c.ChargedVal != 1 {
@@ -97,38 +86,20 @@ func UBERValidation(cfg UBERValidationConfig) (*UBERValidationResult, error) {
 		}
 		return cmp.Compare(a[1], b[1])
 	})
-	var words []wordInfo
+	var words [][]uint64 // each selected word's weak-cell bit indices
 	for _, key := range keys {
 		cells := cellsByWord[key]
 		if len(cells) < 2 {
 			continue
 		}
-		w := wordInfo{row: uint32(key[0]), word: int(key[1])}
+		var bits []uint64
+		var probs []float64
 		for _, c := range cells {
-			p := dev.CellFailProb(c.Bit, cfg.IntervalS, 45, st.Clock())
-			a := geom.AddrOf(c.Bit)
-			w.bits = append(w.bits, a.Bit)
-			w.cellProbs = append(w.cellProbs, p)
-			w.globalBits = append(w.globalBits, c.Bit)
+			bits = append(bits, c.Bit)
+			probs = append(probs, dev.CellFailProb(c.Bit, cfg.IntervalS, 45, st.Clock()))
 		}
-		// P(>= 2 failures) under independence: 1 - P(0) - P(exactly 1).
-		p0 := 1.0
-		for _, p := range w.cellProbs {
-			p0 *= 1 - p
-		}
-		p1 := 0.0
-		for i, pi := range w.cellProbs {
-			term := pi
-			for j, pj := range w.cellProbs {
-				if j != i {
-					term *= 1 - pj
-				}
-			}
-			p1 += term
-		}
-		w.multiProb = 1 - p0 - p1
-		if w.multiProb > 1e-6 {
-			words = append(words, w)
+		if atLeastTwo(probs) > 1e-6 {
+			words = append(words, bits)
 		}
 		if len(words) >= cfg.MaxWords {
 			break
@@ -136,11 +107,6 @@ func UBERValidation(cfg UBERValidationConfig) (*UBERValidationResult, error) {
 	}
 	if len(words) == 0 {
 		return nil, fmt.Errorf("experiments: no multi-cell words with measurable joint probability")
-	}
-
-	predicted := 0.0
-	for _, w := range words {
-		predicted += w.multiProb
 	}
 
 	// Measure: repeated solid-1 write / wait / read rounds; count rounds
@@ -160,9 +126,9 @@ func UBERValidation(cfg UBERValidationConfig) (*UBERValidationResult, error) {
 		for _, b := range st.ReadCompare() {
 			failed[b] = true
 		}
-		for _, w := range words {
+		for _, bits := range words {
 			n := 0
-			for _, g := range w.globalBits {
+			for _, g := range bits {
 				if failed[g] {
 					n++
 					cellFailCount[g]++
@@ -177,25 +143,12 @@ func UBERValidation(cfg UBERValidationConfig) (*UBERValidationResult, error) {
 	// Re-predict from the *measured* per-cell rates (removing the
 	// worst-case-context gap) and compare joint behaviour.
 	repredicted := 0.0
-	for _, w := range words {
-		p0, p1 := 1.0, 0.0
+	for _, bits := range words {
 		var ps []float64
-		for _, g := range w.globalBits {
+		for _, g := range bits {
 			ps = append(ps, float64(cellFailCount[g])/float64(cfg.Rounds))
 		}
-		for _, p := range ps {
-			p0 *= 1 - p
-		}
-		for i, pi := range ps {
-			term := pi
-			for j, pj := range ps {
-				if j != i {
-					term *= 1 - pj
-				}
-			}
-			p1 += term
-		}
-		repredicted += 1 - p0 - p1
+		repredicted += atLeastTwo(ps)
 	}
 
 	res := &UBERValidationResult{
@@ -208,4 +161,21 @@ func UBERValidation(cfg UBERValidationConfig) (*UBERValidationResult, error) {
 		res.Ratio = res.MeasuredPerRnd / res.PredictedPerRnd
 	}
 	return res, nil
+}
+
+// atLeastTwo is the probability that two or more of independent events with
+// probabilities ps occur: 1 - P(none) - P(exactly one).
+func atLeastTwo(ps []float64) float64 {
+	p0, p1 := 1.0, 0.0
+	for i, pi := range ps {
+		p0 *= 1 - pi
+		term := pi
+		for j, pj := range ps {
+			if j != i {
+				term *= 1 - pj
+			}
+		}
+		p1 += term
+	}
+	return 1 - p0 - p1
 }

@@ -79,11 +79,10 @@ type Scenario struct {
 	SpareDrainWords     uint64  `json:"spare_drain_words"`
 }
 
-// DefaultScenario is the standard soak scenario for a system operating at
-// targetInterval: all of Section 2.3's hazards on, at rates that stress a
-// multi-week soak without instantly overwhelming SECDED.
-func DefaultScenario(seed uint64, targetInterval float64) Scenario {
-	_ = targetInterval
+// DefaultScenario is the standard soak scenario: all of Section 2.3's
+// hazards on, at rates that stress a multi-week soak without instantly
+// overwhelming SECDED.
+func DefaultScenario(seed uint64) Scenario {
 	return Scenario{
 		Seed:                    seed,
 		VRTBurstMeanHours:       6,

@@ -50,17 +50,17 @@ func TestScenarioValidation(t *testing.T) {
 			t.Errorf("scenario %d not rejected", i)
 		}
 	}
-	if _, err := New(nil, 1.024, DefaultScenario(1, 1.024)); err == nil {
+	if _, err := New(nil, 1.024, DefaultScenario(1)); err == nil {
 		t.Error("nil station not rejected")
 	}
-	if _, err := New(st, 0, DefaultScenario(1, 1.024)); err == nil {
+	if _, err := New(st, 0, DefaultScenario(1)); err == nil {
 		t.Error("zero target not rejected")
 	}
 }
 
 func TestAllChannelsFireUnderDefaultScenario(t *testing.T) {
 	st := newStation(t, 2)
-	sc := DefaultScenario(7, 1.024)
+	sc := DefaultScenario(7)
 	sc.SpareDrainMeanHours = 24
 	sc.SpareDrainWords = 8
 	inj, err := New(st, 1.024, sc)
@@ -160,7 +160,7 @@ func TestRoundGateAbortsAtConfiguredRate(t *testing.T) {
 func TestInjectorDeterministicAcrossStationUse(t *testing.T) {
 	run := func(extraLoad bool) ([]Event, []dram.CellInfo) {
 		st := newStation(t, 6)
-		inj, err := New(st, 1.024, DefaultScenario(11, 1.024))
+		inj, err := New(st, 1.024, DefaultScenario(11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,14 +194,14 @@ func TestInjectorDeterministicAcrossStationUse(t *testing.T) {
 // excursion has a non-positive time constant is refused on restore, as a
 // scenario with one is refused on construction.
 func TestRestoreRejectsBadExcursion(t *testing.T) {
-	inj, err := New(newStation(t, 6), 1.024, DefaultScenario(11, 1.024))
+	inj, err := New(newStation(t, 6), 1.024, DefaultScenario(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj.excursion = &thermal.Excursion{StartSeconds: 1, PeakDeltaC: 8, TauSeconds: 0}
 	e := checkpoint.NewEncoder()
 	inj.EncodeState(e)
-	fresh, err := New(newStation(t, 6), 1.024, DefaultScenario(11, 1.024))
+	fresh, err := New(newStation(t, 6), 1.024, DefaultScenario(11))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,12 @@ import (
 // the hazard rates; "default" returns nil, meaning "let the soak harness use
 // its own default derivation" (which is bit-identical to passing no scenario
 // at all).
-var namedScenarios = map[string]func(seed uint64, targetInterval float64) *Scenario{
+var namedScenarios = map[string]func(seed uint64) *Scenario{
 	// The standard soak hazards, unchanged.
-	"default": func(uint64, float64) *Scenario { return nil },
+	"default": func(uint64) *Scenario { return nil },
 	// Half-rate hazards and no round aborts: a benign deployment.
-	"quiet": func(seed uint64, target float64) *Scenario {
-		sc := DefaultScenario(seed, target)
+	"quiet": func(seed uint64) *Scenario {
+		sc := DefaultScenario(seed)
 		sc.VRTBurstMeanHours *= 2
 		sc.DPDFlipMeanHours *= 2
 		sc.TempExcursionMeanHours *= 2
@@ -28,8 +28,8 @@ var namedScenarios = map[string]func(seed uint64, targetInterval float64) *Scena
 	},
 	// Double-rate hazards, hotter excursions, frequent aborts: a hostile
 	// thermal environment.
-	"harsh": func(seed uint64, target float64) *Scenario {
-		sc := DefaultScenario(seed, target)
+	"harsh": func(seed uint64) *Scenario {
+		sc := DefaultScenario(seed)
 		sc.VRTBurstMeanHours /= 2
 		sc.DPDFlipMeanHours /= 2
 		sc.TempExcursionMeanHours /= 2
@@ -41,17 +41,17 @@ var namedScenarios = map[string]func(seed uint64, targetInterval float64) *Scena
 }
 
 // NamedScenario builds the preset scenario registered under name, derived
-// from DefaultScenario(seed, targetInterval). The "default" preset returns
+// from DefaultScenario(seed). The "default" preset returns
 // (nil, nil): callers should pass the nil through so the harness applies its
 // own default derivation. Unknown names report an error listing the valid
 // preset names.
-func NamedScenario(name string, seed uint64, targetInterval float64) (*Scenario, error) {
+func NamedScenario(name string, seed uint64) (*Scenario, error) {
 	mk, ok := namedScenarios[name]
 	if !ok {
 		return nil, fmt.Errorf("faultinject: unknown scenario %q; valid scenarios: %v",
 			name, ScenarioNames())
 	}
-	return mk(seed, targetInterval), nil
+	return mk(seed), nil
 }
 
 // ScenarioNames returns the registered preset names in sorted order.

@@ -119,8 +119,6 @@ type Manager struct {
 	earlyAt         float64
 	earlyRounds     int
 	recoverNeed     int
-	windows         int
-	uncleanWindows  int
 	sparesExhausted bool
 	events          []Event
 

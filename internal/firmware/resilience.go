@@ -210,7 +210,6 @@ func (m *Manager) ReportScrub(t Telemetry) {
 	if !m.res.Enabled {
 		return
 	}
-	m.windows++
 	clean := t.Uncorrectable == 0 && t.Corrected <= m.res.CorrectableBudget
 	m.tele.Counter("firmware_scrub_windows_total", telemetry.L("clean", fmt.Sprintf("%t", clean))).Inc()
 	m.tele.Counter("firmware_scrub_corrected_total").Add(int64(t.Corrected))
@@ -228,7 +227,6 @@ func (m *Manager) ReportScrub(t Telemetry) {
 		return
 	}
 
-	m.uncleanWindows++
 	m.cleanWindows = 0
 	m.escapeStreak++
 	if t.Uncorrectable > 0 && m.degradeLevel < len(m.ladder) {

@@ -9,10 +9,6 @@ import (
 	"reaper/internal/core"
 )
 
-// Windows returns how many scrub windows have been reported, and how many
-// of those were unclean.
-func (m *Manager) Windows() (total, unclean int) { return m.windows, m.uncleanWindows }
-
 // quickCfg is a cheap manager configuration for controller unit tests.
 func quickCfg() Config {
 	return Config{
@@ -268,10 +264,6 @@ func TestResilienceLadderEscalatesAndRecovers(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("no %s event logged", k)
 		}
-	}
-	total, unclean := m.Windows()
-	if total != 9 || unclean != 3 {
-		t.Errorf("windows = %d/%d unclean, want 9/3", total, unclean)
 	}
 }
 

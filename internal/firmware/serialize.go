@@ -53,8 +53,6 @@ func (m *Manager) EncodeState(e *checkpoint.Encoder) error {
 	e.F64(m.earlyAt)
 	e.Int(m.earlyRounds)
 	e.Int(m.recoverNeed)
-	e.Int(m.windows)
-	e.Int(m.uncleanWindows)
 	e.Bool(m.sparesExhausted)
 	e.Len(len(m.events))
 	for _, ev := range m.events {
@@ -109,8 +107,6 @@ func (m *Manager) RestoreState(d *checkpoint.Decoder) error {
 	m.earlyAt = d.F64()
 	m.earlyRounds = d.Int()
 	m.recoverNeed = d.Int()
-	m.windows = d.Int()
-	m.uncleanWindows = d.Int()
 	m.sparesExhausted = d.Bool()
 	n := d.Len(maxRestoreManagerEvents)
 	if d.Err() != nil {

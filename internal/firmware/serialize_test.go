@@ -82,11 +82,6 @@ func compareManagers(t *testing.T, label string, a, b *Manager) {
 		t.Errorf("%s: widen/early %d/%d vs %d/%d", label,
 			a.WidenSteps(), a.EarlyRounds(), b.WidenSteps(), b.EarlyRounds())
 	}
-	aw, au := a.Windows()
-	bw, bu := b.Windows()
-	if aw != bw || au != bu {
-		t.Errorf("%s: windows %d(%d unclean) vs %d(%d unclean)", label, aw, au, bw, bu)
-	}
 	if a.ExtendedSeconds() != b.ExtendedSeconds() {
 		t.Errorf("%s: extended seconds %v vs %v", label, a.ExtendedSeconds(), b.ExtendedSeconds())
 	}

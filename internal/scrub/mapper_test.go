@@ -9,15 +9,6 @@ import (
 	"reaper/internal/mitigate"
 )
 
-// History returns the per-pass scrub reports accumulated so far, oldest
-// first — the correctable-error-per-window telemetry stream the firmware
-// resilience controller compares against its longevity budget.
-func (s *Scrubber) History() []ScrubReport {
-	out := make([]ScrubReport, len(s.history))
-	copy(out, s.history)
-	return out
-}
-
 func TestECCMemoryMapperFollowsRemap(t *testing.T) {
 	st := newStation(t, 7)
 	shield, err := mitigate.NewArchShield(st, 0.04)
@@ -64,7 +55,7 @@ func TestECCMemoryMapperFollowsRemap(t *testing.T) {
 	}
 }
 
-func TestScrubberHistoryAndUncorrectables(t *testing.T) {
+func TestScrubberReportListsUncorrectables(t *testing.T) {
 	st := newStation(t, 8)
 	mem, _ := NewECCMemory(st)
 	scr, err := NewScrubber(mem)
@@ -123,15 +114,10 @@ func TestScrubberHistoryAndUncorrectables(t *testing.T) {
 	if rep.Uncorrectables[0] != victim {
 		t.Fatalf("UE at %+v, want %+v", rep.Uncorrectables[0], victim)
 	}
-	hist := scr.History()
-	if len(hist) != scr.Rounds {
-		t.Fatalf("history has %d entries for %d rounds", len(hist), scr.Rounds)
+	if scr.Rounds != 1 {
+		t.Fatalf("Rounds = %d after one pass", scr.Rounds)
 	}
-	totalUE := 0
-	for _, h := range hist {
-		totalUE += h.Uncorrectable
-	}
-	if totalUE != scr.UncorrectableTotal {
-		t.Fatalf("history UEs %d != running total %d", totalUE, scr.UncorrectableTotal)
+	if scr.UncorrectableTotal != rep.Uncorrectable {
+		t.Fatalf("running UE total %d != the pass's %d", scr.UncorrectableTotal, rep.Uncorrectable)
 	}
 }

@@ -134,8 +134,6 @@ type Scrubber struct {
 	UncorrectableTotal int
 	// Rounds counts completed scrub passes.
 	Rounds int
-	// history holds the per-pass reports, oldest first.
-	history []ScrubReport
 
 	// Telemetry (see Instrument); nil on an uninstrumented scrubber.
 	tele       *telemetry.Registry //lint:serialized-elsewhere telemetry wiring; re-attached by Instrument, nil-safe when absent
@@ -190,7 +188,6 @@ func (s *Scrubber) Scrub() (ScrubReport, error) {
 		}
 	}
 	s.Rounds++
-	s.history = append(s.history, rep)
 	s.tele.Counter("scrub_passes_total").Inc()
 	s.tele.Counter("scrub_words_scanned_total").Add(int64(rep.WordsScanned))
 	s.tele.Counter("scrub_corrected_total").Add(int64(rep.Corrected))
@@ -206,8 +203,6 @@ func (s *Scrubber) recordWord(bit uint64) { s.profile.Add(bit) }
 // WordCoverage scores the scrubber's profile against a ground-truth cell
 // set at word granularity: the fraction of truth cells whose containing
 // word is in the scrubber's profile.
-//
-//lint:ignore dead-export passive-scrub coverage, reached only by bench_test.go until the experiment registry planned in ROADMAP.md gives it a caller
 func (s *Scrubber) WordCoverage(truth *core.FailureSet, st *memctrl.Station) float64 {
 	if truth.Len() == 0 {
 		return 1

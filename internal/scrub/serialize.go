@@ -12,12 +12,9 @@ import (
 // Checkpoint surfaces of the ECC memory and the scrubber. The station and
 // address mapper are construction wiring and are re-attached by the caller;
 // what round-trips here is the controller-side check-bit store, the
-// accumulated AVATAR profile, and the per-pass history.
+// accumulated AVATAR profile, and the pass counters.
 
-const (
-	maxRestoreWords   = 1 << 28
-	maxRestoreReports = 1 << 24
-)
+const maxRestoreWords = 1 << 28
 
 func encodeAddr(e *checkpoint.Encoder, a mitigate.WordAddr) {
 	e.Int(a.Bank)
@@ -55,7 +52,7 @@ func (m *ECCMemory) RestoreState(d *checkpoint.Decoder) error {
 	return d.Err()
 }
 
-// EncodeState serializes the scrubber's profile, counters and history.
+// EncodeState serializes the scrubber's profile and counters.
 func (s *Scrubber) EncodeState(e *checkpoint.Encoder) error {
 	e.Section("scrub.scrubber")
 	var buf bytes.Buffer
@@ -65,16 +62,6 @@ func (s *Scrubber) EncodeState(e *checkpoint.Encoder) error {
 	e.Bytes(buf.Bytes())
 	e.Int(s.UncorrectableTotal)
 	e.Int(s.Rounds)
-	e.Len(len(s.history))
-	for _, rep := range s.history {
-		e.Int(rep.WordsScanned)
-		e.Int(rep.Corrected)
-		e.Int(rep.Uncorrectable)
-		e.Len(len(rep.Uncorrectables))
-		for _, a := range rep.Uncorrectables {
-			encodeAddr(e, a)
-		}
-	}
 	return nil
 }
 
@@ -93,25 +80,5 @@ func (s *Scrubber) RestoreState(d *checkpoint.Decoder) error {
 	s.profile = profile
 	s.UncorrectableTotal = d.Int()
 	s.Rounds = d.Int()
-	n := d.Len(maxRestoreReports)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	s.history = make([]ScrubReport, 0, n)
-	for i := 0; i < n; i++ {
-		rep := ScrubReport{
-			WordsScanned:  d.Int(),
-			Corrected:     d.Int(),
-			Uncorrectable: d.Int(),
-		}
-		nu := d.Len(maxRestoreWords)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		for j := 0; j < nu; j++ {
-			rep.Uncorrectables = append(rep.Uncorrectables, decodeAddr(d))
-		}
-		s.history = append(s.history, rep)
-	}
 	return d.Err()
 }

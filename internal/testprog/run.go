@@ -8,7 +8,6 @@ import (
 
 	"reaper/internal/core"
 	"reaper/internal/experiments"
-	"reaper/internal/faultinject"
 	"reaper/internal/memctrl"
 	"reaper/internal/parallel"
 	"reaper/internal/patterns"
@@ -371,9 +370,7 @@ func runSoakStage(ctx context.Context, p *Program, s *SoakStage, opt RunOptions,
 	if name == "" {
 		name = "default"
 	}
-	// Same seed split as cmd/soak, so a named scenario in a program is
-	// bit-identical to the same -scenario flag.
-	sc, err := faultinject.NamedScenario(name, p.Seed^0xFA177, cfg.TargetInterval)
+	sc, err := experiments.SoakScenario(name, p.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 
 	"reaper/internal/dram"
 	"reaper/internal/experiments"
-	"reaper/internal/faultinject"
 	"reaper/internal/patterns"
 )
 
@@ -201,7 +200,7 @@ func TestSoakStageMatchesGoAPI(t *testing.T) {
 	cfg.Controller = true
 	cfg.Workers = 2
 	cfg.Chip.Bits = 1 << 20
-	sc, err := faultinject.NamedScenario("quiet", 5^0xFA177, 1.024)
+	sc, err := experiments.SoakScenario("quiet", 5)
 	if err != nil {
 		t.Fatal(err)
 	}

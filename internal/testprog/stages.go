@@ -462,7 +462,7 @@ func (s *SoakStage) validate(_ *Program, i int) error {
 		return fmt.Errorf("stage %d (%s): shard_size must be non-negative", i, s.StageType())
 	}
 	if s.Scenario != "" {
-		if _, err := faultinject.NamedScenario(s.Scenario, 0, 1); err != nil {
+		if _, err := faultinject.NamedScenario(s.Scenario, 0); err != nil {
 			return fmt.Errorf("stage %d (%s): %w", i, s.StageType(), err)
 		}
 	}
