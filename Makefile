@@ -38,9 +38,9 @@ soak-quick:
 	$(GO) run ./cmd/soak -quick -seed 1 -out /dev/null
 
 # soak-resume-quick is the crash-safe-resume drill (DESIGN.md section 8):
-# run the quick soak with checkpointing and stop at the first barrier
-# (exit 4, resumable interrupt), resume it, and require the resumed report
-# to be byte-identical to an uninterrupted run of the same seed.
+# run the quick soak with checkpointing and stop each chip after its first
+# save (exit 4, resumable interrupt), resume it, and require the resumed
+# report to be byte-identical to an uninterrupted run of the same seed.
 RESUME_DIR := /tmp/reaper-resume-quick
 soak-resume-quick:
 	rm -rf $(RESUME_DIR) && mkdir -p $(RESUME_DIR)
@@ -106,24 +106,25 @@ bench-smoke:
 # fuzz-quick mutates the seed corpora of the trust boundaries, one go test
 # -fuzz run per target. RestoreDelta gets 30 s: any input must fail the
 # restore or leave a device that sweeps, re-encodes and scores exactly
-# without panicking. testprog.Load, checkpoint Store.Load, the soak chip
-# blob and the soak campaign meta get 15 s each: a program must fail to
-# load or survive a Canonical round trip, a checkpoint directory must fail
-# to load or yield only regular .ckpt files inside it, a chip blob must
-# fail to restore or give a runner that runs two windows, encodes and
-# finalizes without panicking, and a campaign meta must fail to decode or
-# carry a telemetry snapshot that restores into a fresh registry,
-# re-snapshots and re-encodes without panicking. Plain `go test` only
-# replays the seeds; CI runs this target. Minimizing a new input grown
-# from the ~60 KB many-injected-cells seed takes the whole 60 s default,
-# which would leave the budget spent on shrinking instead of mutating, so
-# minimization is capped at 5 s.
+# without panicking. testprog.Load, checkpoint Store.Load and the soak chip
+# blob get 15 s each: a program must fail to load or survive a Canonical
+# round trip, a checkpoint directory must fail to load or yield only
+# regular .ckpt files inside it, and a chip blob must fail to restore or
+# give a runner that runs two windows, encodes, finalizes and merges its
+# telemetry registry snapshot without panicking (the seeds carry a
+# registry, so DecodeSnapshot is fuzzed too). Plain `go test` only replays
+# the seeds; CI runs this target. Minimizing a new input grown from the
+# ~60 KB many-injected-cells seed takes the whole 60 s default, which would
+# leave the budget spent on shrinking instead of mutating, so minimization
+# is capped at 5 s. FuzzSoakRestore's is capped at 100 runs instead: nearly
+# every early mutation of its registry-carrying seeds adds coverage, and at
+# 5 s per input it spent its 15 s minimizing (~100 execs, against ~27,000
+# at 100 runs, on a 2-CPU host).
 fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDelta$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/testprog
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/checkpoint
-	$(GO) test -run '^$$' -fuzz '^FuzzSoakRestore$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/experiments
-	$(GO) test -run '^$$' -fuzz '^FuzzCampaignMeta$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzSoakRestore$$' -fuzztime 15s -fuzzminimizetime 100x ./internal/experiments
 
 # bench-go runs every go-test benchmark once (compile/behavior smoke, not a
 # measurement). BenchmarkExperiments runs every experiment-registry entry at

@@ -9,8 +9,9 @@
 // campaign completed but one or more chip shards were quarantined after
 // exhausting -shard-attempts (the report covers the surviving chips and
 // sets partial_coverage), 4 when a checkpointed campaign was interrupted
-// (SIGINT/SIGTERM or -stop-after-checkpoints) at a segment barrier — the
-// checkpoint directory holds a complete snapshot; rerun with -resume.
+// (SIGINT/SIGTERM or -stop-after-checkpoints) — every chip that had started
+// stopped at one of its saves, and the checkpoint directory holds each
+// chip's newest save; rerun with -resume.
 //
 // Usage:
 //
@@ -22,11 +23,11 @@
 //	     [-metrics-out file.json] [-trace-out file.jsonl]
 //	     [-pprof-addr host:port] [-cpuprofile file] [-heapprofile file]
 //
-// -checkpoint-dir enables crash-safe execution: the campaign state is
-// snapshotted atomically every -checkpoint-every scrub windows, SIGINT and
-// SIGTERM finish the in-flight segment, save a final checkpoint, and exit
-// with status 4, and -resume continues a prior campaign from its newest
-// intact checkpoint — the final report is byte-identical to an
+// -checkpoint-dir enables crash-safe execution: each chip saves its state
+// atomically every -checkpoint-every scrub windows; SIGINT and SIGTERM let
+// every running chip finish its in-flight windows and save, start no other
+// chip, and exit with status 4; and -resume restarts each chip from its
+// newest intact save — the final report is byte-identical to an
 // uninterrupted run (see DESIGN.md section 8).
 //
 // -metrics-out and -trace-out opt the campaign into the deterministic
@@ -89,11 +90,11 @@ func run() int {
 	resume := flag.Bool("resume", false,
 		"resume the campaign from the newest intact checkpoint in -checkpoint-dir")
 	checkpointEvery := flag.Int("checkpoint-every", experiments.DefaultCheckpointEveryWindows,
-		"scrub windows between checkpoint barriers")
+		"scrub windows between a chip's saves")
 	stopAfter := flag.Int("stop-after-checkpoints", 0,
-		"stop with a resumable exit after saving N checkpoints in this process (0 = run to completion; for drills and tests)")
+		"stop each chip after its N-th save in this process, with a resumable exit (0 = run to completion; for drills and tests)")
 	shardAttempts := flag.Int("shard-attempts", 0,
-		"attempts per chip shard before quarantining it (0 = first failure aborts the campaign)")
+		"attempts per chip, each from its newest save, before quarantining it (0 = first failure aborts the campaign)")
 	metricsOut := flag.String("metrics-out", "", "write the telemetry metrics snapshot (JSON) to this file")
 	traceOut := flag.String("trace-out", "", "write the merged trace timeline (JSONL) to this file")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
@@ -168,23 +169,21 @@ func run() int {
 		cfg.Chips = 2
 		cfg.Hours = 48
 	}
-	if *shardAttempts > 0 {
-		cfg.ShardPolicy = parallel.RetryPolicy{Attempts: *shardAttempts}
-	}
+	cfg.ShardAttempts = *shardAttempts
 	if *checkpointDir != "" {
 		// SIGINT/SIGTERM request a graceful stop through a separate signal
-		// context: the in-flight segment completes, the final checkpoint is
-		// saved at the barrier, and only then does the campaign return
-		// ErrInterrupted. The run context stays uncancelled so no shard is
-		// aborted mid-window.
+		// context: each running chip completes its in-flight windows and
+		// saves, chips not yet started stay unstarted, and only then does
+		// the campaign return ErrInterrupted. The run context stays
+		// uncancelled so no chip is aborted mid-window.
 		sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stopSignals()
 		cfg.Checkpoint = &experiments.CheckpointOptions{
-			Dir:               *checkpointDir,
-			EveryWindows:      *checkpointEvery,
-			Resume:            *resume,
-			StopAfterSegments: *stopAfter,
-			ShouldStop:        func() bool { return sigCtx.Err() != nil },
+			Dir:                  *checkpointDir,
+			EveryWindows:         *checkpointEvery,
+			Resume:               *resume,
+			StopAfterCheckpoints: *stopAfter,
+			ShouldStop:           func() bool { return sigCtx.Err() != nil },
 		}
 	}
 

@@ -365,6 +365,77 @@ func TestStorePrunesStaleStateFiles(t *testing.T) {
 	}
 }
 
+// TestStoreSaveKeepsListedFile checks that a save repeating a file the
+// current manifest lists with the same content leaves that file in place,
+// while a changed file is written anew.
+func TestStoreSaveKeepsListedFile(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := Identity([]byte("cfg"))
+	if err := st.Save(1, id, map[string][]byte{"a.ckpt": []byte("chip a"), "b.ckpt": []byte("chip b")}); err != nil {
+		t.Fatal(err)
+	}
+	stat := func(name string) os.FileInfo {
+		t.Helper()
+		info, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	a1, b1 := stat("a.ckpt"), stat("b.ckpt")
+	if err := st.Save(2, id, map[string][]byte{"a.ckpt": []byte("chip a"), "b.ckpt": []byte("chip b, later")}); err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(a1, stat("a.ckpt")) {
+		t.Error("unchanged a.ckpt was rewritten")
+	}
+	if os.SameFile(b1, stat("b.ckpt")) {
+		t.Error("changed b.ckpt was not rewritten")
+	}
+	if _, files, err := st.Load(id); err != nil || string(files["b.ckpt"]) != "chip b, later" {
+		t.Fatalf("load after partial rewrite: %q, %v", files["b.ckpt"], err)
+	}
+}
+
+// TestStoreSaveRewritesFileOfRejectedGeneration covers a resume that fell
+// back past a corrupt newest generation: a later save of the same name and
+// content must write the file again, not trust the corrupt copy the
+// rejected manifest lists.
+func TestStoreSaveRewritesFileOfRejectedGeneration(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := Identity([]byte("cfg"))
+	if err := st.Save(1, id, map[string][]byte{"a-1.ckpt": []byte("one")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(2, id, map[string][]byte{"a-2.ckpt": []byte("two")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "a-2.ckpt"), []byte("tw0"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, _, err := resumed.Load(id); err != nil || m.Seq != 1 {
+		t.Fatalf("fallback load: %+v, %v", m, err)
+	}
+	if err := resumed.Save(3, id, map[string][]byte{"a-2.ckpt": []byte("two")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, files, err := resumed.Load(id); err != nil || string(files["a-2.ckpt"]) != "two" {
+		t.Fatalf("load after re-save: %q, %v", files["a-2.ckpt"], err)
+	}
+}
+
 func TestStoreRejectsBadNames(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {

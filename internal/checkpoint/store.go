@@ -17,8 +17,10 @@ import (
 // manifest from a different version rather than misinterpret old bytes.
 // Version 2 dropped the per-bank stream states and counters from the device
 // blob; version 3 dropped the scrubber's per-pass history and the firmware
-// manager's window counters from the soak chip blob.
-const FormatVersion = 3
+// manager's window counters from the soak chip blob; version 4 replaced the
+// soak campaign file with per-chip saves, each chip blob carrying its own
+// telemetry registry.
+const FormatVersion = 4
 
 // ErrNoCheckpoint is returned by Load when the directory holds no manifest
 // at all (a fresh campaign, or -resume pointed at the wrong directory).
@@ -75,9 +77,13 @@ func Identity(data []byte) string {
 // (manifest.json and manifest.prev.json) plus the state files they
 // reference. Save keeps the previous generation intact until the new one is
 // fully durable, so a crash at any point leaves at least one loadable
-// snapshot.
+// snapshot. A Store is not safe for concurrent use.
 type Store struct {
 	dir string
+	// current lists the files of the manifest this Store last saved or
+	// loaded, each known intact on disk because this Store wrote or
+	// verified it. Save does not rewrite those.
+	current map[string]FileEntry
 }
 
 // NewStore opens (creating if needed) the checkpoint directory.
@@ -99,7 +105,11 @@ func (s *Store) Dir() string { return s.dir }
 // manifest.prev.json first and pruning state files no longer referenced by
 // either generation. Order matters: state files land before the manifest
 // that references them, and the old manifest (whose files are untouched)
-// survives until the new one is fully in place.
+// survives until the new one is fully in place. A file that the manifest
+// this Store last saved or loaded lists with the same size and SHA-256 is
+// left as it is, so a snapshot that changes one file of many writes one
+// file. Callers keep each name for one content: rewriting a name would
+// change a file the previous generation references.
 func (s *Store) Save(seq int, identity string, files map[string][]byte) error {
 	names := make([]string, 0, len(files))
 	for name := range files {
@@ -112,15 +122,14 @@ func (s *Store) Save(seq int, identity string, files map[string][]byte) error {
 			return err
 		}
 		data := files[name]
-		if err := WriteFileAtomic(filepath.Join(s.dir, name), data, 0o644); err != nil {
-			return err
-		}
 		sum := sha256.Sum256(data)
-		m.Files = append(m.Files, FileEntry{
-			Name:   name,
-			SHA256: hex.EncodeToString(sum[:]),
-			Bytes:  int64(len(data)),
-		})
+		f := FileEntry{Name: name, SHA256: hex.EncodeToString(sum[:]), Bytes: int64(len(data))}
+		if s.current[name] != f {
+			if err := WriteFileAtomic(filepath.Join(s.dir, name), data, 0o644); err != nil {
+				return err
+			}
+		}
+		m.Files = append(m.Files, f)
 	}
 	enc, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -136,8 +145,17 @@ func (s *Store) Save(seq int, identity string, files map[string][]byte) error {
 	if err := WriteFileAtomic(cur, enc, 0o644); err != nil {
 		return err
 	}
+	s.setCurrent(m)
 	s.prune()
 	return nil
+}
+
+// setCurrent records m as the manifest whose files this Store knows intact.
+func (s *Store) setCurrent(m *Manifest) {
+	s.current = make(map[string]FileEntry, len(m.Files))
+	for _, f := range m.Files {
+		s.current[f.Name] = f
+	}
 }
 
 // checkStateName enforces the rule for state-file names: a base name in the
@@ -197,6 +215,7 @@ func (s *Store) readManifest(name string) (*Manifest, error) {
 // non-empty, must match the manifest's recorded campaign identity —
 // a mismatch is ErrIdentityMismatch and never falls back.
 func (s *Store) Load(identity string) (*Manifest, map[string][]byte, error) {
+	s.current = nil
 	var errs []error
 	sawManifest := false
 	for _, name := range []string{manifestName, prevName} {
@@ -221,6 +240,7 @@ func (s *Store) Load(identity string) (*Manifest, map[string][]byte, error) {
 			errs = append(errs, fmt.Errorf("checkpoint: %s: %w", name, err))
 			continue
 		}
+		s.setCurrent(m)
 		return m, files, nil
 	}
 	if !sawManifest && len(errs) == 0 {

@@ -18,8 +18,9 @@ const (
 	// quarantined after exhausting their retry budget; the report covers
 	// only the surviving shards and enumerates the quarantined ones.
 	PartialCoverage = 3
-	// Interrupted: a checkpointed campaign stopped at a segment barrier on
-	// request (SIGINT/SIGTERM or -stop-after-checkpoints). The checkpoint
-	// directory holds a complete snapshot; rerun with -resume to continue.
+	// Interrupted: a checkpointed campaign stopped on request
+	// (SIGINT/SIGTERM or -stop-after-checkpoints), every chip that had
+	// started stopped at one of its saves. The checkpoint directory holds
+	// each chip's newest save; rerun with -resume to continue.
 	Interrupted = 4
 )

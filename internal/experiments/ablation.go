@@ -29,8 +29,9 @@ type VRTAblationResult struct {
 // simHours of periodic testing. Without VRT the failing population is
 // finite and accumulation collapses — one-time offline profiling would
 // suffice; with VRT it never does (Corollary 2: online profiling is
-// required *because of* VRT).
-func AblationVRT(ctx context.Context, chip ChipSpec, intervalS float64, iterations int, simHours float64) (*VRTAblationResult, error) {
+// required *because of* VRT). The two arms run on at most workers
+// goroutines (<= 0 means one per CPU).
+func AblationVRT(ctx context.Context, chip ChipSpec, intervalS float64, iterations int, simHours float64, workers int) (*VRTAblationResult, error) {
 	run := func(disable bool) (float64, error) {
 		c := chip
 		c.DisableVRT = disable
@@ -73,7 +74,7 @@ func AblationVRT(ctx context.Context, chip ChipSpec, intervalS float64, iteratio
 	}
 	// The two arms build independent chips; run them as parallel thunks.
 	var with, without float64
-	err := parallel.Do(ctx, 0,
+	err := parallel.Do(ctx, workers,
 		func(context.Context) error { var e error; with, e = run(false); return e },
 		func(context.Context) error { var e error; without, e = run(true); return e },
 	)
@@ -99,8 +100,9 @@ type DPDAblationResult struct {
 // AblationDPD profiles with a single pattern pair on a chip with DPD and on
 // an identical chip without it. Without DPD one pattern pair suffices; with
 // DPD it cannot reach the worst-case-pattern population (Corollary 3:
-// multiple data patterns are required *because of* DPD).
-func AblationDPD(ctx context.Context, chip ChipSpec, intervalS float64, iterations int) (*DPDAblationResult, error) {
+// multiple data patterns are required *because of* DPD). The two arms run
+// on at most workers goroutines (<= 0 means one per CPU).
+func AblationDPD(ctx context.Context, chip ChipSpec, intervalS float64, iterations, workers int) (*DPDAblationResult, error) {
 	run := func(disable bool) (float64, error) {
 		c := chip
 		c.DisableDPD = disable
@@ -122,7 +124,7 @@ func AblationDPD(ctx context.Context, chip ChipSpec, intervalS float64, iteratio
 		return core.Coverage(res.Failures, truth), nil
 	}
 	var with, without float64
-	err := parallel.Do(ctx, 0,
+	err := parallel.Do(ctx, workers,
 		func(context.Context) error { var e error; with, e = run(false); return e },
 		func(context.Context) error { var e error; without, e = run(true); return e },
 	)
@@ -153,8 +155,9 @@ type KnobAblationResult struct {
 // reach at roughly equivalent strengths (using the paper's ~1s-per-10°C
 // equivalence at these conditions), demonstrating Section 5.5's claim that
 // the two knobs are interchangeable. All three are scored against the
-// oracle truth at the target conditions on identically seeded chips.
-func AblationReachKnobs(ctx context.Context, chip ChipSpec, target, deltaInterval, deltaTemp float64, iterations int) (*KnobAblationResult, error) {
+// oracle truth at the target conditions on identically seeded chips, on at
+// most workers goroutines (<= 0 means one per CPU).
+func AblationReachKnobs(ctx context.Context, chip ChipSpec, target, deltaInterval, deltaTemp float64, iterations, workers int) (*KnobAblationResult, error) {
 	measure := func(reach core.ReachConditions) (KnobPoint, error) {
 		st, err := chip.NewStation()
 		if err != nil {
@@ -176,7 +179,7 @@ func AblationReachKnobs(ctx context.Context, chip ChipSpec, target, deltaInterva
 		}, nil
 	}
 	// The three knob settings profile independent identically-seeded chips.
-	points, err := parallel.Map(ctx, 3, 0,
+	points, err := parallel.Map(ctx, 3, workers,
 		func(_ context.Context, i int) (KnobPoint, error) {
 			switch i {
 			case 0:

@@ -9,7 +9,7 @@ import (
 
 func TestAblationVRT(t *testing.T) {
 	chip := ChipSpec{Bits: 16 << 20, WeakScale: 100, Vendor: dram.VendorB(), Seed: 101}
-	res, err := AblationVRT(context.Background(), chip, 2.048, 50, 30)
+	res, err := AblationVRT(context.Background(), chip, 2.048, 50, 30, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAblationVRT(t *testing.T) {
 
 func TestAblationDPD(t *testing.T) {
 	chip := ChipSpec{Bits: 16 << 20, WeakScale: 30, Vendor: dram.VendorB(), Seed: 102}
-	res, err := AblationDPD(context.Background(), chip, 1.024, 8)
+	res, err := AblationDPD(context.Background(), chip, 1.024, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestAblationDPD(t *testing.T) {
 func TestAblationReachKnobs(t *testing.T) {
 	chip := ChipSpec{Bits: 16 << 20, WeakScale: 30, Vendor: dram.VendorB(), Seed: 103}
 	// ~1s per 10°C at these conditions: +0.5s should roughly match +5°C.
-	res, err := AblationReachKnobs(context.Background(), chip, 1.024, 0.5, 5, 8)
+	res, err := AblationReachKnobs(context.Background(), chip, 1.024, 0.5, 5, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

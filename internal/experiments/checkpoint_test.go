@@ -8,15 +8,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"reaper/internal/checkpoint"
-	"reaper/internal/parallel"
 	"reaper/internal/telemetry"
 )
 
 // ckTestConfig is the reduced campaign the checkpoint tests run: two chips,
-// one simulated day, so a segment of 6 windows gives several barriers.
+// one simulated day, so a save every 6 windows gives each chip 4 saves.
 func ckTestConfig(seed uint64, instrumented bool) SoakConfig {
 	cfg := DefaultSoakConfig(seed)
 	cfg.Chips = 2
@@ -36,16 +34,10 @@ func reportJSON(t *testing.T, rep *SoakReport) string {
 	return string(b)
 }
 
-// noSleep is the retry policy used by tests: tolerate failures without
-// real backoff delays.
-func tolerant(attempts int) parallel.RetryPolicy {
-	return parallel.RetryPolicy{Attempts: attempts, Sleep: func(time.Duration) {}}
-}
-
-// TestSoakCheckpointMatchesPlainCampaign proves segmentation alone changes
+// TestSoakCheckpointMatchesPlainCampaign proves saving alone changes
 // nothing: an uninstrumented campaign checkpointed every 6 windows reports
-// byte-identically to the same campaign without a Dir, which the one soak
-// executor runs as a single segment with no store.
+// byte-identically to the same campaign without a Dir, whose chips the one
+// soak executor runs to the horizon with no store.
 func TestSoakCheckpointMatchesPlainCampaign(t *testing.T) {
 	ctx := context.Background()
 	plainCfg := ckTestConfig(11, false)
@@ -60,15 +52,15 @@ func TestSoakCheckpointMatchesPlainCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := reportJSON(t, checkpointed), reportJSON(t, plain); got != want {
-		t.Fatal("checkpointed campaign report differs from the single-segment campaign")
+		t.Fatal("checkpointed campaign report differs from the campaign without a store")
 	}
 }
 
 // TestSoakCheckpointResumeByteIdentical is the tentpole property test: for
-// every barrier k, a campaign killed after its k-th checkpoint and resumed
-// in a fresh process state produces a final report byte-identical to the
-// uninterrupted run — including the telemetry snapshot and fleet trace —
-// at worker counts 1 and 8.
+// every k, a campaign whose chips are killed after their k-th save and
+// resumed in a fresh process state produces a final report byte-identical
+// to the uninterrupted run — including the telemetry snapshot and fleet
+// trace — at worker counts 1 and 8.
 func TestSoakCheckpointResumeByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	const every = 6
@@ -87,11 +79,12 @@ func TestSoakCheckpointResumeByteIdentical(t *testing.T) {
 			dir := t.TempDir()
 			run1 := ckTestConfig(11, true)
 			run1.Workers = workers
-			run1.Checkpoint = &CheckpointOptions{Dir: dir, EveryWindows: every, StopAfterSegments: k}
+			run1.Checkpoint = &CheckpointOptions{Dir: dir, EveryWindows: every, StopAfterCheckpoints: k}
 			rep, err := Soak(ctx, run1)
 			if err == nil {
-				// The campaign has fewer than k barriers: it completed
-				// uninterrupted, closing the property sweep.
+				// Every chip reached the horizon by its k-th save: the
+				// campaign completed uninterrupted, closing the property
+				// sweep.
 				if got := reportJSON(t, rep); got != refJSON {
 					t.Fatalf("workers=%d k=%d: uninterrupted tail run differs from reference", workers, k)
 				}
@@ -109,25 +102,28 @@ func TestSoakCheckpointResumeByteIdentical(t *testing.T) {
 				t.Fatalf("workers=%d k=%d: resume: %v", workers, k, err)
 			}
 			if got := reportJSON(t, resumed); got != refJSON {
-				t.Fatalf("workers=%d: report after kill at barrier %d and resume is not byte-identical to the uninterrupted run", workers, k)
+				t.Fatalf("workers=%d: report after kill at save %d and resume is not byte-identical to the uninterrupted run", workers, k)
 			}
 		}
 		if killed < 2 {
-			t.Fatalf("workers=%d: campaign produced only %d interruptible barriers; property sweep is degenerate", workers, killed)
+			t.Fatalf("workers=%d: campaign produced only %d interruptible saves; property sweep is degenerate", workers, killed)
 		}
 	}
 }
 
 // TestSoakCheckpointCrashInjectionByteIdentical drives the crash-injection
-// harness: seed-driven worker kills at segment starts are retried from the
-// start-of-segment state, and the final report is byte-identical to a
-// crash-free run — both checkpointed and on the default path without a Dir,
-// where one segment spans the horizon.
+// harness: seed-driven worker kills before a chip's segments (its runs
+// between saves) are retried from the chip's newest save, and the final
+// report is byte-identical to a crash-free run — both checkpointed and on
+// the default path without a Dir, where one segment spans the horizon. A
+// chip has 4 segments (24 windows, a save every 6) and each may be killed
+// once, so 5 attempts heal every drawn kill.
 func TestSoakCheckpointCrashInjectionByteIdentical(t *testing.T) {
 	ctx := context.Background()
+	const attempts = 5
 	clean := ckTestConfig(13, false)
 	clean.Workers = 8
-	clean.ShardPolicy = tolerant(3)
+	clean.ShardAttempts = attempts
 	clean.Checkpoint = &CheckpointOptions{Dir: t.TempDir(), EveryWindows: 6}
 	ref, err := Soak(ctx, clean)
 	if err != nil {
@@ -138,7 +134,7 @@ func TestSoakCheckpointCrashInjectionByteIdentical(t *testing.T) {
 		plan := newCrashPlan(0xC4A54, 0.9)
 		crashy := ckTestConfig(13, false)
 		crashy.Workers = 8
-		crashy.ShardPolicy = tolerant(3)
+		crashy.ShardAttempts = attempts
 		crashy.Checkpoint = plan.arm()
 		if withDir {
 			crashy.Checkpoint.Dir, crashy.Checkpoint.EveryWindows = t.TempDir(), 6
@@ -186,7 +182,7 @@ func TestSoakPoisonShardQuarantined(t *testing.T) {
 	}
 	for _, withDir := range []bool{true, false} {
 		cfg := ckTestConfig(17, false)
-		cfg.ShardPolicy = tolerant(2)
+		cfg.ShardAttempts = 2
 		cfg.Checkpoint = poisoned(withDir)
 		rep, err := Soak(ctx, cfg)
 		if err != nil {
@@ -206,8 +202,8 @@ func TestSoakPoisonShardQuarantined(t *testing.T) {
 			t.Fatalf("withDir=%v: surviving chip's report differs from the healthy campaign", withDir)
 		}
 
-		// Without a shard policy the historical fail-fast contract holds: the
-		// poisoned shard aborts the campaign with its error.
+		// Without shard attempts the fail-fast contract holds: the poisoned
+		// shard fails the campaign with its error.
 		abortCfg := ckTestConfig(17, false)
 		abortCfg.Checkpoint = poisoned(withDir)
 		if _, err := Soak(ctx, abortCfg); err == nil || !strings.Contains(err.Error(), "chip 1") {
@@ -216,10 +212,28 @@ func TestSoakPoisonShardQuarantined(t *testing.T) {
 	}
 }
 
-// TestSoakCheckpointCorruptionFallback corrupts the newest snapshot's state
-// files and checks resume falls back to the previous manifest generation,
-// still finishing with a byte-identical report; with both generations
-// corrupted, resume refuses to run.
+// manifestFiles lists the state files a manifest generation references.
+func manifestFiles(t *testing.T, dir, name string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m checkpoint.Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range m.Files {
+		names = append(names, f.Name)
+	}
+	return names
+}
+
+// TestSoakCheckpointCorruptionFallback corrupts the one chip file the
+// newest snapshot added and checks resume falls back to the previous
+// manifest generation, still finishing with a byte-identical report; with
+// every file of both generations truncated, resume refuses to run.
 func TestSoakCheckpointCorruptionFallback(t *testing.T) {
 	ctx := context.Background()
 	refCfg := ckTestConfig(11, false)
@@ -232,28 +246,35 @@ func TestSoakCheckpointCorruptionFallback(t *testing.T) {
 
 	dir := t.TempDir()
 	run1 := ckTestConfig(11, false)
-	run1.Checkpoint = &CheckpointOptions{Dir: dir, EveryWindows: 6, StopAfterSegments: 2}
+	run1.Checkpoint = &CheckpointOptions{Dir: dir, EveryWindows: 6, StopAfterCheckpoints: 2}
 	if _, err := Soak(ctx, run1); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("expected interruption after 2 barriers, got %v", err)
+		t.Fatalf("expected interruption after 2 saves per chip, got %v", err)
 	}
 
-	// Flip one byte in every newest-generation (seq 2) state file: checksum
-	// verification must reject the whole generation and fall back to seq 1.
-	corrupted := 0
-	for _, name := range []string{chipFile(0, 2), chipFile(1, 2), campaignFileName(2)} {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x40
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		corrupted++
+	// Flip one byte in the file the newest generation added: checksum
+	// verification must reject the generation and fall back to the previous
+	// one, which holds that chip's earlier save.
+	prev := map[string]bool{}
+	for _, name := range manifestFiles(t, dir, "manifest.prev.json") {
+		prev[name] = true
 	}
-	if corrupted == 0 {
-		t.Fatal("no state files corrupted; test is vacuous")
+	var added []string
+	for _, name := range manifestFiles(t, dir, "manifest.json") {
+		if !prev[name] {
+			added = append(added, name)
+		}
+	}
+	if len(added) != 1 {
+		t.Fatalf("newest generation added %v, want one chip file", added)
+	}
+	path := filepath.Join(dir, added[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	run2 := ckTestConfig(11, false)
@@ -270,16 +291,16 @@ func TestSoakCheckpointCorruptionFallback(t *testing.T) {
 	// snapshot remains and resume must fail loudly rather than restart.
 	dir2 := t.TempDir()
 	run3 := ckTestConfig(11, false)
-	run3.Checkpoint = &CheckpointOptions{Dir: dir2, EveryWindows: 6, StopAfterSegments: 2}
+	run3.Checkpoint = &CheckpointOptions{Dir: dir2, EveryWindows: 6, StopAfterCheckpoints: 2}
 	if _, err := Soak(ctx, run3); !errorsIsInterrupted(err) {
 		t.Fatalf("expected interruption, got %v", err)
 	}
-	for _, seq := range []int{1, 2} {
-		for _, name := range []string{chipFile(0, seq), chipFile(1, seq), campaignFileName(seq)} {
+	for _, gen := range []string{"manifest.json", "manifest.prev.json"} {
+		for _, name := range manifestFiles(t, dir2, gen) {
 			path := filepath.Join(dir2, name)
 			data, err := os.ReadFile(path)
 			if err != nil {
-				continue // seq-1 files may have been pruned
+				t.Fatal(err)
 			}
 			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 				t.Fatal(err)
@@ -295,13 +316,50 @@ func TestSoakCheckpointCorruptionFallback(t *testing.T) {
 
 func errorsIsInterrupted(err error) bool { return errors.Is(err, ErrInterrupted) }
 
+// TestSoakShouldStopLeavesUnstartedChips pins the signal path on one
+// worker: a stop requested at chip 0's first save stops chip 0 there and
+// never starts chip 1, and the resumed campaign reports byte-identically
+// to an uninterrupted one.
+func TestSoakShouldStopLeavesUnstartedChips(t *testing.T) {
+	ctx := context.Background()
+	ref, err := Soak(ctx, ckTestConfig(11, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	stopped := false
+	run1 := ckTestConfig(11, true)
+	run1.Workers = 1
+	run1.Checkpoint = &CheckpointOptions{Dir: dir, EveryWindows: 6, ShouldStop: func() bool {
+		// False at chip 0's start, true at every later poll.
+		was := stopped
+		stopped = true
+		return was
+	}}
+	if _, err := Soak(ctx, run1); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	if files := manifestFiles(t, dir, "manifest.json"); len(files) != 1 || files[0] != chipFile(0, 6) {
+		t.Fatalf("saved %v, want only chip 0 after 6 windows", files)
+	}
+	run2 := ckTestConfig(11, true)
+	run2.Checkpoint = &CheckpointOptions{Dir: dir, EveryWindows: 6, Resume: true}
+	resumed, err := Soak(ctx, run2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reportJSON(t, resumed) != reportJSON(t, ref) {
+		t.Fatal("report after a stop and resume is not byte-identical to the uninterrupted run")
+	}
+}
+
 // TestSoakCheckpointIdentityMismatch pins the config-binding guard: a
 // checkpoint directory written by one campaign refuses a different one.
 func TestSoakCheckpointIdentityMismatch(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	run1 := ckTestConfig(11, false)
-	run1.Checkpoint = &CheckpointOptions{Dir: dir, EveryWindows: 6, StopAfterSegments: 1}
+	run1.Checkpoint = &CheckpointOptions{Dir: dir, EveryWindows: 6, StopAfterCheckpoints: 1}
 	if _, err := Soak(ctx, run1); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("expected interruption, got %v", err)
 	}
@@ -326,13 +384,16 @@ func fuzzSoakConfig(t testing.TB) SoakConfig {
 	return cfg
 }
 
-// FuzzSoakRestore fuzzes the soak chip blob, the checkpoint file that
-// carries a chip's runner, station, device delta, ArchShield, ECC,
-// scrubber, injector, firmware and trace state. Any byte string must fail
-// restoreSoakRunner with an error, or restore a runner that runs two scrub
-// windows, encodes and finalizes without a panic. The seeds are the blobs
-// of a fresh chip and of the same chip 30 windows into its campaign. Plain
-// go test runs the seed corpus; make fuzz-quick mutates it.
+// FuzzSoakRestore fuzzes the soak chip blob, the only checkpoint file a
+// resumed soak reads: it carries a chip's runner, station, device delta,
+// ArchShield, ECC, scrubber, injector, firmware, trace and telemetry
+// registry state. Any byte string must fail restoreSoakRunner with an
+// error, or restore a runner that runs two scrub windows, encodes,
+// finalizes and merges its registry into the campaign's without a panic.
+// The seeds are the blobs of a fresh instrumented chip and of the same chip
+// 30 windows into its campaign, so they carry a registry snapshot of every
+// metric kind. Plain go test runs the seed corpus; make fuzz-quick mutates
+// it.
 func FuzzSoakRestore(f *testing.F) {
 	cfg := fuzzSoakConfig(f)
 	const seed = 77
@@ -342,7 +403,7 @@ func FuzzSoakRestore(f *testing.F) {
 	}
 	for _, windows := range []int{0, 30} {
 		if windows > 0 {
-			if _, err := r.runWindows(context.Background(), windows); err != nil {
+			if err := r.runWindows(context.Background(), windows); err != nil {
 				f.Fatal(err)
 			}
 		}
@@ -353,54 +414,17 @@ func FuzzSoakRestore(f *testing.F) {
 		f.Add(blob)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := restoreSoakRunner(fuzzSoakConfig(t), 0, seed, data)
+		cfg := fuzzSoakConfig(t)
+		r, err := restoreSoakRunner(cfg, 0, seed, data)
 		if err != nil {
 			return
 		}
 		// A restored chip may still fail a window with an error; it must
 		// never panic.
-		if _, err := r.runWindows(context.Background(), 2); err == nil {
+		if err := r.runWindows(context.Background(), 2); err == nil {
 			_, _ = r.encodeState()
 		}
 		_ = r.finalize()
-	})
-}
-
-// FuzzCampaignMeta fuzzes the campaign meta file, the first checkpoint
-// record a resumed soak reads: barrier progress, quarantined chips and the
-// telemetry registry snapshot. Any byte string must fail decodeCampaignMeta
-// or yield a meta whose snapshot restores into a fresh registry,
-// re-snapshots and re-encodes without a panic. The seeds are one meta with
-// a snapshot of every metric kind and one without a snapshot. Plain go test
-// runs the seed corpus; make fuzz-quick mutates it.
-func FuzzCampaignMeta(f *testing.F) {
-	const chips = 2
-	reg := telemetry.New()
-	reg.Counter("soak_windows_total", telemetry.L("chip", "0")).Add(24)
-	reg.Gauge("soak_uber", telemetry.L("chip", "1")).Set(1.5e-5)
-	h := reg.Histogram("soak_window_ms", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 7, 250} {
-		h.Observe(v)
-	}
-	for _, snap := range []*telemetry.Snapshot{reg.Snapshot(), nil} {
-		f.Add(encodeCampaignMeta(&campaignMeta{
-			segments:    3,
-			done:        []bool{true, false},
-			windowsDone: []int{72, 48},
-			quarantined: []QuarantinedShard{{Chip: 1, Seed: 9, Windows: 48, Attempts: 2, Reason: "window failed"}},
-			snapshot:    snap,
-		}))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeCampaignMeta(data, chips)
-		if err != nil {
-			return
-		}
-		fresh := telemetry.New()
-		fresh.RestoreSnapshot(m.snapshot)
-		if m.snapshot != nil {
-			m.snapshot = fresh.Snapshot()
-		}
-		_ = encodeCampaignMeta(m)
+		cfg.Telemetry.MergeSnapshot(r.reg.Snapshot())
 	})
 }

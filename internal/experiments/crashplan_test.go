@@ -9,14 +9,15 @@ import (
 
 // crashPlan is the crash-injection harness for checkpointed campaigns: a
 // seed-driven schedule of worker kills, armed through
-// CheckpointOptions.beforeJob. Each (segment, chip) pair draws an
+// CheckpointOptions.beforeSegment. Each (segment, chip) pair draws an
 // independent Bernoulli decision from a seed-derived stream, so the schedule
 // is a pure function of the seed — independent of worker count, execution
 // order, and retries — and a crash-injected run is reproducible exactly.
 //
-// A drawn crash fires at most once: the retry of a killed shard observes
-// fire() == false and completes, which is precisely the recovery path the
-// checkpoint layer must prove byte-identical to an uninterrupted run.
+// A drawn crash fires at most once: the retry of a killed chip restarts
+// from its newest save, observes fire() == false for that segment and
+// continues, which is precisely the recovery path the checkpoint layer must
+// prove byte-identical to an uninterrupted run.
 type crashPlan struct {
 	seed uint64
 	prob float64
@@ -35,7 +36,7 @@ func newCrashPlan(seed uint64, prob float64) *crashPlan {
 
 // arm returns checkpoint options whose jobs the plan kills by panicking.
 func (p *crashPlan) arm() *CheckpointOptions {
-	return &CheckpointOptions{beforeJob: func(segment, chip int) {
+	return &CheckpointOptions{beforeSegment: func(segment, chip int) {
 		if p.fire(segment, chip) {
 			panic(fmt.Sprintf("injected crash: segment %d chip %d", segment, chip))
 		}

@@ -164,22 +164,6 @@ func Fig11Table(rows []Fig11Row) *Table {
 // profiling.
 // ---------------------------------------------------------------------------
 
-// CadenceModel selects how the online profiling interval is derived.
-type CadenceModel int
-
-const (
-	// CadencePaperImplied uses the profiling cadence implied by the
-	// overheads the paper reports in Figures 11/13 (a power law in the
-	// refresh interval anchored at ~9.4 h @ 1024 ms). The paper's own
-	// Section 6.2.3 longevity example implies a much laxer cadence; the
-	// two are mutually inconsistent, and this model reproduces the
-	// figure. See EXPERIMENTS.md.
-	CadencePaperImplied CadenceModel = iota
-	// CadenceLongevity derives the cadence from the Equation 7 longevity
-	// model with full coverage (the paper's stated best-case assumption).
-	CadenceLongevity
-)
-
 // PaperImpliedCadenceHours is the online profiling interval the paper's
 // reported Figure 13 overheads imply, as a function of the target refresh
 // interval (seconds).
@@ -192,9 +176,8 @@ type Fig13Config struct {
 	ChipGbs   []int
 	Intervals []float64 // target refresh intervals; 0 means no refresh
 	// Mixes is the number of random 4-core workload mixes (paper: 20).
-	Mixes   int
-	PerMix  int
-	Cadence CadenceModel
+	Mixes  int
+	PerMix int
 	// InstructionsPerCore bounds each simulation.
 	InstructionsPerCore int64
 	NumPatterns         int
@@ -217,7 +200,6 @@ func DefaultFig13Config() Fig13Config {
 		Intervals:           []float64{0.128, 0.256, 0.512, 0.768, 1.024, 1.280, 1.536, 0},
 		Mixes:               20,
 		PerMix:              4,
-		Cadence:             CadencePaperImplied,
 		InstructionsPerCore: 1_000_000,
 		NumPatterns:         6,
 		NumIterations:       16,
@@ -246,17 +228,39 @@ type Fig13Cell struct {
 	CadenceHours float64
 }
 
+// Fig13Result is the end-to-end evaluation under two models of the online
+// profiling interval. Both come from one set of simulations: the cadence
+// enters only the profiling overhead charged against the simulated gains.
+type Fig13Result struct {
+	// PaperImplied uses the profiling cadence implied by the overheads the
+	// paper reports in Figures 11/13 (PaperImpliedCadenceHours, a power law
+	// in the refresh interval anchored at ~9.4 h @ 1024 ms). The paper's own
+	// Section 6.2.3 longevity example implies a much laxer cadence; the two
+	// are mutually inconsistent, and this model reproduces the figure. See
+	// EXPERIMENTS.md.
+	PaperImplied []Fig13Cell
+	// Longevity derives the cadence from the Equation 7 longevity model with
+	// full coverage (the paper's stated best-case assumption).
+	Longevity []Fig13Cell
+}
+
+// fig13Sims holds one (chip, interval) simulation of every mix.
+type fig13Sims struct {
+	ws    []float64 // weighted speedup per mix
+	power []float64 // average DRAM power per mix (W)
+}
+
 // Fig13EndToEnd runs the full evaluation: simulate every mix at the
 // baseline and at each target interval, apply Equation 8 with each
-// mechanism's profiling overhead, and evaluate DRAM power from the measured
-// traffic.
-func Fig13EndToEnd(ctx context.Context, cfg Fig13Config) ([]Fig13Cell, error) {
+// mechanism's profiling overhead under both cadence models, and evaluate
+// DRAM power from the measured traffic.
+func Fig13EndToEnd(ctx context.Context, cfg Fig13Config) (*Fig13Result, error) {
 	if cfg.Mixes <= 0 || cfg.PerMix <= 0 {
 		return nil, fmt.Errorf("experiments: invalid mix config")
 	}
 	mixes := workload.Mixes(cfg.Mixes, cfg.PerMix, cfg.Seed)
 	pp := power.DefaultParams()
-	var cells []Fig13Cell
+	res := &Fig13Result{}
 
 	for _, gb := range cfg.ChipGbs {
 		moduleBytes := int64(cfg.ChipsPerModule) * int64(gb) * (1 << 30) / 8
@@ -273,14 +277,10 @@ func Fig13EndToEnd(ctx context.Context, cfg Fig13Config) ([]Fig13Cell, error) {
 		baseCfg.Seed = cfg.Seed
 		baseAlone := sysperf.NewAloneIPCCache(baseCfg)
 
-		type simOut struct {
-			ws    []float64 // weighted speedup per mix
-			power []float64 // average DRAM power per mix (W)
-		}
-		runAll := func(tREFI float64) (simOut, error) {
+		runAll := func(tREFI float64) (fig13Sims, error) {
 			scfg, err := sysperf.DefaultConfig(gb, tREFI)
 			if err != nil {
-				return simOut{}, err
+				return fig13Sims{}, err
 			}
 			scfg.InstructionsPerCore = cfg.InstructionsPerCore
 			scfg.Seed = cfg.Seed
@@ -307,9 +307,9 @@ func Fig13EndToEnd(ctx context.Context, cfg Fig13Config) ([]Fig13Cell, error) {
 					return mixOut{ws: ws, power: b.TotalW()}, nil
 				})
 			if err != nil {
-				return simOut{}, err
+				return fig13Sims{}, err
 			}
-			var out simOut
+			var out fig13Sims
 			for _, m := range per {
 				out.ws = append(out.ws, m.ws)
 				out.power = append(out.power, m.power)
@@ -327,68 +327,78 @@ func Fig13EndToEnd(ctx context.Context, cfg Fig13Config) ([]Fig13Cell, error) {
 			if err != nil {
 				return nil, err
 			}
-
-			// Profiling overheads for this interval (none when refresh is
-			// disabled entirely, since "no refresh" is the upper-bound bar
-			// the paper draws without profiling).
-			overBrute, overReaper, cadence := 0.0, 0.0, math.Inf(1)
+			// No cadence applies when refresh is disabled entirely, since
+			// "no refresh" is the upper-bound bar the paper draws without
+			// profiling.
+			paper, lon := math.Inf(1), math.Inf(1)
 			if interval > 0 {
-				switch cfg.Cadence {
-				case CadenceLongevity:
-					m := longevity.Model{
-						Code:       ecc.SECDED(),
-						TargetUBER: ecc.UBERConsumer,
-						Bytes:      moduleBytes,
-						Vendor:     cfg.Vendor,
-						TempC:      45,
-					}
-					d, err := m.Longevity(interval, 1.0)
-					if err != nil {
-						// Coverage cannot keep up: profile continuously.
-						cadence = 0
-					} else {
-						cadence = d.Hours()
-					}
-				default:
-					cadence = PaperImpliedCadenceHours(interval)
-				}
-				round := perfmodel.RoundConfig{
-					TREFI: interval, NumPatterns: cfg.NumPatterns,
-					NumIterations: cfg.NumIterations, TotalBytes: moduleBytes,
-				}
-				overBrute = round.OverheadFraction(cadence * 3600)
-				round.SpeedupFactor = cfg.ReaperSpeedup
-				overReaper = round.OverheadFraction(cadence * 3600)
+				paper, lon = PaperImpliedCadenceHours(interval), longevityCadenceHours(cfg.Vendor, moduleBytes, interval)
 			}
-
-			mech := []struct {
-				name string
-				over float64
-			}{
-				{"brute", overBrute},
-				{"reaper", overReaper},
-				{"ideal", 0},
-			}
-			for _, m := range mech {
-				var gains, reductions []float64
-				for i := range mixes {
-					idealGain := relaxed.ws[i] / base.ws[i]
-					gains = append(gains, perfmodel.RealIPC(idealGain, m.over)-1)
-					reductions = append(reductions, 1-relaxed.power[i]/base.power[i])
-				}
-				cells = append(cells, Fig13Cell{
-					ChipGb:           gb,
-					IntervalS:        interval,
-					Mechanism:        m.name,
-					PerfGain:         stats.Box(gains),
-					PowerReduction:   stats.Box(reductions),
-					OverheadFraction: m.over,
-					CadenceHours:     cadence,
-				})
-			}
+			res.PaperImplied = append(res.PaperImplied, fig13Cells(cfg, gb, moduleBytes, interval, paper, base, relaxed)...)
+			res.Longevity = append(res.Longevity, fig13Cells(cfg, gb, moduleBytes, interval, lon, base, relaxed)...)
 		}
 	}
-	return cells, nil
+	return res, nil
+}
+
+// longevityCadenceHours is the Equation 7 longevity of a module's profile at
+// the interval with full coverage, or 0 (profile continuously) when coverage
+// cannot keep up.
+func longevityCadenceHours(vendor dram.VendorParams, moduleBytes int64, interval float64) float64 {
+	m := longevity.Model{
+		Code:       ecc.SECDED(),
+		TargetUBER: ecc.UBERConsumer,
+		Bytes:      moduleBytes,
+		Vendor:     vendor,
+		TempC:      45,
+	}
+	d, err := m.Longevity(interval, 1.0)
+	if err != nil {
+		return 0
+	}
+	return d.Hours()
+}
+
+// fig13Cells charges each mechanism's profiling overhead, at a cadence in
+// hours, against the simulated gains of one (chip, interval).
+func fig13Cells(cfg Fig13Config, gb int, moduleBytes int64, interval, cadence float64, base, relaxed fig13Sims) []Fig13Cell {
+	overBrute, overReaper := 0.0, 0.0
+	if interval > 0 {
+		round := perfmodel.RoundConfig{
+			TREFI: interval, NumPatterns: cfg.NumPatterns,
+			NumIterations: cfg.NumIterations, TotalBytes: moduleBytes,
+		}
+		overBrute = round.OverheadFraction(cadence * 3600)
+		round.SpeedupFactor = cfg.ReaperSpeedup
+		overReaper = round.OverheadFraction(cadence * 3600)
+	}
+	mech := []struct {
+		name string
+		over float64
+	}{
+		{"brute", overBrute},
+		{"reaper", overReaper},
+		{"ideal", 0},
+	}
+	var cells []Fig13Cell
+	for _, m := range mech {
+		var gains, reductions []float64
+		for i := range base.ws {
+			idealGain := relaxed.ws[i] / base.ws[i]
+			gains = append(gains, perfmodel.RealIPC(idealGain, m.over)-1)
+			reductions = append(reductions, 1-relaxed.power[i]/base.power[i])
+		}
+		cells = append(cells, Fig13Cell{
+			ChipGb:           gb,
+			IntervalS:        interval,
+			Mechanism:        m.name,
+			PerfGain:         stats.Box(gains),
+			PowerReduction:   stats.Box(reductions),
+			OverheadFraction: m.over,
+			CadenceHours:     cadence,
+		})
+	}
+	return cells
 }
 
 // Fig13Table renders the cells.

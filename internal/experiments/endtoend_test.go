@@ -118,10 +118,11 @@ func fastFig13() Fig13Config {
 }
 
 func TestFig13EndToEndShape(t *testing.T) {
-	cells, err := Fig13EndToEnd(context.Background(), fastFig13())
+	res, err := Fig13EndToEnd(context.Background(), fastFig13())
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := res.PaperImplied
 	// 4 intervals x 3 mechanisms.
 	if len(cells) != 12 {
 		t.Fatalf("got %d cells", len(cells))
@@ -192,12 +193,11 @@ func TestFig13EndToEndShape(t *testing.T) {
 func TestFig13LongevityCadence(t *testing.T) {
 	cfg := fastFig13()
 	cfg.Intervals = []float64{1.024}
-	cfg.Cadence = CadenceLongevity
-	cells, err := Fig13EndToEnd(context.Background(), cfg)
+	res, err := Fig13EndToEnd(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ok := FindCell(cells, 64, 1.024, "brute")
+	b, ok := FindCell(res.Longevity, 64, 1.024, "brute")
 	if !ok {
 		t.Fatal("missing cell")
 	}

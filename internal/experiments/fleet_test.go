@@ -94,12 +94,12 @@ func TestPopulationConfigShardValidation(t *testing.T) {
 	}
 }
 
-// TestSoakShardEvictionByteIdentical extends the kill-after-round-k harness
-// to shard eviction: a checkpointed campaign whose segment jobs drop their
-// runners on return (ShardSize bound) produces a final report — including
-// the telemetry snapshot and fleet trace — byte-identical to the keep-alive
-// campaign, at workers 1 and 8; and a mid-campaign kill+resume under
-// eviction still lands on the same bytes.
+// TestSoakShardEvictionByteIdentical extends the kill-after-save-k harness
+// to the shard-size cap: a checkpointed campaign whose pool is capped at
+// one live chip (ShardSize 1) produces a final report — including the
+// telemetry snapshot and fleet trace — byte-identical to the uncapped
+// campaign, at workers 1 and 8; and a mid-campaign kill+resume under the
+// cap still lands on the same bytes.
 func TestSoakShardEvictionByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	const every = 6
@@ -122,17 +122,17 @@ func TestSoakShardEvictionByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := reportJSON(t, evicted); got != refJSON {
-			t.Fatalf("workers=%d: shard-evicting campaign not byte-identical to keep-alive campaign", workers)
+			t.Fatalf("workers=%d: shard-capped campaign not byte-identical to uncapped campaign", workers)
 		}
 
-		// Kill mid-campaign with eviction on, resume with a different shard
+		// Kill mid-campaign under the cap, resume with a different shard
 		// size (the knob is not part of the campaign identity): still the
 		// same bytes.
 		dir := t.TempDir()
 		killCfg := ckTestConfig(11, true)
 		killCfg.Workers = workers
 		killCfg.ShardSize = 1
-		killCfg.Checkpoint = &CheckpointOptions{Dir: dir, EveryWindows: every, StopAfterSegments: 2}
+		killCfg.Checkpoint = &CheckpointOptions{Dir: dir, EveryWindows: every, StopAfterCheckpoints: 2}
 		if _, err := Soak(ctx, killCfg); !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("workers=%d: want ErrInterrupted, got %v", workers, err)
 		}
@@ -145,14 +145,14 @@ func TestSoakShardEvictionByteIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: resume: %v", workers, err)
 		}
 		if got := reportJSON(t, resumed); got != refJSON {
-			t.Fatalf("workers=%d: kill+resume under eviction not byte-identical to keep-alive campaign", workers)
+			t.Fatalf("workers=%d: kill+resume under the cap not byte-identical to uncapped campaign", workers)
 		}
 	}
 }
 
-// TestSoakPlainShardSizeParity covers the default path, a single segment
-// with no checkpoint Dir: ShardSize clamps the pool and drops each runner as
-// its job returns, so the report must be byte-identical with and without it.
+// TestSoakPlainShardSizeParity covers the default path with no checkpoint
+// Dir: ShardSize clamps the pool, so the report must be byte-identical with
+// and without it.
 func TestSoakPlainShardSizeParity(t *testing.T) {
 	ctx := context.Background()
 	base := testSoakConfig(9)

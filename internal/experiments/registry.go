@@ -41,8 +41,7 @@ func Entries() []Entry {
 		{"longevity", runLongevity},
 		{"eq9", runEq9},
 		{"fig11", tableEntry(runFig11, Fig11Table)},
-		{"fig13", tableEntry(fig13Run(CadencePaperImplied), Fig13Table)},
-		{"fig13-longevity", tableEntry(fig13Run(CadenceLongevity), Fig13Table)},
+		{"fig13", runFig13},
 		{"uber", tableEntry(runUBER, uberTable)},
 		{"ablation-vrt", tableEntry(runAblationVRT, vrtAblationTable)},
 		{"ablation-dpd", tableEntry(runAblationDPD, dpdAblationTable)},
@@ -183,12 +182,18 @@ func runFig11(context.Context, uint64, int) ([]Fig11Row, error) {
 	return Fig11Fig12ProfilingOverhead(DefaultFig11Config())
 }
 
-func fig13Run(cadence CadenceModel) func(context.Context, uint64, int) ([]Fig13Cell, error) {
-	return func(ctx context.Context, seed uint64, workers int) ([]Fig13Cell, error) {
-		cfg := DefaultFig13Config()
-		cfg.Seed, cfg.Workers, cfg.Cadence = seed, workers, cadence
-		return Fig13EndToEnd(ctx, cfg)
+// runFig13 prints Figure 13 under the paper-implied profiling cadence, then
+// under the Equation 7 longevity cadence, both from one set of simulations.
+func runFig13(ctx context.Context, w io.Writer, seed uint64, workers int) error {
+	cfg := DefaultFig13Config()
+	cfg.Seed, cfg.Workers = seed, workers
+	res, err := Fig13EndToEnd(ctx, cfg)
+	if err != nil {
+		return err
 	}
+	Fig13Table(res.PaperImplied).Render(w)
+	Fig13Table(res.Longevity).Render(w)
+	return nil
 }
 
 func runUBER(_ context.Context, seed uint64, _ int) (*UBERValidationResult, error) {
@@ -212,8 +217,8 @@ func ablationChip(seed uint64, weakScale float64) ChipSpec {
 	return ChipSpec{Bits: 16 << 20, WeakScale: weakScale, Vendor: dram.VendorB(), Seed: seed}
 }
 
-func runAblationVRT(ctx context.Context, seed uint64, _ int) (*VRTAblationResult, error) {
-	return AblationVRT(ctx, ablationChip(seed, 100), 2.048, 50, 30)
+func runAblationVRT(ctx context.Context, seed uint64, workers int) (*VRTAblationResult, error) {
+	return AblationVRT(ctx, ablationChip(seed, 100), 2.048, 50, 30, workers)
 }
 
 func vrtAblationTable(res *VRTAblationResult) *Table {
@@ -227,8 +232,8 @@ func vrtAblationTable(res *VRTAblationResult) *Table {
 	return t
 }
 
-func runAblationDPD(ctx context.Context, seed uint64, _ int) (*DPDAblationResult, error) {
-	return AblationDPD(ctx, ablationChip(seed, 30), 1.024, 8)
+func runAblationDPD(ctx context.Context, seed uint64, workers int) (*DPDAblationResult, error) {
+	return AblationDPD(ctx, ablationChip(seed, 30), 1.024, 8, workers)
 }
 
 func dpdAblationTable(res *DPDAblationResult) *Table {
@@ -242,8 +247,8 @@ func dpdAblationTable(res *DPDAblationResult) *Table {
 	return t
 }
 
-func runAblationKnobs(ctx context.Context, seed uint64, _ int) (*KnobAblationResult, error) {
-	return AblationReachKnobs(ctx, ablationChip(seed, 30), 1.024, 0.5, 5, 8)
+func runAblationKnobs(ctx context.Context, seed uint64, workers int) (*KnobAblationResult, error) {
+	return AblationReachKnobs(ctx, ablationChip(seed, 30), 1.024, 0.5, 5, 8, workers)
 }
 
 func knobAblationTable(res *KnobAblationResult) *Table {

@@ -113,9 +113,9 @@ func TestResidentSetMatchesReference(t *testing.T) {
 		}
 		constructed := r.st.Device().WeakCellCount()
 		for r.shield.RemappedWords() == 0 || r.st.Device().WeakCellCount() == constructed {
-			if done, err := r.runWindows(context.Background(), 24); err != nil {
+			if err := r.runWindows(context.Background(), 24); err != nil {
 				t.Fatal(err)
-			} else if done {
+			} else if r.done() {
 				t.Fatalf("seed %d: horizon reached with %d remapped words and %d injected cells",
 					seed, r.shield.RemappedWords(), r.st.Device().WeakCellCount()-constructed)
 			}

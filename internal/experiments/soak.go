@@ -21,7 +21,6 @@ import (
 	"reaper/internal/firmware"
 	"reaper/internal/memctrl"
 	"reaper/internal/mitigate"
-	"reaper/internal/parallel"
 	"reaper/internal/rng"
 	"reaper/internal/telemetry"
 )
@@ -55,17 +54,14 @@ type SoakConfig struct {
 	// Workers sizes the fleet worker pool (0 = NumCPU). Results are
 	// identical at any worker count.
 	Workers int `json:"workers"`
-	// ShardSize, when positive, bounds how many chips may hold dense
-	// simulator state at once. The worker pool is clamped to it, and each
-	// segment job drops its chip's runner when it returns, so at most
-	// min(workers, ShardSize) devices are ever live; between segments the
-	// campaign holds only the compact per-chip state blobs, and the next
-	// segment re-materializes each chip from its seed plus blob — the same
-	// restore path a cross-process resume takes. Reports are byte-identical
-	// at every shard size, and a checkpoint directory written at one shard
-	// size resumes cleanly at another (ShardSize does not join the campaign
-	// identity because it cannot shape results). <= 0 keeps every
-	// unfinished runner live across segment barriers.
+	// ShardSize, when positive, caps how many chips hold dense simulator
+	// state at once by clamping the worker pool to it, as in
+	// PopulationSweep: a chip is live only while its job runs, so at most
+	// min(workers, ShardSize) devices are ever live. Reports are
+	// byte-identical at every shard size, and a checkpoint directory
+	// written at one shard size resumes cleanly at another (ShardSize does
+	// not join the campaign identity because it cannot shape results).
+	// <= 0 leaves the pool at Workers.
 	ShardSize int `json:"shard_size,omitempty"`
 	// Chip is the base chip spec; Seed and Chamber are overridden per
 	// chip (soak chips are chamber-less so injected thermal excursions
@@ -76,8 +72,9 @@ type SoakConfig struct {
 	// ResidentWords caps the resident data set per chip. Defaults to 96.
 	ResidentWords int `json:"resident_words"`
 	// Telemetry, when non-nil, instruments the campaign: every chip's
-	// firmware manager, fault injector, and scrubber record into it, each
-	// chip gets its own trace ring, and the final report embeds the
+	// firmware manager, fault injector, and scrubber record into a registry
+	// of the chip's own, merged into this one as the chip's job returns;
+	// each chip gets its own trace ring, and the final report embeds the
 	// registry snapshot plus the merged fleet timeline. The snapshot is
 	// byte-identical at any worker count (see internal/telemetry). Nil
 	// (the default) leaves the report exactly as before.
@@ -85,15 +82,17 @@ type SoakConfig struct {
 	// TraceCapacity sizes each chip's trace ring when Telemetry is set.
 	// Defaults to telemetry.DefaultTraceCapacity.
 	TraceCapacity int `json:"-"`
-	// ShardPolicy bounds per-chip fault tolerance. The zero value keeps the
-	// historical fail-fast behavior: the first chip error aborts the whole
-	// campaign. With Attempts >= 1, a failing or panicking chip is retried
-	// up to Attempts times (deterministic exponential backoff) and then
-	// quarantined: the campaign completes with PartialCoverage set and the
-	// poisoned shards enumerated in the report instead of aborting.
-	ShardPolicy parallel.RetryPolicy `json:"-"`
-	// Checkpoint, when non-nil with a Dir, runs the campaign in checkpointed
-	// segments (see CheckpointOptions).
+	// ShardAttempts bounds per-chip fault tolerance. Zero keeps the
+	// fail-fast behavior: the first chip error fails the campaign. With
+	// ShardAttempts >= 1, a failing or panicking chip is tried up to
+	// ShardAttempts times, each retry restarting it from its newest save
+	// (from the start without a checkpoint Dir), and then quarantined: the
+	// campaign completes with PartialCoverage set and the poisoned chips
+	// enumerated in the report instead of aborting. The attempts bound a
+	// chip's whole run, not each stretch between its saves.
+	ShardAttempts int `json:"-"`
+	// Checkpoint, when non-nil with a Dir, makes every chip save its state
+	// as it runs (see CheckpointOptions).
 	Checkpoint *CheckpointOptions `json:"-"`
 }
 
@@ -204,7 +203,7 @@ type SoakReport struct {
 	TraceEvents []telemetry.Event   `json:"trace_events,omitempty"`
 
 	// Quarantined enumerates chips that exhausted their retry budget and
-	// were excluded from the campaign (ShardPolicy fault tolerance). When
+	// were excluded from the campaign (ShardAttempts fault tolerance). When
 	// non-empty, PartialCoverage is set and the aggregate statistics cover
 	// only the surviving chips. Both fields serialize with omitempty so
 	// full-coverage reports are unchanged byte for byte.
@@ -219,9 +218,9 @@ type QuarantinedShard struct {
 	Chip int `json:"chip"`
 	// Seed is the chip's derived campaign seed.
 	Seed uint64 `json:"seed"`
-	// Windows is how many scrub windows the chip completed before the last
-	// segment barrier (always 0 in a campaign without a checkpoint Dir,
-	// whose single segment spans the whole horizon).
+	// Windows is how many scrub windows the chip's newest save holds, the
+	// point its last attempt restarted from (always 0 in a campaign without
+	// a checkpoint Dir, where every attempt starts from construction).
 	Windows int `json:"windows"`
 	// Attempts is how many times the shard was tried.
 	Attempts int `json:"attempts"`
@@ -254,30 +253,30 @@ func soakSeeds(cfg SoakConfig) []uint64 {
 
 // Soak runs the campaign. Chips run concurrently on a worker pool; each
 // chip's simulation is fully sequential and seeded independently, so the
-// report is bit-for-bit identical at any worker count. With a ShardPolicy,
+// report is bit-for-bit identical at any worker count. With ShardAttempts,
 // failing chips are retried and then quarantined instead of aborting the
-// campaign; with a Checkpoint Dir, the campaign runs in resumable segments
-// (see CheckpointOptions) and may return ErrInterrupted.
+// campaign; with a Checkpoint Dir, every chip saves as it runs and resumes
+// from its newest save (see CheckpointOptions), and Soak may return
+// ErrInterrupted.
 func Soak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
 	ctx = telemetry.WithRegistry(ctx, cfg.Telemetry)
-	return soakSegments(ctx, cfg, soakSeeds(cfg))
+	return soakChips(ctx, cfg, soakSeeds(cfg))
 }
 
 // assembleSoakReport aggregates the fleet results into the campaign report.
-// Quarantined chips are excluded from the per-chip reports and from every
-// aggregate statistic; coverage is flagged as partial.
-func assembleSoakReport(cfg SoakConfig, results []chipSoakResult, quarantined []QuarantinedShard) *SoakReport {
-	excluded := make(map[int]bool, len(quarantined))
-	for _, q := range quarantined {
-		excluded[q.Chip] = true
-	}
+// Quarantined chips, whose results are nil, are excluded from the per-chip
+// reports and from every aggregate statistic; coverage is flagged as
+// partial.
+func assembleSoakReport(cfg SoakConfig, results []*chipSoakResult, quarantined []QuarantinedShard) *SoakReport {
 	chips := make([]ChipSoakReport, 0, len(results))
+	var traces []telemetry.Trace
 	for i, r := range results {
-		if !excluded[i] {
+		if r != nil {
 			chips = append(chips, r.rep)
+			traces = append(traces, telemetry.Trace{Source: "chip" + strconv.Itoa(i), Events: r.trace})
 		}
 	}
 	rep := &SoakReport{
@@ -312,10 +311,6 @@ func assembleSoakReport(cfg SoakConfig, results []chipSoakResult, quarantined []
 		reg.Gauge("soak_worst_uber").Set(rep.WorstUBER)
 		reg.Gauge("soak_mean_extended_fraction").Set(rep.MeanExtendedFraction)
 		rep.Telemetry = reg.Snapshot()
-		traces := make([]telemetry.Trace, len(results))
-		for i, r := range results {
-			traces[i] = telemetry.Trace{Source: "chip" + strconv.Itoa(i), Events: r.trace}
-		}
 		rep.TraceEvents = telemetry.Merge(traces...)
 	}
 	return rep

@@ -19,13 +19,12 @@ import (
 )
 
 // soakRunner is one chip's live campaign state: the full simulation stack
-// plus the report accumulators the window loop maintains. The segment
-// executor (soakSegments) runs one for a segment's worth of windows, encodes
-// its state, and finalizes it once the chip reaches the horizon, so a killed
-// campaign resumes — or a panicked shard retries — from the last barrier
-// with bit-identical behavior.
+// plus the report accumulators the window loop maintains. The soak executor
+// (soakChips) runs one from construction or its newest save to the horizon,
+// encoding its state at every save, so a killed campaign resumes — or a
+// panicked chip retries — from that save with bit-identical behavior.
 type soakRunner struct {
-	cfg  SoakConfig //lint:serialized-elsewhere campaign config; resume requires the identical config, guarded by the campaign-meta digest
+	cfg  SoakConfig //lint:serialized-elsewhere campaign config; resume requires the identical config, guarded by the campaign identity digest
 	idx  int
 	seed uint64
 
@@ -36,6 +35,7 @@ type soakRunner struct {
 	inj      *faultinject.Injector
 	mgr      *firmware.Manager
 	tracer   *telemetry.Tracer
+	reg      *telemetry.Registry // the chip's own registry; nil when uninstrumented
 	resident []mitigate.WordAddr
 
 	rep ChipSoakReport
@@ -100,19 +100,21 @@ func newSoakRunner(cfg SoakConfig, idx int, seed uint64) (*soakRunner, error) {
 		return nil, err
 	}
 
-	// Instrument the chip's components: counters aggregate commutatively
-	// across the fleet, gauges carry the chip label, and the chip owns its
-	// trace ring outright (merged into the fleet timeline by Soak).
-	if reg := cfg.Telemetry; reg != nil {
+	// Instrument the chip's components into a registry and trace ring the
+	// chip owns outright: the executor folds the registry into the
+	// campaign's (counters add, gauges carry the chip label) and Soak merges
+	// the ring into the fleet timeline.
+	if cfg.Telemetry != nil {
 		capacity := cfg.TraceCapacity
 		if capacity <= 0 {
 			capacity = telemetry.DefaultTraceCapacity
 		}
 		r.tracer = telemetry.NewTracer(capacity)
+		r.reg = telemetry.New()
 		chipLabel := telemetry.L("chip", strconv.Itoa(idx))
-		r.mgr.Instrument(reg, r.tracer, chipLabel)
-		r.inj.Instrument(reg, r.tracer, chipLabel)
-		r.scr.Instrument(reg, r.tracer, chipLabel)
+		r.mgr.Instrument(r.reg, r.tracer, chipLabel)
+		r.inj.Instrument(r.reg, r.tracer, chipLabel)
+		r.scr.Instrument(r.reg, r.tracer, chipLabel)
 	}
 	return r, nil
 }
@@ -151,22 +153,22 @@ func (r *soakRunner) reload(wa mitigate.WordAddr) error {
 func (r *soakRunner) done() bool { return r.st.Clock() >= r.end-1e-6 }
 
 // runWindows advances the campaign by up to maxWindows scrub windows
-// (maxWindows <= 0 means run to the horizon) and reports whether the
-// horizon was reached. The loop body is byte-identical regardless of how
-// the windows are batched into calls.
-func (r *soakRunner) runWindows(ctx context.Context, maxWindows int) (bool, error) {
+// (maxWindows <= 0 means run to the horizon), stopping early at the
+// horizon. The loop body is byte-identical regardless of how the windows
+// are batched into calls.
+func (r *soakRunner) runWindows(ctx context.Context, maxWindows int) error {
 	windowSec := r.cfg.WindowHours * 3600
 	for ran := 0; !r.done() && (maxWindows <= 0 || ran < maxWindows); ran++ {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return err
 		}
 		r.inj.RunUntil(math.Min(r.st.Clock()+windowSec, r.end))
 		if _, err := r.mgr.Tick(ctx); err != nil {
-			return false, err
+			return err
 		}
 		srep, err := r.scr.Scrub()
 		if err != nil {
-			return false, err
+			return err
 		}
 		r.rep.Windows++
 		r.rep.CorrectedTotal += srep.Corrected
@@ -179,7 +181,7 @@ func (r *soakRunner) runWindows(ctx context.Context, maxWindows int) (bool, erro
 			// window rather than staying frozen at its corrupted value.
 			for _, wa := range srep.Uncorrectables {
 				if err := r.reload(wa); err != nil {
-					return false, err
+					return err
 				}
 			}
 		}
@@ -189,7 +191,7 @@ func (r *soakRunner) runWindows(ctx context.Context, maxWindows int) (bool, erro
 			Uncorrectable: srep.Uncorrectable,
 		})
 	}
-	return r.done(), nil
+	return nil
 }
 
 // finalize computes the chip's survival record from the accumulated state.
@@ -255,8 +257,8 @@ func (r *soakRunner) encodeState() ([]byte, error) {
 	// (dram.EncodeDelta), not as the dense population dump: a soak chip's
 	// divergence is a handful of injected cells, forced VRT schedules and
 	// stuck bits, so per-chip blobs stay small enough to write at every
-	// barrier even at million-chip scale. restoreState rebuilds the same
-	// fresh device (newSoakRunner) before replaying the delta.
+	// save even at million-chip scale. restoreState rebuilds the same fresh
+	// device (newSoakRunner) before replaying the delta.
 	if err := r.st.Device().EncodeDelta(e); err != nil {
 		return nil, err
 	}
@@ -270,6 +272,8 @@ func (r *soakRunner) encodeState() ([]byte, error) {
 		return nil, err
 	}
 	r.tracer.EncodeState(e)
+	// An uninstrumented chip's nil registry encodes as an empty snapshot.
+	r.reg.Snapshot().EncodeState(e)
 	return e.Data(), nil
 }
 
@@ -326,5 +330,12 @@ func (r *soakRunner) restoreState(blob []byte) error {
 	if err := r.tracer.RestoreState(d); err != nil {
 		return fmt.Errorf("soak chip %d: tracer: %w", r.idx, err)
 	}
+	// The registry is fresh from construction, so the merge restores the
+	// saved series exactly.
+	snap, err := telemetry.DecodeSnapshot(d)
+	if err != nil {
+		return fmt.Errorf("soak chip %d: registry: %w", r.idx, err)
+	}
+	r.reg.MergeSnapshot(snap)
 	return d.Err()
 }

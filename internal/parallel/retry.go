@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"reaper/internal/telemetry"
 )
@@ -16,53 +15,6 @@ import (
 // reports and checkpoint manifests record.
 func (e *PanicError) Reason() string {
 	return fmt.Sprintf("panic: %v", e.Value)
-}
-
-// RetryPolicy bounds how a fault-tolerant batch treats a failing job.
-// The zero value means one attempt, no timeout, no backoff — exactly the
-// semantics Map gives a job, minus the batch abort.
-type RetryPolicy struct {
-	// Attempts is the total number of tries per job (first run included).
-	// Values below 1 mean 1.
-	Attempts int
-	// BackoffBase is the delay before the second attempt; each further
-	// attempt doubles it. The sequence is deterministic — no jitter — so a
-	// retried campaign schedules identically every run.
-	BackoffBase time.Duration
-	// BackoffMax caps the doubled backoff. Zero means no cap.
-	BackoffMax time.Duration
-	// AttemptTimeout, when positive, bounds each attempt via a context
-	// deadline. Jobs must be context-aware for the bound to bite: the pool
-	// cannot kill a goroutine, it can only cancel cooperatively.
-	AttemptTimeout time.Duration
-	// Sleep is called to realize backoff delays; nil uses time.Sleep.
-	// Tests inject a recorder to assert the schedule without waiting.
-	Sleep func(time.Duration)
-}
-
-// attempts normalizes the configured attempt count.
-func (p RetryPolicy) attempts() int {
-	if p.Attempts < 1 {
-		return 1
-	}
-	return p.Attempts
-}
-
-// backoff returns the deterministic delay before the given retry (retry 1 =
-// second attempt).
-func (p RetryPolicy) backoff(retry int) time.Duration {
-	if p.BackoffBase <= 0 {
-		return 0
-	}
-	d := p.BackoffBase << (retry - 1)
-	if d <= 0 || (p.BackoffMax > 0 && d > p.BackoffMax) {
-		// The shift overflowed, or the cap applies.
-		if p.BackoffMax > 0 {
-			return p.BackoffMax
-		}
-		return p.BackoffBase
-	}
-	return d
 }
 
 // JobFailure records one job that exhausted its attempts.
@@ -88,16 +40,17 @@ func (f JobFailure) Reason() string {
 }
 
 // MapPartial runs fn(ctx, i) for i in [0, n) like Map, but a failing job
-// does not abort the batch: each job is retried per policy, and jobs that
-// exhaust their attempts are returned as JobFailures (sorted by job index)
-// while every other job's result is delivered normally. A failed job's slot
-// in the result slice holds the zero value.
+// does not abort the batch: each job is tried up to attempts times in a row
+// (values below 1 mean 1), and jobs that exhaust their attempts are returned
+// as JobFailures (sorted by job index) while every other job's result is
+// delivered normally. A failed job's slot in the result slice holds the zero
+// value.
 //
 // The batch-level error is non-nil only when ctx is cancelled; in that case
 // results and failures are meaningless and the caller should stop. As with
 // Map, results and failures are identical at every worker count provided
 // each job owns disjoint state.
-func MapPartial[T any](ctx context.Context, n, workers int, policy RetryPolicy, fn func(ctx context.Context, i int) (T, error)) ([]T, []JobFailure, error) {
+func MapPartial[T any](ctx context.Context, n, workers, attempts int, fn func(ctx context.Context, i int) (T, error)) ([]T, []JobFailure, error) {
 	if n <= 0 {
 		return nil, nil, nil
 	}
@@ -110,10 +63,7 @@ func MapPartial[T any](ctx context.Context, n, workers int, policy RetryPolicy, 
 	reg.Counter("parallel_jobs_queued_total").Add(int64(n))
 	reg.Histogram("parallel_batch_jobs", batchJobBounds).Observe(float64(n))
 
-	sleep := policy.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
+	attempts = max(attempts, 1)
 	var (
 		mu       sync.Mutex
 		failures []JobFailure
@@ -125,24 +75,16 @@ func MapPartial[T any](ctx context.Context, n, workers int, policy RetryPolicy, 
 	out, err := mapJobs(ctx, n, workers, func(ctx context.Context, i int) (T, error) {
 		var zero T
 		var lastErr error
-		for attempt := 1; attempt <= policy.attempts(); attempt++ {
+		for attempt := 1; attempt <= attempts; attempt++ {
 			if err := ctx.Err(); err != nil {
 				return zero, err
 			}
 			if attempt > 1 {
-				sleep(policy.backoff(attempt - 1))
 				mu.Lock()
 				retries++
 				mu.Unlock()
 			}
-			attemptCtx, cancel := ctx, context.CancelFunc(nil)
-			if policy.AttemptTimeout > 0 {
-				attemptCtx, cancel = context.WithTimeout(ctx, policy.AttemptTimeout)
-			}
-			v, err := run(attemptCtx, i, fn)
-			if cancel != nil {
-				cancel()
-			}
+			v, err := run(ctx, i, fn)
 			if err == nil {
 				return v, nil
 			}
@@ -154,7 +96,7 @@ func MapPartial[T any](ctx context.Context, n, workers int, policy RetryPolicy, 
 			}
 		}
 		mu.Lock()
-		failures = append(failures, JobFailure{Job: i, Attempts: policy.attempts(), Err: lastErr})
+		failures = append(failures, JobFailure{Job: i, Attempts: attempts, Err: lastErr})
 		mu.Unlock()
 		return zero, nil
 	})

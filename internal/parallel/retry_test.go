@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,7 +13,7 @@ import (
 // TestMapPartialAllSucceed checks the happy path matches Map exactly.
 func TestMapPartialAllSucceed(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		out, failures, err := MapPartial(context.Background(), 10, workers, RetryPolicy{},
+		out, failures, err := MapPartial(context.Background(), 10, workers, 1,
 			func(_ context.Context, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
@@ -36,8 +35,7 @@ func TestMapPartialAllSucceed(t *testing.T) {
 func TestMapPartialQuarantinesPersistentFailure(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var attempts atomic.Int64
-		out, failures, err := MapPartial(context.Background(), 8, workers,
-			RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
+		out, failures, err := MapPartial(context.Background(), 8, workers, 3,
 			func(_ context.Context, i int) (int, error) {
 				if i == 3 {
 					attempts.Add(1)
@@ -80,12 +78,8 @@ func TestMapPartialQuarantinesPersistentFailure(t *testing.T) {
 // TestMapPartialRetrySucceeds checks a transient failure is healed by retry
 // and does not surface as a failure.
 func TestMapPartialRetrySucceeds(t *testing.T) {
-	var sleeps []time.Duration
-	var mu sync.Mutex
 	calls := make([]int, 4)
-	out, failures, err := MapPartial(context.Background(), 4, 1,
-		RetryPolicy{Attempts: 4, BackoffBase: 100 * time.Millisecond, BackoffMax: 250 * time.Millisecond,
-			Sleep: func(d time.Duration) { mu.Lock(); sleeps = append(sleeps, d); mu.Unlock() }},
+	out, failures, err := MapPartial(context.Background(), 4, 1, 4,
 		func(_ context.Context, i int) (int, error) {
 			calls[i]++
 			if i == 2 && calls[i] < 3 {
@@ -102,28 +96,6 @@ func TestMapPartialRetrySucceeds(t *testing.T) {
 	if out[2] != 102 || calls[2] != 3 {
 		t.Fatalf("out[2]=%d calls=%d, want 102 after 3 calls", out[2], calls[2])
 	}
-	// Deterministic exponential backoff: 100ms then 200ms (capped at 250ms).
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond}
-	if len(sleeps) != len(want) || sleeps[0] != want[0] || sleeps[1] != want[1] {
-		t.Errorf("backoff schedule = %v, want %v", sleeps, want)
-	}
-}
-
-// TestRetryPolicyBackoffSchedule pins the deterministic schedule, including
-// the cap and the overflow guard.
-func TestRetryPolicyBackoffSchedule(t *testing.T) {
-	p := RetryPolicy{BackoffBase: time.Second, BackoffMax: 10 * time.Second}
-	for retry, want := range map[int]time.Duration{
-		1: time.Second, 2: 2 * time.Second, 3: 4 * time.Second,
-		4: 8 * time.Second, 5: 10 * time.Second, 62: 10 * time.Second,
-	} {
-		if got := p.backoff(retry); got != want {
-			t.Errorf("backoff(%d) = %v, want %v", retry, got, want)
-		}
-	}
-	if got := (RetryPolicy{}).backoff(1); got != 0 {
-		t.Errorf("zero-policy backoff = %v, want 0", got)
-	}
 }
 
 // TestMapPartialCancellation checks cancellation surfaces as the batch
@@ -131,7 +103,7 @@ func TestRetryPolicyBackoffSchedule(t *testing.T) {
 func TestMapPartialCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, _, err := MapPartial(ctx, 64, 4, RetryPolicy{Attempts: 5, Sleep: func(time.Duration) {}},
+	_, _, err := MapPartial(ctx, 64, 4, 5,
 		func(ctx context.Context, i int) (int, error) {
 			if ran.Add(1) == 3 {
 				cancel()
@@ -196,7 +168,7 @@ func TestMapPartialDrainsWorkersOnCancellation(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			cancel()
 		}()
-		_, _, err := MapPartial(ctx, 64, 8, RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
+		_, _, err := MapPartial(ctx, 64, 8, 3,
 			func(ctx context.Context, i int) (int, error) {
 				<-ctx.Done()
 				return 0, ctx.Err()
@@ -207,31 +179,4 @@ func TestMapPartialDrainsWorkersOnCancellation(t *testing.T) {
 		cancel()
 	}
 	settleGoroutines(t, baseline)
-}
-
-// TestMapPartialAttemptTimeout checks a context-aware job that outlives the
-// per-attempt deadline is retried and then quarantined, while the batch
-// itself completes.
-func TestMapPartialAttemptTimeout(t *testing.T) {
-	out, failures, err := MapPartial(context.Background(), 4, 2,
-		RetryPolicy{Attempts: 2, AttemptTimeout: 20 * time.Millisecond, Sleep: func(time.Duration) {}},
-		func(ctx context.Context, i int) (int, error) {
-			if i == 1 {
-				<-ctx.Done() // hung shard: only the attempt deadline frees it
-				return 0, ctx.Err()
-			}
-			return i, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failures) != 1 || failures[0].Job != 1 || failures[0].Attempts != 2 {
-		t.Fatalf("failures = %+v, want job 1 after 2 attempts", failures)
-	}
-	if !errors.Is(failures[0].Err, context.DeadlineExceeded) {
-		t.Errorf("failure err = %v, want deadline exceeded", failures[0].Err)
-	}
-	if out[0] != 0 || out[2] != 2 || out[3] != 3 {
-		t.Errorf("healthy jobs disturbed: %v", out)
-	}
 }

@@ -22,7 +22,9 @@
 //     micro-units), so concurrent updates from an internal/parallel pool
 //     reach the same final state regardless of interleaving. Snapshot output
 //     is sorted by metric name and canonical label set, so serialization is
-//     byte-identical for workers=1 and workers=8.
+//     byte-identical for workers=1 and workers=8. MergeSnapshot folds one
+//     registry into another by the same adds (gauges are set), so owners
+//     recording into registries of their own merge in any order.
 //
 //   - Single-writer gauges and tracers. A gauge is last-write-wins and a
 //     tracer records arrival order, so each must have exactly one logical

@@ -9,8 +9,8 @@ import (
 
 // This file is the checkpoint surface of the telemetry layer. A resumed
 // campaign must report the same counters, gauges, histograms and traces as
-// an uninterrupted one, so the registry and per-chip tracers are serialized
-// at every checkpoint barrier and rebuilt exactly on resume.
+// an uninterrupted one, so each soak chip's registry and tracer travel in
+// its checkpoint and are rebuilt exactly on resume.
 
 // sanity ceilings for decoded collection lengths: values beyond these
 // indicate a corrupted blob, not a real campaign.
@@ -20,16 +20,20 @@ const (
 	maxRestoreLabels = 1 << 10
 )
 
-// RestoreSnapshot loads a snapshot's series into the registry, creating
-// each metric and overwriting its value. It is intended for a fresh
-// registry at resume time; restoring over live metrics overwrites counts.
-func (r *Registry) RestoreSnapshot(s *Snapshot) {
+// MergeSnapshot adds a snapshot's series into the registry, creating each
+// metric on first use: counters and histograms add (count, sum, buckets and
+// overflow), and gauges are set. Gauges have one owner each (a soak chip's
+// carry its chip label), so merging the snapshots of independent owners
+// gives the same registry in any order. Merging into a fresh registry
+// restores the snapshot exactly; a series whose kind or bounds conflict
+// with the registry's is skipped, as a conflicting handle is.
+func (r *Registry) MergeSnapshot(s *Snapshot) {
 	if r == nil || s == nil {
 		return
 	}
 	for _, c := range s.Counters {
 		if m := r.lookup(KindCounter, c.Name, nil, c.Labels); m != nil {
-			m.count.Store(c.Value)
+			m.count.Add(c.Value)
 		}
 	}
 	for _, g := range s.Gauges {
@@ -46,15 +50,15 @@ func (r *Registry) RestoreSnapshot(s *Snapshot) {
 		if m == nil {
 			continue
 		}
-		m.count.Store(h.Count)
+		m.count.Add(h.Count)
 		// Observe accumulates in fixed-point micro-units; Sum is the
 		// micro-unit total divided by 1e6, so rounding recovers it exactly
 		// (totals stay far below 2^53 micro-units).
-		m.sumMicros.Store(int64(math.Round(h.Sum * 1e6)))
+		m.sumMicros.Add(int64(math.Round(h.Sum * 1e6)))
 		for i := range h.Buckets {
-			m.cells[i].Store(h.Buckets[i].Count)
+			m.cells[i].Add(h.Buckets[i].Count)
 		}
-		m.overflow.Store(h.Overflow)
+		m.overflow.Add(h.Overflow)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // TestRegistryRestoreRoundTrip checks the resume contract: snapshotting a
-// registry, serializing the snapshot with the checkpoint codec, restoring
-// it into a fresh registry and snapshotting again yields byte-identical
-// JSON — and metrics keep counting from their restored values.
+// registry, serializing the snapshot with the checkpoint codec, merging it
+// into a fresh registry and snapshotting again yields byte-identical JSON —
+// and metrics keep counting from their restored values.
 func TestRegistryRestoreRoundTrip(t *testing.T) {
 	r := New()
 	r.Counter("soak_chips_total").Add(8)
@@ -32,7 +32,7 @@ func TestRegistryRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := New()
-	fresh.RestoreSnapshot(decoded)
+	fresh.MergeSnapshot(decoded)
 
 	var want, got bytes.Buffer
 	if err := snap.WriteJSON(&want); err != nil {
@@ -53,6 +53,52 @@ func TestRegistryRestoreRoundTrip(t *testing.T) {
 	fresh.Histogram("profiling_round_seconds", []float64{1, 10, 100}, L("chip", "1")).Observe(5)
 	if c := fresh.Histogram("profiling_round_seconds", []float64{1, 10, 100}, L("chip", "1")).Count(); c != 6 {
 		t.Errorf("histogram count after restore+observe = %d, want 6", c)
+	}
+}
+
+// TestRegistryMergeSnapshots checks the fold a soak applies as each chip's
+// job returns: merging two chips' snapshots adds their counters and
+// histogram buckets and keeps each chip's labelled gauge, in either order.
+func TestRegistryMergeSnapshots(t *testing.T) {
+	chip := func(id string, corrected int64, degrade float64, rounds ...float64) *Snapshot {
+		r := New()
+		r.Counter("scrub_corrected_total").Add(corrected)
+		r.Gauge("firmware_degrade_level", L("chip", id)).Set(degrade)
+		h := r.Histogram("core_profiling_round_seconds", []float64{1, 10})
+		for _, v := range rounds {
+			h.Observe(v)
+		}
+		return r.Snapshot()
+	}
+	a := chip("0", 5, 2, 0.5, 20)
+	b := chip("1", 7, 1, 3)
+
+	var orders [2]bytes.Buffer
+	for k, pair := range [2][2]*Snapshot{{a, b}, {b, a}} {
+		r := New()
+		r.MergeSnapshot(pair[0])
+		r.MergeSnapshot(pair[1])
+		if err := r.Snapshot().WriteJSON(&orders[k]); err != nil {
+			t.Fatal(err)
+		}
+		if v := r.Counter("scrub_corrected_total").Value(); v != 12 {
+			t.Errorf("merged counter = %d, want 12", v)
+		}
+		h := r.Histogram("core_profiling_round_seconds", []float64{1, 10})
+		if c := h.Count(); c != 3 {
+			t.Errorf("merged histogram count = %d, want 3", c)
+		}
+		snap := r.Snapshot()
+		hs := snap.Histograms[0]
+		if hs.Buckets[0].Count != 1 || hs.Buckets[1].Count != 1 || hs.Overflow != 1 || hs.Sum != 23.5 {
+			t.Errorf("merged histogram = %+v, want one per bucket, one overflow, sum 23.5", hs)
+		}
+		if len(snap.Gauges) != 2 || snap.Gauges[0].Value != 2 || snap.Gauges[1].Value != 1 {
+			t.Errorf("merged gauges = %+v, want chip 0 at 2 and chip 1 at 1", snap.Gauges)
+		}
+	}
+	if !bytes.Equal(orders[0].Bytes(), orders[1].Bytes()) {
+		t.Errorf("merge depends on order:\n%s\n%s", orders[0].String(), orders[1].String())
 	}
 }
 
