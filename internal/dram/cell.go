@@ -45,9 +45,11 @@ type weakCell struct {
 
 	// rank is the cell's index in the bit-ordered Device.weak, so ranks
 	// order cells as bits do. Sweeps mark ranks in a bitmap and walk it to
-	// get bit order without a comparison sort (index.go). Like
-	// Device.rowStart it may be stale only inside an injection batch,
-	// before any read.
+	// get bit order without a comparison sort (index.go). recountRows sets
+	// it, with Device.rowStart, once construction's bit table (bittable.go)
+	// has put weak in bit order, and again after each injection batch or
+	// delta replay, so like rowStart it may be stale only inside an
+	// injection batch, before any read.
 	rank uint32 //lint:serialized-elsewhere construction-derived: index into weak; construction and recountRows (after injection and delta replay) rebuild it
 
 	// chargedVal is the logical value (0 or 1) stored as charge in this

@@ -1,11 +1,9 @@
 package dram
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"math"
-	"slices"
 
 	"reaper/internal/rng"
 	"reaper/internal/stats"
@@ -102,16 +100,19 @@ type Device struct {
 	weak []*weakCell // all weak cells, sorted by bit index
 	// rowStart holds, per flat row r, the offset of the row's first cell in
 	// weak: rows are contiguous bit ranges, so row r's cells are
-	// weak[rowStart[r]:rowStart[r+1]] (see rowCells).
+	// weak[rowStart[r]:rowStart[r+1]] (see rowCells). Construction counts
+	// it, with every rank, in one recountRows pass over weak once its bit
+	// table has put weak in bit order.
 	//lint:serialized-elsewhere construction-derived: row offsets into weak; construction and recountRows (after injection and delta replay) rebuild them
 	rowStart []int32
 
 	// cellArena backs weakCell storage in pointer-stable chunks: full
 	// chunks are abandoned (the cells carved from them keep them alive),
 	// never grown, so &cellArena[i] stays valid for the device's lifetime.
-	// Construction carves the base cells from one chunk sized to their
-	// count and the VRT reservoir from another; later injections and
-	// restores take cellArenaChunk-cell chunks.
+	// Construction draws the base cells into one chunk sized to their count
+	// and the VRT reservoir into another, both in draw order and full from
+	// the start, so it leaves this empty; later injections and restores
+	// take cellArenaChunk-cell chunks.
 	//lint:serialized-elsewhere allocation backing store; restore re-carves cells through the same arena allocator
 	cellArena []weakCell
 
@@ -196,7 +197,8 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// NewDevice builds a device and samples its weak-cell population.
+// NewDevice builds a device and samples its weak-cell population. It fails
+// when the population drawn for cfg does not fit on the device's bits.
 func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -213,102 +215,115 @@ func NewDevice(cfg Config) (*Device, error) {
 		cacheOn:        true,
 		contentEpoch:   1, // so zero-valued per-cell caches start invalid
 	}
-	d.sampleWeakPopulation()
+	if err := d.sampleWeakPopulation(); err != nil {
+		return nil, err
+	}
 	return d, nil
 }
 
-// sampleWeakPopulation draws the base weak cells and the latent VRT
-// reservoir from the vendor's calibrated distributions.
-func (d *Device) sampleWeakPopulation() {
-	v := &d.vend
-	bits := float64(d.geom.TotalBits())
-	tmin, tmax := d.cfg.MinRetention, d.cfg.MaxRetention
-
+// ExpectedWeakCells returns the means of the two Poisson counts a device
+// built from cfg draws its weak population with: base, the cells of the
+// retention tail, and reservoir, the latent VRT cells (0 under DisableVRT).
+// Construction sizes its bit table with the drawn base count plus the
+// reservoir's mean; a caller bounding a chip's memory can bound their sum.
+func ExpectedWeakCells(cfg Config) (base, reservoir float64) {
+	cfg.fillDefaults()
+	v := &cfg.Vendor
 	// Base weak cells: retention means follow the power-law tail that
 	// produces BER(t) = BERAt1024ms * (t/1.024s)^beta at 45C.
-	expected := bits * v.BER(tmax, RefTempC) * d.cfg.WeakScale
-	n := d.src.Poisson(expected)
-	taken := make(map[uint64]struct{}, n)
-	base := newPowerLaw(tmin, tmax, v.BERExponent)
-	logSigma := v.sigmaLogMean()
-	d.weak = make([]*weakCell, 0, n)
-	d.cellArena = make([]weakCell, 0, n)
-	for i := 0; i < n; i++ {
-		mu := base.sample(d.src)
-		d.addWeakCell(taken, logSigma, mu, !d.cfg.DisableVRT && d.src.Bernoulli(v.VRTFraction), 0)
-	}
-
-	// Latent VRT reservoir: cells whose high-retention state is beyond the
-	// domain (they never fail "normally") but whose low-retention state is
-	// inside it. In steady state they enter the failing population at rate
-	// A(t) = count(muLow <= t) / (dwellLow + dwellHigh), so the reservoir
-	// size is A(tmax) * (dwellLow + dwellHigh).
-	if !d.cfg.DisableVRT {
-		// The reservoir's low-retention domain is capped below the overall
-		// retention domain: the steep VRT rate power law (Figure 4) is a
-		// fit over the paper's tested intervals (<= ~4 s) and extrapolating
-		// it to tens of seconds would produce a nonphysical reservoir.
-		vrtMax := tmax
-		if vrtMax > vrtDomainMaxS {
-			vrtMax = vrtDomainMaxS
-		}
+	base = float64(cfg.Geometry.TotalBits()) * v.BER(cfg.MaxRetention, RefTempC) * cfg.WeakScale
+	if !cfg.DisableVRT {
+		// Latent VRT reservoir: cells whose high-retention state is beyond
+		// the domain (they never fail "normally") but whose low-retention
+		// state is inside it. In steady state they enter the failing
+		// population at rate A(t) = count(muLow <= t) / (dwellLow +
+		// dwellHigh), so the reservoir size is A(tmax) * (dwellLow +
+		// dwellHigh), with tmax capped by vrtMax.
 		dwellSum := v.VRTDwellLowHours + v.VRTDwellHighHours // hours
-		latent := v.VRTRate(vrtMax, RefTempC, d.geom.TotalBytes()) * dwellSum * d.cfg.WeakScale
-		m := d.src.Poisson(latent)
-		reservoir := newPowerLaw(tmin, vrtMax, v.VRTRateExponent)
-		d.weak = slices.Grow(d.weak, m)
-		d.cellArena = make([]weakCell, 0, m)
-		for i := 0; i < m; i++ {
-			muLow := reservoir.sample(d.src)
-			d.addWeakCell(taken, logSigma, muLow, true, tmax*10)
-		}
+		reservoir = v.VRTRate(vrtMax(cfg.MaxRetention), RefTempC, cfg.Geometry.TotalBytes()) * dwellSum * cfg.WeakScale
 	}
-
-	d.sortWeakByRow()
-	d.rebuildIndex()
+	return base, reservoir
 }
 
-// sortWeakByRow puts the weak population, drawn in random bit order, into
-// bit order, builds rowStart and sets every cell's rank. Rows are contiguous
-// bit ranges and bits are unique (the taken set), so a counting sort by row
-// followed by a sort inside each row gives exactly the order a sort of the
-// whole population by bit gives, while each comparison sort only sees one
-// row's cells.
-func (d *Device) sortWeakByRow() {
-	rows := d.geom.TotalRows()
-	start := make([]int32, rows+1)
-	for _, c := range d.weak {
-		start[d.geom.rowOfBit(c.bit)]++
+// vrtMax is the upper end of the latent VRT reservoir's low-retention
+// domain for a device whose retention domain ends at tmax. It is capped
+// below the overall domain: the steep VRT rate power law (Figure 4) is a fit
+// over the paper's tested intervals (<= ~4 s), and extrapolating it to tens
+// of seconds would produce a nonphysical reservoir.
+func vrtMax(tmax float64) float64 {
+	if tmax > vrtDomainMaxS {
+		return vrtDomainMaxS
 	}
-	// Inclusive prefix sums leave start[r] at the end of row r; the reverse
-	// scatter below decrements each row's cursor to its first slot.
-	for r := 1; r < rows; r++ {
-		start[r] += start[r-1]
+	return tmax
+}
+
+// sampleWeakPopulation draws the base weak cells and the latent VRT
+// reservoir from the vendor's calibrated distributions, then puts them in
+// bit order and indexes them. Each cell's bit is drawn until it misses every
+// bit drawn before it, so a drawn count larger than the device's bits (or
+// than a uint32 rank can hold) is refused with an error before its cells are
+// drawn, instead of redrawing forever. So is a config whose expected count
+// is not finite: a Poisson draw never returns on a NaN mean.
+func (d *Device) sampleWeakPopulation() error {
+	v := &d.vend
+	tmin, tmax := d.cfg.MinRetention, d.cfg.MaxRetention
+	total := uint64(d.geom.TotalBits())
+	limit := min(total, math.MaxUint32)
+	expBase, expReservoir := ExpectedWeakCells(d.cfg)
+	if sum := expBase + expReservoir; math.IsNaN(sum) || math.IsInf(sum, 0) {
+		return fmt.Errorf("dram: expected weak-cell count %v + %v is not finite", expBase, expReservoir)
 	}
-	start[rows] = int32(len(d.weak))
-	sorted := make([]*weakCell, len(d.weak))
-	for i := len(d.weak) - 1; i >= 0; i-- {
-		c := d.weak[i]
-		r := d.geom.rowOfBit(c.bit)
-		start[r]--
-		sorted[start[r]] = c
+
+	n := d.src.Poisson(expBase)
+	if uint64(n) > limit {
+		return fmt.Errorf("dram: %d weak cells drawn for a %d-bit device", n, total)
 	}
-	for r := 0; r < rows; r++ {
-		cells := sorted[start[r]:start[r+1]]
-		slices.SortFunc(cells, func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
-		for i, c := range cells {
-			c.rank = uint32(int(start[r]) + i)
+	t := newBitTable(total, n+int(min(math.Ceil(expReservoir), float64(limit))))
+	base := newPowerLaw(tmin, tmax, v.BERExponent)
+	logSigma := v.sigmaLogMean()
+	cells := make([]weakCell, n)
+	for i := range cells {
+		mu := base.sample(d.src)
+		d.drawWeakCell(&cells[i], t, logSigma, mu, !d.cfg.DisableVRT && d.src.Bernoulli(v.VRTFraction), 0)
+	}
+
+	var latent []weakCell
+	if !d.cfg.DisableVRT {
+		m := d.src.Poisson(expReservoir)
+		if uint64(n)+uint64(m) > limit {
+			return fmt.Errorf("dram: %d weak cells and %d latent VRT cells drawn for a %d-bit device", n, m, total)
+		}
+		reservoir := newPowerLaw(tmin, vrtMax(tmax), v.VRTRateExponent)
+		latent = make([]weakCell, m)
+		for i := range latent {
+			muLow := reservoir.sample(d.src)
+			d.drawWeakCell(&latent[i], t, logSigma, muLow, true, tmax*10)
 		}
 	}
-	d.weak = sorted
-	d.rowStart = start
+
+	// The cells stay where they were drawn; d.weak points at them in bit
+	// order, and the table's arrays, free once d.weak is built, are the
+	// index sort's working memory.
+	sorted, idx := t.order()
+	d.weak = make([]*weakCell, len(idx))
+	for j, i := range idx {
+		if int(i) < n {
+			d.weak[j] = &cells[i]
+		} else {
+			d.weak[j] = &latent[int(i)-n]
+		}
+	}
+	d.rowStart = make([]int32, d.geom.TotalRows()+1)
+	d.recountRows()
+	d.buildIndex(t.bits, t.next, sorted, idx)
+	return nil
 }
 
 // recountRows rebuilds rowStart and every cell's rank from the weak
 // population, which must be in bit order, in one pass over the rows and the
-// cells. Injection and delta replay insert cells without touching either and
-// call it once per batch, so a batch of k cells costs one pass rather than
-// k.
+// cells. Construction calls it once its cells are in order; injection and
+// delta replay insert cells without touching either and call it once per
+// batch, so a batch of k cells costs one pass rather than k.
 func (d *Device) recountRows() {
 	rowBits := uint64(d.geom.RowBits())
 	i := 0
@@ -343,19 +358,16 @@ func (d *Device) allocCell() *weakCell {
 	return &d.cellArena[len(d.cellArena)-1]
 }
 
-// addWeakCell creates one weak cell at a fresh random bit position, drawing
-// its sigma around logSigma, the vendor's sigmaLogMean. muHighOverride > 0
-// forces the VRT high-retention state to that value (used for the latent
-// reservoir); otherwise a VRT cell's high state is a random multiple of its
-// low state.
-func (d *Device) addWeakCell(taken map[uint64]struct{}, logSigma, mu float64, vrt bool, muHighOverride float64) {
-	var bit uint64
-	for {
-		bit = d.src.Uint64n(uint64(d.geom.TotalBits()))
-		if _, dup := taken[bit]; !dup {
-			taken[bit] = struct{}{}
-			break
-		}
+// drawWeakCell draws one weak cell into c at a fresh random bit position,
+// redrawing any bit t already holds, with its sigma drawn around logSigma,
+// the vendor's sigmaLogMean. muHighOverride > 0 forces the VRT
+// high-retention state to that value (used for the latent reservoir);
+// otherwise a VRT cell's high state is a random multiple of its low state.
+func (d *Device) drawWeakCell(c *weakCell, t *bitTable, logSigma, mu float64, vrt bool, muHighOverride float64) {
+	total := uint64(d.geom.TotalBits())
+	bit := d.src.Uint64n(total)
+	for !t.add(bit) {
+		bit = d.src.Uint64n(total)
 	}
 	v := &d.vend
 	sigma := d.src.LogNormal(logSigma, v.SigmaLogSigma)
@@ -367,7 +379,6 @@ func (d *Device) addWeakCell(taken map[uint64]struct{}, logSigma, mu float64, vr
 		u := d.src.Float64()
 		sens = v.DPDStrength * u * u
 	}
-	c := d.allocCell()
 	*c = weakCell{
 		bit:        bit,
 		mu:         mu,
@@ -404,7 +415,6 @@ func (d *Device) addWeakCell(taken map[uint64]struct{}, logSigma, mu float64, vr
 		vs.nextSwitch = vs.src.Exp(mean)
 		c.vrt = vs
 	}
-	d.weak = append(d.weak, c)
 }
 
 // Geometry returns the device geometry.

@@ -139,17 +139,25 @@ func BenchmarkFig9Pass(b *testing.B) {
 }
 
 // BenchmarkNewDevice measures fleet-member construction from the analytic
-// distributions: a 32 Mbit chip at WeakScale 100, and the bench population
-// chip (16 Mbit, WeakScale 30) once per vendor.
+// distributions: a 32 Mbit chip at WeakScale 100, the bench population chip
+// (16 Mbit, WeakScale 30) once per vendor, and the fig9_grid chip (64 Mbit,
+// WeakScale 20, vendor B). Op i builds seed i%8+1, so a run whose op count
+// is a multiple of 8 does the same work at any count; pass a fixed
+// -test.benchtime Nx to compare two builds.
 func BenchmarkNewDevice(b *testing.B) {
+	const seeds = 8
 	build := func(b *testing.B, cfg Config) {
 		b.ReportAllocs()
+		cells := 0
 		for i := 0; i < b.N; i++ {
-			cfg.Seed = uint64(i + 1)
-			if _, err := NewDevice(cfg); err != nil {
+			cfg.Seed = uint64(i%seeds + 1)
+			d, err := NewDevice(cfg)
+			if err != nil {
 				b.Fatal(err)
 			}
+			cells += d.WeakCellCount()
 		}
+		b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 	}
 	b.Run("32mbit", func(b *testing.B) {
 		build(b, Config{Geometry: Geometry{Banks: 8, RowsPerBank: 256, WordsPerRow: 256}, Vendor: VendorB(), WeakScale: 100})
@@ -159,6 +167,9 @@ func BenchmarkNewDevice(b *testing.B) {
 			build(b, Config{Geometry: GeometryForBits(16 << 20), Vendor: v, WeakScale: 30})
 		})
 	}
+	b.Run("64mbit", func(b *testing.B) {
+		build(b, Config{Geometry: GeometryForBits(64 << 20), Vendor: VendorB(), WeakScale: 20})
+	})
 }
 
 // oracleSink keeps BenchmarkTrueFailingSet's result live.

@@ -104,27 +104,44 @@ func (s IndexStats) Sub(o IndexStats) IndexStats {
 func (d *Device) IndexStats() IndexStats { return d.idx }
 
 // rebuildIndex (re)derives the activation index from the weak population,
-// which must be in bit order. The order is the one a comparison sort by
-// (key, bit) gives: a stable LSD radix sort of (orderKey, weak index) pairs
-// keeps equal keys in weak's ascending bit order, which is exactly the bit
-// tie-break. The radix sort is linear in the population; a comparison sort
-// of the same pointer-free (key, index) pairs made NewDevice about 40%
-// slower on a 32 Mbit chip.
+// which must be in bit order, with working memory of its own.
 func (d *Device) rebuildIndex() {
 	n := len(d.weak)
-	keys := make([]uint64, n)
-	order := make([]uint32, n)
+	d.buildIndex(make([]uint64, n), make([]uint32, n), make([]uint64, n), make([]uint32, n))
+}
+
+// buildIndex derives the activation index from the weak population, which
+// must be in bit order, in the working memory it is lent: keys and order
+// hold the sort's pairs and tmpK and tmpV its scratch, each at least as long
+// as the population, and construction lends its bit table's arrays. The
+// order is the one a comparison sort by (key, bit) gives: a stable LSD radix
+// sort of (orderKey, weak index) pairs keeps equal keys in weak's ascending
+// bit order, which is exactly the bit tie-break. The radix sort is linear in
+// the population; a comparison sort of the same pointer-free (key, index)
+// pairs made NewDevice about 40% slower on a 32 Mbit chip.
+//
+// Each cell's key is computed once. Its exact bits wait in actKeys, at the
+// cell's weak index, while the sort orders their orderKey images; then they
+// pass through keys, which the sorted images no longer need, to their
+// places in index order.
+func (d *Device) buildIndex(keys []uint64, order []uint32, tmpK []uint64, tmpV []uint32) {
+	n := len(d.weak)
+	keys, order = keys[:n], order[:n]
+	d.actKeys = make([]float64, n)
 	for i, c := range d.weak {
-		keys[i] = orderKey(activationKey(c))
+		k := activationKey(c)
+		d.actKeys[i] = k
+		keys[i] = orderKey(k)
 		order[i] = uint32(i)
 	}
-	radixSortPairs(keys, order)
+	radixSortPairs(keys, order, tmpK[:n], tmpV[:n])
+	for i, k := range d.actKeys {
+		keys[i] = math.Float64bits(k)
+	}
 	d.actCells = make([]*weakCell, n)
-	d.actKeys = make([]float64, n)
 	for j, i := range order {
-		c := d.weak[i]
-		d.actCells[j] = c
-		d.actKeys[j] = activationKey(c)
+		d.actCells[j] = d.weak[i]
+		d.actKeys[j] = math.Float64frombits(keys[i])
 	}
 }
 
@@ -148,7 +165,8 @@ func orderKey(f float64) uint64 {
 
 // radixSortPairs sorts keys ascending, stably, applying the same permutation
 // to vals: an LSD radix sort by byte that skips every byte all keys share.
-func radixSortPairs(keys []uint64, vals []uint32) {
+// tmpK and tmpV, as long as keys, are its scratch.
+func radixSortPairs(keys []uint64, vals []uint32, tmpK []uint64, tmpV []uint32) {
 	if len(keys) < 2 {
 		return
 	}
@@ -156,17 +174,11 @@ func radixSortPairs(keys []uint64, vals []uint32) {
 	for _, k := range keys {
 		diff |= k ^ keys[0]
 	}
-	srcK, srcV := keys, vals
-	var dstK []uint64
-	var dstV []uint32
+	srcK, srcV, dstK, dstV := keys, vals, tmpK, tmpV
 	var count [256]int
 	for shift := uint(0); shift < 64; shift += 8 {
 		if diff>>shift&0xff == 0 {
 			continue
-		}
-		if dstK == nil {
-			dstK = make([]uint64, len(keys))
-			dstV = make([]uint32, len(vals))
 		}
 		count = [256]int{}
 		for _, k := range srcK {

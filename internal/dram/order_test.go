@@ -260,7 +260,7 @@ func TestRadixSortPairsStable(t *testing.T) {
 			want[i] = pair{keys[i], vals[i]}
 		}
 		slices.SortStableFunc(want, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
-		radixSortPairs(keys, vals)
+		radixSortPairs(keys, vals, make([]uint64, tc.n), make([]uint32, tc.n))
 		for i := range want {
 			if keys[i] != want[i].k || vals[i] != want[i].v {
 				t.Fatalf("n=%d mask=%#x: slot %d = (%#x, %d), want (%#x, %d)",

@@ -1,7 +1,9 @@
 package dram
 
 import (
+	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"reaper/internal/patterns"
@@ -99,29 +101,92 @@ func TestSeedStabilityProfileDigest(t *testing.T) {
 }
 
 // TestSeedStabilityPopulation pins the sampled weak-cell population itself:
-// cell count and the digest of the sorted bit positions.
+// the cell count, the digest of the bit-ordered bit positions, and a digest
+// of everything construction derives (populationDigest). The collision case
+// draws ~950 cells on 2,048 bits, so about one bit draw in four repeats a
+// drawn bit and is redrawn; the no-VRT case builds no reservoir.
 func TestSeedStabilityPopulation(t *testing.T) {
-	d := testDevice(t, 99, func(c *Config) {
-		c.Geometry = Geometry{Banks: 4, RowsPerBank: 64, WordsPerRow: 128}
-		c.WeakScale = 40
-	})
+	cases := []struct {
+		name       string
+		seed       uint64
+		mutate     func(*Config)
+		wantCount  int
+		wantBits   uint64
+		wantDigest uint64
+	}{
+		{name: "seed99", seed: 99, mutate: func(c *Config) {
+			c.Geometry = Geometry{Banks: 4, RowsPerBank: 64, WordsPerRow: 128}
+			c.WeakScale = 40
+		}, wantCount: 3954, wantBits: 0xa54218cf2631f03c, wantDigest: 0x59a7c91ffcb3bd24},
+		{name: "collisions", seed: 5, mutate: func(c *Config) {
+			c.Geometry = Geometry{Banks: 2, RowsPerBank: 2, WordsPerRow: 8}
+			c.WeakScale = 10000
+		}, wantCount: 953, wantBits: 0xf2dfde08863e8342, wantDigest: 0x8da2e405cf697480},
+		{name: "novrt", seed: 13, mutate: func(c *Config) {
+			c.Geometry = Geometry{Banks: 4, RowsPerBank: 64, WordsPerRow: 128}
+			c.WeakScale = 40
+			c.DisableVRT = true
+		}, wantCount: 3749, wantBits: 0xacebd428bc15d2c4, wantDigest: 0xe3d8ee3fbb196863},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := testDevice(t, tc.seed, tc.mutate)
+			h := fnv.New64a()
+			cells := d.Cells(0)
+			for _, c := range cells {
+				var buf [8]byte
+				for i := 0; i < 8; i++ {
+					buf[i] = byte(c.Bit >> (8 * i))
+				}
+				h.Write(buf[:])
+			}
+			digest := populationDigest(d)
+			if tc.wantDigest == 0 {
+				t.Logf("pin: wantCount: %d, wantBits: 0x%x, wantDigest: 0x%x", len(cells), h.Sum64(), digest)
+				t.Fatal("unpinned population case; copy the values above")
+			}
+			if len(cells) != tc.wantCount || h.Sum64() != tc.wantBits || digest != tc.wantDigest {
+				t.Errorf("population = %d cells, bits 0x%x, digest 0x%x; want %d, 0x%x, 0x%x",
+					len(cells), h.Sum64(), digest, tc.wantCount, tc.wantBits, tc.wantDigest)
+			}
+		})
+	}
+}
+
+// populationDigest hashes what construction derives: every cell of the
+// bit-ordered population with its rank and drawn parameters, the row
+// offsets, the activation index's order and exact key bits, and the next
+// draw of the device stream (which it consumes).
+func populationDigest(d *Device) uint64 {
 	h := fnv.New64a()
-	cells := d.Cells(0)
-	for _, c := range cells {
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(c.Bit >> (8 * i))
+	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	f := math.Float64bits
+	for _, c := range d.weak {
+		put(c.bit)
+		put(uint64(c.rank))
+		put(f(c.mu))
+		put(f(c.sigma))
+		put(f(c.dpdSens))
+		put(c.dpdSeed)
+		put(uint64(c.chargedVal))
+		if v := c.vrt; v != nil {
+			put(f(v.muLow))
+			put(f(v.muHigh))
+			put(f(v.dwellLow))
+			put(f(v.dwellHigh))
+			put(f(v.nextSwitch))
+			if v.inLow {
+				put(1)
+			}
 		}
-		h.Write(buf[:])
 	}
-	const wantCount = 3954
-	const wantDigest = uint64(0xa54218cf2631f03c)
-	if wantDigest == 0 {
-		t.Logf("pin: count=%d digest=0x%x", len(cells), h.Sum64())
-		t.Fatal("unpinned population case; copy the values above")
+	for _, s := range d.rowStart {
+		put(uint64(s))
 	}
-	if len(cells) != wantCount || h.Sum64() != wantDigest {
-		t.Errorf("population = %d cells digest 0x%x, want %d cells digest 0x%x",
-			len(cells), h.Sum64(), wantCount, wantDigest)
+	for j, c := range d.actCells {
+		put(c.bit)
+		put(f(d.actKeys[j]))
 	}
+	put(d.src.Uint64())
+	return h.Sum64()
 }

@@ -70,15 +70,21 @@ func (c ChipSpec) withDefaults() ChipSpec {
 // a million chips holds a million refs (a few words each) and materializes
 // only the shard currently being swept.
 func (c ChipSpec) Ref() (dram.ChipRef, error) {
+	return dram.NewChipRef(c.Config())
+}
+
+// Config returns the device configuration this spec builds, with the
+// zero-value conveniences resolved.
+func (c ChipSpec) Config() dram.Config {
 	c = c.withDefaults()
-	return dram.NewChipRef(dram.Config{
+	return dram.Config{
 		Geometry:   dram.GeometryForBits(c.Bits),
 		Vendor:     c.Vendor,
 		Seed:       c.Seed,
 		WeakScale:  c.WeakScale,
 		DisableVRT: c.DisableVRT,
 		DisableDPD: c.DisableDPD,
-	})
+	}
 }
 
 // NewStation builds the station for a spec by materializing its ref.

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+
+	"reaper/internal/dram"
 )
 
 // Bounds enforced by Validate on the fleet spec, so a malformed program
@@ -20,6 +22,16 @@ const (
 	maxChipBits   = 1 << 32 // 4 Gbit
 	maxWeakScale  = 1000
 	maxNameLen    = 128
+
+	// maxChipWeakCells bounds one chip's expected weak population (its
+	// retention tail plus its latent VRT reservoir). A weak cell costs at
+	// least 88 bytes (the 64-byte cell, its slot in the bit-ordered
+	// population and its two activation-index slots), so the cap holds a
+	// chip to about 370 MB. It admits a 1 Gbit chip of every vendor at the
+	// default weak_scale of 20 and a 4 Gbit chip of every vendor at
+	// weak_scale 1; at 4 Gbit and weak_scale 1000 a vendor C chip would
+	// expect 4.3e8 cells.
+	maxChipWeakCells = 1 << 22
 )
 
 // StageTypes returns every registered stage-type token, sorted.
@@ -177,8 +189,28 @@ func (f Fleet) validate() error {
 	if f.WeakScale < 0 || f.WeakScale > maxWeakScale {
 		return fmt.Errorf("testprog: fleet.weak_scale %v out of [0, %d]", f.WeakScale, maxWeakScale)
 	}
-	if _, err := f.vendor(); err != nil {
+	v, err := f.vendor()
+	if err != nil {
 		return err
+	}
+	if err := f.checkChipCells(v); err != nil {
+		return fmt.Errorf("testprog: %w", err)
+	}
+	return nil
+}
+
+// checkChipCells refuses a fleet whose chips of vendor v would expect more
+// than maxChipWeakCells weak cells, with bits and weak_scale resolved as
+// the stages resolve them. The expectation is the one construction sizes
+// its tables with (dram.ExpectedWeakCells).
+func (f Fleet) checkChipCells(v dram.VendorParams) error {
+	spec := f.chipSpec(0)
+	spec.Vendor = v
+	cfg := spec.Config()
+	base, reservoir := dram.ExpectedWeakCells(cfg)
+	if cells := base + reservoir; !(cells <= maxChipWeakCells) {
+		return fmt.Errorf("fleet: a %d-bit vendor %s chip at weak_scale %v expects %.3g weak cells, over the %d one chip may hold",
+			cfg.Geometry.TotalBits(), v.Name, cfg.WeakScale, cells, maxChipWeakCells)
 	}
 	return nil
 }

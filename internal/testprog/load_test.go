@@ -84,6 +84,10 @@ var loadRejectCases = []struct {
 	{"no stages", `{"version":1,"seed":1,"stages":[]}`, "no stages"},
 	{"unknown vendor", `{"version":1,"seed":1,"fleet":{"vendor":"Z"},"stages":[{"type":"disable_refresh"}]}`, "unknown vendor"},
 	{"tiny chip", `{"version":1,"seed":1,"fleet":{"bits":4096},"stages":[{"type":"disable_refresh"}]}`, "fleet.bits"},
+	{"chip over the weak-cell cap", `{"version":1,"seed":1,"fleet":{"bits":4294967296,"weak_scale":1000,"vendor":"C"},"stages":[{"type":"disable_refresh"}]}`,
+		"a 4294967296-bit vendor C chip at weak_scale 1000 expects 4.29e+08 weak cells, over the 4194304"},
+	{"sweep chip over the weak-cell cap", `{"version":1,"seed":1,"fleet":{"bits":1073741824,"weak_scale":40,"vendor":"A"},"stages":[
+		{"type":"population_sweep","chips_per_vendor":1,"target_interval_s":1}]}`, "stage 0 (population_sweep): fleet: a 1073741824-bit vendor C chip"},
 	{"negative wait", `{"version":1,"seed":1,"stages":[{"type":"wait","seconds":-1}]}`, "seconds"},
 	{"bad pattern", `{"version":1,"seed":1,"stages":[{"type":"write_pattern","pattern":"plaid"}]}`, "plaid"},
 	{"read before write", `{"version":1,"seed":1,"stages":[{"type":"read_compare"}]}`, "prior write_pattern"},
@@ -115,6 +119,27 @@ func TestLoadRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestLoadAdmitsChipsUnderCellCap loads the largest programs the per-chip
+// weak-cell cap is meant to admit. loadRejectCases holds the refused ones,
+// among them a population sweep whose fleet.vendor chip fits but whose
+// vendor C chip, which the sweep also builds, does not.
+func TestLoadAdmitsChipsUnderCellCap(t *testing.T) {
+	for _, fleet := range []string{
+		`{"bits":4294967296,"weak_scale":1,"vendor":"C"}`,
+		`{"bits":1073741824,"vendor":"C"}`,
+		`{"bits":1073741824,"weak_scale":40,"vendor":"A"}`,
+	} {
+		src := `{"version":1,"seed":1,"fleet":` + fleet + `,"stages":[{"type":"disable_refresh"}]}`
+		if _, err := Load([]byte(src)); err != nil {
+			t.Errorf("fleet %s: %v", fleet, err)
+		}
+	}
+	sweep := `{"version":1,"seed":1,"stages":[{"type":"population_sweep","chips_per_vendor":1,"target_interval_s":1}]}`
+	if _, err := Load([]byte(sweep)); err != nil {
+		t.Errorf("default population sweep: %v", err)
 	}
 }
 

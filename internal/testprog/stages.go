@@ -3,6 +3,7 @@ package testprog
 import (
 	"fmt"
 
+	"reaper/internal/dram"
 	"reaper/internal/faultinject"
 	"reaper/internal/patterns"
 )
@@ -498,7 +499,7 @@ type PopulationSweepStage struct {
 // StageType implements Stage.
 func (s *PopulationSweepStage) StageType() string { return StagePopulationSweep }
 
-func (s *PopulationSweepStage) validate(_ *Program, i int) error {
+func (s *PopulationSweepStage) validate(p *Program, i int) error {
 	if s.ChipsPerVendor <= 0 {
 		return fmt.Errorf("stage %d (%s): chips_per_vendor must be positive", i, s.StageType())
 	}
@@ -514,6 +515,12 @@ func (s *PopulationSweepStage) validate(_ *Program, i int) error {
 	if s.Iterations < 0 || s.Iterations > maxProfileIterations {
 		return fmt.Errorf("stage %d (%s): iterations %d out of [0, %d]",
 			i, s.StageType(), s.Iterations, maxProfileIterations)
+	}
+	// The sweep builds chips of every vendor, whatever fleet.vendor says.
+	for _, v := range dram.Vendors() {
+		if err := p.Fleet.checkChipCells(v); err != nil {
+			return fmt.Errorf("stage %d (%s): %w", i, s.StageType(), err)
+		}
 	}
 	return nil
 }
