@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check bench bench-test bench-smoke bench-go fuzz-quick soak-quick soak-resume-quick serve-quick lint lint-json lint-fixtures
+.PHONY: all build vet fmt-check test race check bench bench-test bench-smoke bench-go fuzz-quick soak-quick soak-resume-quick serve-quick examples lint lint-json lint-fixtures
 
 all: check
 
@@ -63,6 +63,15 @@ soak-resume-quick:
 serve-quick:
 	$(GO) run ./cmd/reaperd -selftest
 
+# examples runs every program under examples/ and fails if one exits
+# non-zero. go build ./... compiles them, but only this target runs them;
+# each takes under a second.
+examples:
+	@for dir in examples/*/; do \
+		echo "== $$dir"; \
+		$(GO) run ./$$dir || { echo "examples: $$dir exited non-zero"; exit 1; }; \
+	done
+
 # lint runs reaperlint, the repo's own determinism-and-safety analyzer suite
 # (see DESIGN.md "Invariants"). Exits non-zero on any unsuppressed finding.
 lint:
@@ -81,7 +90,7 @@ lint-json:
 lint-fixtures:
 	$(GO) test -race -short ./internal/lint
 
-check: build vet fmt-check lint race bench-test bench-smoke soak-quick soak-resume-quick serve-quick
+check: build vet fmt-check lint race bench-test bench-smoke soak-quick soak-resume-quick serve-quick examples
 
 # bench runs the layered benchmark (cmd/bench) on all four workloads for
 # 15 s each and prints every end-to-end metric by name with its unit; the

@@ -22,8 +22,8 @@
 // Usage:
 //
 //	reaperd [-addr host:port] [-max-concurrent N] [-queue-depth N]
-//	        [-job-workers N] [-trace-capacity N]
-//	        [-metrics-out file.json] [-pprof-addr host:port] [-selftest]
+//	        [-job-workers N] [-metrics-out file.json]
+//	        [-pprof-addr host:port] [-selftest]
 //
 // -selftest starts the server on a loopback port, submits a small device
 // program twice through the Go client, asserts the two result documents
@@ -76,8 +76,6 @@ func run() int {
 	queueDepth := flag.Int("queue-depth", 16, "accepted programs that may wait for the executor")
 	jobWorkers := flag.Int("job-workers", parallel.DefaultWorkers(),
 		"per-program worker pool size (results are identical at any count)")
-	traceCap := flag.Int("trace-capacity", 0,
-		"progress-event ring size per program (0 = default)")
 	metricsOut := flag.String("metrics-out", "", "write the final metrics snapshot JSON here on exit")
 	pprofAddr := flag.String("pprof-addr", "", "serve pprof + live metrics on this address")
 	selftest := flag.Bool("selftest", false, "run the submit-twice determinism smoke test and exit")
@@ -93,7 +91,6 @@ func run() int {
 		MaxConcurrent: *maxConcurrent,
 		QueueDepth:    *queueDepth,
 		JobWorkers:    *jobWorkers,
-		TraceCapacity: *traceCap,
 		Telemetry:     reg,
 	}
 

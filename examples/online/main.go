@@ -75,10 +75,8 @@ func main() {
 			Vendor:     reaper.VendorB(),
 			TempC:      reaper.RefTempC,
 		},
-		AssumedCoverage: 0.99,
-		SafetyFactor:    2,
-		Install:         shield.Install,
-		AfterRound:      writeData,
+		Install:    shield.Install,
+		AfterRound: writeData,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -19,8 +19,10 @@ import (
 // blob; version 3 dropped the scrubber's per-pass history and the firmware
 // manager's window counters from the soak chip blob; version 4 replaced the
 // soak campaign file with per-chip saves, each chip blob carrying its own
-// telemetry registry.
-const FormatVersion = 4
+// telemetry registry; version 5 dropped the content descriptor of each
+// deviant row from the device blob (rows deviate by word overrides only)
+// and three fixed soak settings from the campaign identity.
+const FormatVersion = 5
 
 // ErrNoCheckpoint is returned by Load when the directory holds no manifest
 // at all (a fresh campaign, or -resume pointed at the wrong directory).

@@ -165,7 +165,7 @@ func waitWindows(cmds []command) []float64 {
 
 // passSeconds is the whole-device pass time of a station's device.
 func passSeconds(st *memctrl.Station) float64 {
-	return st.Timing().PassSeconds(st.Device().Geometry().TotalBytes())
+	return memctrl.PassSeconds(st.Device().Geometry().TotalBytes())
 }
 
 func TestCommandTraceRecordsAlgorithm1Loop(t *testing.T) {

@@ -31,7 +31,7 @@ func mkStation(seed uint64) func() (*memctrl.Station, error) {
 		if err != nil {
 			return nil, err
 		}
-		return memctrl.NewStation(dev, nil, memctrl.DefaultTiming())
+		return memctrl.NewStation(dev, nil)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestBruteForceFindsFailures(t *testing.T) {
 func TestBruteForceRuntimeMatchesEquation9(t *testing.T) {
 	st := newStation(t, 3)
 	bytes := st.Device().Geometry().TotalBytes()
-	pass := st.Timing().PassSeconds(bytes)
+	pass := memctrl.PassSeconds(bytes)
 	const iters = 3
 	res, err := BruteForce(st, 1.024, Options{Iterations: iters})
 	if err != nil {

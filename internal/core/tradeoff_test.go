@@ -98,12 +98,9 @@ func mkChamberStation(seed uint64) func() (*memctrl.Station, error) {
 		if err != nil {
 			return nil, err
 		}
-		ch, err := thermal.NewChamber(thermal.DefaultChamberConfig())
-		if err != nil {
-			return nil, err
-		}
+		ch := thermal.NewChamber(1)
 		ch.SettleTo(45, 0.25, 3600)
-		return memctrl.NewStation(dev, ch, memctrl.DefaultTiming())
+		return memctrl.NewStation(dev, ch)
 	}
 }
 

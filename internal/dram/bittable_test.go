@@ -127,7 +127,6 @@ func TestNewDeviceRefusesUnbuildablePopulation(t *testing.T) {
 		{"reservoir", Config{Geometry: Geometry{1, 1, 16}, Vendor: VendorC(), Seed: 2, WeakScale: 10350}, "latent VRT cells"},
 		{"NaN scale", tiny(func(c *Config) { c.WeakScale = math.NaN() }), "not finite"},
 		{"infinite scale", tiny(func(c *Config) { c.WeakScale = math.Inf(1) }), "not finite"},
-		{"NaN domain", tiny(func(c *Config) { c.MaxRetention = math.NaN() }), "not finite"},
 		{"NaN vendor", tiny(func(c *Config) { c.Vendor.BERAt1024ms = math.NaN() }), "not finite"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

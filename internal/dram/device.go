@@ -2,7 +2,6 @@ package dram
 
 import (
 	"fmt"
-	"maps"
 	"math"
 
 	"reaper/internal/rng"
@@ -18,11 +17,6 @@ type RowData interface {
 	Word(globalRow uint32, word int) uint64
 }
 
-// sliceRowData wraps explicitly written row contents.
-type sliceRowData []uint64
-
-func (s sliceRowData) Word(_ uint32, w int) uint64 { return s[w] }
-
 // zeroData is the all-zero content a device holds after power-up.
 type zeroData struct{}
 
@@ -36,8 +30,18 @@ func (zeroData) Word(uint32, int) uint64 { return 0 }
 // population (min retention 256 ms), as on real (non-defective) devices.
 const zClip = 3.5
 
+// The modelled retention-mean domain, in seconds at the reference
+// temperature: cells whose mean falls outside it are "strong" and never
+// fail.
+const (
+	minRetentionS = 0.256
+	maxRetentionS = 8.0
+)
+
 // vrtDomainMaxS caps the retention domain (seconds) of the latent VRT
-// reservoir; see sampleWeakPopulation.
+// reservoir below maxRetentionS: the steep VRT rate power law (Figure 4) is
+// a fit over the paper's tested intervals (<= ~4 s), and extrapolating it to
+// tens of seconds would produce a nonphysical reservoir.
 const vrtDomainMaxS = 6.5
 
 // Config configures a simulated device.
@@ -51,15 +55,6 @@ type Config struct {
 	// statistically meaningful weak population; the default is 1.
 	WeakScale float64
 
-	// MinRetention / MaxRetention bound the modelled retention-mean domain
-	// in seconds at the reference temperature. Cells outside the domain
-	// are "strong" and never fail. Defaults: 0.256 s and 8 s.
-	MinRetention float64
-	MaxRetention float64
-
-	// AmbientTempC is the initial ambient temperature; default RefTempC.
-	AmbientTempC float64
-
 	// DisableVRT / DisableDPD switch off those phenomena for ablation
 	// experiments.
 	DisableVRT bool
@@ -70,23 +65,13 @@ func (c *Config) fillDefaults() {
 	if c.WeakScale == 0 {
 		c.WeakScale = 1
 	}
-	if c.MinRetention == 0 {
-		c.MinRetention = 0.256
-	}
-	if c.MaxRetention == 0 {
-		c.MaxRetention = 8
-	}
-	if c.AmbientTempC == 0 {
-		c.AmbientTempC = RefTempC
-	}
 }
 
-// rowState records how a row deviates from the device-wide bulk state:
-// different content and/or a different last-restore time.
+// rowState records how a row deviates from the device-wide bulk state: a
+// different last-restore time and/or words written over the bulk content.
 type rowState struct {
-	data       RowData // nil: use the device bulk content
 	restoredAt float64
-	overrides  map[int]uint64 // word index -> value, for partial writes
+	overrides  map[int]uint64 // word index -> value, for word writes
 }
 
 // Device is a simulated LPDDR4 DRAM device. It is not safe for concurrent
@@ -188,13 +173,7 @@ func (c *Config) validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
-	if err := c.Vendor.Validate(); err != nil {
-		return err
-	}
-	if c.MinRetention <= 0 || c.MaxRetention <= c.MinRetention {
-		return fmt.Errorf("dram: invalid retention domain [%v, %v]", c.MinRetention, c.MaxRetention)
-	}
-	return nil
+	return c.Vendor.Validate()
 }
 
 // NewDevice builds a device and samples its weak-cell population. It fails
@@ -210,7 +189,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		bulkData:       zeroData{},
 		bulkComparable: true,
 		rows:           make(map[uint32]*rowState),
-		tempC:          cfg.AmbientTempC,
+		tempC:          RefTempC,
 		src:            rng.New(cfg.Seed),
 		cacheOn:        true,
 		contentEpoch:   1, // so zero-valued per-cell caches start invalid
@@ -231,30 +210,18 @@ func ExpectedWeakCells(cfg Config) (base, reservoir float64) {
 	v := &cfg.Vendor
 	// Base weak cells: retention means follow the power-law tail that
 	// produces BER(t) = BERAt1024ms * (t/1.024s)^beta at 45C.
-	base = float64(cfg.Geometry.TotalBits()) * v.BER(cfg.MaxRetention, RefTempC) * cfg.WeakScale
+	base = float64(cfg.Geometry.TotalBits()) * v.BER(maxRetentionS, RefTempC) * cfg.WeakScale
 	if !cfg.DisableVRT {
 		// Latent VRT reservoir: cells whose high-retention state is beyond
 		// the domain (they never fail "normally") but whose low-retention
 		// state is inside it. In steady state they enter the failing
 		// population at rate A(t) = count(muLow <= t) / (dwellLow +
 		// dwellHigh), so the reservoir size is A(tmax) * (dwellLow +
-		// dwellHigh), with tmax capped by vrtMax.
+		// dwellHigh), with tmax capped at vrtDomainMaxS.
 		dwellSum := v.VRTDwellLowHours + v.VRTDwellHighHours // hours
-		reservoir = v.VRTRate(vrtMax(cfg.MaxRetention), RefTempC, cfg.Geometry.TotalBytes()) * dwellSum * cfg.WeakScale
+		reservoir = v.VRTRate(vrtDomainMaxS, RefTempC, cfg.Geometry.TotalBytes()) * dwellSum * cfg.WeakScale
 	}
 	return base, reservoir
-}
-
-// vrtMax is the upper end of the latent VRT reservoir's low-retention
-// domain for a device whose retention domain ends at tmax. It is capped
-// below the overall domain: the steep VRT rate power law (Figure 4) is a fit
-// over the paper's tested intervals (<= ~4 s), and extrapolating it to tens
-// of seconds would produce a nonphysical reservoir.
-func vrtMax(tmax float64) float64 {
-	if tmax > vrtDomainMaxS {
-		return vrtDomainMaxS
-	}
-	return tmax
 }
 
 // sampleWeakPopulation draws the base weak cells and the latent VRT
@@ -266,7 +233,6 @@ func vrtMax(tmax float64) float64 {
 // is not finite: a Poisson draw never returns on a NaN mean.
 func (d *Device) sampleWeakPopulation() error {
 	v := &d.vend
-	tmin, tmax := d.cfg.MinRetention, d.cfg.MaxRetention
 	total := uint64(d.geom.TotalBits())
 	limit := min(total, math.MaxUint32)
 	expBase, expReservoir := ExpectedWeakCells(d.cfg)
@@ -279,7 +245,7 @@ func (d *Device) sampleWeakPopulation() error {
 		return fmt.Errorf("dram: %d weak cells drawn for a %d-bit device", n, total)
 	}
 	t := newBitTable(total, n+int(min(math.Ceil(expReservoir), float64(limit))))
-	base := newPowerLaw(tmin, tmax, v.BERExponent)
+	base := newPowerLaw(minRetentionS, maxRetentionS, v.BERExponent)
 	logSigma := v.sigmaLogMean()
 	cells := make([]weakCell, n)
 	for i := range cells {
@@ -293,11 +259,11 @@ func (d *Device) sampleWeakPopulation() error {
 		if uint64(n)+uint64(m) > limit {
 			return fmt.Errorf("dram: %d weak cells and %d latent VRT cells drawn for a %d-bit device", n, m, total)
 		}
-		reservoir := newPowerLaw(tmin, vrtMax(tmax), v.VRTRateExponent)
+		reservoir := newPowerLaw(minRetentionS, vrtDomainMaxS, v.VRTRateExponent)
 		latent = make([]weakCell, m)
 		for i := range latent {
 			muLow := reservoir.sample(d.src)
-			d.drawWeakCell(&latent[i], t, logSigma, muLow, true, tmax*10)
+			d.drawWeakCell(&latent[i], t, logSigma, muLow, true, maxRetentionS*10)
 		}
 	}
 
@@ -475,20 +441,14 @@ func (d *Device) wordAt(row uint32, word int) uint64 {
 
 // rowWord returns the logical value of a word of row, whose deviation record
 // is rs (nil when the row holds the bulk content): the word's override if it
-// has one, else the row's own content, else the bulk content.
+// has one, else the bulk content.
 func (d *Device) rowWord(rs *rowState, row uint32, word int) uint64 {
-	data := d.bulkData
-	if rs != nil {
-		if rs.overrides != nil { // a lookup in a nil map is still a runtime call
-			if v, ok := rs.overrides[word]; ok {
-				return v
-			}
-		}
-		if rs.data != nil {
-			data = rs.data
+	if rs != nil && rs.overrides != nil { // a lookup in a nil map is still a runtime call
+		if v, ok := rs.overrides[word]; ok {
+			return v
 		}
 	}
-	return data.Word(row, word)
+	return d.bulkData.Word(row, word)
 }
 
 // bulkBit returns the logical value of a bit under the bulk content: the
@@ -648,14 +608,6 @@ func (d *Device) ensureRowState(row uint32) *rowState {
 	return rs
 }
 
-// clearStuck resets the stuck state of all weak cells in a row (a write
-// replaces the charge, erasing any past failure).
-func (d *Device) clearStuck(row uint32) {
-	for _, c := range d.rowCells(row) {
-		c.stuck = -1
-	}
-}
-
 // WriteAll writes data to every row of the device at simulated time now.
 // This is the bulk operation retention-test passes use; it erases all
 // per-row deviations and stuck failures.
@@ -665,7 +617,7 @@ func (d *Device) WriteAll(data RowData, now float64) {
 	// contentEpoch stay valid — the common steady-state profiling cadence
 	// (same pattern every round) then re-reads cached codes instead of
 	// recomputing them. The identity test needs ==, which only comparable
-	// descriptor types support (patterns are; sliceRowData is not).
+	// descriptor types support.
 	same := len(d.rows) == 0 && d.bulkComparable && comparableRowData(data) && data == d.bulkData
 	d.bulkData = data
 	d.bulkComparable = comparableRowData(data)
@@ -781,70 +733,5 @@ func (d *Device) checkRow(bank, row int) error {
 	if bank < 0 || bank >= d.geom.Banks || row < 0 || row >= d.geom.RowsPerBank {
 		return fmt.Errorf("dram: bank %d row %d out of range for %v", bank, row, d.geom)
 	}
-	return nil
-}
-
-// ContentSnapshot captures the logical content of a device at a moment: the
-// bulk pattern, per-row deviations, and the stuck state of every weak cell.
-// It models the paper's footnote-4 "save all DRAM data to secondary
-// storage" step: a controller streams the data out before profiling and
-// back in afterwards (the memctrl layer charges the streaming time).
-type ContentSnapshot struct {
-	bulkData RowData
-	rows     map[uint32]*rowState
-	stuck    []int8
-}
-
-// SnapshotContent captures the device's current logical content.
-func (d *Device) SnapshotContent() *ContentSnapshot {
-	snap := &ContentSnapshot{
-		bulkData: d.bulkData,
-		rows:     make(map[uint32]*rowState, len(d.rows)),
-		stuck:    make([]int8, len(d.weak)),
-	}
-	for k, rs := range d.rows {
-		snap.rows[k] = rs.clone(rs.restoredAt)
-	}
-	for i, c := range d.weak {
-		snap.stuck[i] = c.stuck
-	}
-	return snap
-}
-
-// clone returns a deep copy of the row record, restored at restoredAt.
-func (rs *rowState) clone(restoredAt float64) *rowState {
-	return &rowState{data: rs.data, restoredAt: restoredAt, overrides: maps.Clone(rs.overrides)}
-}
-
-// RestoreContent writes a snapshot back into the device at simulated time
-// now. Restoring is a full write of every row: charge is fresh everywhere
-// (restoredAt = now), exactly as if the controller streamed the saved data
-// back in. Previously stuck (corrupted) values are restored verbatim — the
-// save captured whatever the cells held, including earlier corruption.
-func (d *Device) RestoreContent(snap *ContentSnapshot, now float64) error {
-	if snap == nil {
-		return fmt.Errorf("dram: nil snapshot")
-	}
-	if len(snap.stuck) != len(d.weak) {
-		return fmt.Errorf("dram: snapshot from a different device (weak population %d vs %d)",
-			len(snap.stuck), len(d.weak))
-	}
-	d.bulkData = snap.bulkData
-	d.bulkComparable = comparableRowData(snap.bulkData)
-	d.bulkTime = now
-	d.rows = make(map[uint32]*rowState, len(snap.rows))
-	for k, rs := range snap.rows {
-		d.rows[k] = rs.clone(now)
-	}
-	// Rebuild the stuck overlay to mirror the snapshot's corruption.
-	d.dropStuckList()
-	for i, c := range d.weak {
-		c.stuck = snap.stuck[i]
-		if c.stuck >= 0 {
-			c.flags |= cellStuckListed
-			d.stuckList = append(d.stuckList, c)
-		}
-	}
-	d.contentEpoch++
 	return nil
 }

@@ -51,21 +51,12 @@ func TestNewDeviceValidation(t *testing.T) {
 	if err == nil {
 		t.Error("invalid vendor not rejected")
 	}
-	bad := Config{
-		Geometry:     Geometry{Banks: 1, RowsPerBank: 1, WordsPerRow: 1},
-		Vendor:       VendorB(),
-		MinRetention: 5,
-		MaxRetention: 1,
-	}
-	if _, err = NewDevice(bad); err == nil {
-		t.Error("inverted retention domain not rejected")
-	}
 }
 
 func TestWeakPopulationSize(t *testing.T) {
 	d := testDevice(t, 1, nil)
 	cfg := d.cfg
-	expected := float64(cfg.Geometry.TotalBits()) * cfg.Vendor.BER(cfg.MaxRetention, RefTempC) * cfg.WeakScale
+	expected := float64(cfg.Geometry.TotalBits()) * cfg.Vendor.BER(maxRetentionS, RefTempC) * cfg.WeakScale
 	n := float64(d.WeakCellCount())
 	// The latent VRT reservoir adds on top; allow a wide band.
 	if n < expected*0.7 || n > expected*2.5 {

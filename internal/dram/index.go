@@ -326,7 +326,7 @@ func (d *Device) sweep(now float64, collect bool) []uint64 {
 	// no-deviation fast path for subsequent sweeps.
 	d.bulkTime = now
 	for r, rs := range d.rows {
-		if rs.data == nil && rs.overrides == nil {
+		if rs.overrides == nil {
 			delete(d.rows, r)
 			continue
 		}
@@ -420,7 +420,7 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool) {
 		}
 		if haveDeviant {
 			if _, deviant := d.rows[d.geom.rowOfBit(c.bit)]; deviant {
-				continue // sampled with its row's own content and restore time
+				continue // sampled with its row's overrides and restore time
 			}
 		}
 		switch d.classifyBulk(c, scale, eff) {
@@ -474,7 +474,7 @@ func (d *Device) sweepClassify(now, elapsed, scale, eff float64, collect bool) {
 	}
 
 	// Bit-ordered merge of the band (bulk content, bulk restore time) with
-	// the deviant rows (per-row content, overrides and restore times — the
+	// the deviant rows (per-row overrides and restore times — the
 	// original slow path, which also covers candidates excluded above).
 	bi := 0
 	sampleBandBelow := func(limit uint64) {

@@ -17,17 +17,13 @@ import (
 // device's own stream (d.src) encodes the chip's sampled identity and its
 // read history; consuming draws from it here would silently change every
 // subsequent read outcome and break the seed-stability guarantees the
-// snapshot tests pin down.
+// seed-stability tests pin down.
 
 // InjectWeakCellAt adds one weak cell at the given bit position, with a
 // retention mean drawn from the vendor's calibrated power-law tail capped at
 // maxMuSeconds (<= 0 means the device's full retention domain). It returns
 // false if the bit already hosts a weak cell. now is the current simulated
 // time; the new cell participates in reads from the next row activation on.
-//
-// Note that injection changes the weak-cell population, so content snapshots
-// taken before the call can no longer be restored (RestoreContent checks the
-// population length).
 func (d *Device) InjectWeakCellAt(src *rng.Source, bit uint64, maxMuSeconds, now float64) bool {
 	if !d.injectWeakCell(src, bit, maxMuSeconds) {
 		return false
@@ -78,7 +74,7 @@ func (d *Device) InjectWeakCells(src *rng.Source, n int, maxMuSeconds, now float
 // distributions using the caller's stream.
 func (d *Device) newInjectedCell(src *rng.Source, bit uint64, maxMuSeconds float64) *weakCell {
 	v := &d.vend
-	tmin, tmax := d.cfg.MinRetention, d.cfg.MaxRetention
+	tmin, tmax := minRetentionS, maxRetentionS
 	if maxMuSeconds > 0 && maxMuSeconds < tmax {
 		tmax = maxMuSeconds
 	}

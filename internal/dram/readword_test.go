@@ -9,8 +9,9 @@ import (
 	"reaper/internal/rng"
 )
 
-// WriteRow replaces the content of one row at simulated time now. words must
-// have exactly Geometry.WordsPerRow entries (the slice is copied).
+// WriteRow replaces the content of one row at simulated time now, writing
+// every word as an override of the bulk content. words must have exactly
+// Geometry.WordsPerRow entries.
 func (d *Device) WriteRow(bank, row int, words []uint64, now float64) error {
 	if err := d.checkRow(bank, row); err != nil {
 		return err
@@ -19,10 +20,16 @@ func (d *Device) WriteRow(bank, row int, words []uint64, now float64) error {
 		return fmt.Errorf("dram: WriteRow needs %d words, got %d", d.geom.WordsPerRow, len(words))
 	}
 	gr := d.geom.GlobalRow(bank, row)
-	cp := make(sliceRowData, len(words))
-	copy(cp, words)
-	d.rows[gr] = &rowState{data: cp, restoredAt: now}
-	d.clearStuck(gr)
+	rs := &rowState{restoredAt: now, overrides: make(map[int]uint64, len(words))}
+	for w, v := range words {
+		rs.overrides[w] = v
+	}
+	d.rows[gr] = rs
+	// The write replaces the charge of every cell in the row, erasing any
+	// past failure.
+	for _, c := range d.rowCells(gr) {
+		c.stuck = -1
+	}
 	d.contentEpoch++
 	return nil
 }

@@ -34,12 +34,12 @@ const (
 	maxRestoreEntries = 4 * maxRoundEntries
 )
 
-// rowData content descriptor kinds on the wire.
+// Content descriptor kinds on the wire. Bulk content and round-cache keys
+// are always one of these; rows deviate only by word overrides, which the
+// tail stores word by word.
 const (
-	contentNil   = 0 // rowState.data nil (bulk content applies)
-	contentZero  = 1 // zeroData: power-up state
-	contentSlice = 2 // sliceRowData: explicitly written words
-	contentNamed = 3 // named pattern, reconstructed via the resolver
+	contentZero  = 0 // zeroData: power-up state
+	contentNamed = 1 // named pattern, reconstructed via the resolver
 )
 
 // Namer is the optional naming facet of a RowData descriptor. Pattern
@@ -51,48 +51,26 @@ type Namer interface {
 
 // encodeRowData writes one content descriptor.
 func encodeRowData(e *checkpoint.Encoder, data RowData) error {
-	switch v := data.(type) {
-	case nil:
-		e.Byte(contentNil)
-	case zeroData:
+	if _, ok := data.(zeroData); ok {
 		e.Byte(contentZero)
-	case sliceRowData:
-		e.Byte(contentSlice)
-		e.Len(len(v))
-		for _, w := range v {
-			e.U64(w)
-		}
-	default:
-		n, ok := data.(Namer)
-		if !ok {
-			return fmt.Errorf("dram: content descriptor %T is neither named nor serializable", data)
-		}
-		e.Byte(contentNamed)
-		e.Str(n.Name())
+		return nil
 	}
+	n, ok := data.(Namer)
+	if !ok {
+		return fmt.Errorf("dram: content descriptor %T is neither named nor serializable", data)
+	}
+	e.Byte(contentNamed)
+	e.Str(n.Name())
 	return nil
 }
 
 // decodeRowData reads one content descriptor; named patterns go through the
 // caller's resolver (typically patterns.Parse) so the reconstructed value is
-// == to the original. Explicit words must number exactly wordsPerRow, since
-// every row read indexes them by word.
-func decodeRowData(d *checkpoint.Decoder, resolve func(string) (RowData, error), wordsPerRow int) (RowData, error) {
+// == to the original.
+func decodeRowData(d *checkpoint.Decoder, resolve func(string) (RowData, error)) (RowData, error) {
 	switch kind := d.Byte(); kind {
-	case contentNil:
-		return nil, nil
 	case contentZero:
 		return zeroData{}, nil
-	case contentSlice:
-		n := d.Len(wordsPerRow)
-		if d.Err() == nil && n != wordsPerRow {
-			return nil, fmt.Errorf("dram: explicit row content has %d words, rows have %d", n, wordsPerRow)
-		}
-		words := make(sliceRowData, n)
-		for i := range words {
-			words[i] = d.U64()
-		}
-		return words, nil
 	case contentNamed:
 		name := d.Str()
 		if err := d.Err(); err != nil {
@@ -161,9 +139,6 @@ func (d *Device) encodeDeviceTail(e *checkpoint.Encoder) error {
 		rs := d.rows[r]
 		e.U64(uint64(r))
 		e.F64(rs.restoredAt)
-		if err := encodeRowData(e, rs.data); err != nil {
-			return err
-		}
 		words := make([]int, 0, len(rs.overrides))
 		for w := range rs.overrides {
 			words = append(words, w)
@@ -195,16 +170,13 @@ func (d *Device) encodeDeviceTail(e *checkpoint.Encoder) error {
 	// refill deterministically and draw-free on first replay).
 	e.Bool(d.cacheOn)
 	type keyedEntry struct {
-		name    string
-		key     roundKey
-		dataNil bool
+		name string
+		key  roundKey
 	}
 	keys := make([]keyedEntry, 0, len(d.rounds))
 	for k := range d.rounds {
 		ke := keyedEntry{key: k}
-		if k.data == nil {
-			ke.dataNil = true
-		} else if n, ok := k.data.(Namer); ok {
+		if n, ok := k.data.(Namer); ok {
 			ke.name = n.Name()
 		} else if _, ok := k.data.(zeroData); !ok {
 			// Unidentifiable key content cannot round-trip; entries are an
@@ -273,12 +245,9 @@ func (d *Device) decodeCellAt(dec *checkpoint.Decoder, label string) (*weakCell,
 // corrupt blob fails here instead of panicking a later sweep.
 func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string) (RowData, error)) error {
 	wpr := d.geom.WordsPerRow
-	bulk, err := decodeRowData(dec, resolve, wpr)
+	bulk, err := decodeRowData(dec, resolve)
 	if err != nil {
 		return err
-	}
-	if bulk == nil {
-		return fmt.Errorf("dram: restore: nil bulk content")
 	}
 	d.bulkData = bulk
 	d.bulkComparable = comparableRowData(bulk)
@@ -297,10 +266,6 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 			return fmt.Errorf("dram: restore: deviant row %d out of range", row)
 		}
 		rs := &rowState{restoredAt: dec.F64()}
-		rs.data, err = decodeRowData(dec, resolve, wpr)
-		if err != nil {
-			return err
-		}
 		no := dec.Len(wpr)
 		if no > 0 {
 			rs.overrides = make(map[int]uint64, no)
@@ -337,11 +302,11 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 		d.rounds = make(map[roundKey]*roundEntry, ne)
 	}
 	for i := 0; i < ne; i++ {
-		data, err := decodeRowData(dec, resolve, wpr)
+		data, err := decodeRowData(dec, resolve)
 		if err != nil {
 			return err
 		}
-		if data != nil && !comparableRowData(data) {
+		if !comparableRowData(data) {
 			// The encoder only writes keys it can identify; anything else
 			// would panic as a map key.
 			return fmt.Errorf("dram: restore: round-cache key content %T is not comparable", data)

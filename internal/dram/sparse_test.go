@@ -9,7 +9,7 @@ import (
 )
 
 // denseReadCompareAll is the pre-index reference implementation of
-// ReadCompareAll, kept verbatim as the oracle the sparse active-window path
+// ReadCompareAll, kept as the oracle the sparse active-window path
 // must match bit-for-bit: walk every weak cell in bit order (hoisting the
 // row-state lookup to row boundaries) and run sampleReadBit on each. Any
 // divergence in fails, stuck state, or seed-stream position between this
@@ -18,7 +18,6 @@ func denseReadCompareAll(d *Device, now float64) []uint64 {
 	var fails []uint64
 	var (
 		curRow     uint32
-		curData    RowData
 		curOverr   map[int]uint64
 		restoredAt float64
 		haveRow    bool
@@ -27,16 +26,13 @@ func denseReadCompareAll(d *Device, now float64) []uint64 {
 		row := d.geom.rowOfBit(c.bit)
 		if !haveRow || row != curRow {
 			curRow, haveRow = row, true
-			curData, restoredAt, curOverr = d.bulkData, d.bulkTime, nil
+			restoredAt, curOverr = d.bulkTime, nil
 			if rs := d.rows[row]; rs != nil {
 				restoredAt, curOverr = rs.restoredAt, rs.overrides
-				if rs.data != nil {
-					curData = rs.data
-				}
 			}
 		}
 		a := d.geom.AddrOf(c.bit)
-		w := curData.Word(row, a.Word)
+		w := d.bulkData.Word(row, a.Word)
 		if curOverr != nil {
 			if v, ok := curOverr[a.Word]; ok {
 				w = v
@@ -60,10 +56,10 @@ func denseReadCompareAll(d *Device, now float64) []uint64 {
 // driveSparseVsDense runs one sparse device and one dense-reference device
 // (identical config and seed) through an identical randomized operation
 // script — pattern rewrites, temperature moves, auto-refresh toggles,
-// partial writes and reads, snapshot/restore, fault injection — comparing
+// partial writes and reads, fault injection — comparing
 // every read-compare result bit-for-bit, and finally comparing per-cell
 // stuck state, operation counters, and the devices' seed-stream positions.
-func driveSparseVsDense(t *testing.T, cfg Config, opSeed uint64, passes int) {
+func driveSparseVsDense(t *testing.T, cfg Config, tempC float64, opSeed uint64, passes int) {
 	t.Helper()
 	sparse, err := NewDevice(cfg)
 	if err != nil {
@@ -73,6 +69,8 @@ func driveSparseVsDense(t *testing.T, cfg Config, opSeed uint64, passes int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sparse.SetTemperature(tempC)
+	dense.SetTemperature(tempC)
 	if sparse.WeakCellCount() == 0 {
 		t.Fatal("degenerate test: no weak cells sampled")
 	}
@@ -92,7 +90,7 @@ func driveSparseVsDense(t *testing.T, cfg Config, opSeed uint64, passes int) {
 	dense.WriteAll(pats[0], now)
 
 	for p := 0; p < passes; p++ {
-		switch ops.Intn(9) {
+		switch ops.Intn(8) {
 		case 0: // ambient temperature move
 			temp := RefTempC + float64(ops.Intn(31)) - 5
 			sparse.SetTemperature(temp)
@@ -140,21 +138,14 @@ func driveSparseVsDense(t *testing.T, cfg Config, opSeed uint64, passes int) {
 			if !slices.Equal(sw, dw) {
 				t.Fatalf("pass %d: ReadRow(%d,%d) diverged", p, bank, row)
 			}
-		case 5: // snapshot + immediate restore (stuck overlay rebuild)
-			if err := sparse.RestoreContent(sparse.SnapshotContent(), now); err != nil {
-				t.Fatal(err)
-			}
-			if err := dense.RestoreContent(dense.SnapshotContent(), now); err != nil {
-				t.Fatal(err)
-			}
-		case 6: // bulk pattern rewrite
+		case 5: // bulk pattern rewrite
 			pat := pats[ops.Intn(len(pats))]
 			sparse.WriteAll(pat, now)
 			dense.WriteAll(pat, now)
-		case 7: // refresh sweep without collection
+		case 6: // refresh sweep without collection
 			sparse.RestoreAll(now)
 			denseReadCompareAll(dense, now)
-		case 8: // fault injection: new cells, VRT forcing, DPD reshuffle
+		case 7: // fault injection: new cells, VRT forcing, DPD reshuffle
 			injSeed := ops.Uint64()
 			sSrc, dSrc := rng.New(injSeed), rng.New(injSeed)
 			sBits := sparse.InjectWeakCells(sSrc, 2, 0, now)
@@ -211,7 +202,7 @@ func sparseTestConfig(seed uint64) Config {
 func TestSparseMatchesDenseReference(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		cfg := sparseTestConfig(seed)
-		driveSparseVsDense(t, cfg, seed*977, 30)
+		driveSparseVsDense(t, cfg, RefTempC, seed*977, 30)
 	}
 }
 
@@ -223,7 +214,7 @@ func TestSparseMatchesDenseVRTHeavy(t *testing.T) {
 		cfg.Vendor.VRTFraction = 0.5
 		cfg.Vendor.VRTDwellLowHours = 0.5
 		cfg.Vendor.VRTDwellHighHours = 0.5
-		driveSparseVsDense(t, cfg, seed*1237, 30)
+		driveSparseVsDense(t, cfg, RefTempC, seed*1237, 30)
 	}
 }
 
@@ -232,9 +223,7 @@ func TestSparseMatchesDenseVRTHeavy(t *testing.T) {
 // are (cold).
 func TestSparseMatchesDenseHotAndCold(t *testing.T) {
 	for _, temp := range []float64{25, 85} {
-		cfg := sparseTestConfig(11)
-		cfg.AmbientTempC = temp
-		driveSparseVsDense(t, cfg, uint64(temp)*31, 25)
+		driveSparseVsDense(t, sparseTestConfig(11), temp, uint64(temp)*31, 25)
 	}
 }
 
@@ -244,7 +233,7 @@ func TestSparseMatchesDenseHotAndCold(t *testing.T) {
 func TestSparseMatchesDenseNoDPD(t *testing.T) {
 	cfg := sparseTestConfig(5)
 	cfg.DisableDPD = true
-	driveSparseVsDense(t, cfg, 4242, 30)
+	driveSparseVsDense(t, cfg, RefTempC, 4242, 30)
 }
 
 // TestIndexSkipsFastAutoRefresh pins the headline win: under the default

@@ -100,15 +100,10 @@ func (c ChipSpec) NewStation() (*memctrl.Station, error) {
 	}
 	var chamber *thermal.Chamber
 	if c.Chamber {
-		cfg := thermal.DefaultChamberConfig()
-		cfg.Seed = c.Seed ^ 0x7EA8
-		chamber, err = thermal.NewChamber(cfg)
-		if err != nil {
-			return nil, err
-		}
+		chamber = thermal.NewChamber(c.Seed ^ 0x7EA8)
 		chamber.SettleTo(dram.RefTempC, 0.25, 7200)
 	}
-	return memctrl.NewStation(dev, chamber, memctrl.DefaultTiming())
+	return memctrl.NewStation(dev, chamber)
 }
 
 // EffectiveBER converts a raw failing-cell count on a scale-model chip back

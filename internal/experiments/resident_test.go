@@ -75,7 +75,7 @@ func referenceSelectResidentWords(st *memctrl.Station, shield *mitigate.ArchShie
 	for wa := range classes {
 		addrs = append(addrs, wa)
 	}
-	sortWordAddrs(addrs)
+	slices.SortFunc(addrs, mitigate.WordAddr.Compare)
 	pick := func(keep func(*wordClass) bool, quota int, out []mitigate.WordAddr) []mitigate.WordAddr {
 		for _, wa := range addrs {
 			if quota <= 0 || len(out) >= limit {
@@ -92,7 +92,7 @@ func referenceSelectResidentWords(st *memctrl.Station, shield *mitigate.ArchShie
 	out = pick(func(c *wordClass) bool { return c.failing > 0 }, limit/2, out)
 	out = pick(func(c *wordClass) bool { return c.vrt > 0 }, limit/4, out)
 	out = pick(func(c *wordClass) bool { return c.marginal >= 2 }, limit-len(out), out)
-	sortWordAddrs(out)
+	slices.SortFunc(out, mitigate.WordAddr.Compare)
 	return out
 }
 
@@ -124,7 +124,7 @@ func TestResidentSetMatchesReference(t *testing.T) {
 		// The soak's own limit fills its quotas long before the reserved
 		// segment at the top of the address space; an unbounded limit
 		// selects every qualifying word.
-		for _, limit := range []int{cfg.ResidentWords, 1 << 20} {
+		for _, limit := range []int{soakResidentWords, 1 << 20} {
 			got := selectResidentWords(r.st, r.shield, cfg.TargetInterval, limit)
 			want := referenceSelectResidentWords(r.st, r.shield, cfg.TargetInterval, limit)
 			if !slices.Equal(got, want) {
@@ -132,7 +132,7 @@ func TestResidentSetMatchesReference(t *testing.T) {
 					seed, limit, len(got), len(want))
 			}
 		}
-		got := selectResidentWords(r.st, r.shield, cfg.TargetInterval, cfg.ResidentWords)
+		got := selectResidentWords(r.st, r.shield, cfg.TargetInterval, soakResidentWords)
 
 		cells := cellsByPhysicalWord(r.st)
 		spare := 0

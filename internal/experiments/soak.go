@@ -36,11 +36,12 @@ type SoakConfig struct {
 	// Hours is the soak horizon in simulated hours.
 	Hours float64 `json:"hours"`
 	// WindowHours is the scrub window (one ECC sweep + telemetry report
-	// per window). Defaults to 1.
+	// per window). Zero means 1; negative is an error.
 	WindowHours float64 `json:"window_hours"`
 	// TargetInterval is the extended refresh interval under test.
 	TargetInterval float64 `json:"target_interval"`
-	// CadenceHours is the open-loop reprofiling cadence.
+	// CadenceHours is the open-loop reprofiling cadence. Zero means 24;
+	// negative is an error.
 	CadenceHours float64 `json:"cadence_hours"`
 	// Scenario overrides the fault scenario; nil uses DefaultScenario
 	// (per-chip seeds are always re-derived from Seed).
@@ -49,7 +50,8 @@ type SoakConfig struct {
 	// open-loop baseline arm.
 	Controller bool `json:"controller"`
 	// MaxUBER is the survival criterion: a chip survives if its
-	// cumulative uncorrectable bit error rate stays at or below this.
+	// cumulative uncorrectable bit error rate stays at or below this. Zero
+	// means 1e-4; negative is an error.
 	MaxUBER float64 `json:"max_uber"`
 	// Workers sizes the fleet worker pool (0 = NumCPU). Results are
 	// identical at any worker count.
@@ -67,10 +69,6 @@ type SoakConfig struct {
 	// chip (soak chips are chamber-less so injected thermal excursions
 	// control the ambient directly).
 	Chip ChipSpec `json:"-"`
-	// SpareFraction sizes the ArchShield reserved segment. Defaults 0.04.
-	SpareFraction float64 `json:"spare_fraction"`
-	// ResidentWords caps the resident data set per chip. Defaults to 96.
-	ResidentWords int `json:"resident_words"`
 	// Telemetry, when non-nil, instruments the campaign: every chip's
 	// firmware manager, fault injector, and scrubber record into a registry
 	// of the chip's own, merged into this one as the chip's job returns;
@@ -79,9 +77,6 @@ type SoakConfig struct {
 	// byte-identical at any worker count (see internal/telemetry). Nil
 	// (the default) leaves the report exactly as before.
 	Telemetry *telemetry.Registry `json:"-"`
-	// TraceCapacity sizes each chip's trace ring when Telemetry is set.
-	// Defaults to telemetry.DefaultTraceCapacity.
-	TraceCapacity int `json:"-"`
 	// ShardAttempts bounds per-chip fault tolerance. Zero keeps the
 	// fail-fast behavior: the first chip error fails the campaign. With
 	// ShardAttempts >= 1, a failing or panicking chip is tried up to
@@ -109,38 +104,44 @@ func DefaultSoakConfig(seed uint64) SoakConfig {
 		Controller:     true,
 		MaxUBER:        1e-4,
 		Chip:           ChipSpec{Bits: 8 << 20, WeakScale: 20, Vendor: dram.VendorB()},
-		SpareFraction:  0.04,
-		ResidentWords:  96,
 	}
 }
+
+// Every soak chip reserves soakSpareFraction of its words as the ArchShield
+// spare segment and keeps soakResidentWords words of resident data live.
+const (
+	soakSpareFraction = 0.04
+	soakResidentWords = 96
+)
 
 func (c *SoakConfig) fillDefaults() error {
 	if c.Chips <= 0 {
 		return fmt.Errorf("soak: need at least one chip")
 	}
-	if c.Hours <= 0 {
+	if !(c.Hours > 0) {
 		return fmt.Errorf("soak: non-positive horizon")
 	}
-	if c.TargetInterval <= 0 {
+	if !(c.TargetInterval > 0) {
 		return fmt.Errorf("soak: non-positive target interval")
 	}
 	if c.ShardSize < 0 {
 		return fmt.Errorf("soak: shard size must be non-negative (got %d)", c.ShardSize)
 	}
-	if c.WindowHours <= 0 {
+	if !(c.WindowHours >= 0 && c.CadenceHours >= 0 && c.MaxUBER >= 0) {
+		return fmt.Errorf("soak: window %v h, cadence %v h and max UBER %v must be non-negative",
+			c.WindowHours, c.CadenceHours, c.MaxUBER)
+	}
+	if c.Checkpoint != nil && c.Checkpoint.EveryWindows < 0 {
+		return fmt.Errorf("soak: checkpoint cadence must be non-negative (got %d windows)", c.Checkpoint.EveryWindows)
+	}
+	if c.WindowHours == 0 {
 		c.WindowHours = 1
 	}
-	if c.CadenceHours <= 0 {
+	if c.CadenceHours == 0 {
 		c.CadenceHours = 24
 	}
-	if c.MaxUBER <= 0 {
+	if c.MaxUBER == 0 {
 		c.MaxUBER = 1e-4
-	}
-	if c.SpareFraction <= 0 {
-		c.SpareFraction = 0.04
-	}
-	if c.ResidentWords <= 0 {
-		c.ResidentWords = 96
 	}
 	if c.Chip.Bits == 0 {
 		c.Chip = DefaultSoakConfig(c.Seed).Chip
@@ -379,7 +380,7 @@ func selectResidentWords(st *memctrl.Station, shield *mitigate.ArchShield, targe
 	out = pick(func(c *wordClass) bool { return c.failing > 0 }, limit/2, out)
 	out = pick(func(c *wordClass) bool { return c.vrt > 0 }, limit/4, out)
 	out = pick(func(c *wordClass) bool { return c.marginal >= 2 }, limit-len(out), out)
-	sortWordAddrs(out)
+	slices.SortFunc(out, mitigate.WordAddr.Compare)
 	return out
 }
 
@@ -390,18 +391,6 @@ func containsAddr(s []mitigate.WordAddr, wa mitigate.WordAddr) bool {
 		}
 	}
 	return false
-}
-
-func sortWordAddrs(addrs []mitigate.WordAddr) {
-	slices.SortFunc(addrs, func(a, b mitigate.WordAddr) int {
-		if a.Bank != b.Bank {
-			return a.Bank - b.Bank
-		}
-		if a.Row != b.Row {
-			return a.Row - b.Row
-		}
-		return a.Word - b.Word
-	})
 }
 
 // stressPayload builds the resident value for a word: a per-word base

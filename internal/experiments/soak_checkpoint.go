@@ -41,10 +41,10 @@ type CheckpointOptions struct {
 	// StopAfterCheckpoints and ShouldStop do not apply.
 	Dir string
 	// EveryWindows is how many scrub windows a chip runs between its saves
-	// (a chip also saves when it reaches the horizon). Defaults to
-	// DefaultCheckpointEveryWindows. It participates in the campaign
-	// identity: a chip file is named by the windows it holds, and one
-	// cadence keeps every name bound to one content.
+	// (a chip also saves when it reaches the horizon). Zero means
+	// DefaultCheckpointEveryWindows; negative is an error. It participates
+	// in the campaign identity: a chip file is named by the windows it
+	// holds, and one cadence keeps every name bound to one content.
 	EveryWindows int
 	// Resume restarts each chip from its newest save in Dir before running.
 	// A directory with no checkpoint starts a fresh campaign; a checkpoint
@@ -108,10 +108,7 @@ func soakIdentity(cfg SoakConfig, everyWindows int) (string, error) {
 	e.Bytes(vb)
 	e.Bool(cfg.Chip.DisableVRT)
 	e.Bool(cfg.Chip.DisableDPD)
-	e.F64(cfg.SpareFraction)
-	e.Int(cfg.ResidentWords)
 	e.Bool(cfg.Telemetry != nil)
-	e.Int(cfg.TraceCapacity)
 	e.Int(everyWindows)
 	return checkpoint.Identity(e.Data()), nil
 }
@@ -227,7 +224,7 @@ func soakChips(ctx context.Context, cfg SoakConfig, seeds []uint64) (*SoakReport
 	var store *soakStore
 	if ck.Dir != "" {
 		every = ck.EveryWindows
-		if every <= 0 {
+		if every == 0 {
 			every = DefaultCheckpointEveryWindows
 		}
 		identity, err := soakIdentity(cfg, every)

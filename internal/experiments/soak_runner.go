@@ -61,7 +61,7 @@ func newSoakRunner(cfg SoakConfig, idx int, seed uint64) (*soakRunner, error) {
 	r.st = st
 	st.SetRefreshInterval(cfg.TargetInterval)
 
-	r.shield, err = mitigate.NewArchShield(st, cfg.SpareFraction)
+	r.shield, err = mitigate.NewArchShield(st, soakSpareFraction)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func newSoakRunner(cfg SoakConfig, idx int, seed uint64) (*soakRunner, error) {
 		PreRound:       r.inj.RoundGate(),
 		Install:        r.shield.Install,
 		AfterRound:     r.writeResident,
-		Resilience:     firmware.ResilienceConfig{Enabled: cfg.Controller},
+		Resilience:     cfg.Controller,
 	})
 	if err != nil {
 		return nil, err
@@ -105,11 +105,7 @@ func newSoakRunner(cfg SoakConfig, idx int, seed uint64) (*soakRunner, error) {
 	// campaign's (counters add, gauges carry the chip label) and Soak merges
 	// the ring into the fleet timeline.
 	if cfg.Telemetry != nil {
-		capacity := cfg.TraceCapacity
-		if capacity <= 0 {
-			capacity = telemetry.DefaultTraceCapacity
-		}
-		r.tracer = telemetry.NewTracer(capacity)
+		r.tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 		r.reg = telemetry.New()
 		chipLabel := telemetry.L("chip", strconv.Itoa(idx))
 		r.mgr.Instrument(r.reg, r.tracer, chipLabel)
@@ -123,7 +119,7 @@ func newSoakRunner(cfg SoakConfig, idx int, seed uint64) (*soakRunner, error) {
 // resident set, writes it through ECC and fixes the horizon. A restored
 // chip skips it, because restoreState overwrites all three.
 func (r *soakRunner) start() error {
-	r.resident = selectResidentWords(r.st, r.shield, r.cfg.TargetInterval, r.cfg.ResidentWords)
+	r.resident = selectResidentWords(r.st, r.shield, r.cfg.TargetInterval, soakResidentWords)
 	if err := r.writeResident(); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -146,14 +147,42 @@ func TestSoakReportSnapshot(t *testing.T) {
 }
 
 func TestSoakConfigValidation(t *testing.T) {
-	ctx := context.Background()
-	if _, err := Soak(ctx, SoakConfig{Chips: 0, Hours: 1, TargetInterval: 1}); err == nil {
-		t.Error("zero chips not rejected")
+	valid := func(mutate func(*SoakConfig)) SoakConfig {
+		c := SoakConfig{Chips: 1, Hours: 1, TargetInterval: 1}
+		mutate(&c)
+		return c
 	}
-	if _, err := Soak(ctx, SoakConfig{Chips: 1, Hours: 0, TargetInterval: 1}); err == nil {
-		t.Error("zero horizon not rejected")
+	for _, tc := range []struct {
+		name string
+		cfg  SoakConfig
+	}{
+		{"zero chips", valid(func(c *SoakConfig) { c.Chips = 0 })},
+		{"zero horizon", valid(func(c *SoakConfig) { c.Hours = 0 })},
+		{"NaN horizon", valid(func(c *SoakConfig) { c.Hours = math.NaN() })},
+		{"zero target interval", valid(func(c *SoakConfig) { c.TargetInterval = 0 })},
+		{"NaN target interval", valid(func(c *SoakConfig) { c.TargetInterval = math.NaN() })},
+		{"negative window", valid(func(c *SoakConfig) { c.WindowHours = -1 })},
+		{"NaN window", valid(func(c *SoakConfig) { c.WindowHours = math.NaN() })},
+		{"negative cadence", valid(func(c *SoakConfig) { c.CadenceHours = -3 })},
+		{"negative max UBER", valid(func(c *SoakConfig) { c.MaxUBER = -5 })},
+		{"negative checkpoint cadence", valid(func(c *SoakConfig) {
+			c.Checkpoint = &CheckpointOptions{Dir: t.TempDir(), EveryWindows: -1}
+		})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Soak(context.Background(), tc.cfg); err == nil {
+				t.Errorf("%+v not rejected", tc.cfg)
+			}
+		})
 	}
-	if _, err := Soak(ctx, SoakConfig{Chips: 1, Hours: 1, TargetInterval: 0}); err == nil {
-		t.Error("zero target interval not rejected")
+
+	// Zero still means the documented default.
+	c := valid(func(c *SoakConfig) { c.Checkpoint = &CheckpointOptions{} })
+	if err := c.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	if c.WindowHours != 1 || c.CadenceHours != 24 || c.MaxUBER != 1e-4 {
+		t.Errorf("zero window, cadence and max UBER filled as %v h, %v h, %v; want 1 h, 24 h, 1e-4",
+			c.WindowHours, c.CadenceHours, c.MaxUBER)
 	}
 }

@@ -10,13 +10,15 @@
 // longevity model (Equation 7) or fixed by configuration. Profiling
 // overwrites DRAM contents; per the paper's footnote 4, saving and
 // restoring resident data is the system's job — the AfterRound hook is
-// where a host restores its data.
+// where a host rewrites its data.
 //
 // Beyond the open-loop cadence, the manager can run closed-loop: feed it
 // per-window ECC scrub telemetry through ReportScrub and it escalates
-// through the resilience policy ladder (see ResilienceConfig) — early
+// through the resilience policy ladder (see resilience.go) — early
 // reprofiling, widened reach conditions, graceful refresh degradation, and
-// recovery to the extended interval after sustained clean windows.
+// recovery to the extended interval after sustained clean windows. The
+// ladder's thresholds, like the coverage and safety factor of the derived
+// cadence, are constants: Config only switches the controller on.
 package firmware
 
 import (
@@ -24,16 +26,10 @@ import (
 	"fmt"
 
 	"reaper/internal/core"
-	"reaper/internal/dram"
 	"reaper/internal/longevity"
 	"reaper/internal/memctrl"
 	"reaper/internal/telemetry"
 )
-
-// memctrlPass returns the station's full-device pass time.
-func memctrlPass(st *memctrl.Station) float64 {
-	return st.Timing().PassSeconds(st.Device().Geometry().TotalBytes())
-}
 
 // Config configures an online profiling manager.
 type Config struct {
@@ -45,18 +41,10 @@ type Config struct {
 	// Profiling configures each round (iterations, patterns, seed).
 	Profiling core.Options
 	// CadenceHours fixes the reprofiling period. Zero derives it from
-	// Longevity and AssumedCoverage.
+	// Longevity.
 	CadenceHours float64
-	// Longevity supplies the Equation 7 model when CadenceHours is 0, and
-	// the default correctable-error budget of the resilience controller.
+	// Longevity supplies the Equation 7 model when CadenceHours is 0.
 	Longevity *longevity.Model
-	// AssumedCoverage is the coverage credited to each round when
-	// deriving the cadence (real firmware cannot measure true coverage).
-	// Defaults to 0.99.
-	AssumedCoverage float64
-	// SafetyFactor divides the derived longevity to reprofile early.
-	// Defaults to 2.
-	SafetyFactor float64
 	// PreRound runs immediately before each profiling round starts. A
 	// returned error aborts the round — modelling profiling-round aborts
 	// and timeouts: the manager counts the abort, backs off, retries
@@ -65,19 +53,21 @@ type Config struct {
 	// Install receives each fresh profile (e.g. ArchShield.Install).
 	Install func(*core.FailureSet) error
 	// AfterRound runs after each round completes (refresh restored,
-	// profile installed) — the hook where the host restores resident
+	// profile installed) — the hook where the host rewrites resident
 	// data that profiling overwrote.
 	AfterRound func() error
-	// PreserveData makes each round save the device contents to
-	// (notional) secondary storage before profiling and restore them
-	// afterwards, charging two extra data passes per round (the paper's
-	// footnote-4 save/restore, made explicit). With PreserveData set, an
-	// AfterRound data rewrite is unnecessary.
-	PreserveData bool
-	// Resilience enables and tunes the closed-loop controller; the zero
-	// value leaves the manager open-loop (pre-existing behaviour).
-	Resilience ResilienceConfig
+	// Resilience turns on the closed-loop controller (see resilience.go);
+	// false leaves the manager open-loop and ReportScrub a no-op.
+	Resilience bool
 }
+
+// The cadence derived from Longevity credits each round with
+// assumedCoverage (real firmware cannot measure true coverage) and divides
+// the resulting longevity by safetyFactor to reprofile early.
+const (
+	assumedCoverage = 0.99
+	safetyFactor    = 2
+)
 
 // abort-retry backoff bounds used when a PreRound hook rejects a round.
 const (
@@ -108,9 +98,8 @@ type Manager struct {
 	retryAt      float64
 
 	// Resilience controller state (see resilience.go).
-	res             ResilienceConfig //lint:serialized-elsewhere thresholds are a pure function of Config; reconstructed by New
-	ladder          []float64        // degraded intervals, most extended first
-	degradeLevel    int              // 0 = target interval, len(ladder) = last rung
+	ladder          []float64 // degraded intervals, most extended first
+	degradeLevel    int       // 0 = target interval, len(ladder) = last rung
 	cleanWindows    int
 	escapeStreak    int
 	widenSteps      int
@@ -147,18 +136,6 @@ func New(st *memctrl.Station, cfg Config) (*Manager, error) {
 	if cfg.Reach.DeltaInterval < 0 || cfg.Reach.DeltaTempC < 0 {
 		return nil, fmt.Errorf("firmware: negative reach deltas")
 	}
-	if cfg.AssumedCoverage == 0 {
-		cfg.AssumedCoverage = 0.99
-	}
-	if cfg.AssumedCoverage <= 0 || cfg.AssumedCoverage > 1 {
-		return nil, fmt.Errorf("firmware: assumed coverage %v out of (0,1]", cfg.AssumedCoverage)
-	}
-	if cfg.SafetyFactor == 0 {
-		cfg.SafetyFactor = 2
-	}
-	if cfg.SafetyFactor < 1 {
-		return nil, fmt.Errorf("firmware: safety factor must be >= 1")
-	}
 	m := &Manager{
 		st:            st,
 		cfg:           cfg,
@@ -173,11 +150,11 @@ func New(st *memctrl.Station, cfg Config) (*Manager, error) {
 	case cfg.CadenceHours > 0:
 		m.cadenceSeconds = cfg.CadenceHours * 3600
 	case cfg.Longevity != nil:
-		d, err := cfg.Longevity.Longevity(cfg.TargetInterval, cfg.AssumedCoverage)
+		d, err := cfg.Longevity.Longevity(cfg.TargetInterval, assumedCoverage)
 		if err != nil {
 			return nil, fmt.Errorf("firmware: cannot derive cadence: %w", err)
 		}
-		m.cadenceSeconds = d.Seconds() / cfg.SafetyFactor
+		m.cadenceSeconds = d.Seconds() / safetyFactor
 	default:
 		return nil, fmt.Errorf("firmware: need CadenceHours or a Longevity model")
 	}
@@ -277,20 +254,9 @@ func (m *Manager) Tick(ctx context.Context) (bool, error) {
 		}
 	}
 	m.abortBackoff = abortBackoffBaseSeconds
-	var snap *dram.ContentSnapshot
-	if m.cfg.PreserveData {
-		snap = m.st.SaveData()
-	}
 	res, err := core.Reach(m.st, m.cfg.TargetInterval, m.reach, m.prof)
 	if err != nil {
 		return false, err
-	}
-	if snap != nil {
-		if err := m.st.RestoreData(snap); err != nil {
-			return false, err
-		}
-		// The save and restore passes are part of the round's cost.
-		m.profilingSeconds += 2 * memctrlPass(m.st)
 	}
 	// Each round replaces the working profile with the union of old and
 	// new discoveries: cells once seen failing stay mitigated (dropping
@@ -313,7 +279,7 @@ func (m *Manager) Tick(ctx context.Context) (bool, error) {
 	m.updateGauges()
 	if m.cfg.Install != nil && !m.sparesExhausted {
 		if err := m.cfg.Install(m.profile); err != nil {
-			if !m.res.Enabled {
+			if !m.cfg.Resilience {
 				return true, fmt.Errorf("firmware: install: %w", err)
 			}
 			// Mitigation capacity exhausted: newly found cells can no

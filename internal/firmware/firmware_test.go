@@ -27,7 +27,7 @@ func newStation(t testing.TB, seed uint64) *memctrl.Station {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := memctrl.NewStation(dev, nil, memctrl.DefaultTiming())
+	st, err := memctrl.NewStation(dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +57,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(st, Config{TargetInterval: 1}); err == nil {
 		t.Error("missing cadence and longevity not rejected")
 	}
-	if _, err := New(st, Config{TargetInterval: 1, CadenceHours: 1, AssumedCoverage: 1.5}); err == nil {
-		t.Error("coverage > 1 not rejected")
-	}
-	if _, err := New(st, Config{TargetInterval: 1, CadenceHours: 1, SafetyFactor: 0.5}); err == nil {
-		t.Error("safety factor < 1 not rejected")
-	}
 	if _, err := New(st, Config{TargetInterval: 1,
 		Reach: core.ReachConditions{DeltaInterval: -1}, CadenceHours: 1}); err == nil {
 		t.Error("negative reach not rejected")
@@ -72,11 +66,9 @@ func TestNewValidation(t *testing.T) {
 func TestCadenceFromLongevity(t *testing.T) {
 	st := newStation(t, 2)
 	m, err := New(st, Config{
-		TargetInterval:  1.024,
-		Longevity:       moduleLongevity(),
-		AssumedCoverage: 0.99,
-		SafetyFactor:    2,
-		Profiling:       core.Options{Iterations: 2},
+		TargetInterval: 1.024,
+		Longevity:      moduleLongevity(),
+		Profiling:      core.Options{Iterations: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,11 +77,12 @@ func TestCadenceFromLongevity(t *testing.T) {
 	if m.CadenceHours() < 30 || m.CadenceHours() > 60 {
 		t.Errorf("derived cadence = %vh, want ~45h", m.CadenceHours())
 	}
-	// Infeasible coverage is surfaced at construction.
+	// At 2048 ms the 99% coverage credited to each round already misses
+	// more failures than the ECC budget allows; that is surfaced at
+	// construction.
 	if _, err := New(newStation(t, 2), Config{
-		TargetInterval:  1.024,
-		Longevity:       moduleLongevity(),
-		AssumedCoverage: 0.5,
+		TargetInterval: 2.048,
+		Longevity:      moduleLongevity(),
 	}); err == nil {
 		t.Error("infeasible coverage not rejected")
 	}
@@ -268,55 +261,6 @@ func TestReachManagerBeatsBruteForceEndToEnd(t *testing.T) {
 	}
 	t.Logf("brute: cov=%.4f overhead=%.4f; reach: cov=%.4f overhead=%.4f (speedup %.2fx)",
 		bruteCov, bruteOver, reachCov, reachOver, bruteOver/reachOver)
-}
-
-func TestPreserveDataAcrossRounds(t *testing.T) {
-	// With PreserveData, resident data survives a profiling round without
-	// any AfterRound rewrite, and the round's cost includes the two extra
-	// passes.
-	st := newStation(t, 9)
-	if err := st.WriteWord(0, 1, 2, 0x1234567890abcdef); err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(st, Config{
-		TargetInterval: 1.024,
-		Reach:          core.ReachConditions{DeltaInterval: 0.25},
-		Profiling:      core.Options{Iterations: 2, FreshRandomPerIteration: true},
-		CadenceHours:   8,
-		PreserveData:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Tick(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.ReadWord(0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0x1234567890abcdef {
-		t.Fatalf("resident data lost through a preserving round: %x", got)
-	}
-
-	// The preserving manager's round costs more than a bare one.
-	st2 := newStation(t, 9)
-	bare, err := New(st2, Config{
-		TargetInterval: 1.024,
-		Reach:          core.ReachConditions{DeltaInterval: 0.25},
-		Profiling:      core.Options{Iterations: 2, FreshRandomPerIteration: true},
-		CadenceHours:   8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bare.Tick(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if m.ProfilingSeconds() <= bare.ProfilingSeconds() {
-		t.Errorf("preserving round (%v s) not costlier than bare round (%v s)",
-			m.ProfilingSeconds(), bare.ProfilingSeconds())
-	}
 }
 
 func TestFirmwareWithArchShieldMultiDay(t *testing.T) {

@@ -2,15 +2,15 @@ package firmware
 
 import (
 	"fmt"
-	"math"
 
+	"reaper/internal/memctrl"
 	"reaper/internal/telemetry"
 )
 
-// ResilienceConfig tunes the closed-loop resilience controller. The
-// controller consumes per-window ECC scrub telemetry (ReportScrub) and
-// escalates through a policy ladder when the extended-interval operating
-// point shows signs of failing:
+// The closed-loop resilience controller (Config.Resilience) consumes
+// per-window ECC scrub telemetry (ReportScrub) and escalates through a
+// policy ladder when the extended-interval operating point shows signs of
+// failing:
 //
 //  1. Early reprofile — an unclean window schedules an out-of-cadence
 //     profiling round, with exponential backoff between successive early
@@ -19,53 +19,42 @@ import (
 //  2. Widen reach — repeated escapes in a row mean the current reach
 //     conditions under-cover the failure distribution tail (Section 2.3
 //     escape mechanisms); the controller widens the profiling delta
-//     interval and adds iterations, up to MaxWidenSteps.
+//     interval and adds iterations, up to maxWidenSteps.
 //  3. Graceful degradation — an uncorrectable error means the ECC budget
 //     (Equation 7's N) is breached, so the controller steps the refresh
 //     interval down the degrade ladder toward the JEDEC default, where
-//     retention failures are not expected at all.
+//     retention failures are not expected at all. The ladder is successive
+//     halvings of the target interval down to the default tREFI.
 //  4. Recovery — after enough consecutive clean windows the controller
 //     climbs back one ladder rung toward the extended interval. Each
 //     UE-triggered degrade doubles the clean-window requirement
 //     (hysteresis), so an oscillating marginal chip settles at a safe
 //     rung instead of bouncing.
-type ResilienceConfig struct {
-	// Enabled turns the controller on. When false ReportScrub is a no-op
-	// and the manager behaves exactly like the open-loop original.
-	Enabled bool
-	// CorrectableBudget is the number of corrected errors a scrub window
-	// may report and still count as clean. Zero derives it from the
-	// longevity model (a fraction of Equation 7's tolerable failures N)
-	// or falls back to 2; set -1 for zero tolerance.
-	CorrectableBudget int
-	// BackoffBaseHours is the delay before the first early reprofile
-	// after an unclean window; doubles per consecutive unclean window up
-	// to BackoffMaxHours. Defaults 0.5 and 8.
-	BackoffBaseHours float64
-	BackoffMaxHours  float64
-	// WidenAfterEscapes is the consecutive-unclean-window streak that
-	// triggers a reach widening step. Defaults to 2.
-	WidenAfterEscapes int
-	// WidenDeltaInterval is added to the profiling delta interval per
-	// widening step (seconds). Defaults to 0.128.
-	WidenDeltaInterval float64
-	// WidenExtraIterations is added to the profiling iteration count per
-	// widening step. Defaults to 4.
-	WidenExtraIterations int
-	// MaxWidenSteps caps the widening steps. Defaults to 2.
-	MaxWidenSteps int
-	// DegradeLadder lists refresh intervals (seconds) to fall back to,
-	// most extended first. Empty derives successive halvings of the
-	// target down to the station's default tREFI.
-	DegradeLadder []float64
-	// RecoverAfterCleanWindows is the base number of consecutive clean
-	// scrub windows required to climb one rung back up. Defaults to 6.
-	RecoverAfterCleanWindows int
-}
-
-// recoverNeedCap bounds the hysteresis doubling of the clean-window
-// requirement so recovery never becomes unreachable.
-const recoverNeedCap = 64
+const (
+	// correctableBudget is the number of corrected errors a scrub window
+	// may report and still count as clean.
+	correctableBudget = 2
+	// backoffBaseSeconds is the delay before the first early reprofile
+	// after an unclean window; it doubles per consecutive unclean window up
+	// to backoffMaxSeconds.
+	backoffBaseSeconds = 0.5 * 3600
+	backoffMaxSeconds  = 8 * 3600
+	// widenAfterEscapes is the consecutive-unclean-window streak that
+	// triggers a reach widening step.
+	widenAfterEscapes = 2
+	// Each widening step adds widenDeltaInterval seconds to the profiling
+	// delta interval and widenExtraIterations to the iteration count, for
+	// at most maxWidenSteps steps.
+	widenDeltaInterval   = 0.128
+	widenExtraIterations = 4
+	maxWidenSteps        = 2
+	// recoverAfterCleanWindows is the base number of consecutive clean
+	// scrub windows required to climb one rung back up.
+	recoverAfterCleanWindows = 6
+	// recoverNeedCap bounds the hysteresis doubling of the clean-window
+	// requirement so recovery never becomes unreachable.
+	recoverNeedCap = 64
+)
 
 // Telemetry is one ECC scrub window's error summary, as a scrubber or
 // in-band ECC reports it to the resilience controller.
@@ -100,71 +89,23 @@ type Event struct {
 	Detail     string    `json:"detail"`
 }
 
-// initResilience validates and defaults the resilience configuration and
-// builds the degrade ladder. Called from New.
+// initResilience builds the degrade ladder and arms the controller. Called
+// from New.
 func (m *Manager) initResilience() error {
-	r := m.cfg.Resilience
-	if !r.Enabled {
-		m.res = r
+	if !m.cfg.Resilience {
 		return nil
 	}
-	if r.CorrectableBudget == 0 {
-		r.CorrectableBudget = 2
-		if m.cfg.Longevity != nil {
-			if n := int(m.cfg.Longevity.TolerableFailures() / 8); n > r.CorrectableBudget {
-				r.CorrectableBudget = n
-			}
-		}
+	def := memctrl.DefaultTREFI
+	if m.cfg.TargetInterval <= def {
+		return fmt.Errorf("firmware: target interval %v s leaves no degrade ladder above the default tREFI %v s",
+			m.cfg.TargetInterval, def)
 	}
-	if r.CorrectableBudget < 0 {
-		r.CorrectableBudget = 0
+	for iv := m.cfg.TargetInterval / 2; iv > def*1.5; iv /= 2 {
+		m.ladder = append(m.ladder, iv)
 	}
-	if r.BackoffBaseHours == 0 {
-		r.BackoffBaseHours = 0.5
-	}
-	if r.BackoffMaxHours == 0 {
-		r.BackoffMaxHours = 8
-	}
-	if r.BackoffBaseHours < 0 || r.BackoffMaxHours < r.BackoffBaseHours {
-		return fmt.Errorf("firmware: invalid resilience backoff bounds [%v, %v]",
-			r.BackoffBaseHours, r.BackoffMaxHours)
-	}
-	if r.WidenAfterEscapes == 0 {
-		r.WidenAfterEscapes = 2
-	}
-	if r.WidenDeltaInterval == 0 {
-		r.WidenDeltaInterval = 0.128
-	}
-	if r.WidenExtraIterations == 0 {
-		r.WidenExtraIterations = 4
-	}
-	if r.MaxWidenSteps == 0 {
-		r.MaxWidenSteps = 2
-	}
-	if r.RecoverAfterCleanWindows == 0 {
-		r.RecoverAfterCleanWindows = 6
-	}
-	if r.RecoverAfterCleanWindows < 1 || r.WidenAfterEscapes < 1 {
-		return fmt.Errorf("firmware: resilience thresholds must be positive")
-	}
-	if len(r.DegradeLadder) == 0 {
-		def := m.st.Timing().DefaultTREFI
-		for iv := m.cfg.TargetInterval / 2; iv > def*1.5; iv /= 2 {
-			r.DegradeLadder = append(r.DegradeLadder, iv)
-		}
-		r.DegradeLadder = append(r.DegradeLadder, def)
-	}
-	prev := math.Inf(1)
-	for _, iv := range r.DegradeLadder {
-		if iv <= 0 || iv >= prev || iv >= m.cfg.TargetInterval {
-			return fmt.Errorf("firmware: degrade ladder must strictly decrease below the target interval")
-		}
-		prev = iv
-	}
-	m.res = r
-	m.ladder = r.DegradeLadder
-	m.backoffSeconds = r.BackoffBaseHours * 3600
-	m.recoverNeed = r.RecoverAfterCleanWindows
+	m.ladder = append(m.ladder, def)
+	m.backoffSeconds = backoffBaseSeconds
+	m.recoverNeed = recoverAfterCleanWindows
 	return nil
 }
 
@@ -205,19 +146,19 @@ func (m *Manager) event(kind EventKind, detail string) {
 
 // ReportScrub feeds one scrub window's telemetry to the resilience
 // controller. Call it once per scrub pass, after Tick, with the window's
-// corrected/uncorrectable counts. A no-op unless Resilience.Enabled.
+// corrected/uncorrectable counts. A no-op unless Config.Resilience is set.
 func (m *Manager) ReportScrub(t Telemetry) {
-	if !m.res.Enabled {
+	if !m.cfg.Resilience {
 		return
 	}
-	clean := t.Uncorrectable == 0 && t.Corrected <= m.res.CorrectableBudget
+	clean := t.Uncorrectable == 0 && t.Corrected <= correctableBudget
 	m.tele.Counter("firmware_scrub_windows_total", telemetry.L("clean", fmt.Sprintf("%t", clean))).Inc()
 	m.tele.Counter("firmware_scrub_corrected_total").Add(int64(t.Corrected))
 	m.tele.Counter("firmware_scrub_uncorrectable_total").Add(int64(t.Uncorrectable))
 	if clean {
 		m.escapeStreak = 0
 		m.cleanWindows++
-		m.backoffSeconds = m.res.BackoffBaseHours * 3600
+		m.backoffSeconds = backoffBaseSeconds
 		if m.degradeLevel > 0 && m.cleanWindows >= m.recoverNeed {
 			m.cleanWindows = 0
 			m.setDegradeLevel(m.degradeLevel - 1)
@@ -237,11 +178,11 @@ func (m *Manager) ReportScrub(t Telemetry) {
 		m.event(EventDegrade, fmt.Sprintf("%d UE in window, interval %.0f ms (level %d)",
 			t.Uncorrectable, m.currentInterval()*1000, m.degradeLevel))
 	}
-	if m.escapeStreak >= m.res.WidenAfterEscapes && m.widenSteps < m.res.MaxWidenSteps {
+	if m.escapeStreak >= widenAfterEscapes && m.widenSteps < maxWidenSteps {
 		// Rung 2: repeated escapes — profile wider and harder.
 		m.widenSteps++
-		m.reach.DeltaInterval += m.res.WidenDeltaInterval
-		m.prof.Iterations += m.res.WidenExtraIterations
+		m.reach.DeltaInterval += widenDeltaInterval
+		m.prof.Iterations += widenExtraIterations
 		m.event(EventWiden, fmt.Sprintf("step %d: delta interval %.0f ms, %d iterations",
 			m.widenSteps, m.reach.DeltaInterval*1000, m.prof.Iterations))
 	}
@@ -251,7 +192,7 @@ func (m *Manager) ReportScrub(t Telemetry) {
 		m.earlyAt = m.st.Clock() + m.backoffSeconds
 		m.event(EventEarlyReprofile, fmt.Sprintf("scheduled in %.2f h (%d corrected, %d UE)",
 			m.backoffSeconds/3600, t.Corrected, t.Uncorrectable))
-		m.backoffSeconds = min(m.backoffSeconds*2, m.res.BackoffMaxHours*3600)
+		m.backoffSeconds = min(m.backoffSeconds*2, backoffMaxSeconds)
 	}
 }
 

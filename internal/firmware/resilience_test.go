@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"reaper/internal/core"
+	"reaper/internal/memctrl"
 )
 
 // quickCfg is a cheap manager configuration for controller unit tests.
@@ -154,7 +155,7 @@ func TestInstallExhaustionDegradesWhenResilient(t *testing.T) {
 	// keeps the campaign alive instead of erroring out.
 	st := newStation(t, 24)
 	cfg := quickCfg()
-	cfg.Resilience = ResilienceConfig{Enabled: true}
+	cfg.Resilience = true
 	cfg.Install = func(*core.FailureSet) error { return fmt.Errorf("spare segment full") }
 	m, err := New(st, cfg)
 	if err != nil {
@@ -167,7 +168,7 @@ func TestInstallExhaustionDegradesWhenResilient(t *testing.T) {
 	if !ran || !m.SparesExhausted() {
 		t.Fatalf("ran=%v sparesExhausted=%v, want survivable exhaustion", ran, m.SparesExhausted())
 	}
-	def := st.Timing().DefaultTREFI
+	def := memctrl.DefaultTREFI
 	if m.CurrentInterval() != def {
 		t.Errorf("interval after exhaustion = %v, want default tREFI %v", m.CurrentInterval(), def)
 	}
@@ -188,14 +189,7 @@ func TestInstallExhaustionDegradesWhenResilient(t *testing.T) {
 func TestResilienceLadderEscalatesAndRecovers(t *testing.T) {
 	st := newStation(t, 25)
 	cfg := quickCfg()
-	cfg.Resilience = ResilienceConfig{
-		Enabled:                  true,
-		CorrectableBudget:        1,
-		BackoffBaseHours:         0.5,
-		BackoffMaxHours:          2,
-		WidenAfterEscapes:        2,
-		RecoverAfterCleanWindows: 3,
-	}
+	cfg.Resilience = true
 	m, err := New(st, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +236,7 @@ func TestResilienceLadderEscalatesAndRecovers(t *testing.T) {
 	}
 
 	// Recovery needs 2x the base clean windows after a UE (hysteresis).
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 2*recoverAfterCleanWindows-1; i++ {
 		m.ReportScrub(Telemetry{WindowSeconds: 3600})
 		if m.DegradeLevel() != 1 {
 			t.Fatalf("recovered after only %d clean windows (hysteresis broken)", i+1)
@@ -250,7 +244,8 @@ func TestResilienceLadderEscalatesAndRecovers(t *testing.T) {
 	}
 	m.ReportScrub(Telemetry{WindowSeconds: 3600})
 	if m.DegradeLevel() != 0 {
-		t.Fatalf("degrade level = %d after 6 clean windows, want recovery to 0", m.DegradeLevel())
+		t.Fatalf("degrade level = %d after %d clean windows, want recovery to 0",
+			m.DegradeLevel(), 2*recoverAfterCleanWindows)
 	}
 	if st.Device().AutoRefresh() != cfg.TargetInterval {
 		t.Error("recovery did not restore the target interval on the station")
@@ -270,7 +265,7 @@ func TestResilienceLadderEscalatesAndRecovers(t *testing.T) {
 func TestExtendedTimeAccounting(t *testing.T) {
 	st := newStation(t, 26)
 	cfg := quickCfg()
-	cfg.Resilience = ResilienceConfig{Enabled: true, RecoverAfterCleanWindows: 1}
+	cfg.Resilience = true
 	m, err := New(st, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -278,9 +273,10 @@ func TestExtendedTimeAccounting(t *testing.T) {
 	st.Wait(3600) // 1h at the extended interval
 	m.ReportScrub(Telemetry{WindowSeconds: 3600, Uncorrectable: 1})
 	st.Wait(3600) // 1h degraded
-	m.ReportScrub(Telemetry{WindowSeconds: 3600})
-	m.ReportScrub(Telemetry{WindowSeconds: 3600}) // recover (need doubled to 2)
-	st.Wait(3600)                                 // 1h extended again
+	for i := 0; i < 2*recoverAfterCleanWindows; i++ {
+		m.ReportScrub(Telemetry{WindowSeconds: 3600}) // recover (need doubled)
+	}
+	st.Wait(3600) // 1h extended again
 	got := m.ExtendedSeconds()
 	if got < 2*3600-1 || got > 2*3600+1 {
 		t.Errorf("extended seconds = %v, want ~%v", got, 2*3600)
@@ -292,23 +288,18 @@ func TestExtendedTimeAccounting(t *testing.T) {
 
 func TestResilienceConfigValidation(t *testing.T) {
 	st := newStation(t, 27)
+	// A target at or below the default tREFI leaves no ladder to degrade
+	// down.
 	bad := quickCfg()
-	bad.Resilience = ResilienceConfig{Enabled: true, DegradeLadder: []float64{0.256, 0.512}}
+	bad.TargetInterval = memctrl.DefaultTREFI
+	bad.Resilience = true
 	if _, err := New(st, bad); err == nil {
-		t.Error("non-decreasing degrade ladder not rejected")
-	}
-	bad.Resilience = ResilienceConfig{Enabled: true, DegradeLadder: []float64{2.0}}
-	if _, err := New(st, bad); err == nil {
-		t.Error("ladder rung above the target interval not rejected")
-	}
-	bad.Resilience = ResilienceConfig{Enabled: true, BackoffBaseHours: 4, BackoffMaxHours: 1}
-	if _, err := New(st, bad); err == nil {
-		t.Error("inverted backoff bounds not rejected")
+		t.Error("target at the default tREFI not rejected")
 	}
 
-	// Defaults: the derived ladder halves down to the JEDEC default.
+	// The derived ladder halves down to the JEDEC default.
 	good := quickCfg()
-	good.Resilience = ResilienceConfig{Enabled: true}
+	good.Resilience = true
 	m, err := New(st, good)
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +307,7 @@ func TestResilienceConfigValidation(t *testing.T) {
 	if n := len(m.ladder); n < 2 {
 		t.Fatalf("derived ladder has %d rungs, want several", n)
 	}
-	if last := m.ladder[len(m.ladder)-1]; last != st.Timing().DefaultTREFI {
-		t.Errorf("ladder bottom = %v, want default tREFI %v", last, st.Timing().DefaultTREFI)
+	if last := m.ladder[len(m.ladder)-1]; last != memctrl.DefaultTREFI {
+		t.Errorf("ladder bottom = %v, want default tREFI %v", last, memctrl.DefaultTREFI)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // abort bookkeeping, the widened effective profiling conditions, and the
 // full resilience-controller position (degrade ladder rung, hysteresis
 // windows, backoff clocks, event log). Everything derived purely from the
-// Config — the cadence, the ladder rungs, the resilience thresholds — is
-// reconstructed by New and not written; a restored manager's next Tick and
-// ReportScrub behave identically to a never-serialized twin's.
+// Config — the cadence and the ladder rungs — is reconstructed by New and
+// not written; a restored manager's next Tick and ReportScrub behave
+// identically to a never-serialized twin's.
 
 const maxRestoreManagerEvents = 1 << 24
 

@@ -12,9 +12,8 @@ import (
 	"reaper/internal/memctrl"
 )
 
-// resilientCfg is a controller configuration with small thresholds so a
-// short drive sequence walks the whole policy ladder: escapes, widening,
-// UE degradation, and recovery.
+// resilientCfg is a controller configuration whose drive sequence walks the
+// whole policy ladder: escapes, widening, UE degradation, and recovery.
 func resilientCfg(preRound func() error) Config {
 	return Config{
 		TargetInterval: 1.024,
@@ -22,14 +21,7 @@ func resilientCfg(preRound func() error) Config {
 		Profiling:      core.Options{Iterations: 2, FreshRandomPerIteration: true, Seed: 42},
 		CadenceHours:   12,
 		PreRound:       preRound,
-		Resilience: ResilienceConfig{
-			Enabled:                  true,
-			CorrectableBudget:        1,
-			BackoffBaseHours:         0.5,
-			BackoffMaxHours:          4,
-			WidenAfterEscapes:        2,
-			RecoverAfterCleanWindows: 2,
-		},
+		Resilience:     true,
 	}
 }
 
@@ -63,8 +55,9 @@ func driveManager(t *testing.T, m *Manager, st *memctrl.Station) {
 	step(Telemetry{WindowSeconds: 1800, Corrected: 5}, 1800)                   // escape 1
 	step(Telemetry{WindowSeconds: 1800, Corrected: 7}, 1800)                   // escape 2 -> widen
 	step(Telemetry{WindowSeconds: 1800, Corrected: 2, Uncorrectable: 1}, 1800) // UE -> degrade
-	step(Telemetry{WindowSeconds: 1800, Corrected: 0}, 2400)                   // clean 1
-	step(Telemetry{WindowSeconds: 1800, Corrected: 0}, 2400)                   // clean 2 -> recover
+	for i := 0; i < 2*recoverAfterCleanWindows; i++ {
+		step(Telemetry{WindowSeconds: 1800, Corrected: 0}, 2400) // the last recovers
+	}
 	step(Telemetry{WindowSeconds: 1800, Corrected: 0}, 3600)
 }
 

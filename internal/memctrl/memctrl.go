@@ -38,41 +38,26 @@ func (c *Clock) Advance(d float64) {
 	c.now += d
 }
 
-// Timing captures the interface-level LPDDR4 parameters used to charge
-// realistic latencies for whole-device data passes.
-type Timing struct {
-	// BandwidthBytesPerSec is the peak interface bandwidth.
-	BandwidthBytesPerSec float64
-	// Efficiency is the achievable fraction of peak bandwidth during a
-	// streaming test pass (accounting for command overheads, bank
-	// conflicts, and comparison work).
-	Efficiency float64
+// The station is the paper's one test controller: LPDDR4-3200 with 4 x16
+// channels (Table 2 of the paper), a peak of 4 x 2 bytes x 3200 MT/s.
+const (
 	// DefaultTREFI is the JEDEC default refresh interval in seconds.
-	DefaultTREFI float64
-	// AccessSeconds is the latency charged for a single random word
-	// access (activate + column access + precharge).
-	AccessSeconds float64
-}
-
-// DefaultTiming returns LPDDR4-3200 timing with 4 x16 channels (Table 2 of
-// the paper). The efficiency is calibrated so a full write or read pass over
-// 2GB takes 0.125 s, the empirical figure the paper measures on its
-// infrastructure (Section 7.3.1 footnote).
-func DefaultTiming() Timing {
-	const peak = 4 * 2 * 3200e6 // 4 channels x 2 bytes/transfer x 3200 MT/s
-	const target = 2 * (1 << 30) / 0.125
-	return Timing{
-		BandwidthBytesPerSec: peak,
-		Efficiency:           target / peak,
-		DefaultTREFI:         0.064,
-		AccessSeconds:        60e-9,
-	}
-}
+	DefaultTREFI = 0.064
+	// passBytesPerSecond is the streaming rate of a whole-device data pass,
+	// calibrated so a write or read pass over 2GB takes 0.125 s, the
+	// empirical figure the paper measures on its infrastructure (Section
+	// 7.3.1 footnote): about 67% of the peak, after command overheads, bank
+	// conflicts and comparison work.
+	passBytesPerSecond = 2 * (1 << 30) / 0.125
+	// accessSeconds is the latency charged for a single random word access
+	// (activate + column access + precharge).
+	accessSeconds = 60e-9
+)
 
 // PassSeconds returns the time to stream-write or stream-read bytes of DRAM
 // once (one data-pattern pass over a device of that capacity).
-func (t Timing) PassSeconds(bytes int64) float64 {
-	return float64(bytes) / (t.BandwidthBytesPerSec * t.Efficiency)
+func PassSeconds(bytes int64) float64 {
+	return float64(bytes) / passBytesPerSecond
 }
 
 // Stats accounts where a Station's simulated time went, in the terms of the
@@ -93,13 +78,12 @@ func (s Stats) Total() float64 {
 	return s.WriteSeconds + s.ReadSeconds + s.WaitSeconds + s.IdleSeconds
 }
 
-// Station couples a device, a clock, timing, and (optionally) a thermal
-// chamber into the test interface profilers drive.
+// Station couples a device, a clock and (optionally) a thermal chamber
+// into the test interface profilers drive.
 type Station struct {
 	dev     *dram.Device     //lint:serialized-elsewhere the device checkpoints through its own EncodeDelta/RestoreDelta pair
 	chamber *thermal.Chamber //lint:serialized-elsewhere may be nil (temperature fixed); thermal state rides on the device's tempC
 	clock   Clock
-	timing  Timing //lint:serialized-elsewhere pure function of the construction parameters
 	refresh bool
 	stats   Stats
 }
@@ -107,18 +91,12 @@ type Station struct {
 // NewStation builds a station for the device. chamber may be nil, in which
 // case the device keeps whatever temperature it was configured with and
 // SetAmbient adjusts it instantly (an idealized isothermal setup).
-func NewStation(dev *dram.Device, chamber *thermal.Chamber, timing Timing) (*Station, error) {
+func NewStation(dev *dram.Device, chamber *thermal.Chamber) (*Station, error) {
 	if dev == nil {
 		return nil, fmt.Errorf("memctrl: nil device")
 	}
-	if timing.BandwidthBytesPerSec <= 0 || timing.Efficiency <= 0 || timing.Efficiency > 1 {
-		return nil, fmt.Errorf("memctrl: invalid timing %+v", timing)
-	}
-	if timing.DefaultTREFI <= 0 {
-		return nil, fmt.Errorf("memctrl: invalid default tREFI %v", timing.DefaultTREFI)
-	}
-	s := &Station{dev: dev, chamber: chamber, timing: timing, refresh: true}
-	dev.SetAutoRefresh(timing.DefaultTREFI)
+	s := &Station{dev: dev, chamber: chamber, refresh: true}
+	dev.SetAutoRefresh(DefaultTREFI)
 	s.syncTemp()
 	return s, nil
 }
@@ -138,9 +116,6 @@ func (s *Station) IncrStats() dram.IncrStats { return s.dev.IncrStats() }
 
 // Clock returns the current simulated time in seconds.
 func (s *Station) Clock() float64 { return s.clock.Now() }
-
-// Timing returns the station's timing parameters.
-func (s *Station) Timing() Timing { return s.timing }
 
 // Stats returns the accumulated time accounting.
 func (s *Station) Stats() Stats { return s.stats }
@@ -199,7 +174,7 @@ func (s *Station) DisableRefresh() {
 // first refresh sweep after a refresh-paused window reads every row and
 // restores what it read — cells that decayed during the pause are locked in
 // as wrong values (the paper's Figure 1c) until their rows are rewritten.
-func (s *Station) EnableRefresh() { s.SetRefreshInterval(s.timing.DefaultTREFI) }
+func (s *Station) EnableRefresh() { s.SetRefreshInterval(DefaultTREFI) }
 
 // SetRefreshInterval runs auto-refresh at the given interval (multi-rate
 // refresh mechanisms set non-default ones). interval <= 0 disables refresh.
@@ -218,23 +193,17 @@ func (s *Station) SetRefreshInterval(interval float64) {
 // WritePattern streams a data pattern into the whole device (Algorithm 1
 // line 5), charging one full write pass of latency.
 func (s *Station) WritePattern(p dram.RowData) {
-	_ = s.pass(true, func(now float64) error {
-		s.dev.WriteAll(p, now)
-		return nil
-	})
+	s.pass(true, func(now float64) { s.dev.WriteAll(p, now) })
 }
 
 // pass streams one whole-device write or read pass: it advances the clock by
-// the pass time, runs op at the pass's end, and, only if op succeeds, charges
-// the pass to the stats. It returns op's error; the passes whose op cannot
-// fail discard it.
-func (s *Station) pass(write bool, op func(now float64) error) error {
+// the pass time, runs op at the pass's end, and charges the pass to the
+// stats.
+func (s *Station) pass(write bool, op func(now float64)) {
 	bytes := s.dev.Geometry().TotalBytes()
-	d := s.timing.PassSeconds(bytes)
+	d := PassSeconds(bytes)
 	s.advance(d)
-	if err := op(s.clock.Now()); err != nil {
-		return err
-	}
+	op(s.clock.Now())
 	if write {
 		s.stats.WriteSeconds += d
 		s.stats.WritePasses++
@@ -244,7 +213,6 @@ func (s *Station) pass(write bool, op func(now float64) error) error {
 		s.stats.ReadPasses++
 		s.stats.BytesRead += bytes
 	}
-	return nil
 }
 
 // Wait lets seconds of simulated time pass (Algorithm 1 line 7 when refresh
@@ -264,37 +232,14 @@ func (s *Station) Wait(seconds float64) {
 // WriteWord performs a single random word write (used by mitigation
 // mechanisms operating on live data), charging one access latency.
 func (s *Station) WriteWord(bank, row, word int, val uint64) error {
-	s.advance(s.timing.AccessSeconds)
+	s.advance(accessSeconds)
 	return s.dev.WriteWord(bank, row, word, val, s.clock.Now())
 }
 
 // ReadWord performs a single random word read, charging one access latency.
 func (s *Station) ReadWord(bank, row, word int) (uint64, error) {
-	s.advance(s.timing.AccessSeconds)
+	s.advance(accessSeconds)
 	return s.dev.ReadWord(bank, row, word, s.clock.Now())
-}
-
-// SaveData streams the device's entire contents out to (notional)
-// secondary storage, charging one full read pass, and returns the snapshot.
-// The read restores every row, so cells that had already decayed are saved
-// (and locked in) with their corrupted values — saving cannot heal data.
-// This is the paper's footnote-4 save step before a profiling round.
-func (s *Station) SaveData() *dram.ContentSnapshot {
-	var snap *dram.ContentSnapshot
-	_ = s.pass(false, func(now float64) error {
-		s.dev.RestoreAll(now)
-		snap = s.dev.SnapshotContent()
-		return nil
-	})
-	return snap
-}
-
-// RestoreData streams a snapshot back into the device, charging one full
-// write pass — the paper's footnote-4 restore step after profiling. A
-// snapshot the device refuses is an error and charges no pass, though the
-// clock has moved on by the pass time.
-func (s *Station) RestoreData(snap *dram.ContentSnapshot) error {
-	return s.pass(true, func(now float64) error { return s.dev.RestoreContent(snap, now) })
 }
 
 // ReadCompare streams the whole device out, compares against the written
@@ -302,9 +247,6 @@ func (s *Station) RestoreData(snap *dram.ContentSnapshot) error {
 // charging one full read pass of latency.
 func (s *Station) ReadCompare() []uint64 {
 	var fails []uint64
-	_ = s.pass(false, func(now float64) error {
-		fails = s.dev.ReadCompareAll(now)
-		return nil
-	})
+	s.pass(false, func(now float64) { fails = s.dev.ReadCompareAll(now) })
 	return fails
 }

@@ -10,6 +10,7 @@
 package mitigate
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -21,6 +22,12 @@ import (
 // WordAddr identifies one 64-bit word in a device.
 type WordAddr struct {
 	Bank, Row, Word int
+}
+
+// Compare orders word addresses by bank, then row, then word, the order of
+// every sorted word list; slices.SortFunc takes WordAddr.Compare directly.
+func (a WordAddr) Compare(b WordAddr) int {
+	return cmp.Or(cmp.Compare(a.Bank, b.Bank), cmp.Compare(a.Row, b.Row), cmp.Compare(a.Word, b.Word))
 }
 
 // ArchShield remaps words containing known-faulty cells into a reserved

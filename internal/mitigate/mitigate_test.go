@@ -1,6 +1,7 @@
 package mitigate
 
 import (
+	"slices"
 	"testing"
 
 	"reaper/internal/core"
@@ -24,11 +25,24 @@ func newStation(t testing.TB, seed uint64) *memctrl.Station {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := memctrl.NewStation(dev, nil, memctrl.DefaultTiming())
+	st, err := memctrl.NewStation(dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+func TestWordAddrCompareIsAddressOrder(t *testing.T) {
+	want := []WordAddr{{0, 0, 5}, {0, 1, 0}, {0, 7, 3}, {1, 0, 0}, {2, 0, 1}}
+	got := slices.Clone(want)
+	slices.Reverse(got)
+	slices.SortFunc(got, WordAddr.Compare)
+	if !slices.Equal(got, want) {
+		t.Errorf("sorted %v, want bank, row, word order %v", got, want)
+	}
+	if c := (WordAddr{1, 2, 3}).Compare(WordAddr{1, 2, 3}); c != 0 {
+		t.Errorf("equal addresses compare %d, want 0", c)
+	}
 }
 
 func TestNewArchShieldValidation(t *testing.T) {

@@ -32,7 +32,6 @@ type Module struct {
 	devs    []*dram.Device
 	chamber *thermal.Chamber
 	clock   memctrl.Clock
-	timing  memctrl.Timing
 	refresh bool
 	stats   memctrl.Stats
 	ambient float64
@@ -43,7 +42,7 @@ type Module struct {
 
 // New builds a module over the devices. All devices must share a geometry.
 // chamber may be nil (isothermal, instantaneous temperature changes).
-func New(devs []*dram.Device, chamber *thermal.Chamber, timing memctrl.Timing) (*Module, error) {
+func New(devs []*dram.Device, chamber *thermal.Chamber) (*Module, error) {
 	if len(devs) == 0 {
 		return nil, fmt.Errorf("module: no devices")
 	}
@@ -60,14 +59,10 @@ func New(devs []*dram.Device, chamber *thermal.Chamber, timing memctrl.Timing) (
 				i, d.Geometry(), geom)
 		}
 	}
-	if timing.BandwidthBytesPerSec <= 0 || timing.Efficiency <= 0 || timing.Efficiency > 1 ||
-		timing.DefaultTREFI <= 0 {
-		return nil, fmt.Errorf("module: invalid timing %+v", timing)
-	}
-	m := &Module{devs: devs, chamber: chamber, timing: timing, refresh: true,
+	m := &Module{devs: devs, chamber: chamber, refresh: true,
 		ambient: devs[0].Temperature()}
 	for _, d := range devs {
-		d.SetAutoRefresh(timing.DefaultTREFI)
+		d.SetAutoRefresh(memctrl.DefaultTREFI)
 	}
 	m.syncTemp()
 	return m, nil
@@ -188,7 +183,7 @@ func (m *Module) DisableRefresh() {
 
 // EnableRefresh resumes auto-refresh at the default interval, locking in
 // any failures that accumulated while paused (see memctrl.Station).
-func (m *Module) EnableRefresh() { m.SetRefreshInterval(m.timing.DefaultTREFI) }
+func (m *Module) EnableRefresh() { m.SetRefreshInterval(memctrl.DefaultTREFI) }
 
 // SetRefreshInterval runs auto-refresh at the given interval on every chip;
 // interval <= 0 disables refresh.
@@ -214,7 +209,7 @@ func (m *Module) SetRefreshInterval(interval float64) {
 // bandwidth over the module's capacity — the same time-per-capacity scaling
 // the paper's Equation 9 uses.
 func (m *Module) WritePattern(p dram.RowData) {
-	d := m.timing.PassSeconds(m.TotalBytes())
+	d := memctrl.PassSeconds(m.TotalBytes())
 	m.advance(d)
 	now := m.clock.Now()
 	if err := m.forEachChip(func(_ int, dev *dram.Device) { dev.WriteAll(p, now) }); err != nil {
@@ -246,7 +241,7 @@ func (m *Module) Wait(seconds float64) {
 // bits, so concatenating the per-chip lists in chip order yields the
 // globally sorted result without a final sort.
 func (m *Module) ReadCompare() []uint64 {
-	d := m.timing.PassSeconds(m.TotalBytes())
+	d := memctrl.PassSeconds(m.TotalBytes())
 	m.advance(d)
 	now := m.clock.Now()
 	perChip := make([][]uint64, len(m.devs))

@@ -30,7 +30,7 @@ func devices(t testing.TB, n int, baseSeed uint64) []*dram.Device {
 
 func testModule(t testing.TB, chips int, seed uint64) *Module {
 	t.Helper()
-	m, err := New(devices(t, chips, seed), nil, memctrl.DefaultTiming())
+	m, err := New(devices(t, chips, seed), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestGlobalBitRoundTrip(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil, memctrl.DefaultTiming()); err == nil {
+	if _, err := New(nil, nil); err == nil {
 		t.Error("empty module not rejected")
 	}
 	devs := devices(t, 2, 1)
-	if _, err := New([]*dram.Device{devs[0], nil}, nil, memctrl.DefaultTiming()); err == nil {
+	if _, err := New([]*dram.Device{devs[0], nil}, nil); err == nil {
 		t.Error("nil device not rejected")
 	}
 	other, err := dram.NewDevice(dram.Config{
@@ -70,11 +70,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New([]*dram.Device{devs[0], other}, nil, memctrl.DefaultTiming()); err == nil {
+	if _, err := New([]*dram.Device{devs[0], other}, nil); err == nil {
 		t.Error("mismatched geometry not rejected")
-	}
-	if _, err := New(devs, nil, memctrl.Timing{}); err == nil {
-		t.Error("zero timing not rejected")
 	}
 }
 
@@ -168,7 +165,7 @@ func TestModuleRefreshControl(t *testing.T) {
 		t.Error("disable via SetRefreshInterval(0) did not take")
 	}
 	m.EnableRefresh()
-	if m.Device(0).AutoRefresh() != m.timing.DefaultTREFI {
+	if m.Device(0).AutoRefresh() != memctrl.DefaultTREFI {
 		t.Error("EnableRefresh did not restore the default interval")
 	}
 }
@@ -187,12 +184,9 @@ func TestModuleTemperature(t *testing.T) {
 }
 
 func TestModuleWithChamber(t *testing.T) {
-	ch, err := thermal.NewChamber(thermal.DefaultChamberConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := thermal.NewChamber(1)
 	ch.SettleTo(45, 0.25, 3600)
-	m, err := New(devices(t, 2, 60), ch, memctrl.DefaultTiming())
+	m, err := New(devices(t, 2, 60), ch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func (s *Server) newJob(p *testprog.Program) *job {
 	j := &job{
 		id:      fmt.Sprintf("p%06d", s.nextID),
 		program: p,
-		events:  telemetry.NewTracer(s.cfg.TraceCapacity),
+		events:  telemetry.NewTracer(telemetry.DefaultTraceCapacity),
 	}
 	j.status = Status{
 		ID:    j.id,

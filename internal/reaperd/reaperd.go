@@ -39,10 +39,6 @@ type Config struct {
 	// (testprog.RunOptions.Workers); <= 0 means one worker per CPU.
 	// Results are byte-identical at any width.
 	JobWorkers int
-	// TraceCapacity sizes each program's progress-event ring and, for
-	// device programs requesting include_trace, the per-chip trace rings;
-	// <= 0 means telemetry.DefaultTraceCapacity.
-	TraceCapacity int
 	// Telemetry receives the server's reaperd_* metrics (and the
 	// testprog_* execution counters of every program it runs). Nil means a
 	// fresh private registry; either way /metrics serves it.

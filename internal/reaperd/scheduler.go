@@ -109,9 +109,8 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	j.events.Emit(0, "started", "")
 
 	res, err := testprog.Run(runCtx, j.program, testprog.RunOptions{
-		Workers:       s.cfg.jobWorkers(),
-		Telemetry:     s.reg,
-		TraceCapacity: s.cfg.TraceCapacity,
+		Workers:   s.cfg.jobWorkers(),
+		Telemetry: s.reg,
 		OnProgress: func(ev testprog.ProgressEvent) {
 			s.noteProgress(j, ev)
 		},

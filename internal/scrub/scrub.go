@@ -15,6 +15,7 @@ package scrub
 
 import (
 	"fmt"
+	"slices"
 
 	"reaper/internal/core"
 	"reaper/internal/ecc"
@@ -94,22 +95,8 @@ func (m *ECCMemory) Written() []mitigate.WordAddr {
 	for a := range m.checks {
 		out = append(out, a)
 	}
-	sortAddrs(out)
+	slices.SortFunc(out, mitigate.WordAddr.Compare)
 	return out
-}
-
-func sortAddrs(addrs []mitigate.WordAddr) {
-	less := func(a, b mitigate.WordAddr) bool {
-		if a.Bank != b.Bank {
-			return a.Bank < b.Bank
-		}
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Word < b.Word
-	}
-	// Insertion-free: delegate to the shared slices.SortFunc wrapper.
-	sortSlice(addrs, less)
 }
 
 // ScrubReport summarizes one scrub pass. It is the per-window ECC telemetry

@@ -27,7 +27,7 @@ func newStation(t testing.TB, seed uint64) *memctrl.Station {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := memctrl.NewStation(dev, nil, memctrl.DefaultTiming())
+	st, err := memctrl.NewStation(dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

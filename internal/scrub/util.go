@@ -1,24 +1,9 @@
 package scrub
 
 import (
-	"slices"
-
 	"reaper/internal/dram"
 	"reaper/internal/mitigate"
 )
-
-func sortSlice(addrs []mitigate.WordAddr, less func(a, b mitigate.WordAddr) bool) {
-	slices.SortFunc(addrs, func(a, b mitigate.WordAddr) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		default:
-			return 0
-		}
-	})
-}
 
 // toDRAMAddr converts a word address to the dram.Addr of its first bit.
 func toDRAMAddr(a mitigate.WordAddr) dram.Addr {

@@ -34,10 +34,6 @@ type RunOptions struct {
 	// output.include_metrics is set comes from a per-run registry, so
 	// results stay deterministic per program.
 	Telemetry *telemetry.Registry
-	// TraceCapacity sizes each chip's trace ring when the program's
-	// output.include_trace is set; <= 0 means
-	// telemetry.DefaultTraceCapacity.
-	TraceCapacity int
 	// OnProgress, when non-nil, is invoked after every completed
 	// (chip, stage) unit. It may be called concurrently from worker
 	// goroutines; Done is monotonic across the run.
@@ -136,7 +132,7 @@ func runChip(ctx context.Context, p *Program, chip int, opt RunOptions, reg *tel
 	}
 	var tracer *telemetry.Tracer
 	if p.Output.IncludeTrace {
-		tracer = telemetry.NewTracer(opt.TraceCapacity)
+		tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 	}
 	injectSrc := rng.Derive(p.Seed, injectSalt+uint64(chip))
 	acc := core.NewFailureSet()

@@ -52,10 +52,7 @@ func TestExcursionNegativeStep(t *testing.T) {
 }
 
 func TestChamberRejectsDisturbance(t *testing.T) {
-	c, err := NewChamber(DefaultChamberConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewChamber(1)
 	if _, ok := c.SettleTo(45, 0.25, 3600); !ok {
 		t.Fatal("chamber never settled")
 	}

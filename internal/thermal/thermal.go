@@ -6,16 +6,14 @@
 //
 // The model is a first-order thermal plant (heat capacity plus leakage to
 // the room) under a PID controller with anti-windup, plus bounded sensor
-// noise. Reach profiling's temperature knob acts through this model: an
+// noise. The testbed has one chamber, so the plant and its setpoint range
+// are constants; chambers differ only in the seed of their sensor noise.
+// Reach profiling's temperature knob acts through this model: an
 // experiment commands a setpoint, steps simulated time, and the *device*
 // temperature that results feeds the retention model.
 package thermal
 
-import (
-	"fmt"
-
-	"reaper/internal/rng"
-)
+import "reaper/internal/rng"
 
 // PID is a discrete-time PID controller with output clamping and integral
 // anti-windup (the integrator freezes while the output is saturated).
@@ -60,48 +58,30 @@ func clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// ChamberConfig configures a thermal chamber.
-type ChamberConfig struct {
-	// RoomTempC is the lab temperature the chamber leaks heat to.
-	RoomTempC float64
-	// TimeConstant is the plant time constant in seconds (how quickly the
+// The plant and setpoint range of the paper's chamber (Section 4).
+const (
+	// roomTempC is the lab temperature the chamber leaks heat to.
+	roomTempC = 25
+	// timeConstantS is the plant time constant in seconds (how quickly the
 	// chamber approaches equilibrium).
-	TimeConstant float64
-	// HeaterGainC / CoolerGainC are the equilibrium temperature deltas (°C
+	timeConstantS = 60
+	// heaterGainC / coolerGainC are the equilibrium temperature deltas (°C
 	// above/below room) at full heater / full fan drive.
-	HeaterGainC float64
-	CoolerGainC float64
-	// SensorNoiseC is the standard deviation of the temperature sensor
+	heaterGainC = 45
+	coolerGainC = 10
+	// sensorNoiseC is the standard deviation of the temperature sensor
 	// noise in °C.
-	SensorNoiseC float64
-	// DeviceOffsetC is how far above ambient the DRAM device is held by
+	sensorNoiseC = 0.05
+	// deviceOffsetC is how far above ambient the DRAM device is held by
 	// its local heater (the paper uses 15°C).
-	DeviceOffsetC float64
-	// MinTempC / MaxTempC bound the reliable setpoint range (paper: 40-55).
-	MinTempC, MaxTempC float64
-	Seed               uint64
-}
-
-// DefaultChamberConfig returns a configuration matching the paper's
-// infrastructure parameters.
-func DefaultChamberConfig() ChamberConfig {
-	return ChamberConfig{
-		RoomTempC:     25,
-		TimeConstant:  60,
-		HeaterGainC:   45,
-		CoolerGainC:   10,
-		SensorNoiseC:  0.05,
-		DeviceOffsetC: 15,
-		MinTempC:      40,
-		MaxTempC:      55,
-		Seed:          1,
-	}
-}
+	deviceOffsetC = 15
+	// minTempC / maxTempC bound the reliable setpoint range (paper: 40-55).
+	minTempC, maxTempC = 40, 55
+)
 
 // Chamber is the PID-controlled thermal chamber plus the locally heated
 // device under test.
 type Chamber struct {
-	cfg      ChamberConfig
 	pid      PID
 	setpoint float64
 	ambient  float64 // true plant temperature
@@ -109,36 +89,31 @@ type Chamber struct {
 }
 
 // NewChamber builds a chamber initially at room temperature with the
-// setpoint at the bottom of the reliable range.
-func NewChamber(cfg ChamberConfig) (*Chamber, error) {
-	if cfg.TimeConstant <= 0 || cfg.HeaterGainC <= 0 || cfg.CoolerGainC <= 0 {
-		return nil, fmt.Errorf("thermal: invalid chamber config %+v", cfg)
+// setpoint at the bottom of the reliable range; seed drives its sensor
+// noise.
+func NewChamber(seed uint64) *Chamber {
+	// The gains scale with the time constant. Computing them from a
+	// run-time float64 keeps their rounding that of float64 arithmetic,
+	// which exact constant folding need not reproduce.
+	tc := float64(timeConstantS)
+	return &Chamber{
+		pid: PID{
+			Kp:     0.4,
+			Ki:     0.4 / tc * 4,
+			Kd:     0.05 * tc / 60,
+			OutMin: -1,
+			OutMax: 1,
+		},
+		ambient:  roomTempC,
+		setpoint: minTempC,
+		src:      rng.New(seed),
 	}
-	if cfg.MaxTempC <= cfg.MinTempC {
-		return nil, fmt.Errorf("thermal: invalid setpoint range [%v, %v]", cfg.MinTempC, cfg.MaxTempC)
-	}
-	c := &Chamber{
-		cfg:      cfg,
-		ambient:  cfg.RoomTempC,
-		setpoint: cfg.MinTempC,
-		src:      rng.New(cfg.Seed),
-	}
-	// Gains tuned for the default plant; scale with the time constant so
-	// the loop stays stable for other plants.
-	c.pid = PID{
-		Kp:     0.4,
-		Ki:     0.4 / cfg.TimeConstant * 4,
-		Kd:     0.05 * cfg.TimeConstant / 60,
-		OutMin: -1,
-		OutMax: 1,
-	}
-	return c, nil
 }
 
 // SetTarget commands a new ambient setpoint, clamped to the reliable range.
 // It returns the clamped setpoint.
 func (c *Chamber) SetTarget(tempC float64) float64 {
-	c.setpoint = clamp(tempC, c.cfg.MinTempC, c.cfg.MaxTempC)
+	c.setpoint = clamp(tempC, minTempC, maxTempC)
 	return c.setpoint
 }
 
@@ -164,26 +139,26 @@ func (c *Chamber) stepOnce(dt float64) {
 	u := c.pid.Update(c.setpoint-measured, dt)
 	// u > 0 drives the heater, u < 0 the fans; the plant relaxes toward
 	// the equilibrium implied by the actuator command.
-	target := c.cfg.RoomTempC
+	target := float64(roomTempC)
 	if u >= 0 {
-		target += u * c.cfg.HeaterGainC
+		target += u * heaterGainC
 	} else {
-		target += u * c.cfg.CoolerGainC
+		target += u * coolerGainC
 	}
-	c.ambient += (target - c.ambient) * dt / c.cfg.TimeConstant
+	c.ambient += (target - c.ambient) * dt / timeConstantS
 }
 
 // Ambient returns the measured ambient temperature (true plant temperature
 // plus sensor noise).
 func (c *Chamber) Ambient() float64 {
-	return c.ambient + c.src.Norm()*c.cfg.SensorNoiseC
+	return c.ambient + c.src.Norm()*sensorNoiseC
 }
 
 // DeviceTemp returns the temperature of the device under test: ambient plus
 // the local-heater offset, with residual jitter well inside the paper's
 // 0.25°C control accuracy.
 func (c *Chamber) DeviceTemp() float64 {
-	return c.ambient + c.cfg.DeviceOffsetC + c.src.Norm()*c.cfg.SensorNoiseC
+	return c.ambient + deviceOffsetC + c.src.Norm()*sensorNoiseC
 }
 
 // Settled reports whether the true ambient temperature is within tol °C of

@@ -12,30 +12,8 @@ func (p *PID) Reset() {
 	p.primed = false
 }
 
-func newTestChamber(t *testing.T) *Chamber {
-	t.Helper()
-	c, err := NewChamber(DefaultChamberConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestNewChamberValidation(t *testing.T) {
-	cfg := DefaultChamberConfig()
-	cfg.TimeConstant = 0
-	if _, err := NewChamber(cfg); err == nil {
-		t.Error("zero time constant not rejected")
-	}
-	cfg = DefaultChamberConfig()
-	cfg.MinTempC, cfg.MaxTempC = 50, 40
-	if _, err := NewChamber(cfg); err == nil {
-		t.Error("inverted range not rejected")
-	}
-}
-
 func TestSetTargetClampsToReliableRange(t *testing.T) {
-	c := newTestChamber(t)
+	c := NewChamber(1)
 	if got := c.SetTarget(80); got != 55 {
 		t.Errorf("SetTarget(80) = %v, want 55 (paper's max)", got)
 	}
@@ -51,7 +29,7 @@ func TestSetTargetClampsToReliableRange(t *testing.T) {
 }
 
 func TestChamberSettlesWithinPaperAccuracy(t *testing.T) {
-	c := newTestChamber(t)
+	c := NewChamber(1)
 	for _, target := range []float64{45, 55, 40, 50} {
 		elapsed, ok := c.SettleTo(target, 0.25, 3600)
 		if !ok {
@@ -76,7 +54,7 @@ func TestChamberSettlesWithinPaperAccuracy(t *testing.T) {
 }
 
 func TestDeviceTempOffset(t *testing.T) {
-	c := newTestChamber(t)
+	c := NewChamber(1)
 	if _, ok := c.SettleTo(45, 0.25, 3600); !ok {
 		t.Fatal("no settle")
 	}
@@ -94,8 +72,8 @@ func TestDeviceTempOffset(t *testing.T) {
 }
 
 func TestStepSubdividesLongIntervals(t *testing.T) {
-	a := newTestChamber(t)
-	b := newTestChamber(t)
+	a := NewChamber(1)
+	b := NewChamber(1)
 	a.SetTarget(50)
 	b.SetTarget(50)
 	// One big step vs many small ones must land in the same neighbourhood
@@ -110,7 +88,7 @@ func TestStepSubdividesLongIntervals(t *testing.T) {
 }
 
 func TestSettleToGivesUp(t *testing.T) {
-	c := newTestChamber(t)
+	c := NewChamber(1)
 	elapsed, ok := c.SettleTo(55, 0.01, 3) // unreachable in 3 seconds
 	if ok {
 		t.Error("SettleTo claimed success in 3 seconds")

@@ -169,17 +169,12 @@ func NewStation(cfg ChipConfig) (*Station, error) {
 	}
 	var chamber *thermal.Chamber
 	if cfg.WithThermalChamber {
-		ccfg := thermal.DefaultChamberConfig()
-		ccfg.Seed = cfg.Seed ^ 0xC4A3
-		chamber, err = thermal.NewChamber(ccfg)
-		if err != nil {
-			return nil, err
-		}
+		chamber = thermal.NewChamber(cfg.Seed ^ 0xC4A3)
 		if _, ok := chamber.SettleTo(RefTempC, 0.25, 7200); !ok {
 			return nil, fmt.Errorf("reaper: thermal chamber failed to settle")
 		}
 	}
-	return memctrl.NewStation(dev, chamber, memctrl.DefaultTiming())
+	return memctrl.NewStation(dev, chamber)
 }
 
 // NewModule builds a multi-chip module of identically configured (but
@@ -218,18 +213,12 @@ func NewModule(chips int, cfg ChipConfig) (*Module, error) {
 	}
 	var chamber *thermal.Chamber
 	if cfg.WithThermalChamber {
-		ccfg := thermal.DefaultChamberConfig()
-		ccfg.Seed = cfg.Seed ^ 0xC4A3
-		var err error
-		chamber, err = thermal.NewChamber(ccfg)
-		if err != nil {
-			return nil, err
-		}
+		chamber = thermal.NewChamber(cfg.Seed ^ 0xC4A3)
 		if _, ok := chamber.SettleTo(RefTempC, 0.25, 7200); !ok {
 			return nil, fmt.Errorf("reaper: thermal chamber failed to settle")
 		}
 	}
-	return module.New(devs, chamber, memctrl.DefaultTiming())
+	return module.New(devs, chamber)
 }
 
 // BruteForce runs the paper's Algorithm 1 at the given refresh interval
