@@ -161,3 +161,24 @@ func TestReductionVsBaseline(t *testing.T) {
 		t.Error("zero baseline should give zero reduction")
 	}
 }
+
+// TestSystemPowerBitPinned pins SystemPower's breakdown bit for bit for a
+// 32 x 8 Gb module at 64 ms and a 32 x 64 Gb module at 1024 ms.
+func TestSystemPowerBitPinned(t *testing.T) {
+	p := DefaultParams()
+	for _, tc := range []struct {
+		bytes int64
+		tREFI float64
+		want  Breakdown
+	}{
+		{32 * (8 << 30) / 8, 0.064, Breakdown{BackgroundW: 17.92, RefreshW: 3.1981568, AccessW: 0.46499999999999997}},
+		{32 * (64 << 30) / 8, 1.024, Breakdown{BackgroundW: 31.36, RefreshW: 1.5990784, AccessW: 0.46499999999999997}},
+	} {
+		got := p.SystemPower(tc.bytes, tc.tREFI, 3.1e9, 1.7e9, 2.3e7)
+		if math.Float64bits(got.BackgroundW) != math.Float64bits(tc.want.BackgroundW) ||
+			math.Float64bits(got.RefreshW) != math.Float64bits(tc.want.RefreshW) ||
+			math.Float64bits(got.AccessW) != math.Float64bits(tc.want.AccessW) {
+			t.Errorf("%d bytes @ %v s: %+v, want %+v", tc.bytes, tc.tREFI, got, tc.want)
+		}
+	}
+}

@@ -373,3 +373,41 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 		t.Errorf("stats wrong: %+v", d.stats)
 	}
 }
+
+// TestSimulateBitPinned pins one 4-core mix's IPCs, cycles and traffic at 8
+// and 64 Gb bit for bit.
+func TestSimulateBitPinned(t *testing.T) {
+	mix := mixNamed(t, "mcf", "gcc", "lbm", "povray")
+	for _, tc := range []struct {
+		chipGb  int
+		ipc     []float64
+		cycles  []float64
+		traffic TrafficStats
+	}{
+		{8,
+			[]float64{0.2471851787766807, 0.8467715189340462, 0.31593380554906136, 2.2410006585094244},
+			[]float64{404554.99999999977, 118095.61111111114, 316522, 44622.92307692307},
+			TrafficStats{Reads: 4109, Writes: 2110, Activations: 3962, RowHits: 2257}},
+		{64,
+			[]float64{0.21584519582555403, 0.7332011398833722, 0.27775386008427067, 1.9220675532819305},
+			[]float64{463294.99999999977, 136388.22222222222, 360030.9999999998, 52027.30769230769},
+			TrafficStats{Reads: 4109, Writes: 2110, Activations: 3971, RowHits: 2248}},
+	} {
+		cfg := cfgFor(t, tc.chipGb, 0.064)
+		cfg.InstructionsPerCore = 100_000
+		res, err := Simulate(mix, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range mix {
+			if math.Float64bits(res.IPC[i]) != math.Float64bits(tc.ipc[i]) ||
+				math.Float64bits(res.Cycles[i]) != math.Float64bits(tc.cycles[i]) {
+				t.Errorf("%dGb core %d: IPC %v cycles %v, want %v and %v",
+					tc.chipGb, i, res.IPC[i], res.Cycles[i], tc.ipc[i], tc.cycles[i])
+			}
+		}
+		if res.Traffic != tc.traffic {
+			t.Errorf("%dGb traffic = %+v, want %+v", tc.chipGb, res.Traffic, tc.traffic)
+		}
+	}
+}
