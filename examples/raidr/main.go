@@ -63,12 +63,11 @@ func main() {
 	// energy model, projected onto a production-scale module (32 x 8Gb
 	// chips): effective refresh power scales with the binned op-rate
 	// fraction measured on the scale-model chip.
-	p := power.DefaultParams()
 	opFraction := raidr.RefreshOpsPerSecond() / raidr.BaselineOpsPerSecond(0.064)
 	moduleBytes := int64(32 * (8 << 30) / 8)
-	baseRefreshW := p.RefreshWatts(moduleBytes, 0.064)
+	baseRefreshW := power.RefreshWatts(moduleBytes, 0.064)
 	binnedRefreshW := baseRefreshW * opFraction
-	bg := p.BackgroundWatts(moduleBytes)
+	bg := power.BackgroundWatts(moduleBytes)
 	fmt.Printf("projected 32GB module power (background + refresh): %.2f W -> %.2f W (%.1f%% reduction)\n",
 		bg+baseRefreshW, bg+binnedRefreshW,
 		(1-(bg+binnedRefreshW)/(bg+baseRefreshW))*100)

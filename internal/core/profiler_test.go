@@ -7,6 +7,7 @@ import (
 	"reaper/internal/dram"
 	"reaper/internal/memctrl"
 	"reaper/internal/patterns"
+	"reaper/internal/perfmodel"
 )
 
 // newStation builds a small, amplified chip for profiling tests. Each call
@@ -69,23 +70,49 @@ func TestBruteForceFindsFailures(t *testing.T) {
 	}
 }
 
+// TestBruteForceRuntimeMatchesEquation9 ties the station clock to the
+// analytic model Figures 11-13 use: a brute-force round advances the clock
+// by perfmodel's Equation 9 runtime for the same capacity, pattern count and
+// iterations. The station sums pass by pass, so the two agree to rounding,
+// not bit for bit.
 func TestBruteForceRuntimeMatchesEquation9(t *testing.T) {
-	st := newStation(t, 3)
-	bytes := st.Device().Geometry().TotalBytes()
-	pass := memctrl.PassSeconds(bytes)
-	const iters = 3
-	res, err := BruteForce(st, 1.024, Options{Iterations: iters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Equation 9: (T_REFI + T_wr + T_rd) * N_dp * N_it.
-	ndp := 12.0
-	want := (1.024 + 2*pass) * ndp * iters
-	if math.Abs(res.RuntimeSeconds()-want) > 1e-6 {
-		t.Errorf("runtime = %v, want Eq 9's %v", res.RuntimeSeconds(), want)
-	}
-	if math.Abs(res.Stats.WaitSeconds-1.024*ndp*iters) > 1e-9 {
-		t.Errorf("wait seconds = %v", res.Stats.WaitSeconds)
+	const tREFI = 1.024
+	ndp := len(patterns.StandardWithInverses(0))
+	for _, mbit := range []int64{1, 8, 64} {
+		dev, err := dram.NewDevice(dram.Config{
+			Geometry: dram.GeometryForBits(mbit << 20),
+			Vendor:   dram.VendorB(),
+			Seed:     uint64(mbit),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := memctrl.NewStation(dev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, iters := range []int{1, 3} {
+			start := st.Clock()
+			res, err := BruteForce(st, tREFI, Options{Iterations: iters})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := perfmodel.RoundConfig{
+				TREFI: tREFI, NumPatterns: ndp, NumIterations: iters,
+				TotalBytes: dev.Geometry().TotalBytes(),
+			}.RoundSeconds()
+			for name, got := range map[string]float64{
+				"clock advance": st.Clock() - start,
+				"runtime":       res.RuntimeSeconds(),
+			} {
+				if math.Abs(got-want) > 1e-12*want {
+					t.Errorf("%d Mbit, %d iterations: %s = %.17g s, want Eq 9's %.17g", mbit, iters, name, got, want)
+				}
+			}
+			if w := tREFI * float64(ndp*iters); math.Abs(res.Stats.WaitSeconds-w) > 1e-12*w {
+				t.Errorf("%d Mbit, %d iterations: wait seconds = %v, want %v", mbit, iters, res.Stats.WaitSeconds, w)
+			}
+		}
 	}
 }
 

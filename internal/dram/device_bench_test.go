@@ -247,26 +247,48 @@ func benchSoakDevice(b *testing.B) *Device {
 	return testDevice(b, 11, func(c *Config) { c.Geometry = GeometryForBits(8 << 20) })
 }
 
+// readWordBlock is the number of reads BenchmarkReadWord replays from one
+// state: each of the 96 resident words 10 times, over 0.96 s of simulated
+// time.
+const readWordBlock = 960
+
 // BenchmarkReadWord measures a scrub-style word read: the 96 words a soak
 // chip keeps resident, each overridden by a word write (so every row read
-// is a deviant row), read back in address order as an ECC scrub pass does.
+// is a deviant row), read back in address order as an ECC scrub pass does,
+// 1 ms apart. What a read costs depends on how long ago its row was
+// written, so every block of readWordBlock reads starts, untimed, from the
+// same freshly written device: the work per op does not depend on b.N.
 func BenchmarkReadWord(b *testing.B) {
 	d := benchSoakDevice(b)
-	d.WriteAll(patterns.Checkerboard(), 0)
+	sp, err := d.Savepoint()
+	if err != nil {
+		b.Fatal(err)
+	}
 	g := d.Geometry()
 	type addr struct{ bank, row, word int }
 	var resident []addr
 	for i := 0; i < len(d.weak) && len(resident) < 96; i += len(d.weak) / 96 {
 		a := g.AddrOf(d.weak[i].bit)
 		resident = append(resident, addr{a.Bank, a.Row, a.Word})
-		if err := d.WriteWord(a.Bank, a.Row, a.Word, ^uint64(0), 0); err != nil {
-			b.Fatal(err)
-		}
 	}
-	now := 1.0
+	var now float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%readWordBlock == 0 {
+			b.StopTimer()
+			if err := d.Rollback(sp); err != nil {
+				b.Fatal(err)
+			}
+			d.WriteAll(patterns.Checkerboard(), 0)
+			for _, a := range resident {
+				if err := d.WriteWord(a.bank, a.row, a.word, ^uint64(0), 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			now = 1.0
+			b.StartTimer()
+		}
 		a := resident[i%len(resident)]
 		if _, err := d.ReadWord(a.bank, a.row, a.word, now); err != nil {
 			b.Fatal(err)

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"reaper/internal/checkpoint"
@@ -312,6 +313,10 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 			return fmt.Errorf("dram: restore: round-cache key content %T is not comparable", data)
 		}
 		key := roundKey{data: data, tempC: dec.F64(), elapsed: dec.F64(), autoRef: dec.F64()}
+		if math.IsNaN(key.tempC) || math.IsNaN(key.elapsed) || math.IsNaN(key.autoRef) {
+			// A NaN never equals itself, so no lookup could find the entry.
+			return fmt.Errorf("dram: restore: round-cache key %v/%v/%v is not a number", key.tempC, key.elapsed, key.autoRef)
+		}
 		ent := &roundEntry{skipped: dec.U64(), dirtyLen: dec.Int()}
 		if dec.Err() == nil && ent.dirtyLen < 0 {
 			return fmt.Errorf("dram: restore: round-cache entry folded %d dirty cells", ent.dirtyLen)

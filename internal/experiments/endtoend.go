@@ -80,66 +80,51 @@ type Fig11Row struct {
 	ReaperProfilingW float64
 }
 
-// Fig11Config drives the sweep (the paper's Figure 11/12 assumptions:
-// 32-chip modules, 16 iterations of 6 data patterns at 1024 ms, REAPER at
-// its 2.5x speedup).
-type Fig11Config struct {
-	ChipGbs        []int
-	IntervalHours  []float64
-	TREFI          float64
-	NumPatterns    int
-	NumIterations  int
-	ChipsPerModule int
-	ReaperSpeedup  float64
+// The modelled system of Figures 11-13 (Section 7.2): modules of 32 chips,
+// profiled online in rounds of 6 data patterns x 16 iterations, which
+// REAPER shortens by its 2.5x speedup (Section 6.1.2). The Equation 9
+// example reuses the module size and the pattern count.
+const (
+	chipsPerModule  = 32
+	roundPatterns   = 6
+	roundIterations = 16
+	reaperSpeedup   = 2.5
+)
+
+// moduleBytes returns the capacity of a module of chipGb-gigabit chips.
+func moduleBytes(chipGb int) int64 {
+	return chipsPerModule * int64(chipGb) * (1 << 30) / 8
 }
 
-// DefaultFig11Config mirrors the paper.
-func DefaultFig11Config() Fig11Config {
-	return Fig11Config{
-		ChipGbs:        []int{8, 16, 32, 64},
-		IntervalHours:  []float64{1, 2, 4, 8, 16, 32},
-		TREFI:          1.024,
-		NumPatterns:    6,
-		NumIterations:  16,
-		ChipsPerModule: 32,
-		ReaperSpeedup:  2.5,
-	}
-}
-
-// Fig11Fig12ProfilingOverhead evaluates both figures analytically.
-func Fig11Fig12ProfilingOverhead(cfg Fig11Config) ([]Fig11Row, error) {
-	p := power.DefaultParams()
+// Fig11Fig12ProfilingOverhead evaluates both figures analytically, for
+// rounds at 1024 ms on the paper's chip sizes and profiling intervals.
+func Fig11Fig12ProfilingOverhead() []Fig11Row {
 	var rows []Fig11Row
-	for _, gb := range cfg.ChipGbs {
-		bytes := int64(cfg.ChipsPerModule) * int64(gb) * (1 << 30) / 8
+	for _, gb := range []int{8, 16, 32, 64} {
 		brute := perfmodel.RoundConfig{
-			TREFI: cfg.TREFI, NumPatterns: cfg.NumPatterns,
-			NumIterations: cfg.NumIterations, TotalBytes: bytes,
-		}
-		if err := brute.Validate(); err != nil {
-			return nil, err
+			TREFI: 1.024, NumPatterns: roundPatterns,
+			NumIterations: roundIterations, TotalBytes: moduleBytes(gb),
 		}
 		reaper := brute
-		reaper.SpeedupFactor = cfg.ReaperSpeedup
-		cmds := brute.Commands(p.RowBytes)
-		for _, h := range cfg.IntervalHours {
+		reaper.SpeedupFactor = reaperSpeedup
+		cmds := brute.Commands(power.RowBytes)
+		for _, h := range []float64{1, 2, 4, 8, 16, 32} {
 			sec := h * 3600
+			bruteW := power.AccessWatts(cmds.BytesRead, cmds.BytesWritten, cmds.RowActivations, sec)
 			rows = append(rows, Fig11Row{
-				ChipGb:        gb,
-				IntervalHours: h,
-				BruteFraction: brute.OverheadFraction(sec),
-				ReaperFrac:    reaper.OverheadFraction(sec),
-				BruteProfilingW: p.AccessWatts(
-					cmds.BytesRead, cmds.BytesWritten, cmds.RowActivations, sec),
-				// REAPER runs fewer effective passes per round (the 2.5x
-				// speedup shortens the round), so its traffic-per-interval
-				// shrinks by the same factor.
-				ReaperProfilingW: p.AccessWatts(
-					cmds.BytesRead, cmds.BytesWritten, cmds.RowActivations, sec) / cfg.ReaperSpeedup,
+				ChipGb:          gb,
+				IntervalHours:   h,
+				BruteFraction:   brute.OverheadFraction(sec),
+				ReaperFrac:      reaper.OverheadFraction(sec),
+				BruteProfilingW: bruteW,
+				// REAPER runs fewer effective passes per round (the
+				// speedup shortens the round), so its traffic per
+				// interval shrinks by the same factor.
+				ReaperProfilingW: bruteW / reaperSpeedup,
 			})
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // Fig11Table renders the rows.
@@ -171,20 +156,18 @@ func PaperImpliedCadenceHours(tREFI float64) float64 {
 	return 9.4 * math.Pow(tREFI/1.024, -3.85)
 }
 
+// mixCores is the number of cores, and so of benchmarks, in a Fig 13
+// workload mix.
+const mixCores = 4
+
 // Fig13Config drives the end-to-end evaluation.
 type Fig13Config struct {
 	ChipGbs   []int
 	Intervals []float64 // target refresh intervals; 0 means no refresh
 	// Mixes is the number of random 4-core workload mixes (paper: 20).
-	Mixes  int
-	PerMix int
+	Mixes int
 	// InstructionsPerCore bounds each simulation.
 	InstructionsPerCore int64
-	NumPatterns         int
-	NumIterations       int
-	ChipsPerModule      int
-	ReaperSpeedup       float64
-	Vendor              dram.VendorParams
 	Seed                uint64
 
 	// Workers bounds the pool simulating workload mixes concurrently; <= 0
@@ -199,13 +182,7 @@ func DefaultFig13Config() Fig13Config {
 		ChipGbs:             []int{8, 64},
 		Intervals:           []float64{0.128, 0.256, 0.512, 0.768, 1.024, 1.280, 1.536, 0},
 		Mixes:               20,
-		PerMix:              4,
 		InstructionsPerCore: 1_000_000,
-		NumPatterns:         6,
-		NumIterations:       16,
-		ChipsPerModule:      32,
-		ReaperSpeedup:       2.5,
-		Vendor:              dram.VendorB(),
 		Seed:                13,
 	}
 }
@@ -255,15 +232,14 @@ type fig13Sims struct {
 // mechanism's profiling overhead under both cadence models, and evaluate
 // DRAM power from the measured traffic.
 func Fig13EndToEnd(ctx context.Context, cfg Fig13Config) (*Fig13Result, error) {
-	if cfg.Mixes <= 0 || cfg.PerMix <= 0 {
+	if cfg.Mixes <= 0 {
 		return nil, fmt.Errorf("experiments: invalid mix config")
 	}
-	mixes := workload.Mixes(cfg.Mixes, cfg.PerMix, cfg.Seed)
-	pp := power.DefaultParams()
+	mixes := workload.Mixes(cfg.Mixes, mixCores, cfg.Seed)
 	res := &Fig13Result{}
 
 	for _, gb := range cfg.ChipGbs {
-		moduleBytes := int64(cfg.ChipsPerModule) * int64(gb) * (1 << 30) / 8
+		bytes := moduleBytes(gb)
 
 		// Alone-mode IPCs are taken at the 64 ms baseline and used as the
 		// fixed denominator for every interval, so the weighted-speedup
@@ -278,12 +254,8 @@ func Fig13EndToEnd(ctx context.Context, cfg Fig13Config) (*Fig13Result, error) {
 		baseAlone := sysperf.NewAloneIPCCache(baseCfg)
 
 		runAll := func(tREFI float64) (fig13Sims, error) {
-			scfg, err := sysperf.DefaultConfig(gb, tREFI)
-			if err != nil {
-				return fig13Sims{}, err
-			}
-			scfg.InstructionsPerCore = cfg.InstructionsPerCore
-			scfg.Seed = cfg.Seed
+			scfg := baseCfg
+			scfg.TREFI = tREFI
 			// Mixes are independent pure simulations; fan them out.
 			type mixOut struct{ ws, power float64 }
 			per, err := parallel.Map(ctx, len(mixes), cfg.Workers,
@@ -303,7 +275,7 @@ func Fig13EndToEnd(ctx context.Context, cfg Fig13Config) (*Fig13Result, error) {
 					rbps := float64(res.Traffic.Reads) * 64 / dur
 					wbps := float64(res.Traffic.Writes) * 64 / dur
 					aps := float64(res.Traffic.Activations) / dur
-					b := pp.SystemPower(moduleBytes, tREFI, rbps, wbps, aps)
+					b := power.SystemPower(bytes, tREFI, rbps, wbps, aps)
 					return mixOut{ws: ws, power: b.TotalW()}, nil
 				})
 			if err != nil {
@@ -332,24 +304,24 @@ func Fig13EndToEnd(ctx context.Context, cfg Fig13Config) (*Fig13Result, error) {
 			// profiling.
 			paper, lon := math.Inf(1), math.Inf(1)
 			if interval > 0 {
-				paper, lon = PaperImpliedCadenceHours(interval), longevityCadenceHours(cfg.Vendor, moduleBytes, interval)
+				paper, lon = PaperImpliedCadenceHours(interval), longevityCadenceHours(bytes, interval)
 			}
-			res.PaperImplied = append(res.PaperImplied, fig13Cells(cfg, gb, moduleBytes, interval, paper, base, relaxed)...)
-			res.Longevity = append(res.Longevity, fig13Cells(cfg, gb, moduleBytes, interval, lon, base, relaxed)...)
+			res.PaperImplied = append(res.PaperImplied, fig13Cells(gb, bytes, interval, paper, base, relaxed)...)
+			res.Longevity = append(res.Longevity, fig13Cells(gb, bytes, interval, lon, base, relaxed)...)
 		}
 	}
 	return res, nil
 }
 
-// longevityCadenceHours is the Equation 7 longevity of a module's profile at
-// the interval with full coverage, or 0 (profile continuously) when coverage
-// cannot keep up.
-func longevityCadenceHours(vendor dram.VendorParams, moduleBytes int64, interval float64) float64 {
+// longevityCadenceHours is the Equation 7 longevity of a vendor-B module's
+// profile at the interval with full coverage, or 0 (profile continuously)
+// when coverage cannot keep up.
+func longevityCadenceHours(moduleBytes int64, interval float64) float64 {
 	m := longevity.Model{
 		Code:       ecc.SECDED(),
 		TargetUBER: ecc.UBERConsumer,
 		Bytes:      moduleBytes,
-		Vendor:     vendor,
+		Vendor:     dram.VendorB(),
 		TempC:      45,
 	}
 	d, err := m.Longevity(interval, 1.0)
@@ -361,15 +333,15 @@ func longevityCadenceHours(vendor dram.VendorParams, moduleBytes int64, interval
 
 // fig13Cells charges each mechanism's profiling overhead, at a cadence in
 // hours, against the simulated gains of one (chip, interval).
-func fig13Cells(cfg Fig13Config, gb int, moduleBytes int64, interval, cadence float64, base, relaxed fig13Sims) []Fig13Cell {
+func fig13Cells(gb int, moduleBytes int64, interval, cadence float64, base, relaxed fig13Sims) []Fig13Cell {
 	overBrute, overReaper := 0.0, 0.0
 	if interval > 0 {
 		round := perfmodel.RoundConfig{
-			TREFI: interval, NumPatterns: cfg.NumPatterns,
-			NumIterations: cfg.NumIterations, TotalBytes: moduleBytes,
+			TREFI: interval, NumPatterns: roundPatterns,
+			NumIterations: roundIterations, TotalBytes: moduleBytes,
 		}
 		overBrute = round.OverheadFraction(cadence * 3600)
-		round.SpeedupFactor = cfg.ReaperSpeedup
+		round.SpeedupFactor = reaperSpeedup
 		overReaper = round.OverheadFraction(cadence * 3600)
 	}
 	mech := []struct {

@@ -25,10 +25,7 @@ func bitsDigest(vals []float64) string {
 // TestFig11RowsBitPinned pins every field of every Fig 11/12 row bit for
 // bit.
 func TestFig11RowsBitPinned(t *testing.T) {
-	rows, err := Fig11Fig12ProfilingOverhead(DefaultFig11Config())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Fig11Fig12ProfilingOverhead()
 	var vals []float64
 	for _, r := range rows {
 		vals = append(vals, float64(r.ChipGb), r.IntervalHours,

@@ -47,10 +47,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig11Fig12Anchors(t *testing.T) {
-	rows, err := Fig11Fig12ProfilingOverhead(DefaultFig11Config())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Fig11Fig12ProfilingOverhead()
 	var anchor *Fig11Row
 	for i, r := range rows {
 		if r.ChipGb == 64 && r.IntervalHours == 4 {

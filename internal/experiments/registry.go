@@ -167,10 +167,10 @@ func runEq9(_ context.Context, w io.Writer, _ uint64, _ int) error {
 		Header:  []string{"chip", "round (min)"},
 		Caption: "paper (Section 7.3.1): 3.01 min for 32x8Gb, 19.8 min for 32x64Gb",
 	}
-	for _, gb := range []int64{8, 64} {
+	for _, gb := range []int{8, 64} {
 		c := perfmodel.RoundConfig{
-			TREFI: 1.024, NumPatterns: 6, NumIterations: 6,
-			TotalBytes: 32 * (gb << 30) / 8,
+			TREFI: 1.024, NumPatterns: roundPatterns, NumIterations: 6,
+			TotalBytes: moduleBytes(gb),
 		}
 		t.AddRow(fmt.Sprintf("%dGb", gb), F(c.RoundSeconds()/60))
 	}
@@ -179,7 +179,7 @@ func runEq9(_ context.Context, w io.Writer, _ uint64, _ int) error {
 }
 
 func runFig11(context.Context, uint64, int) ([]Fig11Row, error) {
-	return Fig11Fig12ProfilingOverhead(DefaultFig11Config())
+	return Fig11Fig12ProfilingOverhead(), nil
 }
 
 // runFig13 prints Figure 13 under the paper-implied profiling cadence, then

@@ -21,6 +21,7 @@ func Analyzers() []*Analyzer {
 		SerializeExhaustive,
 		RngStreamDiscipline,
 		DeadExport,
+		TestOnlyField,
 		StaleSuppression,
 	}
 }

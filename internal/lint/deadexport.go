@@ -54,19 +54,23 @@ var DeadExport = &Analyzer{
 	},
 }
 
-// useIndex records which functions some loaded code uses, and the
-// interfaces through which it may call a method without naming it.
+// useIndex records which functions some loaded code uses, the interfaces
+// through which it may call a method without naming it, and the struct
+// fields it writes (test-only-field).
 type useIndex struct {
-	used   map[*types.Func]bool
-	ifaces map[*types.Interface]bool
+	used    map[*types.Func]bool
+	ifaces  map[*types.Interface]bool
+	written map[*types.Var]bool
 }
 
 func newUseIndex() *useIndex {
-	return &useIndex{used: map[*types.Func]bool{}, ifaces: map[*types.Interface]bool{}}
+	return &useIndex{used: map[*types.Func]bool{}, ifaces: map[*types.Interface]bool{}, written: map[*types.Var]bool{}}
 }
 
-// add indexes one package's uses and the interfaces its code mentions.
+// add indexes one package's uses, the interfaces its code mentions and the
+// fields it writes.
 func (ix *useIndex) add(p *Package) {
+	ix.addWrites(p)
 	for _, obj := range p.Info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
 			ix.used[fn.Origin()] = true
@@ -117,8 +121,8 @@ func declares(it *types.Interface, name string) bool {
 	return false
 }
 
-// moduleUses loads every package of the module and indexes their uses,
-// once per loader.
+// moduleUses loads every package of the module and indexes their uses and
+// writes, once per loader.
 func (l *Loader) moduleUses() (*useIndex, error) {
 	if l.uses != nil || l.usesErr != nil {
 		return l.uses, l.usesErr

@@ -120,6 +120,38 @@ func TestByNameNewRules(t *testing.T) {
 	}
 }
 
+// writePackageCopy copies the non-test Go files of the package in src into
+// dst, passing each file's text through edit (nil copies verbatim), and
+// reports whether edit changed any file.
+func writePackageCopy(t *testing.T, src, dst string, edit func(string) string) bool {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := false
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		if edit != nil {
+			if out := edit(text); out != text {
+				text, edited = out, true
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dst, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return edited
+}
+
 // TestSerializeExhaustiveMutation is the self-test demanded by the rule's
 // reason to exist: copy internal/dram, delete one field-encode statement
 // from the delta encoder (the device codec every soak resume runs), and
@@ -128,48 +160,11 @@ func TestByNameNewRules(t *testing.T) {
 // happens to pass.
 func TestSerializeExhaustiveMutation(t *testing.T) {
 	const mutatedStmt = "e.F64(c.vrt.nextSwitch)"
-
 	srcDir := filepath.Join("..", "dram")
-	entries, err := os.ReadDir(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeCopy := func(dir string, mutate bool) {
-		t.Helper()
-		removed := false
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(srcDir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mutate && strings.Contains(string(data), mutatedStmt) {
-				var kept []string
-				for _, line := range strings.Split(string(data), "\n") {
-					if strings.Contains(line, mutatedStmt) {
-						removed = true
-						continue
-					}
-					kept = append(kept, line)
-				}
-				data = []byte(strings.Join(kept, "\n"))
-			}
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if mutate && !removed {
-			t.Fatalf("mutation target %q not found in %s — update the test", mutatedStmt, srcDir)
-		}
-	}
-
 	l := fixtureLoader(t)
 
 	cleanDir := t.TempDir()
-	writeCopy(cleanDir, false)
+	writePackageCopy(t, srcDir, cleanDir, nil)
 	clean, err := l.LoadDirAs("reaper/internal/drammutclean", cleanDir)
 	if err != nil {
 		t.Fatalf("loading clean copy: %v", err)
@@ -182,7 +177,18 @@ func TestSerializeExhaustiveMutation(t *testing.T) {
 	}
 
 	mutDir := t.TempDir()
-	writeCopy(mutDir, true)
+	removed := writePackageCopy(t, srcDir, mutDir, func(text string) string {
+		var kept []string
+		for _, line := range strings.Split(text, "\n") {
+			if !strings.Contains(line, mutatedStmt) {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	})
+	if !removed {
+		t.Fatalf("mutation target %q not found in %s — update the test", mutatedStmt, srcDir)
+	}
 	mutant, err := l.LoadDirAs("reaper/internal/drammut", mutDir)
 	if err != nil {
 		t.Fatalf("loading mutated copy: %v", err)
@@ -199,5 +205,50 @@ func TestSerializeExhaustiveMutation(t *testing.T) {
 		!strings.Contains(f.Message, "vrtState.nextSwitch") ||
 		!strings.Contains(f.Message, "decoded but never encoded") {
 		t.Errorf("finding does not name the mutated field: %s", f)
+	}
+}
+
+// TestTestOnlyFieldMutation re-adds an option only tests set to a copy of
+// internal/sysperf — the closed-row switch its tests once selected — and
+// requires test-only-field to report exactly that field. A clean copy must
+// stay clean.
+func TestTestOnlyFieldMutation(t *testing.T) {
+	const configDecl = "type Config struct {\n"
+	srcDir := filepath.Join("..", "sysperf")
+	l := fixtureLoader(t)
+
+	cleanDir := t.TempDir()
+	writePackageCopy(t, srcDir, cleanDir, nil)
+	clean, err := l.LoadDirAs("reaper/internal/sysperfclean", cleanDir)
+	if err != nil {
+		t.Fatalf("loading clean copy: %v", err)
+	}
+	if res := Run([]*Package{clean}, []*Analyzer{TestOnlyField}); len(res.Findings) != 0 {
+		for _, f := range res.Findings {
+			t.Errorf("clean copy not clean: %s", f)
+		}
+		t.Fatal("control failed; mutation result would be meaningless")
+	}
+
+	mutDir := t.TempDir()
+	added := writePackageCopy(t, srcDir, mutDir, func(text string) string {
+		return strings.Replace(text, configDecl, configDecl+"\tClosedRowPolicy bool\n", 1)
+	})
+	if !added {
+		t.Fatalf("%q not found in %s — update the test", configDecl, srcDir)
+	}
+	mutant, err := l.LoadDirAs("reaper/internal/sysperfmut", mutDir)
+	if err != nil {
+		t.Fatalf("loading mutated copy: %v", err)
+	}
+	res := Run([]*Package{mutant}, []*Analyzer{TestOnlyField})
+	if len(res.Findings) != 1 {
+		for _, f := range res.Findings {
+			t.Logf("finding: %s", f)
+		}
+		t.Fatalf("want exactly 1 finding for the re-added field, got %d", len(res.Findings))
+	}
+	if f := res.Findings[0]; f.Rule != "test-only-field" || !strings.Contains(f.Message, "sysperf.Config.ClosedRowPolicy") {
+		t.Errorf("finding does not name the re-added field: %s", f)
 	}
 }

@@ -124,6 +124,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"rng-stream-discipline", "rngfix", "reaper/internal/rngfix", RngStreamDiscipline, true},
 		{"dead-export/internal", "deadfix", "reaper/internal/deadfix", DeadExport, true},
 		{"dead-export/client-allowed", "deadfix", "reaper/client/deadfix", DeadExport, false},
+		{"test-only-field/internal", "fieldfix", "reaper/internal/fieldfix", TestOnlyField, true},
+		{"test-only-field/client-allowed", "fieldfix", "reaper/client/fieldfix", TestOnlyField, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

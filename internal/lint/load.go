@@ -31,7 +31,8 @@ type Loader struct {
 	std  types.Importer
 	pkgs map[string]*Package // keyed by import path; nil while in-flight
 
-	// uses is dead-export's index of the whole module, built on first use.
+	// uses is the index of the whole module that dead-export and
+	// test-only-field read, built on first use.
 	uses    *useIndex
 	usesErr error
 }

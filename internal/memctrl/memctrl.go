@@ -55,7 +55,8 @@ const (
 )
 
 // PassSeconds returns the time to stream-write or stream-read bytes of DRAM
-// once (one data-pattern pass over a device of that capacity).
+// once (one data-pattern pass over a device of that capacity). It is also
+// T_wr and T_rd of the Equation 9 model in perfmodel.
 func PassSeconds(bytes int64) float64 {
 	return float64(bytes) / passBytesPerSecond
 }

@@ -2,8 +2,9 @@
 //
 //   - Equation 9, the end-to-end profiling-round runtime:
 //     T_profile = (T_REFI + T_wr + T_rd) * N_dp * N_it
-//     with the read/write pass times scaled by DRAM capacity from the
-//     empirically measured 0.125 s per 2GB (Section 7.3.1).
+//     with T_wr = T_rd the profiling station's whole-capacity pass time
+//     (memctrl.PassSeconds): the empirically measured 0.125 s per 2GB,
+//     scaled by DRAM capacity (Section 7.3.1).
 //
 //   - Equation 8, the throughput model accounting for online profiling:
 //     IPC_real = IPC_ideal * (1 - profiling_overhead)
@@ -11,14 +12,7 @@
 //     forward progress while a profiling round runs.
 package perfmodel
 
-import (
-	"fmt"
-)
-
-// PassSecondsPer2GB is the empirically measured time to write (or read and
-// compare) one data pattern across 2GB of LPDDR4 (paper Section 7.3.1
-// footnote). Pass times scale linearly with capacity.
-const PassSecondsPer2GB = 0.125
+import "reaper/internal/memctrl"
 
 // RoundConfig describes one online profiling round.
 type RoundConfig struct {
@@ -37,25 +31,9 @@ type RoundConfig struct {
 	SpeedupFactor float64
 }
 
-// Validate reports whether the configuration is usable.
-func (c RoundConfig) Validate() error {
-	if c.TREFI <= 0 || c.NumPatterns <= 0 || c.NumIterations <= 0 || c.TotalBytes <= 0 {
-		return fmt.Errorf("perfmodel: invalid round config %+v", c)
-	}
-	if c.SpeedupFactor < 0 {
-		return fmt.Errorf("perfmodel: negative speedup factor")
-	}
-	return nil
-}
-
-// PassSeconds returns T_wr (== T_rd): one full data pass over the capacity.
-func (c RoundConfig) PassSeconds() float64 {
-	return PassSecondsPer2GB * float64(c.TotalBytes) / float64(2<<30)
-}
-
 // RoundSeconds evaluates Equation 9, divided by the speedup factor.
 func (c RoundConfig) RoundSeconds() float64 {
-	pass := c.PassSeconds()
+	pass := memctrl.PassSeconds(c.TotalBytes)
 	t := (c.TREFI + 2*pass) * float64(c.NumPatterns) * float64(c.NumIterations)
 	if c.SpeedupFactor > 1 {
 		t /= c.SpeedupFactor
@@ -105,9 +83,6 @@ type CommandCounts struct {
 // size used to count activations (a full sequential pass activates each row
 // once per pass).
 func (c RoundConfig) Commands(rowBytes int64) CommandCounts {
-	if rowBytes <= 0 {
-		rowBytes = 2048
-	}
 	passes := int64(c.NumPatterns) * int64(c.NumIterations)
 	perPassRows := c.TotalBytes / rowBytes
 	return CommandCounts{

@@ -1,7 +1,6 @@
 package power
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -17,48 +16,21 @@ func ReductionVsBaseline(baseline, other Breakdown) float64 {
 	return 1 - other.TotalW()/baseline.TotalW()
 }
 
-// Validate reports whether the parameters are usable.
-func (p Params) Validate() error {
-	if p.ActivatePJ < 0 || p.ReadPJPerByte < 0 || p.WritePJPerByte < 0 ||
-		p.RefreshPJPerRow < 0 || p.BackgroundBaseW < 0 ||
-		p.BackgroundMWPerGB < 0 || p.RowBytes <= 0 {
-		return fmt.Errorf("power: invalid params %+v", p)
-	}
-	return nil
-}
-
-func TestValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultParams()
-	bad.RowBytes = 0
-	if bad.Validate() == nil {
-		t.Error("zero row size not rejected")
-	}
-	bad = DefaultParams()
-	bad.ReadPJPerByte = -1
-	if bad.Validate() == nil {
-		t.Error("negative energy not rejected")
-	}
-}
-
 func TestRefreshWattsScaling(t *testing.T) {
-	p := DefaultParams()
-	base := p.RefreshWatts(8<<30, 0.064)
+	base := RefreshWatts(8<<30, 0.064)
 	if base <= 0 {
 		t.Fatal("refresh power must be positive")
 	}
 	// Linear in capacity.
-	if r := p.RefreshWatts(64<<30, 0.064) / base; math.Abs(r-8) > 1e-9 {
+	if r := RefreshWatts(64<<30, 0.064) / base; math.Abs(r-8) > 1e-9 {
 		t.Errorf("capacity scaling = %v, want 8", r)
 	}
 	// Inverse in interval.
-	if r := base / p.RefreshWatts(8<<30, 0.128); math.Abs(r-2) > 1e-9 {
+	if r := base / RefreshWatts(8<<30, 0.128); math.Abs(r-2) > 1e-9 {
 		t.Errorf("interval scaling = %v, want 2", r)
 	}
 	// Disabled refresh costs nothing.
-	if p.RefreshWatts(8<<30, 0) != 0 {
+	if RefreshWatts(8<<30, 0) != 0 {
 		t.Error("disabled refresh should cost 0")
 	}
 }
@@ -68,9 +40,8 @@ func TestRefreshShareGrowsWithCapacity(t *testing.T) {
 	// at high densities. The share at default tREFI must grow with
 	// capacity and be substantial (tens of percent) for a 64Gb-class
 	// module while modest for 8Gb.
-	p := DefaultParams()
 	share := func(bytes int64) float64 {
-		b := p.SystemPower(bytes, 0.064, 0, 0, 0)
+		b := SystemPower(bytes, 0.064, 0, 0, 0)
 		return b.RefreshW / b.TotalW()
 	}
 	s8 := share(8 << 30 / 8 * 32)   // 32 x 8Gb chips
@@ -84,25 +55,23 @@ func TestRefreshShareGrowsWithCapacity(t *testing.T) {
 }
 
 func TestBackgroundWatts(t *testing.T) {
-	p := DefaultParams()
-	got := p.BackgroundWatts(2 << 30)
-	want := p.BackgroundBaseW + p.BackgroundMWPerGB*2e-3
+	got := BackgroundWatts(2 << 30)
+	want := backgroundBaseW + backgroundMWPerGB*2e-3
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("background = %v, want %v", got, want)
 	}
 }
 
 func TestAccessEnergyAndWatts(t *testing.T) {
-	p := DefaultParams()
-	e := p.AccessEnergyJoules(1000, 2000, 3)
-	want := (1000*p.ReadPJPerByte + 2000*p.WritePJPerByte + 3*p.ActivatePJ) * 1e-12
+	e := AccessEnergyJoules(1000, 2000, 3)
+	want := (1000*readPJPerByte + 2000*writePJPerByte + 3*activatePJ) * 1e-12
 	if math.Abs(e-want) > 1e-20 {
 		t.Errorf("energy = %v, want %v", e, want)
 	}
-	if w := p.AccessWatts(1000, 2000, 3, 2); math.Abs(w-e/2) > 1e-20 {
+	if w := AccessWatts(1000, 2000, 3, 2); math.Abs(w-e/2) > 1e-20 {
 		t.Errorf("watts = %v, want %v", w, e/2)
 	}
-	if p.AccessWatts(1, 1, 1, 0) != 0 {
+	if AccessWatts(1, 1, 1, 0) != 0 {
 		t.Error("zero interval should give zero watts")
 	}
 }
@@ -112,14 +81,13 @@ func TestProfilingPowerIsTiny(t *testing.T) {
 	// dominated by waiting, not accessing. One brute-force round every 4
 	// hours on 32x8Gb must cost far less than 1% of the module's baseline
 	// power.
-	p := DefaultParams()
 	bytes := int64(32 * (8 << 30) / 8)
 	round := perfmodel.RoundConfig{
 		TREFI: 1.024, NumPatterns: 6, NumIterations: 16, TotalBytes: bytes,
 	}
-	cmds := round.Commands(p.RowBytes)
-	profilingW := p.AccessWatts(cmds.BytesRead, cmds.BytesWritten, cmds.RowActivations, 4*3600)
-	baseline := p.SystemPower(bytes, 0.064, 0, 0, 0).TotalW()
+	cmds := round.Commands(RowBytes)
+	profilingW := AccessWatts(cmds.BytesRead, cmds.BytesWritten, cmds.RowActivations, 4*3600)
+	baseline := SystemPower(bytes, 0.064, 0, 0, 0).TotalW()
 	if profilingW/baseline > 0.01 {
 		t.Errorf("profiling power %v W is %v of baseline %v W; want < 1%%",
 			profilingW, profilingW/baseline, baseline)
@@ -130,8 +98,7 @@ func TestProfilingPowerIsTiny(t *testing.T) {
 }
 
 func TestSystemPowerBreakdown(t *testing.T) {
-	p := DefaultParams()
-	b := p.SystemPower(8<<30, 0.064, 1e9, 5e8, 1e6)
+	b := SystemPower(8<<30, 0.064, 1e9, 5e8, 1e6)
 	if b.BackgroundW <= 0 || b.RefreshW <= 0 || b.AccessW <= 0 {
 		t.Errorf("all components should be positive: %+v", b)
 	}
@@ -141,10 +108,9 @@ func TestSystemPowerBreakdown(t *testing.T) {
 }
 
 func TestReductionVsBaseline(t *testing.T) {
-	p := DefaultParams()
 	bytes := int64(32 * (64 << 30) / 8)
-	base := p.SystemPower(bytes, 0.064, 0, 0, 0)
-	noRef := p.SystemPower(bytes, 0, 0, 0, 0)
+	base := SystemPower(bytes, 0.064, 0, 0, 0)
+	noRef := SystemPower(bytes, 0, 0, 0, 0)
 	red := ReductionVsBaseline(base, noRef)
 	// Eliminating refresh on a 64Gb-class module should cut a large
 	// fraction of DRAM power (paper: ~41% average).
@@ -152,8 +118,8 @@ func TestReductionVsBaseline(t *testing.T) {
 		t.Errorf("no-refresh reduction = %v, want 0.3-0.7", red)
 	}
 	// Longer interval reduces power monotonically.
-	r512 := ReductionVsBaseline(base, p.SystemPower(bytes, 0.512, 0, 0, 0))
-	r1024 := ReductionVsBaseline(base, p.SystemPower(bytes, 1.024, 0, 0, 0))
+	r512 := ReductionVsBaseline(base, SystemPower(bytes, 0.512, 0, 0, 0))
+	r1024 := ReductionVsBaseline(base, SystemPower(bytes, 1.024, 0, 0, 0))
 	if !(0 < r512 && r512 < r1024 && r1024 < red) {
 		t.Errorf("reductions not ordered: %v %v %v", r512, r1024, red)
 	}
@@ -165,7 +131,6 @@ func TestReductionVsBaseline(t *testing.T) {
 // TestSystemPowerBitPinned pins SystemPower's breakdown bit for bit for a
 // 32 x 8 Gb module at 64 ms and a 32 x 64 Gb module at 1024 ms.
 func TestSystemPowerBitPinned(t *testing.T) {
-	p := DefaultParams()
 	for _, tc := range []struct {
 		bytes int64
 		tREFI float64
@@ -174,7 +139,7 @@ func TestSystemPowerBitPinned(t *testing.T) {
 		{32 * (8 << 30) / 8, 0.064, Breakdown{BackgroundW: 17.92, RefreshW: 3.1981568, AccessW: 0.46499999999999997}},
 		{32 * (64 << 30) / 8, 1.024, Breakdown{BackgroundW: 31.36, RefreshW: 1.5990784, AccessW: 0.46499999999999997}},
 	} {
-		got := p.SystemPower(tc.bytes, tc.tREFI, 3.1e9, 1.7e9, 2.3e7)
+		got := SystemPower(tc.bytes, tc.tREFI, 3.1e9, 1.7e9, 2.3e7)
 		if math.Float64bits(got.BackgroundW) != math.Float64bits(tc.want.BackgroundW) ||
 			math.Float64bits(got.RefreshW) != math.Float64bits(tc.want.RefreshW) ||
 			math.Float64bits(got.AccessW) != math.Float64bits(tc.want.AccessW) {

@@ -1,10 +1,9 @@
 package sysperf
 
 // The queued memory engine: requests are enqueued at issue time and
-// scheduled per channel by the configured policy. FR-FCFS (the paper's
-// Table 2 scheduler) prefers row-buffer hits over older requests; FCFS
-// services strictly in arrival order. Banks proceed in parallel: the
-// scheduler always dispatches the request that can start earliest, so a
+// scheduled per channel by FR-FCFS (the paper's Table 2 scheduler), which
+// prefers row-buffer hits over older requests. Banks proceed in parallel:
+// the scheduler always dispatches the request that can start earliest, so a
 // busy bank never delays traffic to an idle one.
 //
 // Scheduling is lazy: a channel's queue is only drained when some core
@@ -13,16 +12,6 @@ package sysperf
 // point — which on hardware could still win arbitration — are not
 // considered; the window is at most one inter-miss gap per core, which
 // keeps the approximation tight at simulation cost O(requests log requests).
-
-// SchedulerPolicy selects the memory scheduling policy.
-type SchedulerPolicy int
-
-const (
-	// SchedFRFCFS is first-ready, first-come-first-served (default).
-	SchedFRFCFS SchedulerPolicy = iota
-	// SchedFCFS services requests strictly in arrival order per channel.
-	SchedFCFS
-)
 
 // pendingReq is one enqueued memory request.
 type pendingReq struct {
@@ -36,7 +25,7 @@ type pendingReq struct {
 func (d *dram) enqueue(arrival float64, row uint64, write bool) int64 {
 	id := d.nextID
 	d.nextID++
-	ch := int(row % uint64(d.cfg.Channels))
+	ch := int(row % channels)
 	d.pending[ch] = append(d.pending[ch], pendingReq{
 		id: id, arrival: arrival, row: row, write: write,
 	})
@@ -62,20 +51,19 @@ func (d *dram) resolve(id int64) float64 {
 	}
 }
 
-// scheduleNext dispatches one request from the channel queue.
+// bankOf returns the bank a row address maps to within its channel.
+func bankOf(row uint64) int { return int(row / channels % banksPerChannel) }
+
+// bankRowOf returns a row address's row within its bank.
+func bankRowOf(row uint64) uint64 { return row / channels / banksPerChannel }
+
+// scheduleNext dispatches one request from the channel queue: the one that
+// can start earliest, a row hit breaking a tie, then the oldest.
 func (d *dram) scheduleNext(ch int) {
 	q := d.pending[ch]
 	if len(q) == 0 {
 		//lint:ignore no-panic engine-internal invariant: callers check queue emptiness before scheduling
 		panic("sysperf: scheduleNext on empty queue")
-	}
-	t := d.cfg.Timing
-
-	bankOf := func(row uint64) int {
-		return int(row / uint64(d.cfg.Channels) % uint64(d.cfg.BanksPerChannel))
-	}
-	bankRowOf := func(row uint64) uint64 {
-		return row / uint64(d.cfg.Channels) / uint64(d.cfg.BanksPerChannel)
 	}
 
 	best := -1
@@ -88,26 +76,17 @@ func (d *dram) scheduleNext(ch int) {
 			start = r
 		}
 		start = d.skipRefreshWindows(ch, start)
-		hit := !d.cfg.ClosedRowPolicy && d.openRow[ch][bank] == bankRowOf(req.row)+1
+		hit := d.openRow[ch][bank] == bankRowOf(req.row)+1
 
 		take := false
 		switch {
-		case best < 0:
+		case best < 0, start < bestStart:
 			take = true
-		case d.cfg.Scheduler == SchedFCFS:
+		case start == bestStart && hit != bestHit:
+			take = hit
+		case start == bestStart:
 			take = req.arrival < q[best].arrival ||
 				(req.arrival == q[best].arrival && req.id < q[best].id)
-		default: // FR-FCFS: earliest possible start; hits break ties, then age.
-			switch {
-			case start < bestStart:
-				take = true
-			case start == bestStart && hit && !bestHit:
-				take = true
-			case start == bestStart && hit == bestHit &&
-				(req.arrival < q[best].arrival ||
-					(req.arrival == q[best].arrival && req.id < q[best].id)):
-				take = true
-			}
 		}
 		if take {
 			best, bestStart, bestHit = i, start, hit
@@ -116,28 +95,16 @@ func (d *dram) scheduleNext(ch int) {
 
 	req := q[best]
 	bank := bankOf(req.row)
-	// Recompute the chosen request's timing (FCFS may pick a request whose
-	// bank is not the earliest available).
-	start := req.arrival
-	if r := d.bankReady[ch][bank]; r > start {
-		start = r
-	}
-	start = d.skipRefreshWindows(ch, start)
-
 	var svc float64
-	switch {
-	case d.cfg.ClosedRowPolicy:
-		svc = t.TRCD + t.TCL + t.TBURST
-		d.stats.Activations++
-	case d.openRow[ch][bank] == bankRowOf(req.row)+1:
-		svc = t.TCL + t.TBURST
+	if bestHit {
+		svc = tCL + tBURST
 		d.stats.RowHits++
-	default:
-		svc = t.TRP + t.TRCD + t.TCL + t.TBURST
+	} else {
+		svc = tRP + tRCD + tCL + tBURST
 		d.openRow[ch][bank] = bankRowOf(req.row) + 1
 		d.stats.Activations++
 	}
-	done := start + svc
+	done := bestStart + svc
 	d.bankReady[ch][bank] = done
 	if req.write {
 		d.stats.Writes++

@@ -6,9 +6,9 @@
 //     package) at its compute-bound IPC, with a bounded number of
 //     outstanding misses (MSHRs) and a fraction of serializing
 //     (dependent) misses;
-//   - a multi-channel DRAM subsystem with per-bank row buffers, open- or
-//     closed-row policies, and FR-FCFS request scheduling (Table 2): row
-//     hits cost column access only and are prioritized over older misses;
+//   - a multi-channel DRAM subsystem with per-bank row buffers under the
+//     open-row policy and FR-FCFS request scheduling (Table 2): row hits
+//     cost column access only and are prioritized over older misses;
 //   - refresh interference: each channel issues an all-bank refresh every
 //     tREFI/8192 and is blocked for tRFC, which grows with chip density —
 //     the mechanism that makes refresh overhead (and the benefit of longer
@@ -26,61 +26,53 @@ import (
 	"reaper/internal/workload"
 )
 
-// Timing holds DRAM timing parameters in nanoseconds.
-type Timing struct {
-	TRCD   float64 // activate to column command
-	TRP    float64 // precharge
-	TCL    float64 // column access latency
-	TBURST float64 // data burst
-	TRFC   float64 // refresh command duration (all-bank)
-}
+// The modelled system (the paper's Table 2): 4 GHz cores with 8 MSHRs each,
+// and LPDDR4-3200 with 4 channels of 8 banks. Rows interleave across
+// channels, then across a channel's banks.
+const (
+	cpuFreqGHz = 4
+	mshrs      = 8
+	// dependentFraction is the fraction of misses a core cannot overlap
+	// (pointer chasing, branch-feeding loads); they serialize execution.
+	dependentFraction = 0.35
+	channels          = 4
+	banksPerChannel   = 8
+)
 
-// TimingForChip returns LPDDR4-3200 timings with the refresh command
-// duration scaled by chip density. The tRFC values follow the projection
-// that refresh latency grows with capacity (the scaling trend the paper and
-// RAIDR highlight as the core of the refresh problem).
-func TimingForChip(chipGb int) (Timing, error) {
-	t := Timing{TRCD: 18, TRP: 18, TCL: 17, TBURST: 10}
+// LPDDR4-3200 timings in nanoseconds.
+const (
+	tRCD   = 18 // activate to column command
+	tRP    = 18 // precharge
+	tCL    = 17 // column access latency
+	tBURST = 10 // data burst
+)
+
+// trfcForChip returns the all-bank refresh command duration in nanoseconds
+// for a chip density. The values follow the projection that refresh latency
+// grows with capacity (the scaling trend the paper and RAIDR highlight as
+// the core of the refresh problem).
+func trfcForChip(chipGb int) (float64, error) {
 	switch chipGb {
 	case 8:
-		t.TRFC = 350
+		return 350, nil
 	case 16:
-		t.TRFC = 530
+		return 530, nil
 	case 32:
-		t.TRFC = 800
+		return 800, nil
 	case 64:
-		t.TRFC = 1200
-	default:
-		return Timing{}, fmt.Errorf("sysperf: unsupported chip density %dGb", chipGb)
+		return 1200, nil
 	}
-	return t, nil
+	return 0, fmt.Errorf("sysperf: unsupported chip density %dGb", chipGb)
 }
 
-// Config describes the simulated system (the paper's Table 2 by default).
+// Config describes one simulation of the modelled system.
 type Config struct {
-	// CPUFreqGHz is the core clock (paper: 4 GHz).
-	CPUFreqGHz float64
-	// MSHRs bounds outstanding misses per core (paper: 8).
-	MSHRs int
-	// DependentFraction is the fraction of misses the core cannot overlap
-	// (pointer chasing, branch-feeding loads); they serialize execution.
-	DependentFraction float64
-	// Channels and BanksPerChannel shape the DRAM subsystem (paper: 4
-	// channels, 8 banks).
-	Channels        int
-	BanksPerChannel int
-	// Timing is the DRAM timing set.
-	Timing Timing
+	// TRFC is the all-bank refresh command duration in nanoseconds, which
+	// grows with chip density.
+	TRFC float64
 	// TREFI is the per-row refresh interval in seconds; <= 0 disables
 	// refresh entirely.
 	TREFI float64
-	// ClosedRowPolicy precharges banks after every access (the paper's
-	// Table 2 uses the open-row policy for single-core and closed-row for
-	// multi-core runs; the default here is open-row).
-	ClosedRowPolicy bool
-	// Scheduler selects the memory scheduling policy; the zero value is
-	// FR-FCFS (the paper's Table 2 scheduler).
-	Scheduler SchedulerPolicy
 	// InstructionsPerCore is the simulation length.
 	InstructionsPerCore int64
 	// Seed drives the workload streams and dependence sampling.
@@ -90,34 +82,17 @@ type Config struct {
 // DefaultConfig returns the paper's Table 2 system for the given chip
 // density and refresh interval.
 func DefaultConfig(chipGb int, tREFI float64) (Config, error) {
-	timing, err := TimingForChip(chipGb)
+	trfc, err := trfcForChip(chipGb)
 	if err != nil {
 		return Config{}, err
 	}
-	return Config{
-		CPUFreqGHz:          4,
-		MSHRs:               8,
-		DependentFraction:   0.35,
-		Channels:            4,
-		BanksPerChannel:     8,
-		Timing:              timing,
-		TREFI:               tREFI,
-		InstructionsPerCore: 2_000_000,
-		Seed:                1,
-	}, nil
+	return Config{TRFC: trfc, TREFI: tREFI, InstructionsPerCore: 2_000_000, Seed: 1}, nil
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.CPUFreqGHz <= 0 || c.MSHRs <= 0 || c.Channels <= 0 ||
-		c.BanksPerChannel <= 0 || c.InstructionsPerCore <= 0 {
+	if c.InstructionsPerCore <= 0 {
 		return fmt.Errorf("sysperf: invalid config %+v", c)
-	}
-	if c.DependentFraction < 0 || c.DependentFraction > 1 {
-		return fmt.Errorf("sysperf: dependent fraction %v out of [0,1]", c.DependentFraction)
-	}
-	if c.Timing.TRCD <= 0 || c.Timing.TRP <= 0 || c.Timing.TCL <= 0 || c.Timing.TBURST <= 0 {
-		return fmt.Errorf("sysperf: invalid timing %+v", c.Timing)
 	}
 	return nil
 }
@@ -135,12 +110,12 @@ func (c Config) refPeriodNs() float64 {
 // dram models the shared DRAM subsystem state during one simulation.
 type dram struct {
 	cfg       Config
-	bankReady [][]float64 // [channel][bank] ready time (ns)
-	openRow   [][]uint64  // [channel][bank] open row (+1; 0 = none)
+	bankReady [channels][banksPerChannel]float64 // ready time (ns)
+	openRow   [channels][banksPerChannel]uint64  // open row (+1; 0 = none)
 	stats     TrafficStats
 
 	// Queued-engine state (see engine.go).
-	pending   [][]pendingReq // per channel
+	pending   [channels][]pendingReq
 	completed map[int64]float64
 	channelOf map[int64]int
 	nextID    int64
@@ -155,19 +130,11 @@ type TrafficStats struct {
 }
 
 func newDRAM(cfg Config) *dram {
-	d := &dram{
+	return &dram{
 		cfg:       cfg,
 		completed: make(map[int64]float64),
 		channelOf: make(map[int64]int),
 	}
-	d.bankReady = make([][]float64, cfg.Channels)
-	d.openRow = make([][]uint64, cfg.Channels)
-	d.pending = make([][]pendingReq, cfg.Channels)
-	for ch := range d.bankReady {
-		d.bankReady[ch] = make([]float64, cfg.BanksPerChannel)
-		d.openRow[ch] = make([]uint64, cfg.BanksPerChannel)
-	}
-	return d
 }
 
 // skipRefreshWindows pushes a start time past any refresh windows on the
@@ -180,7 +147,7 @@ func (d *dram) skipRefreshWindows(ch int, start float64) float64 {
 	for {
 		k := float64(int64(start / p))
 		winStart := k * p
-		winEnd := winStart + d.cfg.Timing.TRFC
+		winEnd := winStart + d.cfg.TRFC
 		if start >= winStart && start < winEnd {
 			start = winEnd
 			continue
@@ -189,20 +156,13 @@ func (d *dram) skipRefreshWindows(ch int, start float64) float64 {
 	}
 }
 
-// service enqueues one request and immediately resolves it — the degenerate
-// single-request path used by unit tests; the core loop uses enqueue/resolve
-// directly so the scheduler can reorder.
-func (d *dram) service(arrivalNs float64, row uint64, write bool) float64 {
-	return d.resolve(d.enqueue(arrivalNs, row, write))
-}
-
 // core models one core's execution state.
 type core struct {
 	stream      *workload.Stream
 	src         *rng.Source
 	timeNs      float64
 	instrDone   int64
-	outstanding []int64 // ids of in-flight misses (<= MSHRs)
+	outstanding []int64 // ids of in-flight misses (<= mshrs)
 }
 
 // retireEarliest resolves every outstanding miss, blocks the core until the
@@ -262,7 +222,6 @@ func Simulate(mix []workload.Spec, cfg Config) (Result, error) {
 			src:    rng.New(cfg.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15),
 		}
 	}
-	ghz := cfg.CPUFreqGHz
 	// resolved caches completion times of in-flight misses that were
 	// scheduled while chasing some other request's completion.
 	resolved := make(map[int64]float64)
@@ -281,7 +240,7 @@ func Simulate(mix []workload.Spec, cfg Config) (Result, error) {
 			}
 		}
 		req := c.stream.Next()
-		c.timeNs += float64(req.InstrGap) / c.stream.Spec().BaseIPC / ghz
+		c.timeNs += float64(req.InstrGap) / c.stream.Spec().BaseIPC / cpuFreqGHz
 		c.instrDone += int64(req.InstrGap)
 
 		if c.instrDone >= cfg.InstructionsPerCore {
@@ -294,11 +253,11 @@ func Simulate(mix []workload.Spec, cfg Config) (Result, error) {
 		}
 
 		// MSHR limit: block until the earliest in-flight miss returns.
-		if len(c.outstanding) >= cfg.MSHRs {
+		if len(c.outstanding) >= mshrs {
 			c.retireEarliest(mem, resolved)
 		}
 		id := mem.enqueue(c.timeNs, req.Row, req.Write)
-		if c.src.Bernoulli(cfg.DependentFraction) {
+		if c.src.Bernoulli(dependentFraction) {
 			// Serializing miss: execution waits for the data.
 			done := mem.resolve(id)
 			if done > c.timeNs {
@@ -315,7 +274,7 @@ func Simulate(mix []workload.Spec, cfg Config) (Result, error) {
 		Traffic: mem.stats,
 	}
 	for i, c := range cores {
-		cycles := c.timeNs * ghz
+		cycles := c.timeNs * cpuFreqGHz
 		res.Cycles[i] = cycles
 		res.IPC[i] = float64(cfg.InstructionsPerCore) / cycles
 		if sec := c.timeNs * 1e-9; sec > res.DurationSec {
