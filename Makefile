@@ -24,7 +24,7 @@ test:
 	$(GO) test ./...
 
 # race runs the full suite under the race detector. The determinism tests
-# (internal/experiments, internal/module, internal/parallel) drive the
+# (internal/experiments, internal/memctrl, internal/parallel) drive the
 # worker pool at workers=8, so this exercises the parallel fleet paths.
 # Race instrumentation slows the experiments suite well past go test's
 # default 10m per-package timeout, hence the explicit -timeout.

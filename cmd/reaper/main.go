@@ -112,32 +112,20 @@ func run() int {
 		Seed:               *seed,
 		WithThermalChamber: *chamber,
 	}
-	var st reaper.TestStation
-	var truthAt func(interval, tempC float64) (*reaper.FailureSet, error)
+	st, err := reaper.NewModule(*chips, cfg)
+	if err != nil {
+		log.Println(err)
+		return exitcode.ConfigError
+	}
+	st.SetWorkers(*workers)
 	if *chips > 1 {
-		mod, err := reaper.NewModule(*chips, cfg)
-		if err != nil {
-			log.Println(err)
-			return exitcode.ConfigError
-		}
-		mod.SetWorkers(*workers)
-		mod.SetTelemetry(reg)
+		// Only a module's passes record the module_* counters.
+		st.SetTelemetry(reg)
 		fmt.Printf("module: %d chips x %v, vendor %s\n",
-			mod.Chips(), mod.Device(0).Geometry(), vendor.Name)
-		st = mod
-		truthAt = mod.Truth
+			st.Chips(), st.Device().Geometry(), vendor.Name)
 	} else {
-		station, err := reaper.NewStation(cfg)
-		if err != nil {
-			log.Println(err)
-			return exitcode.ConfigError
-		}
 		fmt.Printf("chip: %v, vendor %s, %d modelled weak cells\n",
-			station.Device().Geometry(), vendor.Name, station.Device().WeakCellCount())
-		st = station
-		truthAt = func(interval, tempC float64) (*reaper.FailureSet, error) {
-			return reaper.Truth(station, interval, tempC), nil
-		}
+			st.Device().Geometry(), vendor.Name, st.Device().WeakCellCount())
 	}
 
 	target := *targetMs / 1000
@@ -164,8 +152,8 @@ func run() int {
 		log.Println(err)
 		return exitcode.ConfigError
 	}
-	truth, err := truthAt(target, reaper.RefTempC)
-	if err != nil {
+	truth := reaper.Truth(st, target, reaper.RefTempC)
+	if err := st.Err(); err != nil {
 		log.Println(err)
 		return exitcode.ConfigError
 	}

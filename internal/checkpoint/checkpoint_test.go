@@ -401,6 +401,82 @@ func TestStoreSaveKeepsListedFile(t *testing.T) {
 	}
 }
 
+// TestStoreSaveNilKeepsListedFile: a nil value keeps the file the current
+// manifest lists, entry and bytes as they stand, both after a Save and
+// after a Load by a fresh Store.
+func TestStoreSaveNilKeepsListedFile(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := Identity([]byte("cfg"))
+	if err := st.Save(1, id, map[string][]byte{"a.ckpt": []byte("chip a"), "b.ckpt": []byte("chip b")}); err != nil {
+		t.Fatal(err)
+	}
+	man1, _, err := st.Load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(dir, "a.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(2, id, map[string][]byte{"a.ckpt": nil, "b.ckpt": []byte("chip b, later")}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man2, files, err := fresh.Load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man2.Seq != 2 || man2.Files[0] != man1.Files[0] || string(files["a.ckpt"]) != "chip a" ||
+		string(files["b.ckpt"]) != "chip b, later" {
+		t.Fatalf("after a nil save: manifest %+v, files %q", man2, files)
+	}
+	after, err := os.Stat(filepath.Join(dir, "a.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(info, after) || !info.ModTime().Equal(after.ModTime()) {
+		t.Error("a.ckpt was rewritten for a nil value")
+	}
+	if err := fresh.Save(3, id, map[string][]byte{"a.ckpt": nil, "b.ckpt": nil}); err != nil {
+		t.Fatalf("nil values for the loaded manifest's files: %v", err)
+	}
+	if man, _, err := fresh.Load(id); err != nil || man.Seq != 3 || len(man.Files) != 2 {
+		t.Fatalf("after an all-nil save: %+v, %v", man, err)
+	}
+}
+
+// TestStoreSaveNilRefusesUnlistedName: a nil value for a name the current
+// manifest does not list has no content to keep, so Save refuses it and
+// leaves the directory's snapshot as it was.
+func TestStoreSaveNilRefusesUnlistedName(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := Identity([]byte("cfg"))
+	if err := st.Save(1, id, map[string][]byte{"a.ckpt": nil}); err == nil {
+		t.Error("nil value accepted by a store with no manifest")
+	}
+	if err := st.Save(1, id, map[string][]byte{"a.ckpt": []byte("chip a")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(2, id, map[string][]byte{"a.ckpt": nil, "b.ckpt": nil}); err == nil {
+		t.Error("nil value accepted for a file no manifest lists")
+	}
+	man, files, err := st.Load(id)
+	if err != nil || man.Seq != 1 || len(files) != 1 || string(files["a.ckpt"]) != "chip a" {
+		t.Fatalf("snapshot after a refused save: %+v %q, %v", man, files, err)
+	}
+}
+
 // TestStoreSaveRewritesFileOfRejectedGeneration covers a resume that fell
 // back past a corrupt newest generation: a later save of the same name and
 // content must write the file again, not trust the corrupt copy the

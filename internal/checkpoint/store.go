@@ -110,8 +110,10 @@ func (s *Store) Dir() string { return s.dir }
 // survives until the new one is fully in place. A file that the manifest
 // this Store last saved or loaded lists with the same size and SHA-256 is
 // left as it is, so a snapshot that changes one file of many writes one
-// file. Callers keep each name for one content: rewriting a name would
-// change a file the previous generation references.
+// file. A nil value keeps a file that manifest lists as it stands, without
+// hashing it again; a nil value for any other name is an error. Callers
+// keep each name for one content: rewriting a name would change a file the
+// previous generation references.
 func (s *Store) Save(seq int, identity string, files map[string][]byte) error {
 	names := make([]string, 0, len(files))
 	for name := range files {
@@ -124,6 +126,14 @@ func (s *Store) Save(seq int, identity string, files map[string][]byte) error {
 			return err
 		}
 		data := files[name]
+		if data == nil {
+			f, ok := s.current[name]
+			if !ok {
+				return fmt.Errorf("checkpoint: no content for %s, which the current manifest does not list", name)
+			}
+			m.Files = append(m.Files, f)
+			continue
+		}
 		sum := sha256.Sum256(data)
 		f := FileEntry{Name: name, SHA256: hex.EncodeToString(sum[:]), Bytes: int64(len(data))}
 		if s.current[name] != f {

@@ -12,8 +12,9 @@ import (
 
 // TestStation is the hardware interface profiling needs: the SoftMC-style
 // write-pattern / refresh-control / wait / read-compare operations plus
-// time accounting and temperature control. memctrl.Station implements it
-// for one chip; module.Module implements it for a multi-chip module.
+// time accounting, temperature control, the sparse-index and round-cache
+// counters, and the latched chip-pool error. memctrl.Station implements it
+// for one chip or a multi-chip module.
 type TestStation interface {
 	WritePattern(p dram.RowData)
 	DisableRefresh()
@@ -24,6 +25,9 @@ type TestStation interface {
 	Stats() memctrl.Stats
 	Ambient() float64
 	SetAmbient(tempC float64) float64
+	IndexStats() dram.IndexStats
+	IncrStats() dram.IncrStats
+	Err() error
 }
 
 // memctrl.Station must satisfy TestStation.
@@ -112,8 +116,8 @@ func (r *Result) RuntimeSeconds() float64 { return r.Stats.Total() }
 // BruteForce runs the paper's Algorithm 1 on the station: for each
 // iteration and each data pattern, write the pattern everywhere, disable
 // refresh, wait for tREFI, re-enable refresh, and collect the failures.
-// tREFI is in seconds. A station whose TestStation methods latch failures
-// they cannot return (module.Module) exposes them through Err() error;
+// tREFI is in seconds. The station latches failures its TestStation
+// methods cannot return (a multi-chip station's chip-pool panics) on Err;
 // BruteForce checks it after every pass and returns the latched error.
 func BruteForce(st TestStation, tREFI float64, opt Options) (*Result, error) {
 	if st == nil {
@@ -130,24 +134,11 @@ func BruteForce(st TestStation, tREFI float64, opt Options) (*Result, error) {
 		ProfilingTempC:    st.Ambient(),
 	}
 	before := st.Stats()
-	// Stations backed by the sparse active-window index (both station kinds
-	// are) expose cumulative disposition counters; record this round's delta
+	// Record this round's deltas of the sparse-index disposition counters,
 	// so the dram_index_* series track how much per-cell work the index
-	// avoided. Deltas are sums of per-chip counters, hence worker-count
-	// invariant.
-	ix, hasIx := st.(interface{ IndexStats() dram.IndexStats })
-	var ixBefore dram.IndexStats
-	if hasIx {
-		ixBefore = ix.IndexStats()
-	}
-	// Likewise for the incremental round cache counters, which are
-	// deterministic and worker-count invariant by construction.
-	ic, hasIc := st.(interface{ IncrStats() dram.IncrStats })
-	var icBefore dram.IncrStats
-	if hasIc {
-		icBefore = ic.IncrStats()
-	}
-	latched, hasErr := st.(interface{ Err() error })
+	// avoided, and of the round-cache counters. Deltas are sums of per-chip
+	// counters, hence worker-count invariant.
+	ixBefore, icBefore := st.IndexStats(), st.IncrStats()
 
 	reg := opt.Telemetry
 	reg.Counter("core_profiling_rounds_total").Inc()
@@ -167,10 +158,8 @@ func BruteForce(st TestStation, tREFI float64, opt Options) (*Result, error) {
 			st.Wait(tREFI)
 			st.EnableRefresh()
 			fails := st.ReadCompare()
-			if hasErr {
-				if err := latched.Err(); err != nil {
-					return nil, fmt.Errorf("core: iteration %d pattern %s: %w", it, p.Name(), err)
-				}
+			if err := st.Err(); err != nil {
+				return nil, fmt.Errorf("core: iteration %d pattern %s: %w", it, p.Name(), err)
 			}
 			added := res.Failures.AddAll(fails)
 			reg.Counter("core_profiling_passes_total", telemetry.L("pattern", patternLabel(p.Name()))).Inc()
@@ -191,25 +180,21 @@ func BruteForce(st TestStation, tREFI float64, opt Options) (*Result, error) {
 		}
 	}
 	res.Stats = diffStats(st.Stats(), before)
-	if hasIx {
-		d := ix.IndexStats().Sub(ixBefore)
-		reg.Counter("dram_index_cells_skipped_total").Add(int64(d.Skipped))
-		reg.Counter("dram_index_cells_flipped_total").Add(int64(d.Flipped))
-		reg.Counter("dram_index_cells_sampled_total").Add(int64(d.Sampled))
-		reg.Counter("dram_index_cells_slowpath_total").Add(int64(d.Slowpath))
-		// A device has one sampling stream, so no sweep is bank-sharded and
-		// these two series stay 0. They are still registered because the
-		// service result documents that list them are pinned by digest.
-		reg.Counter("dram_bank_sweeps_total")
-		reg.Counter("dram_bank_shards_total")
-	}
-	if hasIc {
-		d := ic.IncrStats().Sub(icBefore)
-		reg.Counter("dram_incr_sweeps_fast_total").Add(int64(d.FastSweeps))
-		reg.Counter("dram_incr_sweeps_full_total").Add(int64(d.FullSweeps))
-		reg.Counter("dram_incr_cells_reused_total").Add(int64(d.ReusedCells))
-		reg.Counter("dram_incr_cells_dirty_total").Add(int64(d.DirtyCells))
-	}
+	ix := st.IndexStats().Sub(ixBefore)
+	reg.Counter("dram_index_cells_skipped_total").Add(int64(ix.Skipped))
+	reg.Counter("dram_index_cells_flipped_total").Add(int64(ix.Flipped))
+	reg.Counter("dram_index_cells_sampled_total").Add(int64(ix.Sampled))
+	reg.Counter("dram_index_cells_slowpath_total").Add(int64(ix.Slowpath))
+	// A device has one sampling stream, so no sweep is bank-sharded and
+	// these two series stay 0. They are still registered because the
+	// service result documents that list them are pinned by digest.
+	reg.Counter("dram_bank_sweeps_total")
+	reg.Counter("dram_bank_shards_total")
+	ic := st.IncrStats().Sub(icBefore)
+	reg.Counter("dram_incr_sweeps_fast_total").Add(int64(ic.FastSweeps))
+	reg.Counter("dram_incr_sweeps_full_total").Add(int64(ic.FullSweeps))
+	reg.Counter("dram_incr_cells_reused_total").Add(int64(ic.ReusedCells))
+	reg.Counter("dram_incr_cells_dirty_total").Add(int64(ic.DirtyCells))
 	reg.Histogram("core_profiling_round_seconds", roundSecondsBounds).Observe(res.RuntimeSeconds())
 	opt.Tracer.Emit(st.Clock(), "round-end",
 		fmt.Sprintf("iterations=%d unique_failures=%d sim_seconds=%.3f",
@@ -296,11 +281,11 @@ func Reach(st TestStation, targetInterval float64, reach ReachConditions, opt Op
 	return res, err
 }
 
-// Truth queries the station's device oracle for the ground-truth failing set
-// at the given target conditions, evaluated at the station's current
+// Truth queries the station's device oracles for the ground-truth failing
+// set at the given target conditions, evaluated at the station's current
 // simulated time. This is only possible on the simulator — it is how
-// profiler quality is scored.
+// profiler quality is scored. A multi-chip station latches a chip-pool
+// failure on Err, which the caller checks.
 func Truth(st *memctrl.Station, targetInterval, targetTempC float64) *FailureSet {
-	bits := st.Device().TrueFailingSet(targetInterval, targetTempC, st.Clock(), dram.OracleThreshold)
-	return FromBits(bits)
+	return FromBits(st.TrueFailingSet(targetInterval, targetTempC))
 }

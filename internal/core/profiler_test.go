@@ -32,7 +32,7 @@ func mkStation(seed uint64) func() (*memctrl.Station, error) {
 		if err != nil {
 			return nil, err
 		}
-		return memctrl.NewStation(dev, nil)
+		return memctrl.NewStation(nil, dev)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestBruteForceRuntimeMatchesEquation9(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := memctrl.NewStation(dev, nil)
+		st, err := memctrl.NewStation(nil, dev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,7 +100,7 @@ func mkChamberStation(seed uint64) func() (*memctrl.Station, error) {
 		}
 		ch := thermal.NewChamber(1)
 		ch.SettleTo(45, 0.25, 3600)
-		return memctrl.NewStation(dev, ch)
+		return memctrl.NewStation(ch, dev)
 	}
 }
 

@@ -414,7 +414,7 @@ func (d *Device) SetAutoRefresh(interval float64) {
 
 // AutoRefresh returns the configured auto-refresh interval (0 if disabled).
 //
-//lint:ignore dead-export the firmware, memctrl and module tests read back the refresh interval their stations program
+//lint:ignore dead-export the firmware and memctrl tests read back the refresh interval their stations program
 func (d *Device) AutoRefresh() float64 { return d.autoRef }
 
 // rowRestoredAt returns the row's last-restore time.

@@ -103,7 +103,7 @@ func (c ChipSpec) NewStation() (*memctrl.Station, error) {
 		chamber = thermal.NewChamber(c.Seed ^ 0x7EA8)
 		chamber.SettleTo(dram.RefTempC, 0.25, 7200)
 	}
-	return memctrl.NewStation(dev, chamber)
+	return memctrl.NewStation(chamber, dev)
 }
 
 // EffectiveBER converts a raw failing-cell count on a scale-model chip back

@@ -151,31 +151,31 @@ func (c *SoakConfig) fillDefaults() error {
 
 // ChipSoakReport is one chip's survival record.
 type ChipSoakReport struct {
-	Chip int    `json:"chip"` //lint:serialized-elsewhere shard identity; assigned by newSoakRunner from the campaign layout
-	Seed uint64 `json:"seed"` //lint:serialized-elsewhere shard identity; assigned by newSoakRunner from the campaign layout
+	Chip int    `json:"chip"`
+	Seed uint64 `json:"seed"`
 
 	Windows          int     `json:"windows"`
 	ViolationWindows int     `json:"violation_windows"` // windows with >= 1 UE
 	UEEvents         int     `json:"ue_events"`         // word-level UE observations
 	CorrectedTotal   int     `json:"corrected_total"`
 	WordsScanned     int64   `json:"words_scanned"`
-	UBER             float64 `json:"uber"`     //lint:serialized-elsewhere recomputed by finalize from the restored window counters
-	Survived         bool    `json:"survived"` //lint:serialized-elsewhere recomputed by finalize from the restored window counters
+	UBER             float64 `json:"uber"`
+	Survived         bool    `json:"survived"`
 
-	Rounds            int     `json:"rounds"`              //lint:serialized-elsewhere recomputed by finalize from restored firmware.Manager state
-	EarlyRounds       int     `json:"early_rounds"`        //lint:serialized-elsewhere recomputed by finalize from restored firmware.Manager state
-	Aborts            int     `json:"aborts"`              //lint:serialized-elsewhere recomputed by finalize from restored firmware.Manager state
-	WidenSteps        int     `json:"widen_steps"`         //lint:serialized-elsewhere recomputed by finalize from restored firmware.Manager state
-	DegradeEvents     int     `json:"degrade_events"`      //lint:serialized-elsewhere recomputed by finalize from the restored controller event log
-	RecoverEvents     int     `json:"recover_events"`      //lint:serialized-elsewhere recomputed by finalize from the restored controller event log
-	FinalDegradeLevel int     `json:"final_degrade_level"` //lint:serialized-elsewhere recomputed by finalize from restored firmware.Manager state
-	FinalIntervalMs   float64 `json:"final_interval_ms"`   //lint:serialized-elsewhere recomputed by finalize from restored firmware.Manager state
-	SparesExhausted   bool    `json:"spares_exhausted"`    //lint:serialized-elsewhere recomputed by finalize from restored firmware.Manager state
-	ExtendedFraction  float64 `json:"extended_fraction"`   //lint:serialized-elsewhere recomputed by finalize from restored interval accounting
+	Rounds            int     `json:"rounds"`
+	EarlyRounds       int     `json:"early_rounds"`
+	Aborts            int     `json:"aborts"`
+	WidenSteps        int     `json:"widen_steps"`
+	DegradeEvents     int     `json:"degrade_events"`
+	RecoverEvents     int     `json:"recover_events"`
+	FinalDegradeLevel int     `json:"final_degrade_level"`
+	FinalIntervalMs   float64 `json:"final_interval_ms"`
+	SparesExhausted   bool    `json:"spares_exhausted"`
+	ExtendedFraction  float64 `json:"extended_fraction"`
 
-	FaultCounts      map[string]int      `json:"fault_counts"`      //lint:serialized-elsewhere drained from the restored Injector by finalize
-	FaultEvents      []faultinject.Event `json:"fault_events"`      //lint:serialized-elsewhere drained from the restored Injector by finalize
-	ControllerEvents []firmware.Event    `json:"controller_events"` //lint:serialized-elsewhere drained from the restored Manager by finalize
+	FaultCounts      map[string]int      `json:"fault_counts"`
+	FaultEvents      []faultinject.Event `json:"fault_events"`
+	ControllerEvents []firmware.Event    `json:"controller_events"`
 }
 
 // SoakReport is the campaign's survival report (serializable to JSON).

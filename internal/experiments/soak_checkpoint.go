@@ -142,7 +142,8 @@ type chipSave struct {
 
 // soakStore is a campaign's checkpoint directory, shared by the chip jobs:
 // each save replaces one chip's newest file and writes a new manifest
-// listing every chip's newest file.
+// listing every chip's newest file; the other chips' files stand as the
+// previous manifest lists them.
 type soakStore struct {
 	store    *checkpoint.Store
 	identity string
@@ -188,13 +189,13 @@ func (s *soakStore) save(i int, r *soakRunner) error {
 	if err != nil {
 		return fmt.Errorf("soak chip %d: encode: %w", i, err)
 	}
-	next := chipSave{name: chipFile(i, r.rep.Windows), blob: blob, windows: r.rep.Windows}
+	next := chipSave{name: chipFile(i, r.win.windows), blob: blob, windows: r.win.windows}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	files := map[string][]byte{next.name: next.blob}
 	for j, c := range s.latest {
 		if j != i && c.name != "" {
-			files[c.name] = c.blob
+			files[c.name] = nil // listed by the current manifest: kept unhashed
 		}
 	}
 	if err := s.store.Save(s.seq+1, s.identity, files); err != nil {
@@ -258,8 +259,8 @@ func soakChips(ctx context.Context, cfg SoakConfig, seeds []uint64) (*SoakReport
 			if err != nil {
 				return nil, err
 			}
-			if r.rep.Windows != from.windows {
-				return nil, fmt.Errorf("soak chip %d: %s holds %d windows", i, from.name, r.rep.Windows)
+			if r.win.windows != from.windows {
+				return nil, fmt.Errorf("soak chip %d: %s holds %d windows", i, from.name, r.win.windows)
 			}
 			// Whatever the chip records lands in its own registry, which
 			// its saves carry and which joins the campaign's only as the
@@ -269,7 +270,7 @@ func soakChips(ctx context.Context, cfg SoakConfig, seeds []uint64) (*SoakReport
 				if ck.beforeSegment != nil {
 					segment := 0
 					if every > 0 {
-						segment = r.rep.Windows / every
+						segment = r.win.windows / every
 					}
 					ck.beforeSegment(segment, i)
 				}

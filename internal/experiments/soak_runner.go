@@ -19,7 +19,7 @@ import (
 )
 
 // soakRunner is one chip's live campaign state: the full simulation stack
-// plus the report accumulators the window loop maintains. The soak executor
+// plus the window counters the window loop maintains. The soak executor
 // (soakChips) runs one from construction or its newest save to the horizon,
 // encoding its state at every save, so a killed campaign resumes — or a
 // panicked chip retries — from that save with bit-identical behavior.
@@ -38,8 +38,18 @@ type soakRunner struct {
 	reg      *telemetry.Registry // the chip's own registry; nil when uninstrumented
 	resident []mitigate.WordAddr
 
-	rep ChipSoakReport
+	win soakWindows
 	end float64 // station clock at campaign end
+}
+
+// soakWindows are the scrub-window counters the window loop accumulates;
+// finalize turns them into the chip's report.
+type soakWindows struct {
+	windows      int
+	violations   int // windows with >= 1 UE
+	ueEvents     int // word-level UE observations
+	corrected    int
+	wordsScanned int64
 }
 
 // newSoakRunner builds the chip stack; start or restoreState then sets its
@@ -49,7 +59,6 @@ type soakRunner struct {
 // every pinned campaign golden.
 func newSoakRunner(cfg SoakConfig, idx int, seed uint64) (*soakRunner, error) {
 	r := &soakRunner{cfg: cfg, idx: idx, seed: seed}
-	r.rep = ChipSoakReport{Chip: idx, Seed: seed}
 
 	spec := cfg.Chip
 	spec.Seed = seed
@@ -166,12 +175,12 @@ func (r *soakRunner) runWindows(ctx context.Context, maxWindows int) error {
 		if err != nil {
 			return err
 		}
-		r.rep.Windows++
-		r.rep.CorrectedTotal += srep.Corrected
-		r.rep.WordsScanned += int64(srep.WordsScanned)
+		r.win.windows++
+		r.win.corrected += srep.Corrected
+		r.win.wordsScanned += int64(srep.WordsScanned)
 		if srep.Uncorrectable > 0 {
-			r.rep.ViolationWindows++
-			r.rep.UEEvents += srep.Uncorrectable
+			r.win.violations++
+			r.win.ueEvents += srep.Uncorrectable
 			// Page-reload model: the OS restores each SECDED-fatal word
 			// from backing store, so the word is stressed again next
 			// window rather than staying frozen at its corrupted value.
@@ -192,23 +201,32 @@ func (r *soakRunner) runWindows(ctx context.Context, maxWindows int) error {
 
 // finalize computes the chip's survival record from the accumulated state.
 func (r *soakRunner) finalize() chipSoakResult {
-	rep := r.rep
+	w := r.win
+	rep := ChipSoakReport{
+		Chip:              r.idx,
+		Seed:              r.seed,
+		Windows:           w.windows,
+		ViolationWindows:  w.violations,
+		UEEvents:          w.ueEvents,
+		CorrectedTotal:    w.corrected,
+		WordsScanned:      w.wordsScanned,
+		Rounds:            r.mgr.Rounds(),
+		EarlyRounds:       r.mgr.EarlyRounds(),
+		Aborts:            r.mgr.Aborts(),
+		WidenSteps:        r.mgr.WidenSteps(),
+		FinalDegradeLevel: r.mgr.DegradeLevel(),
+		FinalIntervalMs:   r.mgr.CurrentInterval() * 1000,
+		SparesExhausted:   r.mgr.SparesExhausted(),
+		ExtendedFraction:  r.mgr.ExtendedFraction(),
+		FaultCounts:       r.inj.Counts(),
+		FaultEvents:       r.inj.Events(),
+		ControllerEvents:  r.mgr.Events(),
+	}
 	// UBER: a word-level UE is ~2 wrong bits out of the 64 data bits read.
-	if rep.WordsScanned > 0 {
-		rep.UBER = 2 * float64(rep.UEEvents) / (64 * float64(rep.WordsScanned))
+	if w.wordsScanned > 0 {
+		rep.UBER = 2 * float64(w.ueEvents) / (64 * float64(w.wordsScanned))
 	}
 	rep.Survived = rep.UBER <= r.cfg.MaxUBER
-	rep.Rounds = r.mgr.Rounds()
-	rep.EarlyRounds = r.mgr.EarlyRounds()
-	rep.Aborts = r.mgr.Aborts()
-	rep.WidenSteps = r.mgr.WidenSteps()
-	rep.FinalDegradeLevel = r.mgr.DegradeLevel()
-	rep.FinalIntervalMs = r.mgr.CurrentInterval() * 1000
-	rep.SparesExhausted = r.mgr.SparesExhausted()
-	rep.ExtendedFraction = r.mgr.ExtendedFraction()
-	rep.FaultCounts = r.inj.Counts()
-	rep.FaultEvents = r.inj.Events()
-	rep.ControllerEvents = r.mgr.Events()
 	for _, e := range rep.ControllerEvents {
 		switch e.Kind {
 		case firmware.EventDegrade:
@@ -229,19 +247,19 @@ func resolveRowData(name string) (dram.RowData, error) {
 	return p, nil
 }
 
-// encodeState serializes the runner's full campaign state: the report
-// accumulators, the resident set, and every component's checkpoint surface.
+// encodeState serializes the runner's full campaign state: the window
+// counters, the resident set, and every component's checkpoint surface.
 func (r *soakRunner) encodeState() ([]byte, error) {
 	e := checkpoint.NewEncoder()
 	e.Section("soak.runner")
 	e.Int(r.idx)
 	e.U64(r.seed)
 	e.F64(r.end)
-	e.Int(r.rep.Windows)
-	e.Int(r.rep.ViolationWindows)
-	e.Int(r.rep.UEEvents)
-	e.Int(r.rep.CorrectedTotal)
-	e.I64(r.rep.WordsScanned)
+	e.Int(r.win.windows)
+	e.Int(r.win.violations)
+	e.Int(r.win.ueEvents)
+	e.Int(r.win.corrected)
+	e.I64(r.win.wordsScanned)
 	e.Len(len(r.resident))
 	for _, wa := range r.resident {
 		e.Int(wa.Bank)
@@ -287,11 +305,11 @@ func (r *soakRunner) restoreState(blob []byte) error {
 			idx, seed, r.idx, r.seed)
 	}
 	r.end = d.F64()
-	r.rep.Windows = d.Int()
-	r.rep.ViolationWindows = d.Int()
-	r.rep.UEEvents = d.Int()
-	r.rep.CorrectedTotal = d.Int()
-	r.rep.WordsScanned = d.I64()
+	r.win.windows = d.Int()
+	r.win.violations = d.Int()
+	r.win.ueEvents = d.Int()
+	r.win.corrected = d.Int()
+	r.win.wordsScanned = d.I64()
 	nr := d.Len(1 << 24)
 	if err := d.Err(); err != nil {
 		return err

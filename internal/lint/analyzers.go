@@ -310,9 +310,8 @@ func sortedAfter(p *Package, obj types.Object, following []ast.Stmt) bool {
 }
 
 // NoPanic forbids panic in library packages: internal/ and the public root
-// package must return errors (PR 2 converted internal/module; this rule
-// keeps it that way). Commands and examples may panic or log.Fatal at the
-// edge. Invariant guards that are genuinely unreachable carry a
+// package must return errors. Commands and examples may panic or log.Fatal
+// at the edge. Invariant guards that are genuinely unreachable carry a
 // //lint:ignore no-panic justification.
 var NoPanic = &Analyzer{
 	Name: "no-panic",

@@ -214,11 +214,22 @@ func TestSerializeExhaustiveMutation(t *testing.T) {
 // stay clean.
 func TestTestOnlyFieldMutation(t *testing.T) {
 	const configDecl = "type Config struct {\n"
+	// sysperf leaves Config.InstructionsPerCore and Config.Seed to its
+	// caller (internal/experiments' Fig13EndToEnd). A copy loaded on its
+	// own is outside the module index that records those writes, so each
+	// copy carries a stand-in for them.
+	const callerWrites = "package sysperf\n\nfunc setByCaller(c *Config) { c.InstructionsPerCore, c.Seed = 1, 1 }\n"
+	writeCaller := func(dir string) {
+		if err := os.WriteFile(filepath.Join(dir, "caller.go"), []byte(callerWrites), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	srcDir := filepath.Join("..", "sysperf")
 	l := fixtureLoader(t)
 
 	cleanDir := t.TempDir()
 	writePackageCopy(t, srcDir, cleanDir, nil)
+	writeCaller(cleanDir)
 	clean, err := l.LoadDirAs("reaper/internal/sysperfclean", cleanDir)
 	if err != nil {
 		t.Fatalf("loading clean copy: %v", err)
@@ -237,6 +248,7 @@ func TestTestOnlyFieldMutation(t *testing.T) {
 	if !added {
 		t.Fatalf("%q not found in %s — update the test", configDecl, srcDir)
 	}
+	writeCaller(mutDir)
 	mutant, err := l.LoadDirAs("reaper/internal/sysperfmut", mutDir)
 	if err != nil {
 		t.Fatalf("loading mutated copy: %v", err)

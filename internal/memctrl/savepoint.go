@@ -18,12 +18,16 @@ type StationSavepoint struct {
 // Savepoint captures the station's state so Rollback can return it to this
 // exact point, letting one station profile many runs from the same start.
 // It refuses a station with a thermal chamber (the chamber's own dynamics
-// are not captured), and any device dram.Device.Savepoint refuses.
+// are not captured), a multi-chip station (one device savepoint is
+// captured), and any device dram.Device.Savepoint refuses.
 func (s *Station) Savepoint() (*StationSavepoint, error) {
 	if s.chamber != nil {
 		return nil, fmt.Errorf("memctrl: savepoint: station has a thermal chamber")
 	}
-	dsp, err := s.dev.Savepoint()
+	if len(s.devs) > 1 {
+		return nil, fmt.Errorf("memctrl: savepoint: station has %d chips", len(s.devs))
+	}
+	dsp, err := s.devs[0].Savepoint()
 	if err != nil {
 		return nil, err
 	}
@@ -36,7 +40,7 @@ func (s *Station) Rollback(sp *StationSavepoint) error {
 	if sp == nil {
 		return fmt.Errorf("memctrl: rollback: nil savepoint")
 	}
-	if err := s.dev.Rollback(sp.dev); err != nil {
+	if err := s.devs[0].Rollback(sp.dev); err != nil {
 		return err
 	}
 	s.clock = sp.clock

@@ -50,10 +50,19 @@ func TestStationRollbackMatchesFresh(t *testing.T) {
 }
 
 // TestStationSavepointRefusals: chamber stations are refused, since the
-// chamber's own dynamics are not captured, and so is a nil rollback.
+// chamber's own dynamics are not captured, and so are multi-chip stations,
+// whose savepoint would hold one device, and a nil rollback.
 func TestStationSavepointRefusals(t *testing.T) {
 	if _, err := testStation(t, true).Savepoint(); err == nil {
 		t.Error("savepoint of a chamber station accepted")
+	}
+	one := testStation(t, false)
+	two, err := NewStation(nil, one.Device(), testStation(t, false).Device())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := two.Savepoint(); err == nil {
+		t.Error("savepoint of a two-chip station accepted")
 	}
 	if err := testStation(t, false).Rollback(nil); err == nil {
 		t.Error("rollback to a nil savepoint accepted")

@@ -27,7 +27,7 @@ func newStation(t testing.TB, seed uint64) *memctrl.Station {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := memctrl.NewStation(dev, nil)
+	st, err := memctrl.NewStation(nil, dev)
 	if err != nil {
 		t.Fatal(err)
 	}

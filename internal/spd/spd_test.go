@@ -32,7 +32,7 @@ func mkStation(seed uint64) func() (*memctrl.Station, error) {
 		if err != nil {
 			return nil, err
 		}
-		return memctrl.NewStation(dev, nil)
+		return memctrl.NewStation(nil, dev)
 	}
 }
 

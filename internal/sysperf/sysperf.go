@@ -80,13 +80,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's Table 2 system for the given chip
-// density and refresh interval.
+// density and refresh interval. The caller sets the simulation length and
+// seed.
 func DefaultConfig(chipGb int, tREFI float64) (Config, error) {
 	trfc, err := trfcForChip(chipGb)
 	if err != nil {
 		return Config{}, err
 	}
-	return Config{TRFC: trfc, TREFI: tREFI, InstructionsPerCore: 2_000_000, Seed: 1}, nil
+	return Config{TRFC: trfc, TREFI: tREFI}, nil
 }
 
 // Validate reports whether the configuration is usable.

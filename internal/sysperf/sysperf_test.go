@@ -14,6 +14,7 @@ func cfgFor(t testing.TB, chipGb int, tREFI float64) Config {
 		t.Fatal(err)
 	}
 	cfg.InstructionsPerCore = 500_000
+	cfg.Seed = 1
 	return cfg
 }
 

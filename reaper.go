@@ -46,7 +46,6 @@ import (
 	"reaper/internal/ecc"
 	"reaper/internal/longevity"
 	"reaper/internal/memctrl"
-	"reaper/internal/module"
 	"reaper/internal/patterns"
 	"reaper/internal/thermal"
 )
@@ -60,7 +59,8 @@ type (
 	Geometry = dram.Geometry
 	// VendorParams calibrates a device's retention statistics.
 	VendorParams = dram.VendorParams
-	// Station is the SoftMC-style test station a profiler drives.
+	// Station is the SoftMC-style test station a profiler drives, over one
+	// chip or the chips of a module.
 	Station = memctrl.Station
 	// Chamber is the PID-controlled thermal chamber.
 	Chamber = thermal.Chamber
@@ -81,11 +81,10 @@ type (
 	ECCCode = ecc.Code
 	// LongevityModel evaluates Equation 7 (time before reprofiling).
 	LongevityModel = longevity.Model
-	// Module is a multi-chip DRAM module; it satisfies the same profiling
-	// interface as Station, so Profile/BruteForce run on it unchanged.
-	Module = module.Module
-	// TestStation is the profiling-facing hardware interface implemented
-	// by both Station and Module.
+	// Module is a multi-chip DRAM module: a Station driving several chips.
+	Module = memctrl.Station
+	// TestStation is the profiling-facing hardware interface a Station
+	// implements.
 	TestStation = core.TestStation
 )
 
@@ -142,43 +141,11 @@ type ChipConfig struct {
 }
 
 // NewStation builds a simulated chip and the test station driving it.
-func NewStation(cfg ChipConfig) (*Station, error) {
-	if cfg.CapacityBits == 0 {
-		cfg.CapacityBits = 64 << 20
-	}
-	if cfg.Vendor.Name == "" {
-		cfg.Vendor = VendorB()
-	}
-	if cfg.WeakScale == 0 {
-		if cfg.CapacityBits < 1<<30 {
-			cfg.WeakScale = 20
-		} else {
-			cfg.WeakScale = 1
-		}
-	}
-	dev, err := dram.NewDevice(dram.Config{
-		Geometry:   dram.GeometryForBits(cfg.CapacityBits),
-		Vendor:     cfg.Vendor,
-		Seed:       cfg.Seed,
-		WeakScale:  cfg.WeakScale,
-		DisableVRT: cfg.DisableVRT,
-		DisableDPD: cfg.DisableDPD,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var chamber *thermal.Chamber
-	if cfg.WithThermalChamber {
-		chamber = thermal.NewChamber(cfg.Seed ^ 0xC4A3)
-		if _, ok := chamber.SettleTo(RefTempC, 0.25, 7200); !ok {
-			return nil, fmt.Errorf("reaper: thermal chamber failed to settle")
-		}
-	}
-	return memctrl.NewStation(dev, chamber)
-}
+func NewStation(cfg ChipConfig) (*Station, error) { return NewModule(1, cfg) }
 
 // NewModule builds a multi-chip module of identically configured (but
-// independently seeded) chips behind one controller and optional chamber.
+// independently seeded) chips behind one station and optional chamber.
+// Chip 0 carries cfg.Seed, so a one-chip module is NewStation's chip.
 func NewModule(chips int, cfg ChipConfig) (*Module, error) {
 	if chips <= 0 {
 		return nil, fmt.Errorf("reaper: module needs at least one chip")
@@ -218,26 +185,25 @@ func NewModule(chips int, cfg ChipConfig) (*Module, error) {
 			return nil, fmt.Errorf("reaper: thermal chamber failed to settle")
 		}
 	}
-	return module.New(devs, chamber)
+	return memctrl.NewStation(chamber, devs...)
 }
 
 // BruteForce runs the paper's Algorithm 1 at the given refresh interval
-// (seconds) — the baseline profiling mechanism. st may be a Station or a
-// Module.
+// (seconds) — the baseline profiling mechanism.
 func BruteForce(st TestStation, tREFI float64, opt Options) (*Result, error) {
 	return core.BruteForce(st, tREFI, opt)
 }
 
 // Profile runs reach profiling: Algorithm 1 executed at target conditions
 // plus the reach deltas (longer interval and/or higher temperature), the
-// paper's contribution. Zero deltas degenerate to BruteForce. st may be a
-// Station or a Module.
+// paper's contribution. Zero deltas degenerate to BruteForce.
 func Profile(st TestStation, targetInterval float64, reach ReachConditions, opt Options) (*Result, error) {
 	return core.Reach(st, targetInterval, reach, opt)
 }
 
 // Truth returns the simulator's ground-truth failing-cell set at the target
 // conditions — the scoring reference only a model (not hardware) can provide.
+// On a module, check st.Err afterwards for a chip-pool failure.
 func Truth(st *Station, targetInterval, targetTempC float64) *FailureSet {
 	return core.Truth(st, targetInterval, targetTempC)
 }

@@ -111,8 +111,8 @@ func TestNewModuleViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := m.Truth(1.024, RefTempC)
-	if err != nil {
+	truth := Truth(m, 1.024, RefTempC)
+	if err := m.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if cov := Coverage(res.Failures, truth); cov < 0.8 {
