@@ -67,11 +67,27 @@ func TestGlobalBitRoundTrip(t *testing.T) {
 }
 
 func TestNewStationValidation(t *testing.T) {
-	if _, err := memctrl.NewStation(nil); err == nil {
-		t.Error("station without a device not rejected")
-	}
 	if _, err := memctrl.NewStation(nil, nil); err == nil {
 		t.Error("nil device not rejected")
+	}
+	// One row of 2^42 words holds 2^48 bits, leaving no room for a chip
+	// index; the weak scale keeps its population (and memory) empty.
+	huge, err := dram.NewDevice(dram.Config{
+		Geometry:  dram.Geometry{Banks: 1, RowsPerBank: 1, WordsPerRow: 1 << 42},
+		Vendor:    dram.VendorB(),
+		WeakScale: 1e-30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := memctrl.NewStation(nil, huge); err == nil {
+		t.Error("device beyond the station-wide address space not rejected")
+	}
+}
+
+func TestNewModuleValidation(t *testing.T) {
+	if _, err := memctrl.NewStation(nil); err == nil {
+		t.Error("station without a device not rejected")
 	}
 	devs := devices(t, 2, 1)
 	if _, err := memctrl.NewStation(nil, devs[0], nil); err == nil {
@@ -86,19 +102,6 @@ func TestNewStationValidation(t *testing.T) {
 	}
 	if _, err := memctrl.NewStation(nil, devs[0], other); err == nil {
 		t.Error("mismatched geometry not rejected")
-	}
-	// One row of 2^42 words holds 2^48 bits, leaving no room for a chip
-	// index; the weak scale keeps its population (and memory) empty.
-	huge, err := dram.NewDevice(dram.Config{
-		Geometry:  dram.Geometry{Banks: 1, RowsPerBank: 1, WordsPerRow: 1 << 42},
-		Vendor:    dram.VendorB(),
-		WeakScale: 1e-30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := memctrl.NewStation(nil, huge); err == nil {
-		t.Error("device beyond the station-wide address space not rejected")
 	}
 }
 
